@@ -1,12 +1,12 @@
 """Optional-dependency shims (NumPy and matplotlib).
 
-NumPy powers the vectorised kernels and the dataset generators but is an
-optional ``[perf]`` extra, not a hard dependency: the simulator, the runtime
-and the harness all work without it (the NoC falls back to the pure-Python
-kernel automatically).  Modules that can degrade import ``np``/``HAVE_NUMPY``
-from here; modules that fundamentally need NumPy (dataset generation, figure
-rendering) call :func:`require_numpy` at entry so the failure is a clear,
-actionable error instead of an import-time crash.
+NumPy powers the dataset generators and the analysis series but is an
+optional ``[perf]`` extra, not a hard dependency: the simulator (whose NoC
+kernels never use it), the runtime and the harness all work without it.
+Modules that can degrade import ``np``/``HAVE_NUMPY`` from here; modules
+that fundamentally need NumPy (dataset generation, figure rendering) call
+:func:`require_numpy` at entry so the failure is a clear, actionable error
+instead of an import-time crash.
 
 matplotlib is even more optional: only ``repro report --png`` wants it.
 :func:`get_matplotlib` returns a headless (Agg) pyplot module or ``None``,

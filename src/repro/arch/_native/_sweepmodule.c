@@ -7,10 +7,10 @@
  *
  *   advance_links     -- one cycle of the cycle-accurate NoC link sweep
  *                        (NativeCycleAccurateNoC.advance), mirroring
- *                        NumpyCycleAccurateNoC._advance_vscalar over the
- *                        flat array('q') slot buffers: pop each active
- *                        link's head, follow the sentinel-terminated route
- *                        pool one hop, relink the intrusive per-link FIFOs,
+ *                        CycleAccurateNoC.advance over the flat
+ *                        array('q') slot buffers: pop each active link's
+ *                        head, follow the sentinel-terminated route pool
+ *                        one hop, relink the intrusive per-link FIFOs,
  *                        stamp-dedupe next-cycle activations, deliver at
  *                        the sentinel.
  *

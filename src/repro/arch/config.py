@@ -14,6 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
+#: The NoC kernel names ``ChipConfig.kernel`` accepts: ``auto`` resolves to
+#: one of the concrete two (see :func:`repro.arch.kernels.resolve_kernel`).
+KERNELS = ("auto", "python", "native")
+
 
 @dataclass(frozen=True)
 class ChipConfig:
@@ -46,12 +50,12 @@ class ChipConfig:
         Maximum operand payload (in 32-bit words) that fits in a single-flit
         message.  Larger payloads are charged extra hops by the NoC.
     kernel:
-        Implementation of the NoC hot loop: ``"python"`` (pure-Python sweep),
-        ``"numpy"`` (vectorised array kernel, requires numpy), ``"native"``
-        (self-built C sweep, requires the compiled ``[native]`` extension;
-        falls back to python with a warning when it is not built) or
-        ``"auto"`` (native when built, then numpy when importable, honouring
-        the ``REPRO_KERNEL`` environment variable; pure Python otherwise).
+        Implementation of the NoC hot loop, one of :data:`KERNELS`:
+        ``"python"`` (pure-Python sweep), ``"native"`` (self-built C sweep,
+        requires the compiled ``[native]`` extension; falls back to python
+        with a warning when it is not built) or ``"auto"`` (honours the
+        ``REPRO_KERNEL`` environment variable, otherwise native when built
+        and pure Python when not).
         The kernel is a *speed* knob only: every kernel produces the
         bit-identical deterministic schedule, so it is not part of any
         experiment's identity (see docs/architecture.md).
@@ -79,7 +83,7 @@ class ChipConfig:
             raise ValueError(f"unknown routing policy {self.routing!r}")
         if self.fidelity not in ("cycle", "latency", "cycle-ref"):
             raise ValueError(f"unknown NoC fidelity {self.fidelity!r}")
-        if self.kernel not in ("auto", "python", "numpy", "native"):
+        if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         bad = set(self.io_sides) - {"west", "east", "north", "south"}
         if bad:

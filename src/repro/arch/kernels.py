@@ -1,45 +1,20 @@
-"""Vectorised NoC kernels: the numpy-backed link sweep.
-
-The simulator's remaining hot-loop cost (after PR 2's flat-array rewrite) is
-the per-cycle Python interpreter overhead of the link sweep.  This module
-adds an opt-in **numpy kernel** for the cycle-accurate NoC that can run one
-cycle's sweep over all active links as array operations -- per-link FIFO
-queues as intrusive linked lists over message *slots* in flat integer
-buffers -- instead of one Python iteration per link.
+"""NoC kernel selection and the native (C) link sweep.
 
 Kernel selection
 ----------------
-``ChipConfig.kernel`` picks the implementation: ``"python"`` (the pure-Python
-sweep in :mod:`repro.arch.noc`, always available), ``"numpy"`` (this module,
-requires numpy), ``"native"`` (:class:`NativeCycleAccurateNoC`, requires the
+``ChipConfig.kernel`` picks the implementation of the cycle-accurate NoC's
+per-cycle link sweep, out of :data:`repro.arch.config.KERNELS`:
+``"python"`` (the pure-Python sweep in :mod:`repro.arch.noc`, always
+available), ``"native"`` (:class:`NativeCycleAccurateNoC`, requires the
 self-built C extension of :mod:`repro.arch._native`) or ``"auto"`` (the
 default: honours the ``REPRO_KERNEL`` environment variable, otherwise native
-when built, then numpy when importable).  The kernel is a speed knob only --
-**every kernel produces the bit-identical deterministic schedule** (same
-delivery cycles, same delivery order, same statistics), so it is
-deliberately *not* part of a scenario's identity hash and stored results
-remain valid across kernels.  ``tests/test_noc_equivalence.py`` and
-``tests/test_kernels.py`` pin this equivalence against the executable spec.
-
-Adaptive representation
------------------------
-Array sweeps have a fixed per-op overhead, and the within-cycle ordering
-contract (links swept in activation order, first-occurrence re-activation)
-forces sorting work, so the vector sweep only beats the plain loop when
-many links are active at once.  The numpy kernel is therefore *adaptive*:
-
-* under light traffic it runs the inherited pure-Python sweep unchanged
-  (deque queues, routes on the messages) -- zero overhead versus the
-  python kernel;
-* when a sweep reaches :data:`VECTOR_SWEEP_MIN` active links, the in-flight
-  state is converted once into flat ``array('q')`` buffers (zero-copy
-  viewable by numpy) and subsequent sweeps run vectorised -- the conversion
-  is O(in-flight) and amortises over the traffic burst that triggered it;
-* when the burst subsides (the network drains, or activity stays below the
-  exit threshold), state converts back.
-
-Both representations implement the identical ordering contract, so the
-switches are invisible to the schedule.
+when the extension is built and python when it is not).  The kernel is a
+speed knob only -- **every kernel produces the bit-identical deterministic
+schedule** (same delivery cycles, same delivery order, same statistics), so
+it is deliberately *not* part of a scenario's identity hash and stored
+results remain valid across kernels.  ``tests/test_noc_equivalence.py`` and
+``tests/test_native_kernel.py`` pin this equivalence against the executable
+spec.
 """
 
 from __future__ import annotations
@@ -47,12 +22,10 @@ from __future__ import annotations
 import os
 import warnings
 from array import array
-from types import MethodType
 from typing import Dict, List, Optional, Tuple
 
-from repro._compat import HAVE_NUMPY, np
 from repro.arch._native import HAVE_NATIVE, _sweep
-from repro.arch.config import ChipConfig
+from repro.arch.config import KERNELS, ChipConfig
 from repro.arch.message import Message
 from repro.arch.noc import CycleAccurateNoC
 from repro.arch.routing import RoutingPolicy
@@ -61,49 +34,26 @@ from repro.arch.stats import SimStats
 #: Environment variable consulted when ``ChipConfig.kernel == "auto"``.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: Valid kernel names (``auto`` resolves to one of the concrete three).
-KERNELS = ("auto", "python", "numpy", "native")
-
-#: Active-link sweep size at which the kernel converts to array state and
-#: vectorises.  The measured crossover on x86-64/CPython 3.11 is ~800
-#: active links (the activation-order contract forces sorting work that
-#: eats most of the vector win below that); the default sits just under it
-#: so vector mode only engages where it clearly pays.  Overridable for
-#: tuning/testing via ``REPRO_KERNEL_VECTOR_MIN``.
-VECTOR_SWEEP_MIN = int(os.environ.get("REPRO_KERNEL_VECTOR_MIN", "768"))
-
 
 def resolve_kernel(config: ChipConfig) -> str:
-    """The concrete kernel (``"python"``/``"numpy"``/``"native"``) a config
-    resolves to.
+    """The concrete kernel (``"python"`` or ``"native"``) a config resolves to.
 
     Explicit config values win; ``"auto"`` consults ``REPRO_KERNEL`` and
-    otherwise prefers the compiled native sweep when its extension is built,
-    then numpy-if-importable, then the pure-Python sweep.  Asking for numpy
-    without numpy installed is an error for explicit requests and a silent
-    fallback for ``auto``.  Asking for ``native`` without the compiled
-    extension *warns and falls back to python* — the extension is
+    otherwise picks the compiled native sweep when its extension is built,
+    the pure-Python sweep when not.  Asking for ``native`` without the
+    compiled extension *warns and falls back to python* — the extension is
     best-effort by design (``Extension(..., optional=True)``: installs
     without a compiler simply skip it), so an explicit pin degrades
     gracefully instead of failing environments that cannot build C.
     """
     kernel = config.kernel
     if kernel == "auto":
-        env = os.environ.get(KERNEL_ENV, "").strip().lower()
-        if env and env != "auto":
-            if env not in ("python", "numpy", "native"):
-                raise ValueError(
-                    f"{KERNEL_ENV}={env!r}: expected 'python', 'numpy', "
-                    "'native' or 'auto'")
-            kernel = env
-        else:
-            if HAVE_NATIVE:
-                return "native"
-            return "numpy" if HAVE_NUMPY else "python"
-    if kernel == "numpy" and not HAVE_NUMPY:
-        raise RuntimeError(
-            "kernel 'numpy' requested but numpy is not installed; install the "
-            "[perf] extra or use kernel='python'")
+        kernel = os.environ.get(KERNEL_ENV, "").strip().lower() or "auto"
+        if kernel not in KERNELS:
+            raise ValueError(
+                f"{KERNEL_ENV}={kernel!r}: expected one of {KERNELS}")
+        if kernel == "auto":
+            return "native" if HAVE_NATIVE else "python"
     if kernel == "native" and not HAVE_NATIVE:
         warnings.warn(
             "kernel 'native' requested but the repro.arch._native._sweep "
@@ -117,592 +67,31 @@ def resolve_kernel(config: ChipConfig) -> str:
     return kernel
 
 
-class NumpyCycleAccurateNoC(CycleAccurateNoC):
-    """Cycle-accurate NoC with an adaptive vectorised (numpy) link sweep.
-
-    Semantically identical to :class:`repro.arch.noc.CycleAccurateNoC` (it
-    *is* one, and inherits the pure-Python sweep for light traffic): per
-    cycle, every active link moves its head-of-queue message exactly one
-    hop, links are swept in activation order, local deliveries come first,
-    and flit-hop statistics are prepaid per route at injection.
-
-    Vector-mode representation: every in-flight message occupies an integer
-    *slot*.  ``_vpos[slot]`` is the absolute index (into the flat route
-    pool) of the link the message currently queues on; routes are stored
-    sentinel-terminated (a ``-1`` after the last link id), so the sweep
-    discovers delivery and the next link with a single pool read.  Per-link
-    FIFOs are intrusive linked lists (``_vq_head``/``_vq_tail`` per link,
-    ``_vnext`` per slot).  All buffers are ``array('q')`` -- Python-int
-    fast for scalar access, zero-copy viewable by numpy -- so mid-size
-    sweeps inside vector mode can still run a scalar loop over the same
-    buffers without converting back.
-
-    One deliberate divergence: while in vector mode, ``Message.hops`` is
-    not incremented per traversal; it is reconstructed at delivery (the
-    route length) and at mode exit (hops so far).  Delivered messages --
-    the only ones the schedule contract covers -- are indistinguishable.
-    """
-
-    def __init__(self, config: ChipConfig, routing: RoutingPolicy, stats: SimStats) -> None:
-        super().__init__(config, routing, stats)
-        table = routing.link_table
-        num_links = table.num_links
-        self._num_cells = config.num_cells
-
-        #: adaptive-mode thresholds and state.
-        self._vector_mode = False
-        self._enter_at = VECTOR_SWEEP_MIN
-        self._exit_at = max(8, VECTOR_SWEEP_MIN // 4)
-        self._exit_patience = 16
-        self._below = 0
-        #: Observability counters (kernel-dependent -- exported through the
-        #: runtime metrics registry and traces only, never into records).
-        self.vector_cycles = 0
-        self.mode_switches = 0
-
-        # Per-link queue heads/tails (slot ids, -1 = empty) + vector-epoch
-        # activation stamps (the python representation keeps its own).
-        self._vq_head = array("q", [-1]) * num_links
-        self._vq_tail = array("q", [-1]) * num_links
-        self._vstamp = array("q", [0]) * num_links
-
-        # Per-slot state; capacity doubles on demand.
-        cap = 256
-        self._cap = cap
-        self._vnext = array("q", [-1]) * cap
-        self._vpos = array("q", [0]) * cap
-        self._vrlen = array("q", [0]) * cap
-        self._vslot_msg: List[Optional[Message]] = [None] * cap
-        self._vfree: List[int] = list(range(cap - 1, -1, -1))
-
-        # Flat sentinel-terminated route pool: key -> (offset, length,
-        # first link id, route list).  Kept twice, deliberately: a python
-        # list for scalar reads and a capacity-doubling numpy array
-        # (written incrementally, never rebuilt) for vector gathers.
-        self._pool_list: List[int] = []
-        self._pool_memo: Dict[int, Tuple[int, int, int, List[int]]] = {}
-
-        if HAVE_NUMPY:
-            # Permanent views (these buffers are never reallocated)...
-            self._vq_head_np = np.frombuffer(self._vq_head, dtype=np.int64)
-            self._vq_tail_np = np.frombuffer(self._vq_tail, dtype=np.int64)
-            self._vstamp_np = np.frombuffer(self._vstamp, dtype=np.int64)
-            self._link_dst_np = np.asarray(self._link_dst, dtype=np.int64)
-            self._pool_np = np.zeros(4096, dtype=np.int64)
-            # ...and per-slot views, remade only when the slots grow.
-            self._refresh_slot_views()
-
-    # ------------------------------------------------------------------
-    # Buffer management
-    # ------------------------------------------------------------------
-    def _refresh_slot_views(self) -> None:
-        """(Re)create the numpy views over the per-slot array('q') buffers."""
-        self._vnext_np = np.frombuffer(self._vnext, dtype=np.int64)
-        self._vpos_np = np.frombuffer(self._vpos, dtype=np.int64)
-        self._vrlen_np = np.frombuffer(self._vrlen, dtype=np.int64)
-
-    def _grow_slots(self) -> None:
-        """Double the slot capacity (buffers are reallocated, views remade)."""
-        old = self._cap
-        new = old * 2
-        for name in ("_vnext", "_vpos", "_vrlen"):
-            buf = getattr(self, name)
-            grown = array("q", buf)
-            grown.extend([0] * old)
-            setattr(self, name, grown)
-        self._vslot_msg.extend([None] * old)
-        self._vfree.extend(range(new - 1, old - 1, -1))
-        self._cap = new
-        self._refresh_slot_views()
-
-    def _pool_route(self, key: int, route: List[int]) -> Tuple[int, int, int, List[int]]:
-        """Memoise a link-id route into the flat pool (with sentinel)."""
-        pool = self._pool_list
-        if len(pool) > (1 << 21) and not self.in_flight:
-            # Epoch reset, mirroring the bounded route cache of the python
-            # representation: pool offsets are only referenced by in-flight
-            # slots, so the pool may be emptied whenever the network is.
-            pool.clear()
-            self._pool_memo.clear()
-        off = len(pool)
-        pool.extend(route)
-        pool.append(-1)  # sentinel: one read finds both next-link and delivery
-        end = len(pool)
-        pool_np = self._pool_np
-        if end > pool_np.size:
-            grown = np.zeros(max(pool_np.size * 2, end), dtype=np.int64)
-            grown[:off] = pool_np[:off]
-            self._pool_np = pool_np = grown
-        pool_np[off:end - 1] = route
-        pool_np[end - 1] = -1
-        memo = (off, len(route), route[0], route)
-        self._pool_memo[key] = memo
-        return memo
-
-    # ------------------------------------------------------------------
-    # Mode switches
-    # ------------------------------------------------------------------
-    def _enter_vector_mode(self) -> None:
-        """Convert deque/message state into the flat slot representation.
-
-        O(in-flight); triggered by a sweep of at least ``_enter_at`` links,
-        so the cost amortises over the burst being vectorised.  Queue order,
-        activation order and the sweep counter all carry over unchanged.
-        """
-        memo_get = self._pool_memo.get
-        n = self._num_cells
-        vfree = self._vfree
-        vstamp = self._vstamp
-        sweep = self._sweep
-        # Pre-grow so the slot buffers are not reallocated mid-walk (the
-        # local aliases below would go stale).
-        while len(vfree) < self.in_flight:
-            self._grow_slots()
-        vq_head = self._vq_head
-        vq_tail = self._vq_tail
-        vnext = self._vnext
-        vpos = self._vpos
-        vrlen = self._vrlen
-        vslot_msg = self._vslot_msg
-        for lid in self._active:
-            q = self._queues[lid]
-            prev = -1
-            for msg in q:
-                key = msg.src * n + msg.dst
-                memo = memo_get(key)
-                if memo is None:
-                    memo = self._pool_route(key, msg._noc_route)
-                off = memo[0]
-                s = vfree.pop()
-                vslot_msg[s] = msg
-                vpos[s] = off + msg._noc_hop
-                vrlen[s] = memo[1]
-                vnext[s] = -1
-                if prev == -1:
-                    vq_head[lid] = s
-                else:
-                    vnext[prev] = s
-                prev = s
-            vq_tail[lid] = prev
-            vstamp[lid] = sweep
-            q.clear()
-        self._vector_mode = True
-        self._below = 0
-        # Shadow the inherited inject with the vector-mode one.  Bound-method
-        # swapping keeps the python-mode inject entirely wrapper-free; the
-        # simulator re-reads ``noc.inject`` after advance (mode switches
-        # happen inside advance), so no caller can hold a stale binding.
-        self.inject = MethodType(NumpyCycleAccurateNoC._vector_inject, self)
-        self.mode_switches += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("vector_mode_enter", cat="kernel",
-                           in_flight=self.in_flight,
-                           active_links=len(self._active))
-
-    def _leave_vector_mode(self) -> None:
-        """Convert the flat slot representation back to deques + messages."""
-        memo = self._pool_memo
-        n = self._num_cells
-        vq_head = self._vq_head
-        vq_tail = self._vq_tail
-        vnext = self._vnext
-        vpos = self._vpos
-        vslot_msg = self._vslot_msg
-        vfree = self._vfree
-        stamp = self._stamp
-        sweep = self._sweep
-        for lid in self._active:
-            s = vq_head[lid]
-            q = self._queues[lid]
-            while s != -1:
-                msg = vslot_msg[s]
-                vslot_msg[s] = None
-                off, _rlen, _first, route = memo[msg.src * n + msg.dst]
-                hop = vpos[s] - off
-                msg._noc_route = route
-                msg._noc_hop = hop
-                msg.hops = hop
-                q.append(msg)
-                vfree.append(s)
-                s = vnext[s]
-            vq_head[lid] = -1
-            vq_tail[lid] = -1
-            stamp[lid] = sweep
-        self._vector_mode = False
-        self._below = 0
-        self.__dict__.pop("inject", None)  # back to the inherited inject
-        self.mode_switches += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("vector_mode_leave", cat="kernel",
-                           in_flight=self.in_flight,
-                           active_links=len(self._active))
-
-    # ------------------------------------------------------------------
-    # Injection (vector mode; python mode uses the inherited inject, which
-    # mode switches shadow/unshadow as a bound instance attribute)
-    # ------------------------------------------------------------------
-    def _vector_inject(self, msg: Message, cycle: int) -> None:
-        if msg.created_cycle < 0:
-            msg.created_cycle = cycle
-        stats = self.stats
-        stats.messages_injected += 1
-        src = msg.src
-        dst = msg.dst
-        if src == dst:
-            # Local delivery: no network traversal, delivered next cycle.
-            msg.delivered_cycle = cycle
-            self._local_deliveries.append(msg)
-            return
-        key = src * self._num_cells + dst
-        memo = self._pool_memo.get(key)
-        if memo is None:
-            memo = self._pool_route(key, self._route_fn(src, dst))
-        off, rlen, first_lid, _route = memo
-        size = msg.size_words
-        fw = self._flit_words
-        # Flit-hops prepaid for the whole route (same caveat as the python
-        # sweep: exact at quiescence, includes the untraversed remainder of
-        # in-flight messages if the run is truncated mid-flight).
-        stats.hops += rlen if size <= fw else (-(-size // fw)) * rlen
-        vfree = self._vfree
-        if not vfree:
-            self._grow_slots()
-            vfree = self._vfree
-        s = vfree.pop()
-        self._vslot_msg[s] = msg
-        self._vpos[s] = off
-        self._vrlen[s] = rlen
-        self._vnext[s] = -1
-        t = self._vq_tail[first_lid]
-        if t == -1:
-            self._vq_head[first_lid] = s
-        else:
-            self._vnext[t] = s
-        self._vq_tail[first_lid] = s
-        if self._vstamp[first_lid] != self._sweep:
-            self._vstamp[first_lid] = self._sweep
-            self._active.append(first_lid)
-        self.in_flight += 1
-
-    # ------------------------------------------------------------------
-    # Advance
-    # ------------------------------------------------------------------
-    def advance(self, cycle: int) -> List[Message]:
-        active = self._active
-        if not self._vector_mode:
-            if len(active) < self._enter_at:
-                return CycleAccurateNoC.advance(self, cycle)
-            self._enter_vector_mode()
-        elif self.in_flight == 0:
-            # Free exit: nothing queued, nothing to convert.
-            self._vector_mode = False
-            self._below = 0
-            self.__dict__.pop("inject", None)
-            self.mode_switches += 1
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.instant("vector_mode_leave", cat="kernel",
-                               in_flight=0, active_links=0)
-            return CycleAccurateNoC.advance(self, cycle)
-        elif len(active) < self._enter_at:
-            # Sustained sub-threshold activity: the plain loop would win,
-            # so pay one conversion back.  Short dips ride it out below.
-            self._below += 1
-            if self._below >= self._exit_patience:
-                self._leave_vector_mode()
-                return CycleAccurateNoC.advance(self, cycle)
-        else:
-            self._below = 0
-
-        delivered: List[Message] = self._local_deliveries
-        self._local_deliveries = []
-        if not active:
-            return delivered
-        self.vector_cycles += 1
-        if len(active) >= self._exit_at:
-            # The vector sweep beats the buffer loop well below the python
-            # entry threshold (no boxing to amortise), so inside vector mode
-            # it handles mid-size dips too.
-            self._advance_vector(cycle, active, delivered)
-        else:
-            self._advance_vscalar(cycle, active, delivered)
-        return delivered
-
-    def _advance_vscalar(self, cycle: int, active: List[int],
-                         delivered: List[Message]) -> None:
-        """Vector-mode sweeps below the array-op break-even: a scalar loop
-        over the flat buffers (no conversion thrash on mid-size dips)."""
-        vq_head = self._vq_head
-        vq_tail = self._vq_tail
-        vnext = self._vnext
-        vpos = self._vpos
-        vrlen = self._vrlen
-        pool = self._pool_list
-        vslot_msg = self._vslot_msg
-        free_append = self._vfree.append
-        vstamp = self._vstamp
-        link_dst = self._link_dst
-        nxt = self._next_active
-        nxt_append = nxt.append
-        sweep = self._sweep = self._sweep + 1
-        deliveries = 0
-        for lid in active:
-            s = vq_head[lid]
-            ns = vnext[s]
-            vq_head[lid] = ns
-            if ns == -1:
-                vq_tail[lid] = -1
-            p = vpos[s] + 1
-            nlid = pool[p]
-            if nlid == -1:
-                msg = vslot_msg[s]
-                vslot_msg[s] = None
-                free_append(s)
-                msg.hops = vrlen[s]
-                msg.position = link_dst[lid]
-                msg.delivered_cycle = cycle
-                delivered.append(msg)
-                deliveries += 1
-            else:
-                vpos[s] = p
-                t = vq_tail[nlid]
-                if t == -1:
-                    vq_head[nlid] = s
-                else:
-                    vnext[t] = s
-                vq_tail[nlid] = s
-                vnext[s] = -1
-                if vstamp[nlid] != sweep:
-                    vstamp[nlid] = sweep
-                    nxt_append(nlid)
-            if vq_head[lid] != -1 and vstamp[lid] != sweep:
-                vstamp[lid] = sweep
-                nxt_append(lid)
-        self.in_flight -= deliveries
-        stats = self.stats
-        stats.link_busy += len(nxt)
-        per_link = stats.link_busy_per_link
-        if per_link is not None:
-            for lid in nxt:
-                per_link[lid] += 1
-        self._active = nxt
-        active.clear()
-        self._next_active = active
-
-    def _advance_vector(self, cycle: int, active: List[int],
-                        delivered: List[Message]) -> None:
-        """One cycle's whole link sweep as array operations (large sweeps)."""
-        vq_head_v = self._vq_head_np
-        vq_tail_v = self._vq_tail_np
-        next_v = self._vnext_np
-        pos_v = self._vpos_np
-        pool_v = self._pool_np
-        sweep = self._sweep = self._sweep + 1
-
-        act = np.asarray(active, dtype=np.int64)
-        heads = vq_head_v[act]
-        new_heads = next_v[heads]
-        # Pop every active link's head (one message per link per cycle).
-        vq_head_v[act] = new_heads
-        emptied = new_heads == -1
-        vq_tail_v[act[emptied]] = -1
-
-        p = pos_v[heads] + 1
-        nlid_all = pool_v[p]
-        dmask = nlid_all == -1
-        fwd_mask = ~dmask
-        fwd = heads[fwd_mask]
-        fnl = None
-        if fwd.size:
-            pos_v[fwd] = p[fwd_mask]
-            fnl = nlid_all[fwd_mask]
-            # Group the forwarded messages by destination link, stably, so
-            # same-link appends keep sweep order; chain each group through
-            # the intrusive lists and splice it onto the link's tail.
-            order = np.argsort(fnl, kind="stable")
-            s_sl = fwd[order]
-            s_nl = fnl[order]
-            n = s_sl.size
-            newgrp = np.empty(n, dtype=bool)
-            newgrp[0] = True
-            np.not_equal(s_nl[1:], s_nl[:-1], out=newgrp[1:])
-            firsts_idx = np.nonzero(newgrp)[0]
-            lasts_idx = np.empty(firsts_idx.size, dtype=np.int64)
-            lasts_idx[:-1] = firsts_idx[1:] - 1
-            lasts_idx[-1] = n - 1
-            chain = np.empty(n, dtype=np.int64)
-            chain[:-1] = s_sl[1:]
-            chain[lasts_idx] = -1
-            next_v[s_sl] = chain
-            ulids = s_nl[firsts_idx]
-            gfirst = s_sl[firsts_idx]
-            glast = s_sl[lasts_idx]
-            old_tails = vq_tail_v[ulids]
-            occupied = old_tails != -1
-            next_v[old_tails[occupied]] = gfirst[occupied]
-            was_empty = ~occupied
-            vq_head_v[ulids[was_empty]] = gfirst[was_empty]
-            vq_tail_v[ulids] = glast
-
-        # Next cycle's activation list: for each swept link, first the link
-        # its message moved to, then the link itself if still occupied --
-        # first occurrence wins, exactly like the stamp-deduped loop.  The
-        # dedupe runs as one stable (radix) argsort instead of np.unique.
-        k = act.size
-        cand = np.full(2 * k, -1, dtype=np.int64)
-        if fnl is not None:
-            cand[0::2][fwd_mask] = fnl
-        np.copyto(cand[1::2], act, where=~emptied)
-        cvals = cand[cand >= 0]
-        if cvals.size:
-            order2 = np.argsort(cvals, kind="stable")
-            sv = cvals[order2]
-            first = np.empty(sv.size, dtype=bool)
-            first[0] = True
-            np.not_equal(sv[1:], sv[:-1], out=first[1:])
-            nxt_arr = cvals[np.sort(order2[first])]
-            self._vstamp_np[nxt_arr] = sweep
-            nxt = nxt_arr.tolist()
-        else:
-            nxt = []
-
-        # Deliveries, in sweep order.
-        dslots = heads[dmask]
-        if dslots.size:
-            vslot_msg = self._vslot_msg
-            free_append = self._vfree.append
-            dst_cells = self._link_dst_np[act[dmask]].tolist()
-            dlens = self._vrlen_np[dslots].tolist()
-            for s, d, h in zip(dslots.tolist(), dst_cells, dlens):
-                msg = vslot_msg[s]
-                vslot_msg[s] = None
-                free_append(s)
-                msg.hops = h
-                msg.position = d
-                msg.delivered_cycle = cycle
-                delivered.append(msg)
-            self.in_flight -= dslots.size
-
-        stats = self.stats
-        stats.link_busy += len(nxt)
-        per_link = stats.link_busy_per_link
-        if per_link is not None:
-            for lid in nxt:
-                per_link[lid] += 1
-        self._active = nxt
-        # The inherited ping-pong scratch stays parked (and empty) for the
-        # scalar paths.
-
-    # ------------------------------------------------------------------
-    # Snapshot support (see repro.snapshot): capture always happens in the
-    # python representation.  Mode switches are schedule-invariant, so
-    # converting back before export changes nothing observable, and a
-    # restored instance simply re-enters vector mode when a later sweep
-    # warrants it.
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict:
-        if self._vector_mode:
-            self._leave_vector_mode()
-        return CycleAccurateNoC.export_state(self)
-
-    def untraversed_hops(self) -> int:
-        if not self._vector_mode:
-            return CycleAccurateNoC.untraversed_hops(self)
-        return _untraversed_flat(self)
-
-    # ------------------------------------------------------------------
-    # Event-driven fast-forward support (see Simulator.run)
-    # ------------------------------------------------------------------
-    def idle_horizon(self, cycle: int) -> int:
-        """Latest cycle the clock may jump to with no schedule effect."""
-        if not self._vector_mode:
-            return CycleAccurateNoC.idle_horizon(self, cycle)
-        if self.in_flight != 1 or self._local_deliveries:
-            return cycle
-        s = self._vq_head[self._active[0]]
-        # Remaining pool entries before the sentinel, minus the delivery hop.
-        p = self._vpos[s]
-        pool = self._pool_list
-        span = 0
-        while pool[p + span + 1] != -1:
-            span += 1
-        return cycle + span
-
-    def fast_forward(self, span: int) -> None:
-        """Advance the lone in-flight message ``span`` uncontended hops."""
-        if not self._vector_mode:
-            CycleAccurateNoC.fast_forward(self, span)
-            return
-        lid = self._active[0]
-        s = self._vq_head[lid]
-        p = self._vpos[s]
-        pool = self._pool_list
-        self._vpos[s] = p + span
-        nlid = pool[p + span]
-        self._vq_head[lid] = -1
-        self._vq_tail[lid] = -1
-        self._vq_head[nlid] = s
-        self._vq_tail[nlid] = s
-        self._vstamp[lid] = 0
-        self._vstamp[nlid] = self._sweep
-        self._active[0] = nlid
-        stats = self.stats
-        stats.link_busy += span
-        per_link = stats.link_busy_per_link
-        if per_link is not None:
-            for k in range(p + 1, p + span + 1):
-                per_link[pool[k]] += 1
-
-
-def _untraversed_flat(noc) -> int:
-    """Prepaid-but-untraversed flit-hops, read off the flat slot buffers.
-
-    Shared by the numpy kernel's vector mode and the native kernel (both
-    keep in-flight state as per-link intrusive lists over ``array('q')``
-    buffers): a slot's hop index is ``vpos - pool offset``, so the
-    remainder is ``vrlen`` minus that.  Mirrors
-    :meth:`CycleAccurateNoC.untraversed_hops` without forcing a mode exit.
-    """
-    fw = noc._flit_words
-    memo = noc._pool_memo
-    n = noc._num_cells
-    vq_head = noc._vq_head
-    vnext = noc._vnext
-    vpos = noc._vpos
-    vrlen = noc._vrlen
-    vslot_msg = noc._vslot_msg
-    total = 0
-    for lid in noc._active:
-        s = vq_head[lid]
-        while s != -1:
-            msg = vslot_msg[s]
-            off = memo[msg.src * n + msg.dst][0]
-            total += msg.flits(fw) * (vrlen[s] - (vpos[s] - off))
-            s = vnext[s]
-    return total
-
-
 class NativeCycleAccurateNoC(CycleAccurateNoC):
     """Cycle-accurate NoC whose per-cycle link sweep runs in compiled C.
 
-    Semantically identical to :class:`repro.arch.noc.CycleAccurateNoC` and
-    :class:`NumpyCycleAccurateNoC` — the bit-identical-schedule contract is
-    the safety net — but the in-flight representation is *always* the flat
-    slot form the numpy kernel uses in vector mode (per-link intrusive
-    linked lists over ``array('q')`` buffers, sentinel-terminated route
-    pool), and ``advance`` is one call into
-    :mod:`repro.arch._native._sweep`'s ``advance_links``, which implements
-    ``NumpyCycleAccurateNoC._advance_vscalar`` verbatim in C.  Unlike the
-    numpy kernel there is no adaptive mode switching: the C scalar loop has
-    no fixed per-sweep array overhead to amortise, so the flat form wins at
-    every sweep size.
+    Semantically identical to :class:`repro.arch.noc.CycleAccurateNoC` —
+    the bit-identical-schedule contract is the safety net — but the
+    in-flight state lives in flat buffers the C code reads through the
+    buffer protocol.  Every in-flight message occupies an integer *slot*.
+    ``_vpos[slot]`` is the absolute index (into the flat route pool) of the
+    link the message currently queues on; routes are stored
+    sentinel-terminated (a ``-1`` after the last link id), so the sweep
+    discovers delivery and the next link with a single pool read.  Per-link
+    FIFOs are intrusive linked lists (``_vq_head``/``_vq_tail`` per link,
+    ``_vnext`` per slot), all ``array('q')``.  ``advance`` is one call into
+    :mod:`repro.arch._native._sweep`'s ``advance_links``, which pops each
+    active link's head, moves it one hop and stamp-dedupes next-cycle
+    activations exactly like the Python sweep.
+
+    ``Message.hops`` is not incremented per traversal; it is set at
+    delivery (the route length) and at export (hops so far).  Delivered
+    messages -- the only ones the schedule contract covers -- are
+    indistinguishable from the python kernel's.
 
     Snapshot interop: ``export_state`` emits the exact python-representation
     dict (hop index recovered as ``vpos - pool offset``), so captured
-    ``state_hash`` values are identical across kernels — the native
-    equivalent of the numpy kernel leaving vector mode before export.
+    ``state_hash`` values are identical across kernels.
 
     The class attribute ``native_sweep`` lets the simulator detect the
     native tier (and enable its C dispatch/burn loops) without re-running
@@ -740,7 +129,8 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         # Flat sentinel-terminated route pool, directly as array('q') so the
         # C sweep reads it through the same buffer protocol as the slots.
         self._pool = array("q")
-        self._pool_memo: Dict[int, Tuple[int, int, int, List[int]]] = {}
+        #: route key -> (pool offset, route length, first link id).
+        self._pool_memo: Dict[int, Tuple[int, int, int]] = {}
         self._link_dst_q = array("q", self._link_dst)
         self._advance_c = _sweep.advance_links
 
@@ -759,7 +149,7 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         self._vfree.extend(range(old * 2 - 1, old - 1, -1))
         self._cap = old * 2
 
-    def _pool_route(self, key: int, route: List[int]) -> Tuple[int, int, int, List[int]]:
+    def _pool_route(self, key: int, route: List[int]) -> Tuple[int, int, int]:
         """Memoise a link-id route into the flat pool (with sentinel)."""
         pool = self._pool
         if len(pool) > (1 << 21) and not self.in_flight:
@@ -770,13 +160,12 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         off = len(pool)
         pool.extend(route)
         pool.append(-1)  # sentinel: one read finds both next-link and delivery
-        memo = (off, len(route), route[0], route)
+        memo = (off, len(route), route[0])
         self._pool_memo[key] = memo
         return memo
 
     # ------------------------------------------------------------------
-    # Injection (mirrors NumpyCycleAccurateNoC._vector_inject; permanent,
-    # since the flat representation never converts back)
+    # Injection: route memoised into the pool, message into a fresh slot
     # ------------------------------------------------------------------
     def inject(self, msg: Message, cycle: int) -> None:
         if msg.created_cycle < 0:
@@ -794,7 +183,7 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         memo = self._pool_memo.get(key)
         if memo is None:
             memo = self._pool_route(key, self._route_fn(src, dst))
-        off, rlen, first_lid, _route = memo
+        off, rlen, first_lid = memo
         size = msg.size_words
         fw = self._flit_words
         # Flit-hops prepaid for the whole route (same caveat as the python
@@ -851,8 +240,8 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         return delivered
 
     # ------------------------------------------------------------------
-    # Event-driven fast-forward support (flat-slot variants, as in the
-    # numpy kernel's vector mode)
+    # Event-driven fast-forward support (flat-slot variants of the
+    # CycleAccurateNoC methods)
     # ------------------------------------------------------------------
     def idle_horizon(self, cycle: int) -> int:
         if self.in_flight != 1 or self._local_deliveries:
@@ -889,8 +278,7 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
     # ------------------------------------------------------------------
     # Snapshot support: export emits the python-representation dict
     # directly from the flat slots (the hop index is vpos minus the route's
-    # pool offset), byte-identical to CycleAccurateNoC.export_state — the
-    # native analogue of the numpy kernel leaving vector mode first.
+    # pool offset), byte-identical to CycleAccurateNoC.export_state.
     # Import loads straight into flat slots, recomputing routes.
     # ------------------------------------------------------------------
     def export_state(self) -> Dict:
@@ -923,7 +311,29 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         }
 
     def untraversed_hops(self) -> int:
-        return _untraversed_flat(self)
+        """Prepaid-but-untraversed flit-hops, read off the flat slots.
+
+        A slot's hop index is ``vpos - pool offset``, so its untraversed
+        remainder is ``vrlen`` minus that; mirrors
+        :meth:`CycleAccurateNoC.untraversed_hops`.
+        """
+        fw = self._flit_words
+        memo = self._pool_memo
+        n = self._num_cells
+        vq_head = self._vq_head
+        vnext = self._vnext
+        vpos = self._vpos
+        vrlen = self._vrlen
+        vslot_msg = self._vslot_msg
+        total = 0
+        for lid in self._active:
+            s = vq_head[lid]
+            while s != -1:
+                msg = vslot_msg[s]
+                off = memo[msg.src * n + msg.dst][0]
+                total += msg.flits(fw) * (vrlen[s] - (vpos[s] - off))
+                s = vnext[s]
+        return total
 
     def import_state(self, state: Dict) -> None:
         self._local_deliveries = [Message.from_state(s)

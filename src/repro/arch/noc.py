@@ -53,23 +53,11 @@ class BaseNoC:
         self.routing = routing
         self.stats = stats
         self.in_flight = 0
-        #: Observability tracer (repro.obs), attached by
-        #: Simulator.attach_tracer; observer-only, None by default.
-        self.tracer = None
 
     # -- interface ------------------------------------------------------
     def inject(self, msg: Message, cycle: int) -> None:
         """Accept a newly staged message from a compute cell or IO cell."""
         raise NotImplementedError
-
-    def inject_many(self, msgs: List[Message], cycle: int) -> None:
-        """Inject a same-cycle batch, in order (IO phase).
-
-        Semantically one :meth:`inject` per message; models with a
-        vectorised kernel override this with a batched implementation.
-        """
-        for msg in msgs:
-            self.inject(msg, cycle)
 
     def advance(self, cycle: int) -> List[Message]:
         """Advance the network by one cycle and return delivered messages."""
@@ -487,7 +475,7 @@ class LatencyNoC(BaseNoC):
     """
 
     def __init__(self, config: ChipConfig, routing: RoutingPolicy, stats: SimStats,
-                 batched: bool = True, vectorized: bool = False) -> None:
+                 batched: bool = True) -> None:
         super().__init__(config, routing, stats)
         self.batched = batched
         self._heap: List[Tuple[int, int, Message]] = []
@@ -495,21 +483,6 @@ class LatencyNoC(BaseNoC):
         #: batched mode: deadline -> messages, plus a heap of distinct deadlines.
         self._buckets: Dict[int, List[Message]] = {}
         self._deadlines: List[int] = []
-        #: numpy kernel: same-cycle injection batches are bucketed with array
-        #: ops (Manhattan distances, flit charges and deadline grouping all
-        #: vectorised).  Delivery order is identical either way.
-        self.vectorized = vectorized and batched
-        self._coords_np = None
-
-    def _coord_arrays(self):
-        """Lazily built per-cell coordinate arrays for the vector inject."""
-        if self._coords_np is None:
-            from repro._compat import np
-            n = self.config.num_cells
-            cells = np.arange(n, dtype=np.int64)
-            self._coords_np = (cells % self.config.width,
-                               cells // self.config.width)
-        return self._coords_np
 
     def inject(self, msg: Message, cycle: int) -> None:
         msg.created_cycle = cycle if msg.created_cycle < 0 else msg.created_cycle
@@ -530,41 +503,6 @@ class LatencyNoC(BaseNoC):
         else:
             heapq.heappush(self._heap, (deliver_at, next(self._seq), msg))
         self.in_flight += 1
-
-    def inject_many(self, msgs: List[Message], cycle: int) -> None:
-        """Bucket a same-cycle injection batch with one set of array ops."""
-        if not self.vectorized or len(msgs) < 8:
-            for msg in msgs:
-                self.inject(msg, cycle)
-            return
-        from repro._compat import np
-        n = len(msgs)
-        xs, ys = self._coord_arrays()
-        srcs = np.fromiter((m.src for m in msgs), dtype=np.int64, count=n)
-        dsts = np.fromiter((m.dst for m in msgs), dtype=np.int64, count=n)
-        sizes = np.fromiter((m.size_words for m in msgs), dtype=np.int64, count=n)
-        dist = np.abs(xs[srcs] - xs[dsts]) + np.abs(ys[srcs] - ys[dsts])
-        fw = max(1, self.config.max_message_words)
-        flits = np.maximum(1, -(-sizes // fw))
-        stats = self.stats
-        stats.messages_injected += n
-        stats.hops += int((dist * flits).sum())
-        deliver = cycle + np.maximum(1, dist)
-        dist_l = dist.tolist()
-        deliver_l = deliver.tolist()
-        buckets = self._buckets
-        deadlines = self._deadlines
-        for msg, d, at in zip(msgs, dist_l, deliver_l):
-            if msg.created_cycle < 0:
-                msg.created_cycle = cycle
-            msg.hops = d
-            bucket = buckets.get(at)
-            if bucket is None:
-                buckets[at] = [msg]
-                heapq.heappush(deadlines, at)
-            else:
-                bucket.append(msg)
-        self.in_flight += n
 
     def idle_horizon(self, cycle: int) -> int:
         """Nothing can deliver before the earliest deadline."""
@@ -652,23 +590,19 @@ def build_noc(config: ChipConfig, stats: SimStats, routing: RoutingPolicy | None
 
     ``config.kernel`` (plus the ``REPRO_KERNEL`` environment variable, see
     :func:`repro.arch.kernels.resolve_kernel`) picks the sweep
-    implementation for the cycle and latency fidelities; the reference
-    model always runs the dictionary implementation it specifies.
+    implementation for the cycle fidelity; the latency and reference
+    models have one implementation each (the latency model still resolves
+    the kernel, so a bad ``REPRO_KERNEL`` or an unbuilt native pin is
+    reported there too).
     """
     routing = routing or make_routing(config)
     if config.fidelity == "cycle-ref":
         return ReferenceCycleAccurateNoC(config, routing, stats)
-    from repro.arch.kernels import (
-        NativeCycleAccurateNoC,
-        NumpyCycleAccurateNoC,
-        resolve_kernel,
-    )
+    from repro.arch.kernels import NativeCycleAccurateNoC, resolve_kernel
 
     kernel = resolve_kernel(config)
-    if config.fidelity == "cycle":
-        if kernel == "native":
-            return NativeCycleAccurateNoC(config, routing, stats)
-        if kernel == "numpy":
-            return NumpyCycleAccurateNoC(config, routing, stats)
-        return CycleAccurateNoC(config, routing, stats)
-    return LatencyNoC(config, routing, stats, vectorized=kernel == "numpy")
+    if config.fidelity == "latency":
+        return LatencyNoC(config, routing, stats)
+    if kernel == "native":
+        return NativeCycleAccurateNoC(config, routing, stats)
+    return CycleAccurateNoC(config, routing, stats)

@@ -76,12 +76,12 @@ class Simulator:
         self.executor: Optional[Executor] = None
         self.trace = TraceRecorder(config, sample_every=trace_every)
         self._trace_enabled = self.trace.enabled
-        #: Observability (repro.obs).  ``tracer`` receives cycle-skip and
-        #: mode-switch instants; ``phase_ns`` accumulates wall time per
-        #: step() phase.  Both are observer-only (no scheduled event moves)
-        #: and default to off: the disabled path costs one attribute read
-        #: and branch per phase.  Unlike TraceRecorder, attaching them does
-        #: NOT disable parking or cycle skipping -- skip jumps are traced.
+        #: Observability (repro.obs).  ``tracer`` receives cycle-skip
+        #: instants; ``phase_ns`` accumulates wall time per step() phase.
+        #: Both are observer-only (no scheduled event moves) and default to
+        #: off: the disabled path costs one attribute read and branch per
+        #: phase.  Unlike TraceRecorder, attaching them does NOT disable
+        #: parking or cycle skipping -- skip jumps are traced.
         self.tracer = None
         self.phase_ns: Optional[Dict[str, int]] = None
         self.cycle = 0
@@ -188,13 +188,12 @@ class Simulator:
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer` for structured trace events.
 
-        Observer-only: the tracer sees cycle-skip jumps and (through the
-        NoC kernels) vector-mode switches, and phase timers are enabled so
-        run spans can report where the time went.  The deterministic
-        schedule is untouched -- parking and cycle skipping stay on.
+        Observer-only: the tracer sees cycle-skip jumps, and phase timers
+        are enabled so run spans can report where the time went.  The
+        deterministic schedule is untouched -- parking and cycle skipping
+        stay on.
         """
         self.tracer = tracer
-        self.noc.tracer = tracer
         if self.phase_ns is None:
             self.enable_phase_timers()
 
@@ -250,6 +249,7 @@ class Simulator:
         did_work = False
 
         noc = self.noc
+        noc_inject = noc.inject
         parked = self._parked
         cells = self.cells
 
@@ -282,17 +282,13 @@ class Simulator:
             _pc = time.perf_counter_ns
             _t = _pc()
 
-        # 1. IO cells read one item each and create action messages.  The
-        # batch enters the NoC through inject_many so vectorised kernels can
-        # bucket a whole injection wave with one set of array ops.
+        # 1. IO cells read one item each and create action messages.
         io_msgs = self.io.step(cycle)
         if io_msgs:
             did_work = True
             self.stats.io_injections += len(io_msgs)
-            if len(io_msgs) == 1:
-                noc.inject(io_msgs[0], cycle)
-            else:
-                noc.inject_many(io_msgs, cycle)
+            for msg in io_msgs:
+                noc_inject(msg, cycle)
         if timers is not None:
             _now = _pc()
             timers["io"] += _now - _t
@@ -306,9 +302,6 @@ class Simulator:
             _now = _pc()
             timers["noc"] += _now - _t
             _t = _now
-        # Hoisted for the cell loop only after the advance: an adaptive
-        # kernel may swap its inject implementation during advance.
-        noc_inject = noc.inject
 
         # 3. Dispatch arrivals to their destination cells.  With an executor
         # installed the message itself takes the task-queue slot and runs in

@@ -150,9 +150,8 @@ class SimStats:
         Pure stdlib arithmetic over the per-cycle series the schedule
         contract already pins, so the summary is identical across kernels
         and across instrumented/uninstrumented runs.  ``storm_threshold``
-        is the active-link count above which the vectorised kernel is
-        profitable (:data:`repro.arch.kernels.VECTOR_SWEEP_MIN`, the
-        measured ~800-link crossover).
+        is the in-flight message count from which a cycle counts as a
+        storm (:data:`repro.fuzz.fingerprint.STORM_THRESHOLD`).
         """
         cycles = len(self.active_cells_per_cycle)
         in_flight = self.messages_in_flight_per_cycle

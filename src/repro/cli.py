@@ -74,7 +74,7 @@ from typing import List, Optional
 from repro.analysis.experiments import run_ingestion_bfs_pair, run_streaming_experiment
 from repro.analysis.figures import activation_figure, increment_figure, render_ascii_plot
 from repro.analysis.tables import render_table, table1_rows, table2_rows
-from repro.arch.config import ChipConfig
+from repro.arch.config import KERNELS, ChipConfig
 from repro.datasets.streaming import (
     SCALE_PRESETS,
     make_streaming_dataset,
@@ -614,7 +614,7 @@ def _bench_ab(args: argparse.Namespace, scenarios) -> int:
               "is its own comparison)", file=sys.stderr)
         return 2
     kernels = [k.strip() for k in args.ab.split(",") if k.strip()]
-    valid = ("python", "numpy", "native")
+    valid = tuple(k for k in KERNELS if k != "auto")
     bad = [k for k in kernels if k not in valid]
     if bad or len(kernels) < 2:
         print(f"--ab needs >= 2 comma-separated kernels out of {valid}, "
@@ -627,13 +627,6 @@ def _bench_ab(args: argparse.Namespace, scenarios) -> int:
             print("--ab includes 'native' but the extension is not built; "
                   "an A/B against the silent python fallback would be "
                   "dishonest (pip install -e '.[native]' builds it)",
-                  file=sys.stderr)
-            return 2
-    if "numpy" in kernels:
-        from repro.arch.kernels import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            print("--ab includes 'numpy' but numpy is not installed",
                   file=sys.stderr)
             return 2
 
@@ -932,8 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--expect-cached", action="store_true",
                        help="fail (exit 1) if any scenario would be computed "
                             "instead of served from the store")
-    p_run.add_argument("--kernel", choices=("auto", "python", "numpy", "native"),
-                       default=None,
+    p_run.add_argument("--kernel", choices=KERNELS, default=None,
                        help="pin the NoC kernel for every scenario (speed "
                             "knob only: schedules and cache keys are "
                             "identical across kernels)")
@@ -1007,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="capture after the K-th streamed increment")
     p_snap_save.add_argument("--out", required=True, metavar="PATH",
                              help="snapshot file to write")
-    p_snap_save.add_argument("--kernel", choices=("auto", "python", "numpy", "native"),
+    p_snap_save.add_argument("--kernel", choices=KERNELS,
                              default=None, help="NoC kernel pin (speed only)")
     p_snap_save.set_defaults(func=cmd_snapshot_save)
     p_snap_info = snap_sub.add_parser(
@@ -1029,9 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap_restore.add_argument("--store", default=None, metavar="PATH",
                                 help="write the resumed record into this "
                                      "JSONL result store")
-    p_snap_restore.add_argument("--kernel",
-                                choices=("auto", "python", "numpy", "native"),
-                                default=None,
+    p_snap_restore.add_argument("--kernel", choices=KERNELS, default=None,
                                 help="NoC kernel pin (speed only)")
     p_snap_restore.set_defaults(func=cmd_snapshot_restore)
 
@@ -1072,8 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compare against this bench JSON; exit 1 on regression")
     p_bench.add_argument("--tolerance", type=float, default=0.25,
                          help="tolerated relative cycles/sec drop (default 0.25)")
-    p_bench.add_argument("--kernel", choices=("auto", "python", "numpy", "native"),
-                         default=None,
+    p_bench.add_argument("--kernel", choices=KERNELS, default=None,
                          help="pin the NoC kernel for every workload "
                               "(cycle counts are kernel-independent, so the "
                               "delta is pure implementation speed)")
@@ -1140,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz_classify = fuzz_sub.add_parser(
         "classify",
         help="label stored records with workload regimes "
-             "(park/diffusion/storm) and kernel recommendations",
+             "(park/diffusion/storm)",
     )
     p_fuzz_classify.add_argument("--store", default="results/suite.jsonl",
                                  help="JSONL result store path "
@@ -1180,9 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="INCREMENTS",
                          help="increments per execution span — the "
                               "progress/pause granularity (default: 1)")
-    p_serve.add_argument("--kernel",
-                         choices=("auto", "python", "numpy", "native"),
-                         default=None,
+    p_serve.add_argument("--kernel", choices=KERNELS, default=None,
                          help="default NoC kernel pin for submitted jobs "
                               "(identity-free; per-job POST field overrides)")
     p_serve.set_defaults(func=cmd_serve)

@@ -11,7 +11,7 @@ package pins it on the *space*:
 * :mod:`repro.fuzz.oracle` — :func:`check_invariants`, the stdlib-only
   differential oracle running one scenario through all five invariants;
 * :mod:`repro.fuzz.fingerprint` — workload fingerprinting and regime
-  classification (park/diffusion/storm vs the vector-kernel crossover);
+  classification (park/diffusion/storm);
 * :mod:`repro.fuzz.campaign` — the ``repro fuzz run`` driver: budget
   profiles, per-invariant coverage counters, shrunk-spec corpus output.
 

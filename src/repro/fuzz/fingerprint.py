@@ -2,12 +2,7 @@
 
 A *fingerprint* is a small deterministic summary of a run's dynamic
 behaviour — activation density, in-flight message distribution, idle
-time — and a *classification* turns it into a regime label plus a kernel
-routing recommendation.  The storm threshold is the measured ~800
-active-link crossover where the vectorised sweep overtakes the scalar one
-(:data:`repro.arch.kernels.VECTOR_SWEEP_MIN`), so the classifier answers
-the question the native-kernel tier will keep asking: *which kernel should
-this workload run on?*
+time — and a *classification* turns it into a regime label.
 
 Two extraction paths exist:
 
@@ -27,21 +22,21 @@ the fuzz self-tests pin.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional
-
-from repro.arch.kernels import VECTOR_SWEEP_MIN
+from typing import Any, Dict, List
 
 #: Classification version, embedded in every classification so stored
 #: labels can be invalidated if the rules change.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
+
+#: In-flight message count from which a cycle counts as a storm.
+STORM_THRESHOLD = 768
 
 #: The regimes :func:`classify` can emit, from coldest to hottest.
 REGIMES = ("parked", "sparse-diffusion", "dense-diffusion", "storm")
 
 
-def fingerprint_stats(stats, threshold: Optional[int] = None) -> Dict[str, Any]:
+def fingerprint_stats(stats, threshold: int = STORM_THRESHOLD) -> Dict[str, Any]:
     """Exact fingerprint from live :class:`~repro.arch.stats.SimStats`."""
-    threshold = VECTOR_SWEEP_MIN if threshold is None else threshold
     out = stats.fingerprint_summary(threshold)
     out["storm_threshold"] = threshold
     out["exact"] = True
@@ -75,14 +70,13 @@ def _count_above(bounds: List[int], cumulative: List[int], count: int,
 
 
 def fingerprint_record(record: Dict[str, Any],
-                       threshold: Optional[int] = None) -> Dict[str, Any]:
+                       threshold: int = STORM_THRESHOLD) -> Dict[str, Any]:
     """Fingerprint reconstructed from a stored result record.
 
     Means and peaks are exact (they ride in ``record["stats"]`` and the
     metric gauges); idle and storm fractions come from the power-of-two
     per-cycle histograms, so they are bucket-resolution estimates.
     """
-    threshold = VECTOR_SWEEP_MIN if threshold is None else threshold
     metrics = record["metrics"]
     stats = record["stats"]
     cycles = stats["cycles"]
@@ -129,14 +123,13 @@ def _count_peak_deliveries(bounds: List[int], cumulative: List[int],
 # Classification
 # ----------------------------------------------------------------------
 def classify(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
-    """Regime label + kernel routing recommendation for a fingerprint.
+    """Regime label for a fingerprint.
 
     Rules, first match wins:
 
-    * **storm** — some cycle's in-flight load reached the vector
-      threshold; the vectorised kernel pays off.
+    * **storm** — some cycle's in-flight load reached the storm threshold.
     * **parked** — the chip idles half the run and almost never lights up:
-      cycle-skipping does the heavy lifting, scalar kernel suffices.
+      cycle-skipping does the heavy lifting.
     * **dense-diffusion** — a quarter of the cells active on an average
       cycle; compute-bound rather than NoC-bound.
     * **sparse-diffusion** — everything else: steady trickle of work.
@@ -155,13 +148,12 @@ def classify(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "version": FINGERPRINT_VERSION,
         "regime": regime,
-        "kernel_recommendation": "numpy" if regime == "storm" else "python",
         "storm_headroom": (peak / threshold) if threshold else 0.0,
     }
 
 
 def classify_record(record: Dict[str, Any],
-                    threshold: Optional[int] = None) -> Dict[str, Any]:
+                    threshold: int = STORM_THRESHOLD) -> Dict[str, Any]:
     """One flat classification row for a stored record (CLI / report)."""
     fingerprint = fingerprint_record(record, threshold)
     out = classify(fingerprint)

@@ -4,8 +4,9 @@
 Scenario` and runs it through the five determinism contracts the repo pins
 on curated cases elsewhere:
 
-1. **kernel_equivalence** — the numpy NoC kernel produces the byte-identical
-   record of the pure-Python one (skipped without numpy).
+1. **kernel_equivalence** — the native (C) NoC kernel produces the
+   byte-identical record of the pure-Python one (skipped when the extension
+   is not built).
 2. **snapshot_roundtrip** — checkpointing is observer-only; every captured
    boundary resumes to the byte-identical record, and restore → immediate
    recapture reproduces the snapshot's ``state_hash``.
@@ -32,7 +33,6 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from repro._compat import HAVE_NUMPY
 from repro.arch._native import HAVE_NATIVE
 from repro.fuzz.fingerprint import classify, fingerprint_record
 from repro.harness.runner import (
@@ -167,30 +167,15 @@ def _clean(scenario: Scenario) -> Scenario:
 # ----------------------------------------------------------------------
 def _check_kernel_equivalence(scenario: Scenario,
                               baseline: Dict[str, Any]) -> InvariantOutcome:
-    # Every *available* accelerated kernel must reproduce the python
-    # record byte for byte; absent kernels shrink the check rather than
-    # failing it (skip-not-fail, so compiler-less and numpy-free installs
-    # stay green).
-    checked = []
-    if HAVE_NUMPY:
-        record = run_scenario(scenario, kernel="numpy")
-        outcome = _compare("kernel_equivalence", baseline, record,
-                           "numpy kernel record != python kernel record")
-        if outcome.status == "fail":
-            return outcome
-        checked.append("numpy")
-    if HAVE_NATIVE:
-        record = run_scenario(scenario, kernel="native")
-        outcome = _compare("kernel_equivalence", baseline, record,
-                           "native kernel record != python kernel record")
-        if outcome.status == "fail":
-            return outcome
-        checked.append("native")
-    if not checked:
+    # The native kernel must reproduce the python record byte for byte; an
+    # unbuilt extension skips the check rather than failing it, so
+    # compiler-less installs stay green.
+    if not HAVE_NATIVE:
         return InvariantOutcome("kernel_equivalence", "skip",
-                                "no accelerated kernel available "
-                                "(numpy not installed, native not built)")
-    return InvariantOutcome("kernel_equivalence", "ok")
+                                "native kernel extension not built")
+    record = run_scenario(scenario, kernel="native")
+    return _compare("kernel_equivalence", baseline, record,
+                    "native kernel record != python kernel record")
 
 
 def _check_snapshot_roundtrip(scenario: Scenario, baseline: Dict[str, Any],

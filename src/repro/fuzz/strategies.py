@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro._compat import HAVE_NUMPY
 from repro.arch._native import HAVE_NATIVE
+from repro.arch.config import KERNELS
 from repro.algorithms.registry import algorithm_infos
 from repro.harness.scenario import (
     ChipSpec,
@@ -74,15 +75,13 @@ def dataset_specs(draw, numpy_ok: bool = None) -> DatasetSpec:
 
 
 @st.composite
-def chip_specs(draw, numpy_ok: bool = None) -> ChipSpec:
-    """A valid :class:`ChipSpec`; shrinks toward a plain 2x2 cycle chip."""
-    numpy_ok = HAVE_NUMPY if numpy_ok is None else numpy_ok
-    kernels = ("auto", "python", "numpy") if numpy_ok else ("auto", "python")
-    if HAVE_NATIVE:
-        # The compiled C sweep joins the axis only when the extension is
-        # built; on compiler-less installs the axis shrinks rather than
-        # failing (same skip-not-fail stance as the numpy gate above).
-        kernels += ("native",)
+def chip_specs(draw) -> ChipSpec:
+    """A valid :class:`ChipSpec`; shrinks toward a plain 2x2 cycle chip.
+
+    The compiled C sweep joins the kernel axis only when the extension is
+    built; on compiler-less installs the axis shrinks rather than failing.
+    """
+    kernels = tuple(k for k in KERNELS if k != "native" or HAVE_NATIVE)
     return ChipSpec(
         side=draw(st.integers(2, MAX_SIDE)),
         fidelity=draw(st.sampled_from(("cycle", "cycle-ref", "latency"))),
@@ -121,7 +120,7 @@ def scenarios(draw, numpy_ok: bool = None) -> Scenario:
     return Scenario(
         name="fuzz",
         dataset=dataset,
-        chip=draw(chip_specs(numpy_ok=numpy_ok)),
+        chip=draw(chip_specs()),
         algorithm=algorithm,
         options=options,
     )

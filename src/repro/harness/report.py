@@ -268,7 +268,6 @@ def fuzz_rows_from_records(records: Sequence[Record]) -> List[Dict[str, object]]
             {
                 "Scenario": c["name"],
                 "Regime": c["regime"],
-                "Kernel rec.": c["kernel_recommendation"],
                 "Cycles": c["cycles"],
                 "Mean Active %": round(100 * c["mean_activation"], 2),
                 "Idle %": round(100 * c["idle_fraction"], 2),

@@ -936,8 +936,8 @@ def run_suite(
         shared pool (:func:`~repro.harness.pool.get_pool`), which persists
         between calls so repeated suites reuse warm workers.
     kernel:
-        Override every scenario's NoC kernel pin (``"python"``/``"numpy"``/
-        ``"auto"``).  A speed knob only: records, spec hashes and cache
+        Override every scenario's NoC kernel pin (one of
+        :data:`repro.arch.config.KERNELS`).  A speed knob only: records, spec hashes and cache
         behaviour are identical across kernels, so this composes freely
         with the store.
     pipeline:

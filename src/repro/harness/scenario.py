@@ -104,12 +104,12 @@ class DatasetSpec:
 class ChipSpec:
     """Declarative description of the simulated chip for one scenario.
 
-    ``kernel`` pins the NoC sweep implementation (``auto``/``python``/
-    ``numpy``, see :mod:`repro.arch.kernels`).  It is an **execution
-    detail, not part of the experiment's identity**: every kernel produces
-    the bit-identical schedule, so the field is excluded from
-    :meth:`Scenario.spec_dict` (and therefore from the spec hash, the graph
-    seed and stored records).  Pinning a kernel never invalidates caches --
+    ``kernel`` pins the NoC sweep implementation (one of
+    :data:`repro.arch.config.KERNELS`, see :mod:`repro.arch.kernels`).  It
+    is an **execution detail, not part of the experiment's identity**:
+    every kernel produces the bit-identical schedule, so the field is
+    excluded from :meth:`Scenario.spec_dict` (and therefore from the spec
+    hash, the graph seed and stored records).  Pinning a kernel never invalidates caches --
     and a record computed under one kernel is, by construction, the record
     of every kernel.
     """

@@ -11,10 +11,9 @@ serves two distinct producers, with one hard line between them:
   (identical across kernels, tracing on or off), records stay
   byte-identical whether or not any instrumentation was attached.
 * **Runtime metrics** (pool queue depth and task latency, store rewrites,
-  cache hits, vector-mode residency, wall times) are nondeterministic or
-  kernel-dependent.  They live only in an exported registry
-  (``repro suite run --metrics-out`` / ``repro metrics``) and are **never**
-  written into records.
+  cache hits, wall times) are nondeterministic or kernel-dependent.  They
+  live only in an exported registry (``repro suite run --metrics-out`` /
+  ``repro metrics``) and are **never** written into records.
 
 Export formats: a JSON snapshot (:meth:`MetricsRegistry.snapshot`, also the
 embedded-record form) and the Prometheus text exposition format

@@ -6,8 +6,8 @@ to the Chrome trace-event JSON-object format, viewable in Perfetto
 
 * ``X`` (complete)   — a span with a start timestamp and a duration
   (simulator increments, pool tasks, store rewrites, snapshot captures),
-* ``i`` (instant)    — a point event (cycle-skip jumps, kernel mode
-  switches, worker respawns, suite outcomes),
+* ``i`` (instant)    — a point event (cycle-skip jumps, worker respawns,
+  suite outcomes),
 * ``C`` (counter)    — a sampled value series (per-phase simulator time),
 * ``M`` (metadata)   — process/thread naming for the viewer.
 

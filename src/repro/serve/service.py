@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from repro.arch.config import KERNELS
 from repro.harness.pool import DispatchPool
 from repro.harness.runner import (
     _merge_shard_parts,
@@ -139,8 +140,9 @@ class ScenarioService:
         """Admit one Scenario spec; returns ``(job, http_status)``.
 
         ``payload`` is either a raw ``Scenario.spec_dict`` or an envelope
-        ``{"scenario": spec, "kernel": name}``.  Invalid specs raise
-        ``ValueError`` (the app maps it to 400).  Statuses: 200 for an
+        ``{"scenario": spec, "kernel": name}``.  Invalid specs and kernel
+        names (envelope or ``chip.kernel``) raise ``ValueError`` before any
+        job exists (the app maps it to 400).  Statuses: 200 for an
         existing job or a cache hit, 201 for a newly admitted job, 429
         when the admission window is full (no job is created).
         """
@@ -151,8 +153,12 @@ class ScenarioService:
         if "scenario" in payload:
             spec = payload["scenario"]
             kernel = payload.get("kernel", kernel)
+        if kernel is not None and kernel not in KERNELS:
+            raise ValueError(
+                f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         try:
             scenario = Scenario.from_dict(spec)
+            scenario.chip.to_chip_config()  # rejects bad chip fields now
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid scenario spec: {exc}") from exc
         job_id = scenario.spec_hash()

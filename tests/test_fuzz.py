@@ -22,12 +22,15 @@ from hypothesis import given, settings
 
 from helpers import HYPOTHESIS_SUPPRESS, requires_numpy
 from repro._compat import HAVE_NUMPY
+from repro.arch.config import KERNELS
+from repro.arch.stats import SimStats
 from repro.fuzz import (
     INVARIANTS,
     REGIMES,
     check_invariants,
     classify,
     fingerprint_record,
+    fingerprint_stats,
     first_divergence,
 )
 from repro.algorithms.registry import (
@@ -82,7 +85,7 @@ def test_strategy_generates_valid_scenarios(scenario):
 @given(scenario=scenarios(numpy_ok=False))
 def test_strategy_numpy_free_space(scenario):
     assert scenario.dataset.generator == "uniform"
-    assert scenario.chip.kernel != "numpy"
+    assert scenario.chip.kernel in KERNELS
 
 
 def test_strategy_covers_newly_registered_algorithms():
@@ -175,7 +178,7 @@ def _clean_record(kernel):
 @requires_numpy
 def test_fingerprint_identical_across_kernels():
     assert (fingerprint_record(_clean_record("python"))
-            == fingerprint_record(_clean_record("numpy")))
+            == fingerprint_record(_clean_record("auto")))
 
 
 def _fp(**overrides):
@@ -187,12 +190,14 @@ def _fp(**overrides):
 
 def test_classify_reaches_every_regime():
     assert classify(_fp(peak_in_flight=800))["regime"] == "storm"
-    assert classify(_fp(peak_in_flight=800))["kernel_recommendation"] == "numpy"
     assert classify(_fp(idle_fraction=0.9,
                         mean_activation=0.01))["regime"] == "parked"
     assert classify(_fp(mean_activation=0.40))["regime"] == "dense-diffusion"
     assert classify(_fp())["regime"] == "sparse-diffusion"
-    assert classify(_fp())["kernel_recommendation"] == "python"
+    # A classification is the regime label alone (version 2).
+    assert classify(_fp()) == {"version": 2, "regime": "sparse-diffusion",
+                               "storm_headroom": 0.0}
+    assert fingerprint_stats(SimStats(num_cells=4))["storm_threshold"] == 768
 
 
 def test_first_divergence_reports_deepest_first_path():

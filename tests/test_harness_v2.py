@@ -9,6 +9,7 @@ preserves latest-version records, crash-safe store rewrites, and the
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -464,22 +465,27 @@ class TestBench:
         assert not comparison.passed  # missing fails, new does not
 
 
-def _ab_kernels():
-    """Every schedule-identical kernel pair member available here."""
-    from repro.arch._native import HAVE_NATIVE
+#: The A/B pair.  Without the extension the native leg warns and runs the
+#: python fallback, so the harness is still exercised end to end.
+AB_KERNELS = ["python", "native"]
 
-    kernels = ["python", "numpy"]
+
+def _native_fallback_warns():
+    """``pytest.warns`` for the native fallback, or a no-op when built."""
+    from repro.arch.kernels import HAVE_NATIVE
+
     if HAVE_NATIVE:
-        kernels.append("native")
-    return kernels
+        return contextlib.nullcontext()
+    return pytest.warns(RuntimeWarning, match="native.*not built")
 
 
 class TestBenchAb:
     @requires_numpy
     def test_run_bench_ab_reports_per_kernel_medians(self):
-        kernels = _ab_kernels()
+        kernels = AB_KERNELS
         scenarios = [tiny_scenario("w1", "ingest"), tiny_scenario("w2", "bfs")]
-        results = run_bench_ab(scenarios, kernels, reps=2)
+        with _native_fallback_warns():
+            results = run_bench_ab(scenarios, kernels, reps=2)
         assert sorted(results) == sorted(kernels)
         for kernel in kernels:
             assert [r.name for r in results[kernel]] == ["w1", "w2"]
@@ -498,8 +504,10 @@ class TestBenchAb:
 
     @requires_numpy
     def test_ab_payload_schema_and_speedups(self, tmp_path):
-        kernels = _ab_kernels()
-        results = run_bench_ab([tiny_scenario("w", "ingest")], kernels, reps=1)
+        kernels = AB_KERNELS
+        with _native_fallback_warns():
+            results = run_bench_ab([tiny_scenario("w", "ingest")], kernels,
+                                   reps=1)
         payload = ab_payload(results, tag="test", suite="custom", reps=1)
         assert payload["schema"] == BENCH_AB_SCHEMA
         assert payload["kernels"] == kernels
@@ -511,14 +519,23 @@ class TestBenchAb:
         assert json.loads(path.read_text()) == payload
 
     @requires_numpy
-    def test_cli_bench_ab(self, tmp_path, capsys):
+    def test_cli_bench_ab(self, tmp_path, capsys, monkeypatch):
+        from repro.arch import _native
         from repro.cli import main
 
         out_json = tmp_path / "BENCH_ab.json"
-        assert main(["bench", "--suite", "tiny", "--reps", "1",
-                     "--ab", "python,numpy", "--json", str(out_json)]) == 0
+        argv = ["bench", "--suite", "tiny", "--reps", "1",
+                "--ab", "python,native", "--json", str(out_json)]
+        if not _native.HAVE_NATIVE:
+            # The CLI refuses to time python against its own fallback...
+            assert main(argv) == 2
+            assert "not built" in capsys.readouterr().err
+            # ...so get past that guard to exercise the report path.
+            monkeypatch.setattr(_native, "HAVE_NATIVE", True)
+        with _native_fallback_warns():
+            assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "numpy speedup" in out
+        assert "native speedup" in out
         assert json.loads(out_json.read_text())["schema"] == BENCH_AB_SCHEMA
 
     def test_cli_bench_ab_rejects_bad_flag_combinations(self, capsys):

@@ -1,67 +1,36 @@
-"""Tests for the numpy NoC kernel layer and the message arena.
+"""Tests for NoC kernel selection and the message arena.
 
 Covers kernel resolution (config field x ``REPRO_KERNEL`` environment),
-the adaptive vector-mode machinery of
-:class:`~repro.arch.kernels.NumpyCycleAccurateNoC` (bit-identical schedules
-against both the python kernel and the dictionary reference model, across
-mode switches), the vectorised latency-mode batch injection, the
-kernel-independence of harness identities/records, and the message
-arena/freelist recycling.
+the kernel-independence of harness identities/records, and the message
+arena/freelist recycling.  The native kernel's own equivalence tests live
+in ``tests/test_native_kernel.py``.
 """
-
-import random
 
 import pytest
 
-from repro.arch.config import ChipConfig
+from repro.arch import kernels
+from repro.arch._native import HAVE_NATIVE
+from repro.arch.config import KERNELS, ChipConfig
+from repro.arch.kernels import resolve_kernel
 from repro.arch.message import (
     Message,
     acquire_message,
     release_message,
 )
-from repro.arch.noc import CycleAccurateNoC, LatencyNoC, build_noc
-from repro.arch.routing import make_routing
+from repro.arch.noc import CycleAccurateNoC, build_noc
 from repro.arch.stats import SimStats
 from repro.harness.scenario import ChipSpec, Scenario
 
 from helpers import requires_numpy
-from test_noc_equivalence import drain_schedule, normalize
 
-np = pytest.importorskip("numpy")
-
-from repro.arch import kernels  # noqa: E402 - needs numpy present
-from repro.arch._native import HAVE_NATIVE  # noqa: E402
-from repro.arch.kernels import NumpyCycleAccurateNoC, resolve_kernel  # noqa: E402
-
-# With the C extension built, "auto" prefers native over numpy (both are
-# bit-identical, so the preference is pure speed ordering).
-AUTO_KERNEL = "native" if HAVE_NATIVE else "numpy"
-
-
-def make_numpy_noc(width=8, height=8, routing="yx", vector_min=None,
-                   per_link=False, max_message_words=8):
-    cfg = ChipConfig(width=width, height=height, routing=routing,
-                     max_message_words=max_message_words)
-    stats = SimStats(num_cells=cfg.num_cells)
-    pol = make_routing(cfg)
-    if per_link:
-        stats.enable_link_accounting(pol.link_table.num_links)
-    noc = NumpyCycleAccurateNoC(cfg, pol, stats)
-    if vector_min is not None:
-        noc._enter_at = vector_min
-        noc._exit_at = max(1, vector_min // 4)
-    return noc
+# "auto" is the C sweep wherever the extension is built, python elsewhere.
+AUTO_KERNEL = "native" if HAVE_NATIVE else "python"
 
 
 class TestResolveKernel:
     def test_auto_resolves_to_fastest_available(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
         assert resolve_kernel(ChipConfig(width=4, height=4)) == AUTO_KERNEL
-
-    def test_auto_prefers_numpy_when_native_missing(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        monkeypatch.setattr(kernels, "HAVE_NATIVE", False)
-        assert resolve_kernel(ChipConfig(width=4, height=4)) == "numpy"
 
     def test_env_overrides_auto(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_ENV, "python")
@@ -70,7 +39,7 @@ class TestResolveKernel:
         assert resolve_kernel(ChipConfig(width=4, height=4)) == AUTO_KERNEL
 
     def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+        monkeypatch.setenv(kernels.KERNEL_ENV, "native")
         cfg = ChipConfig(width=4, height=4, kernel="python")
         assert resolve_kernel(cfg) == "python"
 
@@ -79,24 +48,19 @@ class TestResolveKernel:
         with pytest.raises(ValueError):
             resolve_kernel(ChipConfig(width=4, height=4))
 
-    def test_explicit_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        with pytest.raises(RuntimeError):
-            resolve_kernel(ChipConfig(width=4, height=4, kernel="numpy"))
+    def test_numpy_kernel_name_rejected(self, monkeypatch):
+        # A stale pin of the deleted numpy kernel is an error, not a silent
+        # fallback, in the config and in the environment alike.
+        with pytest.raises(ValueError):
+            ChipConfig(width=4, height=4, kernel="numpy")
+        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+        with pytest.raises(ValueError):
+            resolve_kernel(ChipConfig(width=4, height=4))
 
     def test_auto_without_numpy_falls_back(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
         monkeypatch.setattr(kernels, "HAVE_NATIVE", False)
         assert resolve_kernel(ChipConfig(width=4, height=4)) == "python"
-
-    def test_build_noc_selects_numpy_kernel(self):
-        cfg = ChipConfig(width=4, height=4, kernel="numpy")
-        stats = SimStats(num_cells=cfg.num_cells)
-        noc = build_noc(cfg, stats)
-        assert isinstance(noc, NumpyCycleAccurateNoC)
-        # ...which still is a CycleAccurateNoC for callers' isinstance checks.
-        assert isinstance(noc, CycleAccurateNoC)
 
     def test_build_noc_python_pin(self):
         cfg = ChipConfig(width=4, height=4, kernel="python")
@@ -109,125 +73,12 @@ class TestResolveKernel:
             ChipConfig(width=4, height=4, kernel="cuda")
 
 
-class TestNumpyKernelSchedules:
-    """The numpy kernel's schedules are bit-identical to the python sweep,
-    across vector-mode entry/exit and on both sweep paths."""
-
-    @pytest.mark.parametrize("vector_min", [1, 4, 1 << 30])
-    @pytest.mark.parametrize("routing", ["yx", "xy"])
-    def test_random_storm_matches_python_kernel(self, routing, vector_min):
-        cfg = ChipConfig(width=8, height=8, routing=routing)
-        stats = SimStats(num_cells=cfg.num_cells)
-        py = CycleAccurateNoC(cfg, make_routing(cfg), stats)
-        nk = make_numpy_noc(routing=routing, vector_min=vector_min)
-        rng = random.Random(99)
-        sched = sorted(
-            (rng.randrange(25), rng.randrange(64), rng.randrange(64),
-             rng.choice((2, 2, 8, 12)))
-            for _ in range(400)
-        )
-        a = drain_schedule(py, sched)
-        b = drain_schedule(nk, sched)
-        assert normalize(a) == normalize(b)
-        for field in ("hops", "link_busy", "messages_injected"):
-            assert getattr(py.stats, field) == getattr(nk.stats, field), field
-
-    def test_per_link_accounting_matches(self):
-        cfg = ChipConfig(width=8, height=8)
-        stats = SimStats(num_cells=cfg.num_cells)
-        pol = make_routing(cfg)
-        stats.enable_link_accounting(pol.link_table.num_links)
-        py = CycleAccurateNoC(cfg, pol, stats)
-        nk = make_numpy_noc(vector_min=2, per_link=True)
-        rng = random.Random(5)
-        sched = sorted(
-            (rng.randrange(8), rng.randrange(64), rng.randrange(64), 2)
-            for _ in range(150)
-        )
-        drain_schedule(py, sched)
-        drain_schedule(nk, sched)
-        assert py.stats.link_busy_per_link == nk.stats.link_busy_per_link
-
-    def test_mode_switches_happen_and_preserve_schedule(self):
-        nk = make_numpy_noc(width=8, height=8, vector_min=8)
-        rng = random.Random(3)
-        # Two bursts separated by a lull, so the kernel enters vector mode,
-        # drains back out (free exit at empty), and re-enters.
-        sched = sorted(
-            (rng.choice((0, 1, 40, 41)), rng.randrange(64), rng.randrange(64), 2)
-            for _ in range(200)
-        )
-        modes = set()
-        out = []
-        pending = list(sched)
-        cycle = 0
-        while (pending or not nk.is_empty) and cycle < 10_000:
-            while pending and pending[0][0] == cycle:
-                _, src, dst, size = pending.pop(0)
-                nk.inject(Message(src=src, dst=dst, action="a", size_words=size),
-                          cycle)
-            for msg in nk.advance(cycle):
-                out.append((cycle, msg.msg_id, msg.hops))
-            modes.add(nk._vector_mode)
-            cycle += 1
-        assert modes == {True, False}, "both modes should have been exercised"
-        cfg = ChipConfig(width=8, height=8)
-        stats = SimStats(num_cells=cfg.num_cells)
-        py = CycleAccurateNoC(cfg, make_routing(cfg), stats)
-        assert normalize(out) == normalize(drain_schedule(py, sched))
-
-    def test_delivered_messages_carry_route_length_hops(self):
-        nk = make_numpy_noc()
-        cfg = nk.config
-        msg = Message(src=cfg.cc_at(0, 0), dst=cfg.cc_at(3, 4), action="a")
-        nk.inject(msg, 0)
-        delivered = []
-        cycle = 0
-        while not nk.is_empty:
-            delivered += nk.advance(cycle)
-            cycle += 1
-        assert delivered == [msg]
-        assert msg.hops == cfg.manhattan(msg.src, msg.dst)
-
-
-class TestLatencyVectorInject:
-    def test_inject_many_matches_scalar_injects(self):
-        cfg = ChipConfig(width=8, height=8, fidelity="latency")
-        rng = random.Random(21)
-        batches = [
-            [Message(src=rng.randrange(64), dst=rng.randrange(64), action="a",
-                     size_words=rng.choice((2, 8, 12)))
-             for _ in range(rng.randrange(1, 40))]
-            for _ in range(6)
-        ]
-        results = []
-        for vectorized in (False, True):
-            stats = SimStats(num_cells=cfg.num_cells)
-            noc = LatencyNoC(cfg, make_routing(cfg), stats,
-                             vectorized=vectorized)
-            rng_ids = []
-            for cycle, batch in enumerate(batches):
-                clones = [Message(src=m.src, dst=m.dst, action=m.action,
-                                  size_words=m.size_words) for m in batch]
-                noc.inject_many(clones, cycle)
-                rng_ids.extend(c.msg_id for c in clones)
-            base = rng_ids[0]
-            out = []
-            cycle = 0
-            while not noc.is_empty and cycle < 500:
-                out.extend((cycle, m.msg_id - base, m.hops)
-                           for m in noc.advance(cycle))
-                cycle += 1
-            results.append((out, stats.hops, stats.messages_injected))
-        assert results[0] == results[1]
-
-
 class TestKernelIsExecutionDetail:
     """The kernel pin never leaks into identities, seeds or records."""
 
     def test_spec_hash_and_seed_ignore_kernel(self):
         base = Scenario(name="k", chip=ChipSpec(side=8))
-        for kernel in ("python", "numpy", "native", "auto"):
+        for kernel in KERNELS:
             pinned = Scenario(name="k", chip=ChipSpec(side=8, kernel=kernel))
             assert pinned.spec_hash() == base.spec_hash()
             assert pinned.graph_seed() == base.graph_seed()
@@ -245,13 +96,8 @@ class TestKernelIsExecutionDetail:
             chip=ChipSpec(side=8, edge_list_capacity=8),
             algorithm="bfs",
         )
-        kernels_to_run = ["python", "numpy"]
-        if HAVE_NATIVE:
-            kernels_to_run.append("native")
-        records = [run_scenario(scenario, kernel=kernel)
-                   for kernel in kernels_to_run]
-        for other in records[1:]:
-            assert other == records[0]
+        assert (run_scenario(scenario, kernel="auto")
+                == run_scenario(scenario, kernel="python"))
 
 
 class TestMessageArena:

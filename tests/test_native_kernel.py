@@ -86,7 +86,6 @@ class TestNativeFallback:
     def test_auto_without_native_or_numpy_is_python(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
         monkeypatch.setattr(kernels, "HAVE_NATIVE", False)
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
         assert resolve_kernel(ChipConfig(width=4, height=4)) == "python"
 
     def test_native_pin_never_part_of_identity(self):
@@ -214,7 +213,7 @@ class TestNativeRecords:
 
     def test_snapshot_roundtrip_state_hash(self, tmp_path):
         """Capture under native, restore under python (and back): the
-        state_hash is kernel-independent, like numpy leaving vector mode."""
+        state_hash is kernel-independent."""
         from dataclasses import replace
 
         from repro.snapshot import Snapshot, capture

@@ -127,17 +127,17 @@ class TestHTTPByteIdentity:
         assert via_http == direct
 
     @requires_numpy
-    def test_record_over_http_matches_direct_run_numpy_kernel(self, server):
-        """Kernel pinning is identity-free: a numpy-kernel job produces
-        the same id and byte-identical record as the python kernel."""
+    def test_record_over_http_matches_direct_run_python_kernel(self, server):
+        """Kernel pinning is identity-free: a python-pinned job produces
+        the same id and byte-identical record as the default kernel."""
         service, base = server
-        scenario = tiny_scenario("via-http-np")
+        scenario = tiny_scenario("via-http-py")
         code, body = request(
             base, "POST", "/v1/jobs",
-            {"scenario": scenario.spec_dict(), "kernel": "numpy"})
+            {"scenario": scenario.spec_dict(), "kernel": "python"})
         assert code == 201
         job = json.loads(body)
-        assert job["kernel"] == "numpy"
+        assert job["kernel"] == "python"
         assert job["id"] == scenario.spec_hash()
         final = wait_state(base, job["id"], ("done", "failed"))
         assert final["state"] == "done", final
@@ -176,6 +176,25 @@ class TestHTTPByteIdentity:
         code, body = request(base, "POST", "/v1/jobs", {"not": "a spec"})
         assert code == 400
         assert "invalid scenario spec" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("where,kernel", [
+        ("envelope", "numpy"), ("envelope", "bogus"), ("envelope", 5),
+        ("chip", "numpy"),
+    ], ids=["numpy", "bogus", "int", "chip-numpy"])
+    def test_bad_kernel_pin_is_400(self, server, where, kernel):
+        """A bad kernel pin is refused at submit: no job, no queue slot."""
+        service, base = server
+        spec = tiny_scenario("bad-kernel").spec_dict()
+        if where == "chip":
+            spec["chip"]["kernel"] = kernel
+            payload = spec
+        else:
+            payload = {"scenario": spec, "kernel": kernel}
+        code, body = request(base, "POST", "/v1/jobs", payload)
+        assert code == 400
+        assert "unknown kernel" in json.loads(body)["error"]
+        _, listing = request(base, "GET", "/v1/jobs")
+        assert json.loads(listing)["jobs"] == []
 
     def test_missing_record_is_404(self, server):
         service, base = server

@@ -17,7 +17,6 @@ import pytest
 from helpers import requires_numpy
 
 from repro import __version__
-from repro._compat import HAVE_NUMPY
 from repro.arch.config import ChipConfig
 from repro.arch.message import Message
 from repro.arch.simulator import Simulator
@@ -188,35 +187,6 @@ def test_mid_flight_simulator_round_trip(fidelity):
     assert restored.finalize().summary() == stats_full
 
 
-@requires_numpy
-def test_mid_flight_round_trip_under_vector_mode():
-    """The numpy kernel converts back to python state for capture."""
-    from repro.arch.kernels import NumpyCycleAccurateNoC
-
-    config = ChipConfig(width=8, height=8, fidelity="cycle", kernel="numpy")
-    sim, executed = _sim_with_recorder(config)
-    assert isinstance(sim.noc, NumpyCycleAccurateNoC)
-    sim.noc._enter_at = 4  # force vector mode on tiny sweeps
-    _inject_wave(sim, 60)
-    sim.run(max_cycles=5)
-    assert sim.noc._vector_mode  # the capture must survive vector state
-    snap = capture_simulator(sim)
-    prefix = len(executed)
-    sim.run()
-    tail = executed[prefix:]
-
-    restored = restore_simulator(config, snap)
-    executed2 = []
-
-    def executor(cell, msg):
-        executed2.append((restored.cycle, cell.cc_id, msg.action, msg.operands))
-        return (1 + msg.operands[0] % 7, [])
-
-    restored.set_executor(executor)
-    restored.run()
-    assert executed2 == tail
-
-
 def test_bare_capture_refuses_resident_memory():
     config = ChipConfig(width=4, height=4, kernel="python")
     sim = Simulator(config)
@@ -255,7 +225,7 @@ def test_pending_ghost_future_refuses_capture():
 # ----------------------------------------------------------------------
 # Graph-level round trips (the subsystem's acceptance invariant)
 # ----------------------------------------------------------------------
-kernels = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+kernels = ["python"]
 
 
 @requires_numpy

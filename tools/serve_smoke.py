@@ -7,8 +7,8 @@ full contract from the outside, exactly as a client would:
 1. ``POST /v1/jobs`` with a tiny scenario and poll it to completion;
 2. fetch ``GET /v1/records/<spec_hash>`` and compare the bytes against a
    direct in-process ``run_scenario`` encoded by the result store — the
-   HTTP half of the determinism contract (``--kernel numpy`` re-runs this
-   under the vectorised kernel);
+   HTTP half of the determinism contract (``--kernel native`` re-runs this
+   under the C sweep kernel);
 3. re-POST the same spec and require an immediate ``cached`` response;
 4. pause a fresh job, wait for the park, resume it, and require the final
    record bytes to match the uninterrupted run;
@@ -16,7 +16,8 @@ full contract from the outside, exactly as a client would:
    **exactly** ``k`` 429s for ``N + k`` fresh submissions;
 6. scrape ``/metrics`` and check the serve counters are present.
 
-Usage: python tools/serve_smoke.py [--kernel python|numpy|native]
+Usage: python tools/serve_smoke.py [--kernel KERNEL]
+(KERNEL is one of ``repro.arch.config.KERNELS``.)
 """
 
 import argparse
@@ -34,6 +35,8 @@ import urllib.request
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro._compat import HAVE_NUMPY  # noqa: E402
+from repro.arch.config import KERNELS  # noqa: E402
 from repro.harness.runner import run_scenario  # noqa: E402
 from repro.harness.scenario import (  # noqa: E402
     ChipSpec,
@@ -45,11 +48,14 @@ from repro.harness.store import ResultStore  # noqa: E402
 
 
 def tiny(name, seed, increments=4):
+    # SBM generation needs numpy; the stdlib generator keeps the smoke
+    # runnable on numpy-free installs.
     return Scenario(
         name=name,
         dataset=DatasetSpec(vertices=40, edges=200,
                             num_increments=increments,
-                            sampling="snowball", seed=seed),
+                            sampling="snowball", seed=seed,
+                            generator="sbm" if HAVE_NUMPY else "uniform"),
         chip=ChipSpec(side=4),
         algorithm="bfs",
         options=RunOptions(),
@@ -86,8 +92,7 @@ def check(condition, label):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--kernel", default=None,
-                        choices=("python", "numpy", "native"),
+    parser.add_argument("--kernel", default=None, choices=KERNELS,
                         help="pin the NoC kernel for submitted jobs")
     args = parser.parse_args()
 
