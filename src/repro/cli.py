@@ -22,7 +22,6 @@ Run a whole scenario suite in parallel with cached results::
 
     repro suite run --preset paper-tiny -j 4
     repro suite run --preset paper-tiny -j 4 --shard-increments 4 --timeout 120
-    repro suite run --preset paper-tiny -j 4 --shard-increments 4 --pipeline
     repro suite list
     repro suite show --preset paper-tiny
 
@@ -259,7 +258,6 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             expect_cached=args.expect_cached,
             kernel=args.kernel,
-            pipeline=args.pipeline,
             tracer=tracer,
             metrics=metrics,
             trace_base=args.trace,
@@ -909,11 +907,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not read or write the result store")
     p_run.add_argument("--shard-increments", type=int, default=1, metavar="N",
                        help="split each scenario's increment stream into up to N "
-                            "pool tasks (records stay byte-identical to serial)")
-    p_run.add_argument("--pipeline", action="store_true",
-                       help="with --shard-increments: hand chip state between "
-                            "shards as snapshots instead of replaying "
-                            "prefixes — no increment is simulated twice")
+                            "tasks that hand chip state over as snapshots — no "
+                            "increment is simulated twice, and records stay "
+                            "byte-identical to serial")
     p_run.add_argument("--snapshot-every", type=int, default=0, metavar="N",
                        help="checkpoint every N streamed increments (resumable "
                             "runs; requires --snapshot-dir, see repro snapshot)")

@@ -1,7 +1,7 @@
 """Property-based scenario fuzzing for the determinism contract.
 
 The repo's central claim — bit-identical schedules across kernels,
-snapshot round-trips, cycle-skip transparency, pipeline==serial stores and
+snapshot round-trips, cycle-skip transparency, sharded-equals-serial stores and
 observer-only tracing — is pinned on curated scenarios by tier-1.  This
 package pins it on the *space*:
 

@@ -12,9 +12,9 @@ on curated cases elsewhere:
    recapture reproduces the snapshot's ``state_hash``.
 3. **cycle_skip_transparency** — disabling event-driven cycle skipping and
    the fast park path changes nothing in the record.
-4. **pipeline_vs_serial** — the increment-sharded run (pipeline checkpoint
-   hand-off when the boundaries are capturable, prefix replay otherwise)
-   merges into a result store byte-identical (``cmp``) to the serial one.
+4. **pipeline_vs_serial** — the increment-sharded run (checkpoint hand-off
+   between spans) stores bytes identical (``cmp``) to the serial one.
+   A truncated scenario is planned as the single span ``[0, total)``.
 5. **trace_transparency** — attaching the Chrome tracer leaves the record
    byte-identical, and the emitted trace validates.
 
@@ -238,19 +238,9 @@ def _check_pipeline_vs_serial(scenario: Scenario, baseline: Dict[str, Any],
     shards = min(3, scenario.dataset.num_increments)
     if shards < 2:
         return InvariantOutcome(name, "skip", "single increment, nothing to shard")
-    try:
-        sharded = run_scenario_sharded(scenario, shards, kernel="python",
-                                       pipeline=True)
-        mode = "pipeline"
-    except SnapshotError:
-        # Truncated runs may hit un-capturable shard boundaries: fall back
-        # to prefix replay, which pins the same sharded==serial contract
-        # without checkpoints.
-        sharded = run_scenario_sharded(scenario, shards, kernel="python",
-                                       pipeline=False)
-        mode = "replay"
+    sharded = run_scenario_sharded(scenario, shards, kernel="python")
     outcome = _compare(name, baseline, sharded,
-                       f"{mode}-sharded record != serial record")
+                       "sharded record != serial record")
     if outcome.status == "fail":
         return outcome
     serial_path = os.path.join(workdir, "serial.jsonl")
@@ -260,7 +250,7 @@ def _check_pipeline_vs_serial(scenario: Scenario, baseline: Dict[str, Any],
     if not filecmp.cmp(serial_path, sharded_path, shallow=False):
         return InvariantOutcome(
             name, "fail",
-            f"{mode}-sharded store bytes != serial store bytes "
+            "sharded store bytes != serial store bytes "
             "(records compared equal: store encoding diverged)")
     return InvariantOutcome(name, "ok")
 

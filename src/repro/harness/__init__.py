@@ -9,6 +9,7 @@ The harness is the one place the repository fans experiments out:
   ``perf`` benchmark workloads,
 * :mod:`repro.harness.runner` — serial, pooled, sharded and
   timeout-guarded execution with deterministic per-scenario seeding,
+  every run path streaming through one span function,
 * :mod:`repro.harness.pool` — the persistent worker pool underneath
   (per-task timeouts, crash isolation, warm-worker reuse across runs),
 * :mod:`repro.harness.store` — a crash-safe JSONL result cache keyed by
@@ -43,7 +44,7 @@ from repro.harness.bench import (
     update_baseline,
     write_bench,
 )
-from repro.harness.pool import TaskResult, WorkerPool, get_pool, shutdown_pool
+from repro.harness.pool import DispatchPool, TaskResult, get_pool, shutdown_pool
 from repro.harness.registry import (
     SuiteDef,
     build_paper_suite,
@@ -116,6 +117,7 @@ __all__ = [
     "BenchComparison",
     "ChipSpec",
     "DatasetSpec",
+    "DispatchPool",
     "ResultStore",
     "RunOptions",
     "Scenario",
@@ -124,7 +126,6 @@ __all__ = [
     "SuiteDef",
     "SuiteReport",
     "TaskResult",
-    "WorkerPool",
     "WorkloadResult",
     "bench_payload",
     "build_paper_suite",

@@ -1,23 +1,27 @@
 """Persistent worker-process pool with per-task timeouts and crash isolation.
 
-:class:`WorkerPool` keeps a fixed set of long-lived worker processes alive
-across task batches (and across :func:`~repro.harness.runner.run_suite`
-calls, via :func:`get_pool`), so suites of many tiny scenarios amortise
-interpreter/import startup instead of paying it per scenario the way a
-fresh ``multiprocessing.Pool`` per run does.
+:class:`DispatchPool` keeps a fixed set of long-lived worker processes warm
+behind a dispatcher thread.  Any thread may :meth:`~DispatchPool.submit` a
+task at any time and gets a :class:`TaskHandle` back; idle workers take
+tasks in submission order.  :func:`~repro.harness.runner.run_suite`
+submits every task of a suite and then waits on the handles, reusing the
+process-wide pool from :func:`get_pool` across calls; ``repro serve``
+submits one job span at a time from each scheduler thread.  Either way
+interpreter/import startup is paid once per worker, not once per scenario
+as with a fresh ``multiprocessing.Pool`` per run.
 
 Tasks travel over one duplex :func:`multiprocessing.Pipe` per worker rather
 than a shared queue.  That buys two properties a ``Pool`` cannot offer:
 
 * **Hard per-task timeouts.**  The parent knows exactly which worker runs
   which task, so an overdue task is handled by killing *that* worker and
-  respawning a replacement — sibling tasks keep running, and the batch
-  records a ``timeout`` result instead of hanging.
+  respawning a replacement — sibling tasks keep running, and the task
+  resolves with a ``timeout`` result instead of hanging.
 * **Crash containment.**  A worker that dies mid-task (OOM kill, segfault)
-  closes its pipe; :func:`multiprocessing.connection.wait` wakes the parent,
-  which records an ``error`` result and respawns.  Pipes carry whole pickled
-  messages, so killing a worker can never corrupt a shared queue the way
-  terminating a ``multiprocessing.Queue`` feeder can.
+  closes its pipe; :func:`multiprocessing.connection.wait` wakes the
+  dispatcher, which resolves that task as an ``error`` and respawns.  Pipes
+  carry whole pickled messages, so killing a worker can never corrupt a
+  shared queue the way terminating a ``multiprocessing.Queue`` feeder can.
 
 Task callables must be module-level functions (they are pickled by
 reference); arguments and results must be picklable.
@@ -26,10 +30,12 @@ reference); arguments and results must be picklable.
 from __future__ import annotations
 
 import atexit
+import itertools
 import multiprocessing
 import threading
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
@@ -44,7 +50,7 @@ _JOIN_GRACE_S = 2.0
 
 @dataclass
 class TaskResult:
-    """Outcome of one pool task, in submission order."""
+    """Outcome of one pool task."""
 
     status: str  # "ok" | "error" | "timeout"
     value: Any = None
@@ -125,206 +131,6 @@ class _InFlight:
     start_ns: int = 0  # tracer-clock dispatch time (observability only)
 
 
-class WorkerPool:
-    """A reusable pool of worker processes executing batches of tasks.
-
-    Unlike ``multiprocessing.Pool``, the pool survives between
-    :meth:`run_tasks` calls, enforces a hard per-task ``timeout`` (the
-    worker is killed and replaced), and isolates worker crashes to the task
-    that triggered them.
-    """
-
-    def __init__(self, workers: int, *, context=None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._ctx = context or multiprocessing.get_context()
-        self._workers: List[_Worker] = [_Worker(self._ctx) for _ in range(workers)]
-        self._closed = False
-        #: Observability (repro.obs), attached by run_suite for the span of
-        #: one suite.  Parent-side only: task spans measure dispatch→result
-        #: on the parent clock (tid = worker pid), so nothing crosses the
-        #: process boundary and worker payloads stay untouched.
-        self.tracer = None
-        self.metrics = None
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self._workers)
-
-    @property
-    def alive(self) -> bool:
-        return not self._closed
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the current worker processes (changes when one is killed)."""
-        return [w.process.pid for w in self._workers if w.process.pid is not None]
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run_tasks(
-        self,
-        tasks: List[Task],
-        *,
-        timeout: Optional[float] = None,
-        on_result: Optional[Callable[[int, TaskResult], None]] = None,
-        max_workers: Optional[int] = None,
-    ) -> List[TaskResult]:
-        """Run a batch of tasks, returning results in submission order.
-
-        Parameters
-        ----------
-        timeout:
-            Per-task wall-clock budget in seconds.  An overdue task's worker
-            is killed and replaced, and its slot records ``status="timeout"``;
-            other tasks are unaffected.  ``None`` disables the guard.
-        on_result:
-            Optional callback invoked as ``on_result(task_id, result)`` in
-            completion order (useful for live progress lines).
-        max_workers:
-            Cap on concurrently running tasks for this batch.  Lets a caller
-            honour a smaller parallelism request on a larger shared pool
-            without tearing it down.
-        """
-        if self._closed:
-            raise RuntimeError("pool has been shut down")
-        results: List[Optional[TaskResult]] = [None] * len(tasks)
-        pending = deque(range(len(tasks)))
-        idle = deque(self._workers)
-        busy: Dict[_Worker, _InFlight] = {}
-
-        tracer = self.tracer
-        metrics = self.metrics
-        named_pids: set = set()
-        tasks_total = task_seconds = queue_depth = None
-        if metrics is not None:
-            tasks_total = metrics.counter(
-                "pool_tasks_total", "Pool tasks by outcome", ("status",))
-            task_seconds = metrics.histogram(
-                "pool_task_seconds", "Pool task wall time (dispatch→result)")
-            queue_depth = metrics.gauge(
-                "pool_queue_depth", "Tasks not yet dispatched")
-
-        def finish(worker: _Worker, result: TaskResult) -> None:
-            flight = busy.pop(worker)
-            result.elapsed_s = time.monotonic() - flight.started
-            results[flight.task_id] = result
-            if tracer is not None:
-                tracer.complete(
-                    "pool_task", "pool", start_ns=flight.start_ns,
-                    dur_ns=tracer.now_ns() - flight.start_ns, tid=flight.pid,
-                    task_id=flight.task_id, status=result.status)
-            if metrics is not None:
-                tasks_total.inc(status=result.status)
-                task_seconds.observe(result.elapsed_s)
-            if on_result is not None:
-                on_result(flight.task_id, result)
-
-        while pending or busy:
-            while pending and idle and (max_workers is None
-                                        or len(busy) < max_workers):
-                worker = idle.popleft()
-                # A worker can die while idle (OOM kill between batches of a
-                # long-lived shared pool); replace it instead of letting the
-                # send below take the whole batch down.
-                if not worker.alive:
-                    self._replace(worker, idle)
-                    continue
-                task_id = pending.popleft()
-                fn, args = tasks[task_id]
-                now = time.monotonic()
-                try:
-                    worker.conn.send((task_id, fn, args))
-                except (BrokenPipeError, OSError):
-                    pending.appendleft(task_id)
-                    self._replace(worker, idle)
-                    continue
-                pid = worker.process.pid or 0
-                if tracer is not None and pid not in named_pids:
-                    named_pids.add(pid)
-                    tracer.thread_name(pid, f"worker-{pid}")
-                busy[worker] = _InFlight(
-                    task_id=task_id,
-                    started=now,
-                    deadline=(now + timeout) if timeout is not None else None,
-                    pid=pid,
-                    start_ns=tracer.now_ns() if tracer is not None else 0,
-                )
-                if queue_depth is not None:
-                    queue_depth.set(len(pending))
-
-            deadlines = [f.deadline for f in busy.values() if f.deadline is not None]
-            poll = None
-            if deadlines:
-                poll = max(0.0, min(deadlines) - time.monotonic())
-            ready = _wait_connections([w.conn for w in busy], timeout=poll)
-
-            by_conn = {w.conn: w for w in busy}
-            for conn in ready:
-                worker = by_conn[conn]
-                try:
-                    task_id, status, payload = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died without reporting (crash, OOM kill).
-                    finish(worker, TaskResult(
-                        status="error",
-                        error="worker process died before returning a result",
-                    ))
-                    self._replace(worker, idle)
-                    continue
-                if status == "ok":
-                    finish(worker, TaskResult(status="ok", value=payload))
-                else:
-                    finish(worker, TaskResult(status="error", error=payload))
-                idle.append(worker)
-
-            now = time.monotonic()
-            for worker in [w for w, f in busy.items()
-                           if f.deadline is not None and f.deadline <= now]:
-                if tracer is not None:
-                    tracer.instant("task_timeout", "pool",
-                                   tid=busy[worker].pid,
-                                   task_id=busy[worker].task_id)
-                finish(worker, TaskResult(status="timeout"))
-                self._replace(worker, idle)
-
-        return [r for r in results if r is not None]
-
-    def _replace(self, worker: _Worker, idle: deque) -> None:
-        """Kill a worker and put a fresh replacement into the idle set."""
-        old_pid = worker.process.pid or 0
-        worker.kill()
-        self._workers.remove(worker)
-        replacement = _Worker(self._ctx)
-        self._workers.append(replacement)
-        idle.append(replacement)
-        if self.tracer is not None:
-            self.tracer.instant("worker_respawn", "pool", tid=old_pid,
-                                new_pid=replacement.process.pid or 0)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "pool_respawns_total",
-                "Workers killed and replaced (timeout or crash)").inc()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Stop every worker.  Idempotent; the pool is unusable afterwards."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            worker.stop()
-        self._workers = []
-
-
-# ----------------------------------------------------------------------
-# Continuous dispatch: the pool/job adapter for long-lived services
-# ----------------------------------------------------------------------
 class TaskHandle:
     """Awaitable result slot for one :class:`DispatchPool` task."""
 
@@ -350,8 +156,9 @@ class TaskHandle:
 
 @dataclass
 class _Queued:
-    """One submitted-but-not-dispatched DispatchPool task."""
+    """One submitted-but-not-dispatched task."""
 
+    task_id: int
     handle: TaskHandle
     fn: Callable[..., Any]
     args: Tuple[Any, ...]
@@ -361,18 +168,20 @@ class _Queued:
 class DispatchPool:
     """Warm worker processes behind a thread-safe, always-on dispatcher.
 
-    :meth:`WorkerPool.run_tasks` is a synchronous batch API: one caller,
-    results when the whole batch drains.  A long-lived service needs the
-    opposite shape — many threads submitting single tasks at arbitrary
-    times against one warm set of workers — so this adapter runs the same
-    ``_Worker`` processes under a dedicated dispatcher thread: tasks queue
-    through :meth:`submit`, are assigned to idle workers as they free up,
-    and keep the ``WorkerPool`` guarantees (hard per-task timeouts kill and
-    respawn only the overdue worker; a crashed worker resolves only its own
-    task).  ``repro serve`` runs every job span through one of these.
+    Tasks queue through :meth:`submit` and go to idle workers in FIFO order
+    as they free up.  A task that outlives its ``timeout`` has its worker
+    killed and respawned; a worker that crashes resolves only its own task.
+    Either way the handle resolves with a ``timeout``/``error``
+    :class:`TaskResult` and sibling tasks keep running.
 
-    Task callables must be module-level functions (pickled by reference),
-    exactly as for :class:`WorkerPool`.
+    ``tracer`` and ``metrics`` (a :class:`repro.obs.Tracer` and a
+    :class:`repro.obs.MetricsRegistry`) may be attached for the span of a
+    run.  The dispatcher then records a ``pool_task`` span per task on the
+    parent clock (tid = worker pid), ``task_timeout`` and
+    ``worker_respawn`` instants, and the ``pool_tasks_total``,
+    ``pool_task_seconds``, ``pool_queue_depth`` and ``pool_respawns_total``
+    metrics, all before the task's handle resolves.  Nothing crosses the
+    process boundary, so worker payloads stay untouched.
     """
 
     def __init__(self, workers: int, *, context=None) -> None:
@@ -386,8 +195,13 @@ class DispatchPool:
         self._pending: deque = deque()
         self._lock = threading.Lock()
         self._closed = False
+        self._task_ids = itertools.count()
         #: Respawn count (timeouts + crashes), for service metrics.
         self.respawns = 0
+        self.tracer = None
+        self.metrics = None
+        # Worker pids already named as thread tracks, per attached tracer.
+        self._named: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # Wake channel: submit()/shutdown() nudge the dispatcher out of its
         # connection wait without a polling interval.
         self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
@@ -404,6 +218,12 @@ class DispatchPool:
     def alive(self) -> bool:
         return not self._closed
 
+    def worker_pids(self) -> List[int]:
+        """PIDs of the current worker processes (changes when one is killed)."""
+        with self._lock:
+            return [w.process.pid for w in self._workers
+                    if w.process.pid is not None]
+
     def submit(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
                *, timeout: Optional[float] = None) -> TaskHandle:
         """Queue one task; returns immediately with its result handle."""
@@ -411,7 +231,8 @@ class DispatchPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool has been shut down")
-            self._pending.append(_Queued(handle, fn, tuple(args), timeout))
+            self._pending.append(_Queued(next(self._task_ids), handle, fn,
+                                         tuple(args), timeout))
         self._wake()
         return handle
 
@@ -433,25 +254,23 @@ class DispatchPool:
         while True:
             with self._lock:
                 closed = self._closed
-                # Dispatch everything an idle worker can take.
+                # Dispatch everything an idle worker can take.  A worker can
+                # die while idle (an OOM kill between tasks): replace it
+                # instead of letting the send take the task down.
                 while self._pending and self._idle and not closed:
                     worker = self._idle.popleft()
                     if not worker.alive:
                         self._replace_locked(worker)
                         continue
                     item = self._pending.popleft()
-                    now = time.monotonic()
                     try:
-                        worker.conn.send((0, item.fn, item.args))
+                        worker.conn.send((item.task_id, item.fn, item.args))
                     except (BrokenPipeError, OSError):
                         self._pending.appendleft(item)
                         self._replace_locked(worker)
                         continue
-                    deadline = (now + item.timeout
-                                if item.timeout is not None else None)
-                    self._busy[worker] = (item.handle, _InFlight(
-                        task_id=0, started=now, deadline=deadline,
-                        pid=worker.process.pid or 0))
+                    self._busy[worker] = (item.handle,
+                                          self._dispatched(item, worker))
                 busy = dict(self._busy)
                 if closed and not busy:
                     return
@@ -489,17 +308,56 @@ class DispatchPool:
                                                     error=payload))
             now = time.monotonic()
             with self._lock:
-                overdue = [w for w, (_, f) in self._busy.items()
+                overdue = [(w, f) for w, (_, f) in self._busy.items()
                            if f.deadline is not None and f.deadline <= now]
-            for worker in overdue:
+            for worker, flight in overdue:
+                if self.tracer is not None:
+                    self.tracer.instant("task_timeout", "pool", tid=flight.pid,
+                                        task_id=flight.task_id)
                 self._finish(worker, TaskResult(status="timeout"),
                              replace=True)
+
+    def _dispatched(self, item: _Queued, worker: _Worker) -> _InFlight:
+        """Book-keeping and observation of one dispatch (lock held)."""
+        now = time.monotonic()
+        pid = worker.process.pid or 0
+        tracer, metrics = self.tracer, self.metrics
+        if tracer is not None:
+            named = self._named.setdefault(tracer, set())
+            if pid not in named:
+                named.add(pid)
+                tracer.thread_name(pid, f"worker-{pid}")
+        if metrics is not None:
+            with metrics.locked():
+                metrics.gauge("pool_queue_depth", "Tasks not yet dispatched"
+                              ).set(len(self._pending))
+        return _InFlight(
+            task_id=item.task_id,
+            started=now,
+            deadline=now + item.timeout if item.timeout is not None else None,
+            pid=pid,
+            start_ns=tracer.now_ns() if tracer is not None else 0,
+        )
 
     def _finish(self, worker: _Worker, result: TaskResult,
                 replace: bool = False) -> None:
         with self._lock:
             handle, flight = self._busy.pop(worker)
             result.elapsed_s = time.monotonic() - flight.started
+            tracer, metrics = self.tracer, self.metrics
+            if tracer is not None:
+                tracer.complete(
+                    "pool_task", "pool", start_ns=flight.start_ns,
+                    dur_ns=tracer.now_ns() - flight.start_ns, tid=flight.pid,
+                    task_id=flight.task_id, status=result.status)
+            if metrics is not None:
+                with metrics.locked():
+                    metrics.counter("pool_tasks_total", "Pool tasks by outcome",
+                                    ("status",)).inc(status=result.status)
+                    metrics.histogram(
+                        "pool_task_seconds",
+                        "Pool task wall time (dispatch→result)",
+                    ).observe(result.elapsed_s)
             if replace:
                 self._replace_locked(worker)
             else:
@@ -508,12 +366,21 @@ class DispatchPool:
 
     def _replace_locked(self, worker: _Worker) -> None:
         """Kill a worker and enlist a fresh replacement (lock held)."""
+        old_pid = worker.process.pid or 0
         worker.kill()
         self._workers.remove(worker)
         replacement = _Worker(self._ctx)
         self._workers.append(replacement)
         self._idle.append(replacement)
         self.respawns += 1
+        if self.tracer is not None:
+            self.tracer.instant("worker_respawn", "pool", tid=old_pid,
+                                new_pid=replacement.process.pid or 0)
+        if self.metrics is not None:
+            with self.metrics.locked():
+                self.metrics.counter(
+                    "pool_respawns_total",
+                    "Workers killed and replaced (timeout or crash)").inc()
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -540,25 +407,23 @@ class DispatchPool:
 # ----------------------------------------------------------------------
 # Shared pool: reused across run_suite calls within one process
 # ----------------------------------------------------------------------
-_shared_pool: Optional[WorkerPool] = None
+_shared_pool: Optional[DispatchPool] = None
 
 
-def get_pool(workers: int) -> WorkerPool:
-    """The process-wide shared pool, with at least ``workers`` workers.
+def get_pool(workers: int) -> DispatchPool:
+    """The process-wide shared pool, with exactly ``workers`` workers.
 
-    A live pool that is already big enough is reused as-is — callers wanting
-    less parallelism cap it per batch via ``run_tasks(max_workers=...)``
-    rather than forcing a teardown.  Only asking for *more* workers (or
-    hitting a shut-down pool) rebuilds, so successive ``run_suite`` calls
-    with varying pending counts keep their warm workers.
+    A live pool of that size is reused as-is, so successive ``run_suite``
+    calls keep their warm workers; a different size (or a shut-down pool)
+    rebuilds it.
     """
     global _shared_pool
-    if _shared_pool is not None and (_shared_pool.size < workers
+    if _shared_pool is not None and (_shared_pool.size != workers
                                      or not _shared_pool.alive):
         _shared_pool.shutdown()
         _shared_pool = None
     if _shared_pool is None:
-        _shared_pool = WorkerPool(workers)
+        _shared_pool = DispatchPool(workers)
     return _shared_pool
 
 

@@ -10,10 +10,10 @@ dependencies):
   :class:`~repro.harness.pool.DispatchPool` (per-span timeouts, crash
   containment, respawn),
 * progress, pause and resume ride the snapshot subsystem: a job runs as a
-  sequence of pipeline spans with a checkpoint at every boundary, exactly
-  the transport ``--shard-increments --pipeline`` uses, so a
-  paused-then-resumed job merges to a record byte-identical to an
-  uninterrupted run,
+  sequence of spans with a checkpoint at every boundary, exactly the
+  transport ``repro suite run --shard-increments`` uses, so a
+  paused-then-resumed job ends with a record byte-identical to an
+  uninterrupted run (a truncated scenario runs as one span),
 * ``GET /v1/records/<spec_hash>`` returns the store's canonical JSONL
   bytes, so records fetched over HTTP are byte-identical to a direct
   ``repro suite run`` of the same spec,

@@ -48,6 +48,9 @@ MAX_WAIT_S = 30.0
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # TCP_NODELAY: _send writes headers and body separately, and with
+    # Nagle on a keep-alive body waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
     #: Set by make_server on the handler subclass.
     service: ScenarioService
 

@@ -45,16 +45,14 @@ class Job:
         self.id = scenario.spec_hash()
         self.scenario = scenario
         self.client = client
-        #: Identity-free kernel pin threaded alongside the spec (exactly as
-        #: ``repro suite run --kernel`` does) — never part of the job id.
+        #: Identity-free kernel pin applied to the scenario each span task
+        #: carries (exactly as ``repro suite run --kernel`` does) — never
+        #: part of the job id.
         self.kernel = kernel
         self.state = QUEUED
         self.cached = False
         self.total_increments = scenario.dataset.num_increments
         self.completed_increments = 0
-        #: Pipeline span payloads accumulated so far (survive pause/resume;
-        #: merged into the canonical record by the final span).
-        self.parts: List[Dict[str, Any]] = []
         #: First increment the next span should simulate.
         self.next_start = 0
         self.error: Optional[str] = None

@@ -7,13 +7,16 @@ one job at a time (round-robin across clients) and drives it span by span
 through the pool:
 
 * every span is a :func:`~repro.harness.runner._pipeline_span_task` — the
-  same module-level pool task ``--shard-increments --pipeline`` uses —
-  started from the previous boundary's checkpoint, so nothing is ever
-  replayed and every boundary is a valid park/handoff point;
+  same module-level pool task ``--shard-increments`` uses — started from
+  the previous boundary's checkpoint, so nothing is ever simulated twice
+  and every boundary is a valid park/handoff point.  A scenario with
+  ``max_cycles_per_increment`` runs as one span, since its boundaries can
+  hold state no checkpoint captures;
 * pausing simply stops dispatching further spans (the boundary checkpoint
   stays on disk); resuming re-enqueues the job, which picks up at
-  ``next_start``.  The merged record is byte-identical to an uninterrupted
-  run because the merge is the pipeline-shard merge;
+  ``next_start``.  The last span assembles the record from the restored
+  cursor, exactly as a sharded suite run does, so it is byte-identical to
+  an uninterrupted run;
 * per-span timeouts and crash containment come from the pool: an overdue
   or crashed span fails only its own job, and the worker is respawned.
 
@@ -35,8 +38,9 @@ from typing import Any, Optional, Tuple
 from repro.arch.config import KERNELS
 from repro.harness.pool import DispatchPool
 from repro.harness.runner import (
-    _merge_shard_parts,
+    _pinned,
     _pipeline_span_task,
+    _plan_spans,
     cadence_spans,
 )
 from repro.harness.scenario import Scenario
@@ -271,10 +275,14 @@ class ScenarioService:
             job.cond.notify_all()
         self._refresh_gauges()
         started = time.monotonic()
-        scenario = job.scenario
-        spec = scenario.spec_dict()
+        # Only the spec's identity reaches the worker: spec_dict() strips
+        # the client's file-path options (trace_path, snapshot_dir,
+        # snapshot_every), which a server must never act on.
+        scenario = _pinned(Scenario.from_dict(job.scenario.spec_dict()),
+                           job.kernel)
         total = job.total_increments
-        spans = [(a, b) for a, b in cadence_spans(total, self.config.cadence)
+        spans = [(a, b) for a, b in _plan_spans(
+                     scenario, cadence_spans(total, self.config.cadence))
                  if a >= job.next_start]
         for start, stop in spans:
             if self._stopping.is_set():
@@ -285,12 +293,12 @@ class ScenarioService:
                        if start > 0 else None)
             snap_out = (None if want_final
                         else self._checkpoint_path(job, stop))
-            # wait_s is a formality: spans run strictly in order here, so
-            # the upstream checkpoint is always already on disk.
+            # Spans run strictly in order here, so the upstream checkpoint
+            # is always already on disk; a short wait fails fast if it was
+            # removed from under a parked job.
             result = self.pool.run(
                 _pipeline_span_task,
-                (spec, start, stop, want_final, job.kernel,
-                 snap_in, snap_out, 10.0, (0, None, None)),
+                (scenario, stop, snap_in, snap_out, 10.0),
                 timeout=self.config.timeout,
             )
             self._count_span(result.status)
@@ -302,15 +310,13 @@ class ScenarioService:
                                f"{result.error}")
                 self._fail(job, detail, outcome=result.status)
                 return
-            part = result.value
+            cycles, record = result.value
             with job.cond:
-                job.parts.append(part)
                 job.next_start = stop
                 job.completed_increments = stop
-                cycles = sum(part["increment_cycles"])
                 job.events.append(
-                    f"increment {stop}/{total} complete ({cycles} cycles "
-                    f"in span)")
+                    f"increment {stop}/{total} complete "
+                    f"({sum(cycles[start:])} cycles in span)")
                 job.cond.notify_all()
             if snap_in is not None:
                 # Only the newest boundary matters from here on.
@@ -321,7 +327,6 @@ class ScenarioService:
             if not want_final and job.pause_requested:
                 self._park(job, f"paused at increment {stop}")
                 return
-        record = _merge_shard_parts(scenario, job.parts)
         with self._store_lock:
             self.store.put(record)
         shutil.rmtree(os.path.join(self.work_dir, job.id[:16]),

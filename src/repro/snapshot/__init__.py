@@ -1,8 +1,9 @@
 """``repro.snapshot``: deterministic checkpoint/restore of mid-stream chip state.
 
-The ROADMAP's scale story was capped by a structural cost: increment
-sharding replayed every shard's prefix, so total CPU grew quadratically
-with shard count.  This package removes that cost.  A :class:`Snapshot`
+Chip state is sequential, so without checkpoints a shard of an increment
+stream would have to re-simulate its whole prefix, and total CPU would
+grow quadratically with the shard count.  This package removes that
+cost.  A :class:`Snapshot`
 captures the **complete data state** of a run at a point in simulated time
 — simulator clock and wake wheel, per-cell execution bookkeeping, NoC
 in-flight messages, IO queues, runtime counters, RPVO blocks, ghost
@@ -10,17 +11,19 @@ allocator RNG, ingest cursors — in a compact, schema-versioned,
 stdlib-only binary format (:mod:`repro.snapshot.format`).  Restoring it
 onto a freshly constructed device/graph yields a simulator whose
 subsequent schedule is **bit-identical** to the uninterrupted run, on
-every NoC kernel; that invariant is what lets the harness turn
-prefix-replay sharding into true pipeline parallelism
-(``repro suite run --shard-increments N --pipeline``) and makes long runs
-resumable (``snapshot_every``).  See docs/snapshot.md.
+every NoC kernel; that invariant is what lets the harness hand chip state
+between the spans of a sharded run (``repro suite run --shard-increments
+N``, ``repro serve`` jobs) and makes long runs resumable
+(``snapshot_every``).  See docs/snapshot.md.
 
 Code is never serialised: dispatchers, action handlers and message
 factories are rebuilt from the declarative spec by the restore path, and
 state that only exists mid-diffusion (Task closures, pending ghost
 futures, registered continuations) fails capture with an actionable
-error.  Increment boundaries — where the harness captures — never contain
-such state.
+error.  The boundary of a drained increment — where the harness captures
+— never contains such state.  An increment cut off by
+``max_cycles_per_increment`` may, so the harness runs truncated scenarios
+as one span.
 
 API::
 

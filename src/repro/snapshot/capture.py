@@ -6,7 +6,7 @@ Two capture granularities exist:
   the :class:`~repro.arch.simulator.Simulator` (clock, wake wheel, cells,
   statistics, NoC in-flight state), the IO channels, the device runtime
   counters and the graph side (RPVO blocks, ghost allocator RNG, ingest
-  cursor).  This is what the harness's pipeline sharding and
+  cursor).  This is what the harness's increment sharding and
   ``snapshot_every`` use.
 * :func:`capture_simulator` — a bare :class:`Simulator` with no graph on
   top (used by architecture-level tests and custom harnesses).  Cell
@@ -15,8 +15,9 @@ Two capture granularities exist:
 
 Both refuse state that is not plain data (Task closures, pending ghost
 futures, registered continuations, enabled tracing) with errors that name
-the offender; at an increment boundary none of these exist, so boundary
-captures always succeed.
+the offender; at the boundary of a drained increment none of these exist,
+so such captures always succeed.  An increment truncated by
+``max_cycles_per_increment`` can leave continuations registered.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ from repro.harness import (
     ChipSpec,
     DatasetSpec,
     ResultStore,
+    DispatchPool,
     Scenario,
-    WorkerPool,
     diff_stores,
     get_pool,
     record_identity,
@@ -80,33 +80,40 @@ def _die():
 
 @pytest.fixture()
 def pool2():
-    pool = WorkerPool(2)
+    pool = DispatchPool(2)
     yield pool
     pool.shutdown()
 
 
-class TestWorkerPool:
+def run_all(pool, tasks, timeout=None):
+    """Submit every task, then wait on each handle (the suite's pattern)."""
+    handles = [pool.submit(fn, args, timeout=timeout) for fn, args in tasks]
+    return [handle.wait(60) for handle in handles]
+
+
+class TestDispatchPool:
     def test_results_in_submission_order(self, pool2):
-        results = pool2.run_tasks([(_double, (i,)) for i in range(7)])
+        results = run_all(pool2, [(_double, (i,)) for i in range(7)])
         assert [r.value for r in results] == [0, 2, 4, 6, 8, 10, 12]
         assert all(r.ok for r in results)
 
     def test_task_error_is_contained(self, pool2):
-        results = pool2.run_tasks([(_boom, ()), (_double, (5,))])
+        results = run_all(pool2, [(_boom, ()), (_double, (5,))])
         assert results[0].status == "error"
         assert "task exploded" in results[0].error
         assert results[1].ok and results[1].value == 10
 
     def test_worker_crash_is_contained_and_pool_recovers(self, pool2):
-        results = pool2.run_tasks([(_die, ()), (_double, (3,))])
+        results = run_all(pool2, [(_die, ()), (_double, (3,))])
         statuses = [r.status for r in results]
         assert statuses[0] == "error" and statuses[1] == "ok"
         # The pool replaced the dead worker and stays usable.
-        again = pool2.run_tasks([(_double, (4,))])
+        again = run_all(pool2, [(_double, (4,))])
         assert again[0].value == 8 and pool2.size == 2
 
     def test_timeout_kills_only_the_overdue_task(self, pool2):
-        results = pool2.run_tasks(
+        results = run_all(
+            pool2,
             [(_sleep_then, (10.0, "slow")), (_double, (6,)), (_double, (7,))],
             timeout=0.5,
         )
@@ -114,50 +121,54 @@ class TestWorkerPool:
         assert results[1].value == 12 and results[2].value == 14
         assert pool2.size == 2  # replacement spawned
 
+    def test_timeout_is_traced_and_counted(self, pool2):
+        from repro.obs import MetricsRegistry, Tracer, validate_trace
+
+        tracer = Tracer(process_name="test-pool")
+        metrics = MetricsRegistry()
+        pool2.tracer, pool2.metrics = tracer, metrics
+        (result,) = run_all(pool2, [(_sleep_then, (10.0, "slow"))],
+                            timeout=0.2)
+        assert result.status == "timeout"
+        names = [e["name"] for e in tracer.events]
+        assert "task_timeout" in names and "worker_respawn" in names
+        assert validate_trace(tracer.to_dict()) == []
+        snap = metrics.snapshot()
+        assert snap["pool_tasks_total"]["series"] == [
+            {"labels": {"status": "timeout"}, "value": 1}]
+        assert snap["pool_respawns_total"]["series"][0]["value"] == 1
+        assert pool2.respawns == 1
+
     def test_worker_dying_while_idle_is_replaced(self, pool2):
         import signal
 
-        pool2.run_tasks([(_double, (1,))])
-        # Kill one worker between batches (simulates an external OOM kill);
-        # the next batch must replace it instead of crashing on send.
+        run_all(pool2, [(_double, (1,))])
+        # Kill one worker between tasks (simulates an external OOM kill);
+        # the next dispatch must replace it instead of crashing on send.
         victim_pid = pool2.worker_pids()[0]
         os.kill(victim_pid, signal.SIGKILL)
         time.sleep(0.2)  # let the SIGKILL land; is_alive() reaps the zombie
-        results = pool2.run_tasks([(_double, (i,)) for i in range(4)])
+        results = run_all(pool2, [(_double, (i,)) for i in range(4)])
         assert [r.value for r in results] == [0, 2, 4, 6]
         assert pool2.size == 2
 
     def test_workers_persist_across_batches(self, pool2):
-        pool2.run_tasks([(_double, (1,))])
+        run_all(pool2, [(_double, (1,))])
         pids_first = sorted(pool2.worker_pids())
-        pool2.run_tasks([(_double, (2,)) for _ in range(4)])
+        run_all(pool2, [(_double, (2,)) for _ in range(4)])
         assert sorted(pool2.worker_pids()) == pids_first
 
     def test_shared_pool_reused_and_resized(self):
-        shutdown_pool()  # earlier suites may have left a larger shared pool
+        shutdown_pool()  # earlier suites may have left a shared pool
         try:
             a = get_pool(2)
             assert get_pool(2) is a
-            b = get_pool(3)  # growing rebuilds
-            assert b is not a and b.size == 3
-            # A smaller request reuses the warm larger pool (callers cap
-            # per-batch concurrency via run_tasks(max_workers=...)).
-            assert get_pool(2) is b
+            b = get_pool(3)  # a different size rebuilds
+            assert b is not a and b.size == 3 and not a.alive
+            c = get_pool(2)  # shrinking rebuilds too
+            assert c is not b and c.size == 2 and not b.alive
         finally:
             shutdown_pool()
-
-    def test_max_workers_caps_concurrency(self):
-        pool = WorkerPool(4)
-        try:
-            started = time.monotonic()
-            results = pool.run_tasks(
-                [(_sleep_then, (0.2, i)) for i in range(4)], max_workers=1)
-            elapsed = time.monotonic() - started
-        finally:
-            pool.shutdown()
-        assert [r.value for r in results] == [0, 1, 2, 3]
-        # Serialised: 4 x 0.2s tasks cannot finish in parallel time.
-        assert elapsed >= 0.75
 
 
 @requires_numpy
@@ -179,7 +190,7 @@ class TestSharding:
         serial_store = ResultStore(tmp_path / "serial.jsonl")
         sharded_store = ResultStore(tmp_path / "sharded.jsonl")
         run_suite(suite, jobs=1, store=serial_store)
-        pool = WorkerPool(3)
+        pool = DispatchPool(3)
         try:
             run_suite(suite, jobs=3, store=sharded_store, shard_increments=3,
                       pool=pool)
@@ -190,7 +201,7 @@ class TestSharding:
 
     def test_serial_jobs_still_shard_in_process(self, tmp_path, monkeypatch):
         # --shard-increments must not silently no-op at jobs=1: the serial
-        # path routes through run_scenario_sharded (replay/merge exercised).
+        # path routes through run_scenario_sharded (span hand-off exercised).
         from repro.harness import runner as runner_mod
 
         calls = []
@@ -213,7 +224,7 @@ class TestSharding:
     def test_sharded_runs_hit_the_same_cache(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         scenario = tiny_scenario("cacheable", "bfs")
-        pool = WorkerPool(2)
+        pool = DispatchPool(2)
         try:
             first = run_suite([scenario], jobs=2, store=store,
                               shard_increments=2, pool=pool)
@@ -223,6 +234,19 @@ class TestSharding:
         second = run_suite([scenario], jobs=1, store=store)
         assert second.cache_hits == 1
 
+    def test_suites_at_the_same_jobs_keep_warm_workers(self):
+        shutdown_pool()  # earlier suites may have left a shared pool
+        try:
+            run_suite([tiny_scenario("w1"), tiny_scenario("w2")], jobs=2)
+            pool = get_pool(2)
+            pids = sorted(pool.worker_pids())
+            # Fewer pending tasks than jobs must not resize the shared pool.
+            run_suite([tiny_scenario("w3")], jobs=2, timeout=60)
+            assert get_pool(2) is pool and pool.alive
+            assert sorted(pool.worker_pids()) == pids
+        finally:
+            shutdown_pool()
+
 
 @requires_numpy
 class TestSuiteTimeouts:
@@ -230,7 +254,7 @@ class TestSuiteTimeouts:
         store = ResultStore(tmp_path / "store.jsonl")
         slow = tiny_scenario("slow", "bfs", vertices=1200, edges=12000)
         fast = tiny_scenario("fast", "ingest")
-        pool = WorkerPool(2)
+        pool = DispatchPool(2)
         try:
             report = run_suite([slow, fast], jobs=2, store=store,
                                timeout=0.1, pool=pool)
@@ -248,7 +272,7 @@ class TestSuiteTimeouts:
     def test_timeout_applies_with_serial_jobs(self, tmp_path):
         # timeout forces process isolation even at jobs=1.
         slow = tiny_scenario("slow", "bfs", vertices=1200, edges=12000)
-        pool = WorkerPool(1)
+        pool = DispatchPool(1)
         try:
             report = run_suite([slow], jobs=1, timeout=0.1, pool=pool)
         finally:

@@ -1,26 +1,30 @@
 """Pipeline-parallel increment sharding: byte-identity without prefix replay.
 
-The acceptance contract: ``--shard-increments N --pipeline`` produces a
-store byte-identical to the serial run while the per-shard
-``simulated_increments`` counts prove no increment is simulated twice —
-replay mode's counts grow with shard index, pipeline mode's do not.
+The acceptance contract: ``--shard-increments N`` produces a store
+byte-identical to the serial run, while a spy on
+``DynamicGraph.stream_increment`` proves every increment is streamed
+exactly once, whatever the shard count.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from helpers import requires_numpy
 
+from repro.graph.graph import DynamicGraph
 from repro.harness import ResultStore, run_suite
-from repro.harness.pool import WorkerPool
+from repro.harness.pool import DispatchPool
 from repro.harness.runner import run_scenario, run_scenario_sharded
 from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
 
 pytestmark = requires_numpy
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def eight_increment_scenario(name="pipe-bfs", algorithm="bfs") -> Scenario:
@@ -32,49 +36,49 @@ def eight_increment_scenario(name="pipe-bfs", algorithm="bfs") -> Scenario:
     )
 
 
+def spy_streamed(monkeypatch):
+    """Record the index of every increment any graph streams from now on."""
+    streamed = []
+    real = DynamicGraph.stream_increment
+
+    def spy(self, edges, **kwargs):
+        streamed.append(self.increments_streamed)
+        return real(self, edges, **kwargs)
+
+    monkeypatch.setattr(DynamicGraph, "stream_increment", spy)
+    return streamed
+
+
 class TestInProcess:
     def test_pipeline_record_identical_to_serial(self):
         scenario = eight_increment_scenario()
         serial = run_scenario(scenario)
-        piped = run_scenario_sharded(scenario, 4, pipeline=True)
+        piped = run_scenario_sharded(scenario, 4)
         assert json.dumps(piped, sort_keys=True) == \
             json.dumps(serial, sort_keys=True)
 
-    def test_no_prefix_replay_cpu_proof(self):
-        """Replay CPU grows with shard index; pipeline CPU does not."""
+    def test_no_prefix_replay_cpu_proof(self, monkeypatch):
+        """Every shard streams exactly its own span: total CPU is one pass
+        over the stream, independent of the shard count."""
         scenario = eight_increment_scenario()
-        replay_parts, pipe_parts = [], []
-        replay = run_scenario_sharded(scenario, 4, parts_out=replay_parts)
-        piped = run_scenario_sharded(scenario, 4, pipeline=True,
-                                     parts_out=pipe_parts)
-        assert replay == piped
-        total = scenario.dataset.num_increments
-        spans = [tuple(p["span"]) for p in pipe_parts]
-        # Pipeline: every shard simulates exactly its own span -> total CPU
-        # is one pass over the stream, independent of the shard count.
-        assert [p["simulated_increments"] for p in pipe_parts] == \
-            [b - a for a, b in spans]
-        assert sum(p["simulated_increments"] for p in pipe_parts) == total
-        # Replay: shard K simulates its whole prefix, so the counts climb
-        # with shard index and the last shard covers the full stream.
-        replay_counts = [p["simulated_increments"] for p in replay_parts]
-        assert replay_counts == [b for _a, b in spans]
-        assert replay_counts[-1] == total
-        assert sum(replay_counts) > total
+        serial = run_scenario(scenario)
+        streamed = spy_streamed(monkeypatch)
+        assert run_scenario_sharded(scenario, 4) == serial
+        assert streamed == list(range(scenario.dataset.num_increments))
 
-    def test_every_shard_count_at_every_boundary(self):
-        """Interleaved A/B across shard counts: identical records, linear
-        pipeline CPU, quadratic-ish replay CPU."""
+    def test_every_shard_count_at_every_boundary(self, monkeypatch):
+        """Across shard counts: identical records, each increment streamed
+        exactly once."""
         scenario = eight_increment_scenario(name="pipe-ingest",
                                             algorithm="ingest")
         serial = json.dumps(run_scenario(scenario), sort_keys=True)
-        total = scenario.dataset.num_increments
+        streamed = spy_streamed(monkeypatch)
         for shards in (2, 3, 8):
-            parts = []
-            piped = run_scenario_sharded(scenario, shards, pipeline=True,
-                                         parts_out=parts)
+            streamed.clear()
+            piped = run_scenario_sharded(scenario, shards)
             assert json.dumps(piped, sort_keys=True) == serial, shards
-            assert sum(p["simulated_increments"] for p in parts) == total
+            assert streamed == list(range(scenario.dataset.num_increments)), \
+                shards
 
 
 class TestPooled:
@@ -83,18 +87,13 @@ class TestPooled:
         that makes checkpoint waiting deadlock-free."""
         scenario = eight_increment_scenario()
         serial = run_scenario(scenario)
-        pool = WorkerPool(2)
+        pool = DispatchPool(2)
         try:
-            parts = []
-            piped = run_scenario_sharded(scenario, 5, pool=pool,
-                                         pipeline=True, timeout=120,
-                                         parts_out=parts)
+            piped = run_scenario_sharded(scenario, 5, pool=pool, timeout=120)
         finally:
             pool.shutdown()
         assert json.dumps(piped, sort_keys=True) == \
             json.dumps(serial, sort_keys=True)
-        assert sum(p["simulated_increments"] for p in parts) == \
-            scenario.dataset.num_increments
 
     def test_suite_pipeline_store_byte_identical(self, tmp_path):
         scenarios = [
@@ -104,12 +103,11 @@ class TestPooled:
         serial_store = ResultStore(tmp_path / "serial.jsonl")
         report = run_suite(list(scenarios), jobs=1, store=serial_store)
         assert not report.failures
-        pool = WorkerPool(2)
+        pool = DispatchPool(2)
         try:
             pipe_store = ResultStore(tmp_path / "pipe.jsonl")
             report = run_suite(list(scenarios), jobs=2, store=pipe_store,
-                               shard_increments=4, pipeline=True, pool=pool,
-                               timeout=120)
+                               shard_increments=4, pool=pool, timeout=120)
         finally:
             pool.shutdown()
         assert not report.failures
@@ -121,15 +119,32 @@ class TestPooled:
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         scenario = eight_increment_scenario()
-        pool = WorkerPool(2)
+        pool = DispatchPool(2)
         try:
-            run_scenario_sharded(scenario, 3, pool=pool, pipeline=True,
-                                 timeout=120)
+            run_scenario_sharded(scenario, 3, pool=pool, timeout=120)
         finally:
             pool.shutdown()
         leftovers = [p for p in os.listdir(tmp_path)
                      if p.startswith("repro-pipeline-")]
         assert leftovers == []
+
+    def test_truncated_scenario_runs_as_one_span(self, tmp_path):
+        """A truncated run's boundaries can hold continuations no checkpoint
+        captures, so sharding it must fall back to one span, not fail."""
+        spec = json.loads((CORPUS / "fuzz-truncation-carry.json").read_text())
+        scenario = Scenario.from_dict(spec["scenario"])
+        serial_store = ResultStore(tmp_path / "serial.jsonl")
+        assert not run_suite([scenario], store=serial_store).failures
+        pool = DispatchPool(2)
+        try:
+            sharded_store = ResultStore(tmp_path / "sharded.jsonl")
+            report = run_suite([scenario], jobs=2, store=sharded_store,
+                               shard_increments=3, pool=pool, timeout=120)
+        finally:
+            pool.shutdown()
+        assert not report.failures, report.failures[0].error
+        assert (tmp_path / "serial.jsonl").read_bytes() == \
+            (tmp_path / "sharded.jsonl").read_bytes()
 
 
 class TestFailurePropagation:

@@ -15,10 +15,15 @@ Everything runs against a real ``ThreadingHTTPServer`` on an ephemeral
 port; scenarios are tiny (seconds end to end).
 """
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,8 @@ from repro.harness.store import ResultStore
 from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, make_server
 
 from helpers import requires_numpy
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def tiny_scenario(name="serve-t", *, seed=3, increments=4, **dataset_kwargs):
@@ -142,6 +149,42 @@ class TestHTTPByteIdentity:
         final = wait_state(base, job["id"], ("done", "failed"))
         assert final["state"] == "done", final
         _, via_http = request(base, "GET", f"/v1/records/{job['id']}")
+        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
+        assert via_http == direct
+
+    def test_truncated_job_finishes_with_direct_run_bytes(self, server):
+        """A truncated scenario's boundaries can hold continuations no
+        checkpoint captures, so its job runs as one span and finishes."""
+        service, base = server
+        spec = json.loads(
+            (CORPUS / "fuzz-truncation-carry.json").read_text())["scenario"]
+        code, body = request(base, "POST", "/v1/jobs", spec)
+        assert code == 201
+        job_id = json.loads(body)["id"]
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "done", final
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
+        direct = run_scenario(Scenario.from_dict(spec))
+        assert via_http == (ResultStore.encode(direct) + "\n").encode()
+
+    def test_client_file_options_are_ignored(self, server, tmp_path):
+        """A submitted spec's trace and snapshot paths name files on the
+        client's side; the server never writes them."""
+        service, base = server
+        scenario = tiny_scenario("client-paths")
+        outside = tmp_path / "client"
+        outside.mkdir()
+        spec = scenario.spec_dict()
+        spec["options"].update(trace_path=str(outside / "trace.json"),
+                               snapshot_every=1, snapshot_dir=str(outside))
+        code, body = request(base, "POST", "/v1/jobs", spec)
+        assert code == 201
+        job_id = json.loads(body)["id"]
+        assert job_id == scenario.spec_hash()
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "done", final
+        assert list(outside.iterdir()) == []
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
         direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         assert via_http == direct
 
@@ -293,6 +336,27 @@ class TestAdmissionControl:
         wait_state(base, json.loads(body)["id"], ("done",))
         code, _ = request(base, "POST", "/v1/jobs", second.spec_dict())
         assert code == 201  # depth window reopened
+
+
+class TestKeepAlive:
+    def test_keep_alive_responses_do_not_stall(self, server):
+        """Headers and body go out in separate writes; with Nagle on, each
+        body would wait for the client's delayed ACK (~40 ms)."""
+        service, base = server
+        url = urllib.parse.urlsplit(base)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        elapsed = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/v1/jobs")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                elapsed.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
 
 
 class TestEventsAndViews:

@@ -321,19 +321,25 @@ def test_snapshot_every_checkpoints_are_resumable(tmp_path):
 
 
 @requires_numpy
-@pytest.mark.parametrize("pipeline", [False, True])
-def test_snapshot_every_survives_increment_sharding(tmp_path, pipeline):
-    """The checkpoint cadence must not be lost when runs are sharded
-    (snapshot_every/_dir are spec-stripped, so they ride alongside)."""
+@pytest.mark.parametrize("pooled", [False, True])
+def test_snapshot_every_survives_increment_sharding(tmp_path, pooled):
+    """The checkpoint cadence must not be lost when runs are sharded,
+    in-process or on pool workers (the pickled scenario carries it)."""
     from dataclasses import replace
 
+    from repro.harness.pool import DispatchPool
     from repro.harness.runner import run_scenario_sharded
 
     scenario = tiny_scenario()
     serial = run_scenario(scenario)
     checkpointed = scenario.with_(options=replace(
         scenario.options, snapshot_every=2, snapshot_dir=str(tmp_path)))
-    record = run_scenario_sharded(checkpointed, 3, pipeline=pipeline)
+    pool = DispatchPool(2) if pooled else None
+    try:
+        record = run_scenario_sharded(checkpointed, 3, pool=pool, timeout=120)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     assert json.dumps(record, sort_keys=True) == \
         json.dumps(serial, sort_keys=True)
     names = {p.name for p in tmp_path.iterdir()}
