@@ -1,8 +1,8 @@
 """A2 -- Ablation: cycle-accurate vs latency-only NoC fidelity.
 
-DESIGN.md documents a fidelity knob: the default hop-by-hop NoC with link
-contention, and a faster contention-free model that delivers after the
-Manhattan delay.  This ablation quantifies the gap so users know what they
+docs/architecture.md documents a fidelity knob: the default hop-by-hop NoC
+with link contention, and a faster contention-free model that delivers after
+the Manhattan delay.  This ablation quantifies the gap so users know what they
 give up when they pick the fast mode for very large inputs.
 """
 

@@ -50,6 +50,6 @@ def test_fig8_cycles_per_increment_50k(benchmark, sampling):
         # Snowball sampling: the increments themselves grow (Table 1), which
         # is what drives the growing curves in the published figure.  At
         # laptop scale the per-increment cycles are congestion-dominated, so
-        # the size growth is the robust check (see EXPERIMENTS.md).
+        # the size growth is the robust check.
         sizes = dataset.increment_sizes()
         assert sum(sizes[-3:]) > sum(sizes[:3])

@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's per-experiment index) and prints the reproduced rows/series so
-``pytest benchmarks/ --benchmark-only -s`` doubles as the reproduction
-report.  Because the substrate is a pure-Python cycle-accurate simulator,
+Every benchmark regenerates one of the paper's tables or figures (see the
+paper-to-module map in docs/architecture.md) and prints the reproduced
+rows/series so ``pytest benchmarks/ --benchmark-only -s`` doubles as the
+reproduction report.  Because the substrate is a pure-Python cycle-accurate simulator,
 the default inputs are scaled-down versions of the paper's graphs; set
 ``REPRO_BENCH_SCALE`` to ``tiny`` (default), ``small``, ``medium``, ``large``
 or ``paper`` to change that.

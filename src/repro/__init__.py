@@ -56,6 +56,9 @@ from repro.datasets import make_streaming_dataset, paper_dataset_configs
 # by contract — and records gained ghost_distance / ghost_max_depth (the
 # allocator-comparison suite's metrics), so the bump invalidates caches to
 # keep every stored record shape-uniform.
+# 1.6.0: records account prepaid-but-untraversed hops (``hops_untraversed``).
+# Later deletions -- the numpy kernel, cycle skipping, the message arena --
+# left every record, spec hash and snapshot byte-identical, so they keep it.
 __version__ = "1.6.0"
 
 __all__ = [

@@ -10,8 +10,8 @@ This module quantifies that effect from a finished run:
   host, and
 * an ASCII heat map of per-cell load for eyeballing hotspots.
 
-Used by the snowball-vs-edge comparison in EXPERIMENTS.md and available to
-users as ``repro.analysis.congestion``.
+Available to users as ``repro.analysis.congestion``, for example to compare
+the snowball and edge sampling orders.
 """
 
 from __future__ import annotations

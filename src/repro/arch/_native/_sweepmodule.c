@@ -22,11 +22,13 @@
  *                        operation in activation order (instruction burn
  *                        with held-message flush, staging drain into the
  *                        NoC, or task start via the installed executor),
- *                        including the fast-park decision and wake-bucket
- *                        bookkeeping.  Callbacks (executor, noc.inject,
- *                        release_message) re-enter Python; the active list
- *                        length is re-read every iteration so a mid-step
- *                        wake() appends exactly like the Python loop.
+ *                        including the park decision and wake-bucket
+ *                        bookkeeping.  Callbacks (executor, noc.inject)
+ *                        re-enter Python; the active list length is
+ *                        re-read every iteration so a mid-step wake()
+ *                        appends exactly like the Python loop.  Parking is
+ *                        always on here: the simulator runs the Python
+ *                        loop whenever parking is off.
  *
  * Integer state lives in array('q') buffers (and one bytearray) accessed
  * through the buffer protocol; buffers are acquired per call and released
@@ -43,7 +45,7 @@
 static PyObject *s_hops, *s_position, *s_delivered_cycle, *s_created_cycle,
     *s_dst, *s_task_queue, *s_staging, *s_held_messages,
     *s_remaining_instructions, *s_instructions_executed, *s_messages_staged,
-    *s_tasks_executed, *s_pooled, *s_popleft, *s_extend, *s_append, *s_run,
+    *s_tasks_executed, *s_popleft, *s_extend, *s_append, *s_run,
     *s_src, *s_size_words, *s_stats, *s_messages_injected, *s_in_flight,
     *s_pool_memo, *s_vfree, *s_vslot_msg, *s_local_deliveries, *s_active,
     *s_vq_head, *s_vq_tail, *s_vstamp, *s_vnext, *s_vpos, *s_vrlen,
@@ -544,21 +546,20 @@ ctx_inject(InjectCtx *c, PyObject *msg, PyObject *cycle_obj, long long cycle,
 /* ------------------------------------------------------------------ */
 /* burn_cells(active_cells, still_active, cells, cell_stamp, parked,   */
 /*            wake_buckets, noc_inject, executor, message_type,        */
-/*            release_fn, cycle, sweep, fast_park[, noc])              */
+/*            cycle, sweep[, noc])                                     */
 /*   -> (did_work, active_count, parked_delta)                         */
 /* ------------------------------------------------------------------ */
 static PyObject *
 burn_cells(PyObject *self, PyObject *args)
 {
     PyObject *active_cells, *still_active, *cells, *o_stamp, *o_parked,
-        *wake_buckets, *noc_inject, *executor, *message_type, *release_fn;
+        *wake_buckets, *noc_inject, *executor, *message_type;
     PyObject *noc_obj = Py_None;
     PyObject *cycle_obj = NULL;
     Py_buffer parked_view;
     QBuf stamp;
     InjectCtx ictx;
     long long cycle, sweep;
-    int fast_park;
     int did_work = 0;
     long long active_count = 0, parked_delta = 0;
     Py_ssize_t i;
@@ -566,11 +567,11 @@ burn_cells(PyObject *self, PyObject *args)
     int64_t *cell_stamp;
 
     memset(&ictx, 0, sizeof(ictx));
-    if (!PyArg_ParseTuple(args, "OOOOOO!OOOOLLi|O", &active_cells,
+    if (!PyArg_ParseTuple(args, "OOOOOO!OOOLL|O", &active_cells,
                           &still_active, &cells, &o_stamp, &o_parked,
                           &PyDict_Type, &wake_buckets, &noc_inject,
-                          &executor, &message_type, &release_fn, &cycle,
-                          &sweep, &fast_park, &noc_obj))
+                          &executor, &message_type, &cycle, &sweep,
+                          &noc_obj))
         return NULL;
     if (!PyList_CheckExact(active_cells) || !PyList_CheckExact(still_active)
             || !PyList_CheckExact(cells)) {
@@ -721,8 +722,8 @@ burn_cells(PyObject *self, PyObject *args)
         if (ssz < 0)
             goto cellfail;
         if (ssz > 0) {
-            /* Start the next queued task (a raw message under the executor
-             * fast path, a Task otherwise). */
+            /* Start the next queued task: a delivered message runs through
+             * the executor, an enqueued Task runs itself. */
             PyObject *item, *res, *seq, *messages;
             long long cost, counter;
             item = PyObject_CallMethodObjArgs(tq, s_popleft, NULL);
@@ -731,27 +732,6 @@ burn_cells(PyObject *self, PyObject *args)
             if ((PyObject *)Py_TYPE(item) == message_type) {
                 res = PyObject_CallFunctionObjArgs(executor, cell, item,
                                                    NULL);
-                if (res != NULL) {
-                    PyObject *pooled = PyObject_GetAttr(item, s_pooled);
-                    if (pooled == NULL) {
-                        Py_CLEAR(res);
-                    } else {
-                        int pt = PyObject_IsTrue(pooled);
-                        Py_DECREF(pooled);
-                        if (pt < 0) {
-                            Py_CLEAR(res);
-                        } else if (pt) {
-                            /* Arena message: its action has run -- recycle
-                             * the carrier. */
-                            PyObject *rr = PyObject_CallFunctionObjArgs(
-                                release_fn, item, NULL);
-                            if (rr == NULL)
-                                Py_CLEAR(res);
-                            else
-                                Py_DECREF(rr);
-                        }
-                    }
-                }
             } else {
                 res = PyObject_CallMethodObjArgs(item, s_run, NULL);
             }
@@ -821,7 +801,7 @@ burn_cells(PyObject *self, PyObject *args)
                 Py_DECREF(held);
                 if (rc < 0)
                     goto cellfail;
-                if (fast_park && remaining >= 3) {
+                if (remaining >= 3) {
                     /* Park: the next remaining-1 cycles are pure
                      * decrements; wake on the flush cycle.  The cell keeps
                      * a placeholder slot in the active list. */
@@ -981,7 +961,6 @@ intern_all(void)
     INTERN(s_instructions_executed, "instructions_executed");
     INTERN(s_messages_staged, "messages_staged");
     INTERN(s_tasks_executed, "tasks_executed");
-    INTERN(s_pooled, "_pooled");
     INTERN(s_popleft, "popleft");
     INTERN(s_extend, "extend");
     INTERN(s_append, "append");

@@ -10,8 +10,7 @@ allocated, IO injections) plus a per-cell per-cycle static/leakage term.
 The default per-event constants are order-of-magnitude figures for a
 near-memory compute cell in a contemporary process node; they are plain
 dataclass fields, so calibration against any published numbers is a one-line
-change.  EXPERIMENTS.md records the constants used for every reproduced
-table.
+change.  Every reproduced table uses the defaults below.
 """
 
 from __future__ import annotations

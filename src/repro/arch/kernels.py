@@ -240,42 +240,6 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         return delivered
 
     # ------------------------------------------------------------------
-    # Event-driven fast-forward support (flat-slot variants of the
-    # CycleAccurateNoC methods)
-    # ------------------------------------------------------------------
-    def idle_horizon(self, cycle: int) -> int:
-        if self.in_flight != 1 or self._local_deliveries:
-            return cycle
-        s = self._vq_head[self._active[0]]
-        p = self._vpos[s]
-        pool = self._pool
-        span = 0
-        while pool[p + span + 1] != -1:
-            span += 1
-        return cycle + span
-
-    def fast_forward(self, span: int) -> None:
-        lid = self._active[0]
-        s = self._vq_head[lid]
-        p = self._vpos[s]
-        pool = self._pool
-        self._vpos[s] = p + span
-        nlid = pool[p + span]
-        self._vq_head[lid] = -1
-        self._vq_tail[lid] = -1
-        self._vq_head[nlid] = s
-        self._vq_tail[nlid] = s
-        self._vstamp[lid] = 0
-        self._vstamp[nlid] = self._sweep
-        self._active[0] = nlid
-        stats = self.stats
-        stats.link_busy += span
-        per_link = stats.link_busy_per_link
-        if per_link is not None:
-            for k in range(p + 1, p + span + 1):
-                per_link[pool[k]] += 1
-
-    # ------------------------------------------------------------------
     # Snapshot support: export emits the python-representation dict
     # directly from the flat slots (the hop index is vpos minus the route's
     # pool offset), byte-identical to CycleAccurateNoC.export_state.

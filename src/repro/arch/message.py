@@ -61,9 +61,6 @@ class Message:
         # message currently queues on.
         "_noc_route",
         "_noc_hop",
-        # True for messages owned by the arena below: the simulator returns
-        # them to the freelist after their action has executed.
-        "_pooled",
     )
 
     def __init__(
@@ -92,7 +89,6 @@ class Message:
         #: array fast path guarantees single-hop movement structurally and
         #: leaves this at -1.
         self.last_moved = -1
-        self._pooled = False
 
     @property
     def latency(self) -> int:
@@ -139,63 +135,3 @@ class Message:
             f"target={self.target} hops={self.hops})"
         )
 
-
-# ----------------------------------------------------------------------
-# Message arena (freelist)
-# ----------------------------------------------------------------------
-# The runtime's dispatch fast path creates and destroys one Message per
-# action invocation -- hundreds of thousands per run.  The arena recycles
-# the carrier objects: ``acquire_message`` reinitialises a freelist entry
-# (fresh ``msg_id`` included, so message identity semantics are unchanged)
-# and the simulator calls ``release_message`` once the message's action has
-# executed and nothing can reference it again.  Only messages created
-# through ``acquire_message`` are ever recycled (``_pooled`` marks them);
-# messages built directly -- tests, custom harnesses, host sends that the
-# caller may retain -- are never touched.
-
-_MESSAGE_POOL: list = []
-_MESSAGE_POOL_LIMIT = 8192
-
-
-def acquire_message(
-    src: int,
-    dst: int,
-    action: str,
-    target: Optional[Address] = None,
-    operands: Tuple = (),
-    size_words: int = 2,
-) -> Message:
-    """A fresh-for-all-purposes Message, recycled from the arena when possible."""
-    pool = _MESSAGE_POOL
-    if pool:
-        msg = pool.pop()
-        msg.src = src
-        msg.dst = dst
-        msg.action = action
-        msg.target = target
-        msg.operands = operands
-        msg.size_words = size_words
-        msg.msg_id = next(_msg_counter)
-        msg.created_cycle = -1
-        msg.delivered_cycle = -1
-        msg.hops = 0
-        msg.position = src
-        msg.last_moved = -1
-    else:
-        msg = Message(src, dst, action, target, operands, size_words)
-    msg._pooled = True
-    return msg
-
-
-def release_message(msg: Message) -> None:
-    """Return an executed arena message to the freelist.
-
-    The caller asserts nothing will touch ``msg`` again.  Payload references
-    are dropped so the freelist never pins operand tuples or routes alive.
-    """
-    msg._pooled = False
-    if len(_MESSAGE_POOL) < _MESSAGE_POOL_LIMIT:
-        msg.target = None
-        msg.operands = ()
-        msg._noc_route = None
-        _MESSAGE_POOL.append(msg)

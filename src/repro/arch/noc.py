@@ -63,22 +63,6 @@ class BaseNoC:
         """Advance the network by one cycle and return delivered messages."""
         raise NotImplementedError
 
-    # -- event-driven fast-forward (see Simulator.run) -----------------
-    def idle_horizon(self, cycle: int) -> int:
-        """Latest cycle the clock may jump to without any schedule effect.
-
-        A model returns ``cycle`` (no skipping) unless it can prove that
-        advancing every cycle in ``(cycle, horizon)`` is pure predictable
-        drift: no delivery, no contention and no ordering decision can
-        occur before ``horizon``.  :meth:`fast_forward` applies that drift
-        in closed form.
-        """
-        return cycle
-
-    def fast_forward(self, span: int) -> None:
-        """Apply ``span`` cycles of predictable drift declared by
-        :meth:`idle_horizon` (caller guarantees ``span`` is within it)."""
-
     @property
     def is_empty(self) -> bool:
         """True when no message is in flight."""
@@ -252,36 +236,6 @@ class CycleAccurateNoC(BaseNoC):
         active.clear()
         self._next_active = active
         return delivered
-
-    # ------------------------------------------------------------------
-    # Event-driven fast-forward: a lone in-flight message cannot contend
-    # with anything, so its remaining hops (bar the delivering one) are
-    # pure drift the simulator may apply in closed form.
-    # ------------------------------------------------------------------
-    def idle_horizon(self, cycle: int) -> int:
-        if self.in_flight != 1 or self._local_deliveries:
-            return cycle
-        msg = self._queues[self._active[0]][0]
-        return cycle + (len(msg._noc_route) - msg._noc_hop) - 1
-
-    def fast_forward(self, span: int) -> None:
-        lid = self._active[0]
-        msg = self._queues[lid].popleft()
-        route = msg._noc_route
-        i = msg._noc_hop
-        msg._noc_hop = i + span
-        msg.hops += span
-        nlid = route[i + span]
-        self._queues[nlid].append(msg)
-        self._active[0] = nlid
-        self._stamp[lid] = 0
-        self._stamp[nlid] = self._sweep
-        stats = self.stats
-        stats.link_busy += span
-        per_link = stats.link_busy_per_link
-        if per_link is not None:
-            for k in range(i + 1, i + span + 1):
-                per_link[route[k]] += 1
 
     @property
     def is_empty(self) -> bool:
@@ -503,12 +457,6 @@ class LatencyNoC(BaseNoC):
         else:
             heapq.heappush(self._heap, (deliver_at, next(self._seq), msg))
         self.in_flight += 1
-
-    def idle_horizon(self, cycle: int) -> int:
-        """Nothing can deliver before the earliest deadline."""
-        if self.batched:
-            return self._deadlines[0] if self._deadlines else cycle
-        return self._heap[0][0] if self._heap else cycle
 
     def advance(self, cycle: int) -> List[Message]:
         delivered: List[Message] = []

@@ -10,10 +10,10 @@ them in lock step.  One simulation cycle performs, in order:
    (one instruction, or the staging of one outgoing message into the NoC),
 5. per-cycle statistics are recorded and quiescence is checked.
 
-The *dispatcher* converts an arrived :class:`~repro.arch.message.Message`
-into a :class:`~repro.arch.cell.Task`; it is installed by the diffusive
-runtime (:mod:`repro.runtime`), keeping this package free of any knowledge
-about actions, vertices or graphs.
+The *executor* runs an arrived :class:`~repro.arch.message.Message` on its
+destination cell; it is installed by the diffusive runtime
+(:mod:`repro.runtime`), keeping this package free of any knowledge about
+actions, vertices or graphs.
 """
 
 from __future__ import annotations
@@ -27,14 +27,11 @@ from repro.arch.cell import ComputeCell, Task
 from repro.arch.config import ChipConfig
 from repro.arch.energy import EnergyModel, EnergyReport, estimate_energy
 from repro.arch.io_system import IOSystem
-from repro.arch.message import Message, release_message
+from repro.arch.message import Message
 from repro.arch.noc import BaseNoC, build_noc
 from repro.arch.routing import RoutingPolicy, make_routing
 from repro.arch.stats import SimStats
 from repro.arch.trace import TraceRecorder
-
-#: Converts an arrived message into a task for its destination cell.
-Dispatcher = Callable[[ComputeCell, Message], Task]
 
 #: Executes an arrived message directly on its destination cell, returning
 #: the ``(instruction_cost, outgoing_messages)`` pair a Task.run would.
@@ -48,9 +45,6 @@ class Simulator:
     ----------
     config:
         The chip description (dimensions, routing, fidelity, clock, IO sides).
-    dispatcher:
-        Callback converting a delivered message into a runnable task.  The
-        diffusive runtime installs this; tests may install simple stubs.
     trace_every:
         If > 0, capture an activity frame every that many cycles.
     """
@@ -58,7 +52,6 @@ class Simulator:
     def __init__(
         self,
         config: ChipConfig,
-        dispatcher: Optional[Dispatcher] = None,
         trace_every: int = 0,
     ) -> None:
         self.config = config
@@ -72,16 +65,15 @@ class Simulator:
             ComputeCell(cc_id, *config.coords_of(cc_id))
             for cc_id in range(config.num_cells)
         ]
-        self.dispatcher = dispatcher
         self.executor: Optional[Executor] = None
         self.trace = TraceRecorder(config, sample_every=trace_every)
         self._trace_enabled = self.trace.enabled
-        #: Observability (repro.obs).  ``tracer`` receives cycle-skip
-        #: instants; ``phase_ns`` accumulates wall time per step() phase.
+        #: Observability (repro.obs).  ``tracer`` marks an attached Chrome
+        #: tracer; ``phase_ns`` accumulates wall time per step() phase.
         #: Both are observer-only (no scheduled event moves) and default to
         #: off: the disabled path costs one attribute read and branch per
         #: phase.  Unlike TraceRecorder, attaching them does NOT disable
-        #: parking or cycle skipping -- skip jumps are traced.
+        #: parking.
         self.tracer = None
         self.phase_ns: Optional[Dict[str, int]] = None
         self.cycle = 0
@@ -119,22 +111,15 @@ class Simulator:
         self._parked_count = 0
         self._wake_buckets: Dict[int, List[Tuple[int, int]]] = {}
         self._fast_park = trace_every <= 0
-        #: Event-driven cycle skipping (see ``run``): when nothing observable
-        #: can happen before a known future cycle -- every busy cell parked,
-        #: IO drained, and the NoC idle or in pure predictable drift -- the
-        #: clock jumps there with all per-cycle accounting applied in closed
-        #: form.  The schedule is provably unchanged; the flag exists so
-        #: tests can compare skipped and unskipped runs.  Disabled (like
-        #: parking) while tracing, which needs real per-cycle frames.
-        self.cycle_skip = True
         #: hooks run at the end of every cycle (used by terminators/monitors).
         self._cycle_hooks: List[Callable[[int], None]] = []
         #: Native (C) dispatch/burn loops: enabled when the resolved kernel
         #: is the native tier (the NoC advertises ``native_sweep``) and the
         #: extension is importable.  The C loops mirror step() phases 3-4
-        #: verbatim, so the deterministic schedule is bit-identical; step()
-        #: additionally requires the executor fast path and tracing off
-        #: before taking them (checked per cycle, since tests flip both).
+        #: verbatim, parking included, so the deterministic schedule is
+        #: bit-identical; step() takes them only while parking is on
+        #: (checked per cycle, since tests and the fuzz oracle turn parking
+        #: off to compare against the unparked loop).
         self._native_cells = (
             _native_sweep is not None
             and getattr(self.noc, "native_sweep", False))
@@ -142,20 +127,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def set_dispatcher(self, dispatcher: Dispatcher) -> None:
-        """Install the message-to-task dispatcher (done by the runtime)."""
-        self.dispatcher = dispatcher
-
     def set_executor(self, executor: Executor) -> None:
-        """Install a direct message executor (fast path for dispatch).
+        """Install the message executor (done by the runtime).
 
-        With an executor installed, delivered messages are queued on their
-        destination cell as-is and executed in place when the cell's turn
-        comes, skipping the per-message Task-and-closure allocation of the
-        dispatcher path.  Scheduling is identical: the message occupies the
-        same task-queue slot and runs on the same cycle either way.  The
-        diffusive runtime installs this; a plain dispatcher (used by tests
-        and custom harnesses) keeps working when no executor is set.
+        Delivered messages are queued on their destination cell as-is and
+        executed in place when the cell's turn comes: the executor runs
+        the message's action and returns its ``(instruction_cost,
+        outgoing_messages)`` pair.  Tasks enqueued directly
+        (:meth:`enqueue_task`) share the same queue and run in order.
         """
         self.executor = executor
 
@@ -188,10 +167,9 @@ class Simulator:
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer` for structured trace events.
 
-        Observer-only: the tracer sees cycle-skip jumps, and phase timers
-        are enabled so run spans can report where the time went.  The
-        deterministic schedule is untouched -- parking and cycle skipping
-        stay on.
+        Observer-only: phase timers are enabled so run spans can report
+        where the time went.  The deterministic schedule is untouched --
+        parking stays on.
         """
         self.tracer = tracer
         if self.phase_ns is None:
@@ -243,8 +221,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Advance the chip by one cycle.  Returns True if any work happened."""
-        if self.dispatcher is None and self.executor is None:
-            raise RuntimeError("no dispatcher installed; the runtime must call set_dispatcher")
+        executor = self.executor
+        if executor is None:
+            raise RuntimeError("no executor installed; the runtime must call set_executor")
         cycle = self.cycle
         did_work = False
 
@@ -303,37 +282,27 @@ class Simulator:
             timers["noc"] += _now - _t
             _t = _now
 
-        # 3. Dispatch arrivals to their destination cells.  With an executor
-        # installed the message itself takes the task-queue slot and runs in
-        # place at the cell's turn; otherwise the dispatcher wraps it in a
-        # Task now.  Work for parked cells just queues; the wake bucket
+        # 3. Dispatch arrivals to their destination cells: the message
+        # itself takes the task-queue slot and runs in place at the cell's
+        # turn.  Work for parked cells just queues; the wake bucket
         # re-activates the cell.
-        executor = self.executor
-        dispatcher = self.dispatcher
         active_cells = self._active_cells
         cell_stamp = self._cell_stamp
         sweep = self._cell_sweep
-        # The native C loops cover the executor fast path only; tracing
-        # needs the per-cycle active id list the C burn loop does not build.
-        native = (self._native_cells and executor is not None
-                  and not self._trace_enabled)
+        fast_park = self._fast_park
+        # The C burn loop always parks, so parking off (frame tracing, which
+        # needs the per-cycle active id list, or a transparency check) takes
+        # the Python loops.
+        native = self._native_cells and fast_park
         if native:
             if delivered:
                 _native_sweep.dispatch_arrivals(
                     delivered, cells, parked, cell_stamp, active_cells,
                     sweep)
-        elif executor is not None:
-            for msg in delivered:
-                dst = msg.dst
-                cells[dst].task_queue.append(msg)
-                if not parked[dst] and cell_stamp[dst] != sweep:
-                    cell_stamp[dst] = sweep
-                    active_cells.append(dst)
         else:
             for msg in delivered:
                 dst = msg.dst
-                cell = cells[dst]
-                cell.task_queue.append(dispatcher(cell, msg))
+                cells[dst].task_queue.append(msg)
                 if not parked[dst] and cell_stamp[dst] != sweep:
                     cell_stamp[dst] = sweep
                     active_cells.append(dst)
@@ -358,7 +327,6 @@ class Simulator:
         still_active = self._still_active_scratch
         still_active.clear()
         still_active_append = still_active.append
-        fast_park = self._fast_park
         sweep = self._cell_sweep = self._cell_sweep + 1
         if native:
             # C inline of the loop below (same semantics, checked by the
@@ -367,9 +335,8 @@ class Simulator:
             # newly parked, instead of materialising active_this_cycle.
             did2, active_count, parked_delta = _native_sweep.burn_cells(
                 active_cells, still_active, cells, cell_stamp, parked,
-                self._wake_buckets, noc_inject, executor, Message,
-                release_message, cycle, sweep, 1 if fast_park else 0,
-                noc)
+                self._wake_buckets, noc_inject, executor, Message, cycle,
+                sweep, noc)
             did_work = did_work or bool(did2)
             self._parked_count += parked_delta
             self._active_cells, self._still_active_scratch = (
@@ -422,15 +389,11 @@ class Simulator:
                 active_append(cc_id)
                 did_work = True
             elif cell.task_queue:
-                # Start the next queued task (a raw message under the
-                # executor fast path, a Task otherwise).
+                # Start the next queued task: a delivered message runs
+                # through the executor, an enqueued Task runs itself.
                 item = cell.task_queue.popleft()
                 if item.__class__ is Message:
                     cost, messages = executor(cell, item)
-                    if item._pooled:
-                        # Arena message: its action has run and nothing can
-                        # reference it again -- recycle the carrier.
-                        release_message(item)
                 else:
                     cost, messages = item.run()
                 cell.tasks_executed += 1
@@ -509,34 +472,10 @@ class Simulator:
             it returns True (used by terminator objects).
 
         Returns the number of cycles simulated by this call.
-
-        Event-driven cycle skipping: before each step, if no compute cell
-        has work, IO is drained, and the NoC is either empty (with cells
-        parked) or in pure predictable drift (a lone in-flight flit, or
-        latency mode between deadlines), the clock jumps straight to the
-        nearest wake/delivery/deadline cycle -- clamped to the cycle budget
-        -- with every per-cycle accrual applied in closed form.  Skipped
-        spans are observably identical to stepping through them, so the
-        deterministic schedule (and every statistic) is unchanged.
-
-        Contract note for ``until``: the predicate is evaluated after every
-        *executed* step, and nothing it can observe changes inside a
-        skipped span -- except the clock itself.  A predicate that watches
-        ``sim.cycle`` (rather than simulator events) may therefore see the
-        clock land past its threshold; set ``cycle_skip = False`` to step
-        every cycle for such callers.
         """
         start = self.cycle
         budget = max_cycles if max_cycles is not None else float("inf")
-        skip_ok = self.cycle_skip and self._fast_park
         while (self.cycle - start) < budget:
-            if (skip_ok
-                    and len(self._active_cells) == self._parked_count
-                    and not self.io._pending
-                    and not self._cycle_hooks):
-                self._maybe_fast_forward(start + budget)
-                if (self.cycle - start) >= budget:
-                    break
             self.step()
             if until is not None:
                 if until():
@@ -544,54 +483,6 @@ class Simulator:
             elif self.is_quiescent:
                 break
         return self.cycle - start
-
-    def _maybe_fast_forward(self, hard_stop) -> None:
-        """Jump the clock to the nearest future event, if one is provable.
-
-        Caller has established: no runnable cells (the active list holds
-        only parked placeholders, if anything), no pending IO, no cycle
-        hooks, tracing off.  The jump target is the earliest of the next
-        parked-cell wake and the NoC's idle horizon, clamped to
-        ``hard_stop`` (the run's cycle budget); per-cycle series, cycle
-        counts and link-busy accounting accrue in closed form for the
-        skipped span.
-        """
-        noc = self.noc
-        cycle = self.cycle
-        in_flight = noc.in_flight
-        if in_flight == 0:
-            # Only parked cells remain: jump to the nearest wake.
-            if not self._wake_buckets or not self._parked_count \
-                    or not noc.is_empty:
-                return
-            target = min(self._wake_buckets)
-        else:
-            # Cheap rejection first: the O(#wake-buckets) min() only runs
-            # once the NoC has proven a nontrivial idle horizon.
-            horizon = noc.idle_horizon(cycle)
-            if horizon <= cycle:
-                return
-            target = (min(min(self._wake_buckets), horizon)
-                      if self._wake_buckets else horizon)
-        if target > hard_stop:
-            target = int(hard_stop)
-        span = target - cycle
-        if span <= 0:
-            return
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("cycle_skip", cat="sim", from_cycle=cycle,
-                           to_cycle=target, span=span, in_flight=in_flight)
-        if in_flight:
-            noc.fast_forward(span)
-        stats = self.stats
-        stats.cycles += span
-        # Parked cells burn one virtual instruction per skipped cycle and
-        # count as active; nothing is delivered before the horizon.
-        stats.active_cells_per_cycle.extend([self._parked_count] * span)
-        stats.messages_in_flight_per_cycle.extend([in_flight] * span)
-        stats.deliveries_per_cycle.extend([0] * span)
-        self.cycle = target
 
     # ------------------------------------------------------------------
     # Snapshot support (see repro.snapshot)
@@ -605,7 +496,7 @@ class Simulator:
         plus the statistics object and the NoC's in-flight state.  Cell
         *memory contents* and dispatch wiring are deliberately excluded --
         they belong to the layer that owns them (the graph side for
-        vertex blocks; the runtime rebuilds dispatchers from code).
+        vertex blocks; the runtime re-installs its executor from code).
 
         Raises :class:`~repro.snapshot.format.SnapshotError` when the
         state is not enumerable as plain data: a :class:`Task` closure in

@@ -843,6 +843,8 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness.report import REPORT_SECTIONS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Streaming dynamic graph processing on a message-driven simulator",
@@ -885,8 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSONL result store path (default: results/suite.jsonl)",
         )
         sp.add_argument(
-            "--tables", nargs="+",
-            choices=("suite", "table1", "table2", "activation", "fuzz"),
+            "--tables", nargs="+", choices=tuple(REPORT_SECTIONS),
             default=None, help="report sections to print (default: all with data)",
         )
 
@@ -1032,10 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict to one suite's scenarios "
                                "(default: every stored record)")
     p_report.add_argument("--tables", nargs="+",
-                          choices=("suite", "table1", "table2", "activation",
-                                   "ablation", "allocators", "baselines",
-                                   "fuzz"),
-                          default=None,
+                          choices=tuple(REPORT_SECTIONS), default=None,
                           help="report sections to print (default: all with data)")
     p_report.add_argument("--png", default=None, metavar="DIR",
                           help="export PNG figures here (requires matplotlib; "
@@ -1096,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz_run = fuzz_sub.add_parser(
         "run",
         help="fuzz random scenarios through the differential oracle "
-             "(kernels, snapshots, cycle skip, sharding, tracing)",
+             "(kernels, snapshots, parking, sharding, tracing, conservation)",
     )
     p_fuzz_run.add_argument("--profile", choices=("ci", "deep"), default="ci",
                             help="example budget profile (default: ci)")

@@ -10,8 +10,8 @@ sampling orders:
   starting point, so increments grow monotonically.
 
 The GraphChallenge files themselves are a gated download, so this package
-generates statistically similar graphs from scratch (see DESIGN.md's
-substitution table): an SBM generator with heavy-tailed degrees
+generates statistically similar graphs from scratch (see the paper-to-module
+map in docs/architecture.md): an SBM generator with heavy-tailed degrees
 (:mod:`repro.datasets.sbm`), the two sampling orders
 (:mod:`repro.datasets.sampling`), an R-MAT generator for skew experiments
 (:mod:`repro.datasets.rmat`), and plain TSV edge-list IO

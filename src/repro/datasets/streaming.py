@@ -5,7 +5,8 @@ increments by one of the two sampling orders.  The
 :func:`paper_dataset_configs` helper returns the four dataset configurations
 of Table 1 (50 K / 500 K vertices x edge / snowball sampling) at a
 configurable scale factor, because the full-size graphs are impractical on a
-pure-Python cycle-accurate simulator (see DESIGN.md and EXPERIMENTS.md).
+pure-Python cycle-accurate simulator (docs/harness.md lists the scales each
+suite runs at).
 """
 
 from __future__ import annotations

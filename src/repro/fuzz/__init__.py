@@ -1,15 +1,16 @@
 """Property-based scenario fuzzing for the determinism contract.
 
 The repo's central claim — bit-identical schedules across kernels,
-snapshot round-trips, cycle-skip transparency, sharded-equals-serial stores and
-observer-only tracing — is pinned on curated scenarios by tier-1.  This
-package pins it on the *space*:
+snapshot round-trips, busy-cell parking transparency, sharded-equals-serial
+stores and observer-only tracing, over statistics that conserve messages and
+prepaid hops — is pinned on curated scenarios by tier-1.  This package pins
+it on the *space*:
 
 * :mod:`repro.fuzz.strategies` — hypothesis strategies generating valid
   random scenarios over every contract axis, shrinking toward minimal
   reproductions;
 * :mod:`repro.fuzz.oracle` — :func:`check_invariants`, the stdlib-only
-  differential oracle running one scenario through all five invariants;
+  differential oracle running one scenario through all six invariants;
 * :mod:`repro.fuzz.fingerprint` — workload fingerprinting and regime
   classification (park/diffusion/storm);
 * :mod:`repro.fuzz.campaign` — the ``repro fuzz run`` driver: budget

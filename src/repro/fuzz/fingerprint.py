@@ -129,7 +129,8 @@ def classify(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
 
     * **storm** — some cycle's in-flight load reached the storm threshold.
     * **parked** — the chip idles half the run and almost never lights up:
-      cycle-skipping does the heavy lifting.
+      the cycles go to messages in flight and long instruction burns, not
+      to cell operations.
     * **dense-diffusion** — a quarter of the cells active on an average
       cycle; compute-bound rather than NoC-bound.
     * **sparse-diffusion** — everything else: steady trickle of work.

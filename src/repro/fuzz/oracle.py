@@ -2,7 +2,7 @@
 
 :func:`check_invariants` takes any valid :class:`~repro.harness.scenario.
 Scenario` and runs it through the five determinism contracts the repo pins
-on curated cases elsewhere:
+on curated cases elsewhere, plus the conservation laws of its statistics:
 
 1. **kernel_equivalence** — the native (C) NoC kernel produces the
    byte-identical record of the pure-Python one (skipped when the extension
@@ -10,13 +10,18 @@ on curated cases elsewhere:
 2. **snapshot_roundtrip** — checkpointing is observer-only; every captured
    boundary resumes to the byte-identical record, and restore → immediate
    recapture reproduces the snapshot's ``state_hash``.
-3. **cycle_skip_transparency** — disabling event-driven cycle skipping and
-   the fast park path changes nothing in the record.
+3. **park_transparency** — disabling busy-cell parking changes nothing in
+   the record.
 4. **pipeline_vs_serial** — the increment-sharded run (checkpoint hand-off
    between spans) stores bytes identical (``cmp``) to the serial one.
    A truncated scenario is planned as the single span ``[0, total)``.
 5. **trace_transparency** — attaching the Chrome tracer leaves the record
    byte-identical, and the emitted trace validates.
+6. **conservation** — the baseline's statistics conserve messages and
+   prepaid hops: a drained run delivered every injected message and
+   traversed every prepaid hop; a truncated one
+   (``max_cycles_per_increment``) delivered no more than it injected and
+   has ``0 <= hops_untraversed <= hops``.
 
 The oracle is pure stdlib (no hypothesis): the fuzz campaign drives it with
 generated scenarios, the corpus replay drives it with persisted ones, and a
@@ -51,9 +56,10 @@ from repro.snapshot.format import SnapshotError
 INVARIANTS = (
     "kernel_equivalence",
     "snapshot_roundtrip",
-    "cycle_skip_transparency",
+    "park_transparency",
     "pipeline_vs_serial",
     "trace_transparency",
+    "conservation",
 )
 
 
@@ -218,18 +224,16 @@ def _check_snapshot_roundtrip(scenario: Scenario, baseline: Dict[str, Any],
     return InvariantOutcome(name, "ok")
 
 
-def _disable_cycle_skip(device) -> None:
-    sim = device.simulator
-    sim.cycle_skip = False
-    sim._fast_park = False
+def _disable_parking(device) -> None:
+    device.simulator._fast_park = False
 
 
-def _check_cycle_skip(scenario: Scenario,
-                      baseline: Dict[str, Any]) -> InvariantOutcome:
+def _check_park_transparency(scenario: Scenario,
+                             baseline: Dict[str, Any]) -> InvariantOutcome:
     record = run_scenario(scenario, kernel="python",
-                          device_setup=_disable_cycle_skip)
-    return _compare("cycle_skip_transparency", baseline, record,
-                    "disabling cycle skip / fast park changed the record")
+                          device_setup=_disable_parking)
+    return _compare("park_transparency", baseline, record,
+                    "disabling busy-cell parking changed the record")
 
 
 def _check_pipeline_vs_serial(scenario: Scenario, baseline: Dict[str, Any],
@@ -275,6 +279,29 @@ def _check_trace_transparency(scenario: Scenario, baseline: Dict[str, Any],
         return InvariantOutcome(
             name, "fail", f"trace does not validate: {errors[0]}")
     return InvariantOutcome(name, "ok")
+
+
+def _check_conservation(scenario: Scenario,
+                        baseline: Dict[str, Any]) -> InvariantOutcome:
+    stats = baseline["stats"]
+    injected = stats["messages_injected"]
+    delivered = stats["messages_delivered"]
+    hops, untraversed = stats["hops"], stats["hops_untraversed"]
+    if scenario.options.max_cycles_per_increment is None:
+        laws = {"messages_injected == messages_delivered": injected == delivered,
+                "hops_untraversed == 0": untraversed == 0}
+    else:
+        # A truncated increment may leave messages in flight, carrying
+        # their prepaid but untraversed hops.
+        laws = {"messages_injected >= messages_delivered": injected >= delivered,
+                "0 <= hops_untraversed <= hops": 0 <= untraversed <= hops}
+    broken = [law for law, holds in laws.items() if not holds]
+    if not broken:
+        return InvariantOutcome("conservation", "ok")
+    return InvariantOutcome(
+        "conservation", "fail",
+        f"{broken[0]} violated (injected {injected}, delivered {delivered}, "
+        f"hops {hops}, hops_untraversed {untraversed})")
 
 
 # ----------------------------------------------------------------------
@@ -327,11 +354,13 @@ def _check_all(clean: Scenario, cadence: int, workdir: str) -> OracleReport:
                _check_kernel_equivalence, clean, baseline),
         _guard("snapshot_roundtrip",
                _check_snapshot_roundtrip, clean, baseline, cadence, workdir),
-        _guard("cycle_skip_transparency", _check_cycle_skip, clean, baseline),
+        _guard("park_transparency",
+               _check_park_transparency, clean, baseline),
         _guard("pipeline_vs_serial",
                _check_pipeline_vs_serial, clean, baseline, workdir),
         _guard("trace_transparency",
                _check_trace_transparency, clean, baseline, workdir),
+        _guard("conservation", _check_conservation, clean, baseline),
     ]
     fingerprint = fingerprint_record(baseline)
     return OracleReport(

@@ -118,7 +118,8 @@ class VertexBlock:
         # Root-only mirror of every destination vertex id inserted into this
         # logical vertex (including edges stored in ghosts).  Analytics
         # queries (triangle counting, Jaccard) read it; the diffusion-based
-        # algorithms never do.  See DESIGN.md, "substitutions".
+        # algorithms never do.  It is a host-side convenience of this
+        # reproduction, not a structure of the paper's RPVO.
         self.mirror: List[int] = []
         self.depth = depth
         self.inserts_seen = 0

@@ -267,8 +267,8 @@ def _run_span(
     rest.  They never enter the payload, which stays fully deterministic.
     ``frames_every`` enables activity-frame capture.  ``device_setup``,
     when given, is called with the built device before any increment
-    streams — a test/fuzz hook (e.g. the fuzz oracle disables cycle
-    skipping through it to pin skip transparency); contract-pinned knobs
+    streams — a test/fuzz hook (e.g. the fuzz oracle turns busy-cell
+    parking off through it to pin park transparency); contract-pinned knobs
     flipped here must leave the record byte-identical, which is exactly
     what the oracle asserts.
     """

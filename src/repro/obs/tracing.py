@@ -6,8 +6,8 @@ to the Chrome trace-event JSON-object format, viewable in Perfetto
 
 * ``X`` (complete)   — a span with a start timestamp and a duration
   (simulator increments, pool tasks, store rewrites, snapshot captures),
-* ``i`` (instant)    — a point event (cycle-skip jumps, worker respawns,
-  suite outcomes),
+* ``i`` (instant)    — a point event (worker respawns, task timeouts,
+  cache hits, suite outcomes),
 * ``C`` (counter)    — a sampled value series (per-phase simulator time),
 * ``M`` (metadata)   — process/thread naming for the viewer.
 
@@ -91,7 +91,7 @@ class Tracer:
 
     def instant(self, name: str, cat: str = "", tid: int = 0,
                 **args: Any) -> None:
-        """A point event (``ph="i"``), e.g. a cycle-skip jump."""
+        """A point event (``ph="i"``), e.g. a worker respawn."""
         self._emit({"ph": "i", "name": name, "cat": cat, "s": "t",
                     "pid": self.pid, "tid": tid,
                     "ts": self._us(time.perf_counter_ns()), "args": args})

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.arch.address import Address
 from repro.arch.cell import ComputeCell, Task
-from repro.arch.message import Message, acquire_message
+from repro.arch.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.runtime.device import AMCCADevice
@@ -170,8 +170,7 @@ class ActionContext:
         elif action not in registry._handlers:
             raise KeyError(f"cannot propagate unregistered action {action!r}")
         cc_id = self.cell.cc_id
-        # Arena message: recycled by the simulator once its action has run.
-        msg = acquire_message(
+        msg = Message(
             cc_id,
             target.cc_id if target is not None else cc_id,
             action,

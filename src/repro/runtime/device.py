@@ -26,7 +26,7 @@ from repro.arch.address import Address
 from repro.arch.cell import ComputeCell, Task
 from repro.arch.config import ChipConfig
 from repro.arch.energy import EnergyModel, EnergyReport
-from repro.arch.message import Message, acquire_message
+from repro.arch.message import Message
 from repro.arch.simulator import Simulator
 from repro.arch.stats import SimStats
 from repro.runtime.actions import ActionContext, ActionHandler, ActionRegistry
@@ -65,7 +65,6 @@ class AMCCADevice:
         self.config = config or ChipConfig.paper_chip()
         self.registry = ActionRegistry()
         self.simulator = Simulator(self.config, trace_every=trace_every)
-        self.simulator.set_dispatcher(self._dispatch)
         self.simulator.set_executor(self._execute_message)
         self.energy_model = energy_model or EnergyModel()
         self.continuations = ContinuationManager(self)
@@ -117,8 +116,7 @@ class AMCCADevice:
         def factory(item: Any, attached_cc: int) -> Message:
             target, operands = target_fn(item)
             self.terminator_hook_sent()
-            # Arena message: recycled by the simulator after execution.
-            return acquire_message(
+            return Message(
                 attached_cc, target.cc_id, action, target, operands, size_words,
             )
 
@@ -229,7 +227,7 @@ class AMCCADevice:
         elif self._pre_run_sends > 0:
             self._pre_run_sends -= 1
         # Inline of ctx.finish() (kept in sync with ActionContext.finish,
-        # which remains the reference form for the Task path).
+        # which remains the reference form for local tasks).
         spawned = ctx._spawned_tasks
         sent = 0
         if spawned is not None:
@@ -248,15 +246,6 @@ class AMCCADevice:
             else:
                 self._pre_run_sends += sent
         return 1 + ctx._extra_cost, msgs if msgs is not None else []
-
-    def _dispatch(self, cell: ComputeCell, msg: Message) -> Task:
-        """Convert an arrived message into a runnable task.
-
-        Kept as the Dispatcher-protocol form of :meth:`_execute_message`
-        for callers that need a Task object; the simulator itself uses the
-        executor fast path.
-        """
-        return Task(lambda: self._execute_message(cell, msg), label=msg.action)
 
     def make_local_task(
         self, cell: ComputeCell, fn: Callable[[ActionContext], None], label: str = "local"

@@ -36,7 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness.report import report_sections
+from repro.harness.report import REPORT_SECTIONS, report_sections
 from repro.serve import html
 from repro.serve.jobs import Job
 from repro.serve.service import ScenarioService, ServeConfig
@@ -204,6 +204,11 @@ class _Handler(BaseHTTPRequestHandler):
         route = "/v1/report"
         preset = query.get("preset", [None])[0]
         tables = preset.split(",") if preset else None
+        unknown = sorted(set(tables or ()) - set(REPORT_SECTIONS))
+        if unknown:
+            self._error(400, f"unknown report section(s) {', '.join(unknown)}; "
+                        f"known: {', '.join(REPORT_SECTIONS)}", route)
+            return
         records = self.service.store.records()
         try:
             sections = report_sections(records, tables=tables)

@@ -16,7 +16,7 @@ between the spans of a sharded run (``repro suite run --shard-increments
 N``, ``repro serve`` jobs) and makes long runs resumable
 (``snapshot_every``).  See docs/snapshot.md.
 
-Code is never serialised: dispatchers, action handlers and message
+Code is never serialised: executors, action handlers and message
 factories are rebuilt from the declarative spec by the restore path, and
 state that only exists mid-diffusion (Task closures, pending ghost
 futures, registered continuations) fails capture with an actionable

@@ -11,7 +11,7 @@ Two capture granularities exist:
 * :func:`capture_simulator` — a bare :class:`Simulator` with no graph on
   top (used by architecture-level tests and custom harnesses).  Cell
   memories must be empty — arbitrary resident objects cannot be
-  serialised — and the caller re-installs its dispatcher after restore.
+  serialised — and the caller re-installs its executor after restore.
 
 Both refuse state that is not plain data (Task closures, pending ghost
 futures, registered continuations, enabled tracing) with errors that name

@@ -86,10 +86,10 @@ def _maybe_inject_fault(sim: Simulator) -> None:
 def restore_simulator(config: ChipConfig, snapshot: "Snapshot") -> Simulator:
     """Rebuild a bare simulator from a simulator-format snapshot.
 
-    The returned simulator has **no dispatcher installed** — dispatch
-    wiring is code, so the caller re-installs its dispatcher/executor
-    (and re-registers any actions) before stepping, exactly as it did for
-    the original run.
+    The returned simulator has **no executor installed** — dispatch
+    wiring is code, so the caller re-installs its executor (and
+    re-registers any actions) before stepping, exactly as it did for the
+    original run.
     """
     snapshot.require_version()
     if snapshot.meta.get("format") != "simulator":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.report import REPORT_SECTIONS
 
 from helpers import requires_numpy
 
@@ -25,6 +26,20 @@ class TestParser:
     def test_invalid_scale_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--scale", "galactic"])
+
+    @pytest.mark.parametrize("section", list(REPORT_SECTIONS))
+    @pytest.mark.parametrize("command", [
+        ["suite", "show", "--preset", "ablations"],
+        ["suite", "run", "--preset", "ablations"],
+        ["report"],
+    ], ids=["suite-show", "suite-run", "report"])
+    def test_every_report_section_parses(self, command, section):
+        args = build_parser().parse_args(command + ["--tables", section])
+        assert args.tables == [section]
+
+    def test_unknown_report_section_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--tables", "nope"])
 
 
 class TestAlgosList:

@@ -1,7 +1,8 @@
 """The documentation's relative links must resolve (CI-checked contract).
 
 Runs ``tools/check_doc_links.py`` — the same script the CI docs job uses —
-over README.md and docs/*.md, plus unit checks of its link scanner.
+over README.md, docs/*.md and the Python sources' doc mentions, plus unit
+checks of its scanners.
 """
 
 import subprocess
@@ -47,6 +48,17 @@ class TestChecker:
         )
         result = run_checker(str(doc))
         assert result.returncode == 0, result.stdout
+
+    def test_stale_doc_mention_in_python_detected(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(
+            '"""See docs/architecture.md and DESIGN.md."""\n'
+            "# README.md is fine too\n")
+        result = run_checker(str(module))
+        assert result.returncode == 1
+        assert "module.py:1: stale doc mention -> DESIGN.md" in result.stdout
+        assert "architecture.md" not in result.stdout
+        assert "README.md" not in result.stdout
 
     def test_missing_input_file_fails(self, tmp_path):
         result = run_checker(str(tmp_path / "absent.md"))

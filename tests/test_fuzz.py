@@ -14,6 +14,7 @@ Three families, mirroring the subsystem's three jobs:
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
@@ -39,6 +40,7 @@ from repro.algorithms.registry import (
     symmetric_algorithm_names,
 )
 from repro.fuzz.campaign import FUZZ_PROFILES, run_campaign
+from repro.fuzz.oracle import _check_conservation
 from repro.fuzz.strategies import scenarios
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import (
@@ -120,6 +122,27 @@ def test_oracle_catches_injected_perturbation(monkeypatch):
     report = check_invariants(FIXED)
     assert not report.ok
     assert "snapshot_roundtrip" in {o.invariant for o in report.failures}
+
+
+def test_conservation_catches_a_lost_delivery():
+    record = run_scenario(FIXED, kernel="python")
+    assert _check_conservation(FIXED, record).status == "ok"
+    lost = copy.deepcopy(record)
+    lost["stats"]["messages_delivered"] -= 1
+    outcome = _check_conservation(FIXED, lost)
+    assert outcome.status == "fail"
+    assert "messages_injected == messages_delivered" in outcome.detail
+
+
+def test_conservation_bounds_a_truncated_run():
+    truncated = FIXED.with_(options=RunOptions(max_cycles_per_increment=20))
+    record = run_scenario(truncated, kernel="python")
+    stats = record["stats"]
+    assert stats["hops_untraversed"] > 0  # messages were left in flight
+    assert _check_conservation(truncated, record).status == "ok"
+    overdrawn = copy.deepcopy(record)
+    overdrawn["stats"]["hops_untraversed"] = stats["hops"] + 1
+    assert _check_conservation(truncated, overdrawn).status == "fail"
 
 
 def test_oracle_reports_crash_as_failure(monkeypatch):

@@ -3,7 +3,7 @@
 Each corpus entry is a shrunk scenario spec that once diverged (written by
 ``repro fuzz run`` on failure, or hand-seeded from a fuzz session).  Tier-1
 replays the whole directory forever: an ``expect: ok`` entry must pass all
-five invariants now that its bug is fixed; an ``expect: invalid`` entry
+six invariants now that its bug is fixed; an ``expect: invalid`` entry
 records a spec combination the harness has since learned to reject at
 construction.  Committing a fuzz find is all it takes to pin it.
 """

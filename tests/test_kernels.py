@@ -1,9 +1,8 @@
-"""Tests for NoC kernel selection and the message arena.
+"""Tests for NoC kernel selection.
 
-Covers kernel resolution (config field x ``REPRO_KERNEL`` environment),
-the kernel-independence of harness identities/records, and the message
-arena/freelist recycling.  The native kernel's own equivalence tests live
-in ``tests/test_native_kernel.py``.
+Covers kernel resolution (config field x ``REPRO_KERNEL`` environment) and
+the kernel-independence of harness identities/records.  The native kernel's
+own equivalence tests live in ``tests/test_native_kernel.py``.
 """
 
 import pytest
@@ -12,11 +11,6 @@ from repro.arch import kernels
 from repro.arch._native import HAVE_NATIVE
 from repro.arch.config import KERNELS, ChipConfig
 from repro.arch.kernels import resolve_kernel
-from repro.arch.message import (
-    Message,
-    acquire_message,
-    release_message,
-)
 from repro.arch.noc import CycleAccurateNoC, build_noc
 from repro.arch.stats import SimStats
 from repro.harness.scenario import ChipSpec, Scenario
@@ -99,62 +93,3 @@ class TestKernelIsExecutionDetail:
         assert (run_scenario(scenario, kernel="auto")
                 == run_scenario(scenario, kernel="python"))
 
-
-class TestMessageArena:
-    def test_acquire_reuses_released_carrier(self):
-        msg = acquire_message(1, 2, "a", None, (7,), 3)
-        assert msg._pooled
-        first_id = msg.msg_id
-        release_message(msg)
-        again = acquire_message(4, 5, "b")
-        assert again is msg  # LIFO freelist reuse
-        assert again.msg_id > first_id  # fresh identity
-        assert again.src == 4 and again.dst == 5 and again.action == "b"
-        assert again.created_cycle == -1 and again.delivered_cycle == -1
-        assert again.hops == 0 and again.position == 4
-        release_message(again)
-
-    def test_release_drops_payload_references(self):
-        operands = (object(),)
-        msg = acquire_message(0, 1, "a", None, operands, 2)
-        release_message(msg)
-        assert msg.operands == ()
-        assert msg.target is None
-
-    def test_plain_messages_are_not_pooled(self):
-        msg = Message(src=0, dst=1, action="a")
-        assert not msg._pooled
-
-    def test_double_release_is_harmless(self):
-        from repro.arch import message as message_mod
-
-        msg = acquire_message(0, 1, "a")
-        release_message(msg)
-        before = len(message_mod._MESSAGE_POOL)
-        # The simulator only releases messages whose _pooled flag is set;
-        # release_message clears it, so a second release cannot duplicate
-        # the carrier in the pool.
-        assert not msg._pooled
-        acquired = acquire_message(0, 2, "b")
-        assert len(message_mod._MESSAGE_POOL) == before - 1
-        release_message(acquired)
-
-    def test_runtime_run_recycles_messages(self):
-        """An end-to-end device run leaves carriers in the freelist."""
-        from repro.arch import message as message_mod
-        from repro.runtime.device import AMCCADevice
-        from repro.runtime.terminator import Terminator
-
-        device = AMCCADevice(ChipConfig.small())
-        sink = device.allocate_on(30, {"hits": 0})
-
-        def handler(ctx, target, n):
-            target["hits"] += 1
-            if n > 0:
-                ctx.propagate("ping", sink, n - 1)
-
-        device.register_action("ping", handler)
-        device.send("ping", sink, 5)
-        device.run(Terminator())
-        assert device.get_object(sink)["hits"] == 6
-        assert len(message_mod._MESSAGE_POOL) > 0

@@ -1,17 +1,15 @@
-"""Event-driven cycle skipping and truncation-safe parked-cell accounting.
+"""Busy-cell parking: transparency and truncation-safe parked-cell accounting.
 
-``Simulator.run`` may jump the clock over provably idle spans (all busy
-cells parked, IO drained, NoC empty or in predictable drift).  These tests
-pin the two guarantees that make the feature safe:
+A cell that starts a multi-cycle action is parked in the wake wheel instead
+of being stepped through its instruction burn.  These tests pin the two
+guarantees that make the mechanism safe:
 
-* **Transparency** — for every workload and every ``max_cycles`` budget
-  (including budgets landing *inside* a skipped span), a skipping run
-  produces exactly the statistics and cycle counts of the cycle-by-cycle
-  run, while stepping strictly fewer times.
+* **Transparency** — for every workload and every ``max_cycles`` budget,
+  a parking run produces exactly the statistics and cycle counts of the
+  unparked cycle-by-cycle run.
 * **Truncation accounting** — ``Simulator.finalize`` credits the elapsed
-  portion of parked cells' instruction burns (the ROADMAP's
-  parked-cell-accounting item), idempotently, and without double counting
-  when a truncated run is resumed.
+  portion of parked cells' instruction burns, idempotently, and without
+  double counting when a truncated run is resumed.
 """
 
 import pytest
@@ -21,18 +19,16 @@ from repro.runtime.device import AMCCADevice
 from repro.runtime.terminator import Terminator
 
 
-def build_relay_device(fidelity="cycle", fast_park=True, cycle_skip=True):
+def build_relay_device(fidelity="cycle", fast_park=True):
     """A device whose workload alternates long burns with lone far messages.
 
     A ``relay`` action charges a long instruction burn (so the cell parks)
     and then propagates a single message to the opposite corner (so exactly
-    one flit crosses the mesh alone) -- together exercising the parked-only,
-    single-flit and (in latency mode) deadline fast-forward paths.
+    one flit crosses the mesh alone while nothing else runs).
     """
     device = AMCCADevice(ChipConfig.small().with_(fidelity=fidelity))
     sim = device.simulator
     sim._fast_park = fast_park
-    sim.cycle_skip = cycle_skip
     cfg = device.config
     corners = [cfg.cc_at(1, 1), cfg.cc_at(6, 6)]
     targets = [device.allocate_on(cc, {"hits": 0}) for cc in corners]
@@ -50,30 +46,27 @@ def build_relay_device(fidelity="cycle", fast_park=True, cycle_skip=True):
 
 
 def run_relay(fidelity="cycle", fast=True, max_cycles=None):
-    """Run the relay workload; return (summary, cycles, steps_executed)."""
-    device, sim = build_relay_device(fidelity, fast_park=fast, cycle_skip=fast)
-    steps = [0]
-    orig_step = sim.step
+    """Run the relay workload; return (summary, cycles, peak_parked)."""
+    device, sim = build_relay_device(fidelity, fast_park=fast)
+    peak = [0]
 
-    def counting_step():
-        steps[0] += 1
-        return orig_step()
+    def watch_parked(_cycle):
+        peak[0] = max(peak[0], sim._parked_count)
 
-    sim.step = counting_step
+    sim.add_cycle_hook(watch_parked)
     result = device.run(Terminator(), max_cycles=max_cycles)
     summary = device.stats().summary()
-    return summary, result.cycles, steps[0]
+    return summary, result.cycles, peak[0]
 
 
-class TestSkipTransparency:
+class TestParkTransparency:
     @pytest.mark.parametrize("fidelity", ["cycle", "latency"])
-    def test_full_run_identical_and_fewer_steps(self, fidelity):
+    def test_full_run_identical(self, fidelity):
         slow = run_relay(fidelity, fast=False)
         fast = run_relay(fidelity, fast=True)
         assert fast[0] == slow[0]          # bit-identical statistics
         assert fast[1] == slow[1]          # same simulated cycles
-        assert fast[2] < slow[2]           # strictly fewer Python steps
-        assert fast[2] < fast[1]           # some cycles were skipped
+        assert fast[2] > 0 == slow[2]      # only the fast run parked
 
     @pytest.mark.parametrize("fidelity", ["cycle", "latency"])
     def test_every_truncation_point_is_identical(self, fidelity):
@@ -83,40 +76,6 @@ class TestSkipTransparency:
             fast = run_relay(fidelity, fast=True, max_cycles=budget)
             assert fast[1] == slow[1] == min(budget, full_cycles), budget
             assert fast[0] == slow[0], f"stats diverge at budget {budget}"
-
-    def test_budget_inside_skipped_span_stops_exactly_on_budget(self):
-        # Find a budget that lands strictly inside a skipped span: run fast,
-        # note a cycle that was jumped over, and truncate there.
-        device, sim = build_relay_device()
-        stepped = set()
-        orig_step = sim.step
-
-        def recording_step():
-            stepped.add(sim.cycle)
-            return orig_step()
-
-        sim.step = recording_step
-        device.run(Terminator())
-        skipped = sorted(set(range(sim.cycle)) - stepped)
-        assert skipped, "workload must produce skipped cycles"
-        budget = skipped[len(skipped) // 2]
-        slow = run_relay("cycle", fast=False, max_cycles=budget)
-        fast = run_relay("cycle", fast=True, max_cycles=budget)
-        assert fast == (slow[0], budget, fast[2])
-
-    def test_hooks_disable_skipping(self):
-        device, sim = build_relay_device()
-        sim.add_cycle_hook(lambda c: None)
-        steps = [0]
-        orig_step = sim.step
-
-        def counting_step():
-            steps[0] += 1
-            return orig_step()
-
-        sim.step = counting_step
-        result = device.run(Terminator())
-        assert steps[0] == result.cycles  # every cycle stepped
 
 
 class TestTruncationAccounting:
@@ -153,9 +112,7 @@ class TestTruncationAccounting:
         device.stats()
         busy_fast = sum(cell.busy_cycles for cell in sim.cells)
 
-        device2, sim2 = build_relay_device()
-        sim2._fast_park = False
-        sim2.cycle_skip = False
+        device2, sim2 = build_relay_device(fast_park=False)
         device2.run(Terminator(), max_cycles=9)
         busy_slow = sum(cell.busy_cycles for cell in sim2.cells)
         assert busy_fast == busy_slow

@@ -419,6 +419,13 @@ class TestEventsAndViews:
         assert code == 200
         assert len(json.loads(body)["jobs"]) == 1
 
+    def test_report_rejects_unknown_section(self, server):
+        service, base = server
+        code, body = request(base, "GET", "/v1/report?preset=suite,nope")
+        assert code == 400
+        error = json.loads(body)["error"]
+        assert "nope" in error and "ablation" in error
+
     def test_unknown_route_is_404(self, server):
         service, base = server
         code, _ = request(base, "GET", "/v2/nothing")

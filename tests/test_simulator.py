@@ -8,27 +8,25 @@ from repro.arch.message import Message
 from repro.arch.simulator import Simulator
 
 
-def echo_dispatcher(record):
-    """A dispatcher that records delivered messages and does one cycle of work."""
+def echo_executor(record):
+    """An executor that records delivered messages and does one cycle of work."""
 
-    def dispatch(cell, msg):
-        def run():
-            record.append((cell.cc_id, msg.action, msg.operands))
-            return 1, []
-        return Task(run, label=msg.action)
+    def execute(cell, msg):
+        record.append((cell.cc_id, msg.action, msg.operands))
+        return 1, []
 
-    return dispatch
+    return execute
 
 
 def make_sim(record=None, **overrides):
     cfg = ChipConfig(width=4, height=4, **overrides)
     sim = Simulator(cfg)
-    sim.set_dispatcher(echo_dispatcher(record if record is not None else []))
+    sim.set_executor(echo_executor(record if record is not None else []))
     return cfg, sim
 
 
 class TestDispatchAndDelivery:
-    def test_requires_dispatcher(self):
+    def test_requires_executor(self):
         sim = Simulator(ChipConfig(width=2, height=2))
         with pytest.raises(RuntimeError):
             sim.step()
@@ -135,16 +133,14 @@ class TestStagedPropagation:
         sim = Simulator(cfg)
         arrived = []
 
-        def dispatch(cell, msg):
-            def run():
-                if msg.action == "first":
-                    out = Message(src=cell.cc_id, dst=cfg.cc_at(3, 3), action="second")
-                    return 1, [out]
-                arrived.append(cell.cc_id)
-                return 1, []
-            return Task(run, label=msg.action)
+        def execute(cell, msg):
+            if msg.action == "first":
+                out = Message(src=cell.cc_id, dst=cfg.cc_at(3, 3), action="second")
+                return 1, [out]
+            arrived.append(cell.cc_id)
+            return 1, []
 
-        sim.set_dispatcher(dispatch)
+        sim.set_executor(execute)
         sim.inject_message(Message(src=0, dst=cfg.cc_at(0, 3), action="first"))
         sim.run(max_cycles=200)
         assert arrived == [cfg.cc_at(3, 3)]
