@@ -8,41 +8,41 @@ ghost chains -- under both policies and reports cycles, mean ghost distance
 and energy.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import BENCH_SCALE, BENCH_SEED, CHIP_50K
+from conftest import BENCH_SCALE, BENCH_SEED, paper_pair
 
-from repro.algorithms.bfs import StreamingBFS
 from repro.analysis.tables import render_table
-from repro.datasets.rmat import generate_rmat
-from repro.datasets.sampling import edge_sampling_increments
-from repro.graph.graph import DynamicGraph
-from repro.runtime.device import AMCCADevice
+from repro.harness import DatasetSpec, RunOptions, Scenario, run_scenario
+
+
+def _scenario(allocator: str) -> Scenario:
+    # R-MAT scale (log2 of vertex count): skewed enough to force long ghost
+    # chains on hub vertices, small enough to finish in seconds below paper scale.
+    vertices = 1 << (16 if BENCH_SCALE == "paper" else 10)
+    chip = paper_pair("graphchallenge-50k", "edge", BENCH_SEED)["bfs"].chip
+    return Scenario(
+        name=f"ablation-allocator-{allocator}",
+        dataset=DatasetSpec(vertices=vertices, edges=12 * vertices, sampling="edge",
+                            num_increments=5, seed=BENCH_SEED, generator="rmat"),
+        chip=replace(chip, edge_list_capacity=8),
+        algorithm="bfs",
+        options=RunOptions(ghost_allocator=allocator, graph_seed=BENCH_SEED),
+    )
 
 
 def _run(allocator: str):
-    # R-MAT scale (log2 of vertex count): skewed enough to force long ghost
-    # chains on hub vertices, small enough to finish in seconds below paper scale.
-    scale = 16 if BENCH_SCALE == "paper" else 10
-    edges = generate_rmat(scale=scale, edge_factor=12, seed=BENCH_SEED)
-    num_vertices = 1 << scale
-    increments = edge_sampling_increments(edges, 5, seed=BENCH_SEED)
-
-    device = AMCCADevice(CHIP_50K.with_(edge_list_capacity=8))
-    graph = DynamicGraph(device, num_vertices, seed=BENCH_SEED, ghost_allocator=allocator)
-    bfs = StreamingBFS(root=0)
-    graph.attach(bfs)
-    bfs.seed(graph, root=0)
-    for increment in increments:
-        graph.stream_increment(increment)
+    record = run_scenario(_scenario(allocator))
     return {
         "allocator": allocator,
-        "cycles": sum(graph.per_increment_cycles()),
-        "ghosts": graph.ghost_blocks_allocated,
-        "mean_ghost_distance": graph.ghost_report()["mean_ghost_distance"],
-        "hops": device.stats().hops,
-        "energy_uj": device.energy_report().total_uj,
-        "edges": graph.total_edges_stored(),
+        "cycles": record["total_cycles"],
+        "ghosts": record["ghost_blocks"],
+        "mean_ghost_distance": record["ghost_distance"],
+        "hops": record["stats"]["hops"],
+        "energy_uj": record["energy"]["total_uj"],
+        "edges": record["edges_stored"],
     }
 
 

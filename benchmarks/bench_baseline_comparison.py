@@ -14,32 +14,33 @@ The printed table reports per-increment costs; the assertions capture the
 qualitative outcome (incremental updating does less work than recomputing).
 """
 
-from conftest import BENCH_SEED, CHIP_50K, dataset_50k
+from conftest import BENCH_SEED, paper_pair
 
-from repro.analysis.experiments import run_ingestion_bfs_pair
 from repro.analysis.tables import render_table
 from repro.baselines.bsp import bsp_incremental_bfs
 from repro.baselines.static_recompute import static_recompute_bfs
+from repro.harness import materialize_dataset, run_suite
 
 
 def test_incremental_vs_recompute_vs_bsp(benchmark):
-    dataset = dataset_50k("edge")
+    pair = paper_pair("graphchallenge-50k", "edge", BENCH_SEED)
+    dataset = materialize_dataset(pair["bfs"].dataset)
+    chip = pair["bfs"].chip.to_chip_config()
 
     def run_all():
-        incremental = run_ingestion_bfs_pair(dataset, chip=CHIP_50K, seed=BENCH_SEED)
+        incremental = run_suite(list(pair.values())).records
         recompute = static_recompute_bfs(
-            CHIP_50K, dataset.increments, dataset.num_vertices, root=0, seed=BENCH_SEED
+            chip, dataset.increments, dataset.num_vertices, root=0, seed=BENCH_SEED
         )
         bsp = bsp_incremental_bfs(
             dataset.num_vertices, dataset.increments, root=0,
-            num_workers=CHIP_50K.num_cells,
+            num_workers=chip.num_cells,
         )
         return incremental, recompute, bsp
 
     incremental, recompute, bsp = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    ingest_cycles = incremental["ingestion"].increment_cycles
-    with_bfs_cycles = incremental["ingestion_bfs"].increment_cycles
+    ingest_cycles, with_bfs_cycles = (r["increment_cycles"] for r in incremental)
     rows = []
     for i in range(len(dataset.increments)):
         rows.append({

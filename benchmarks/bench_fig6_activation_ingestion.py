@@ -8,25 +8,28 @@ a 32x32 chip while edges are streamed with BFS propagation disabled.
 import numpy as np
 import pytest
 
-from conftest import BENCH_SCALE, CHIP_500K, dataset_500k
+from conftest import BENCH_SCALE, FIGURE_GRAPH_SEED, paper_pair
 
-from repro.analysis.experiments import run_streaming_experiment
-from repro.analysis.figures import activation_figure, downsample_series, render_ascii_plot
+from repro.analysis.figures import FigureData, downsample_series, render_ascii_plot
+from repro.harness import run_scenario_traced
 
 
 @pytest.mark.parametrize("sampling", ["edge", "snowball"])
 def test_fig6_activation_ingestion_only(benchmark, sampling):
-    dataset = dataset_500k(sampling)
-    result = benchmark.pedantic(
-        lambda: run_streaming_experiment(dataset, chip=CHIP_500K, with_bfs=False),
+    scenario = paper_pair("graphchallenge-500k", sampling, FIGURE_GRAPH_SEED)["ingest"]
+    _, device = benchmark.pedantic(
+        lambda: run_scenario_traced(scenario),
         rounds=1,
         iterations=1,
     )
-    fig = activation_figure(result, title=f"Figure 6{'a' if sampling == 'edge' else 'b'} "
-                                          f"({sampling} sampling, scale={BENCH_SCALE})")
+    # Records keep only the mean/peak; the series comes off the device.
+    series = device.stats().activation_percent()
+    fig = FigureData(f"Figure 6{'a' if sampling == 'edge' else 'b'} "
+                     f"({sampling} sampling, scale={BENCH_SCALE})",
+                     "Cycles", "Percent of Cells Active")
+    fig.add("Cells Active Percent", series)
     print()
     print(render_ascii_plot(fig, max_points=100))
-    series = result.activation_percent
     print(f"cycles={len(series)}, mean={series.mean():.1f}%, peak={series.max():.1f}%")
 
     # Figure 6's qualitative content: sustained parallel activity during

@@ -7,29 +7,34 @@ trigger bfs-action diffusions on top of the ingestion traffic.
 
 import pytest
 
-from conftest import BENCH_SCALE, CHIP_500K, dataset_500k
+from conftest import BENCH_SCALE, FIGURE_GRAPH_SEED, paper_pair
 
-from repro.analysis.experiments import run_ingestion_bfs_pair
-from repro.analysis.figures import activation_figure, render_ascii_plot
+from repro.analysis.figures import FigureData, render_ascii_plot
+from repro.harness import run_scenario_traced
 
 
 @pytest.mark.parametrize("sampling", ["edge", "snowball"])
 def test_fig7_activation_with_bfs(benchmark, sampling):
-    dataset = dataset_500k(sampling)
-    pair = benchmark.pedantic(
-        lambda: run_ingestion_bfs_pair(dataset, chip=CHIP_500K), rounds=1, iterations=1
+    pair = paper_pair("graphchallenge-500k", sampling, FIGURE_GRAPH_SEED)
+    runs = benchmark.pedantic(
+        lambda: {algorithm: run_scenario_traced(scenario)
+                 for algorithm, scenario in pair.items()},
+        rounds=1, iterations=1,
     )
-    result = pair["ingestion_bfs"]
-    fig = activation_figure(result, title=f"Figure 7{'a' if sampling == 'edge' else 'b'} "
-                                          f"({sampling} sampling, scale={BENCH_SCALE})")
+    # Records keep only the mean/peak; the series come off the devices.
+    record, device = runs["bfs"]
+    series = device.stats().activation_percent()
+    fig = FigureData(f"Figure 7{'a' if sampling == 'edge' else 'b'} "
+                     f"({sampling} sampling, scale={BENCH_SCALE})",
+                     "Cycles", "Percent of Cells Active")
+    fig.add("Cells Active Percent", series)
     print()
     print(render_ascii_plot(fig, max_points=100))
-    series = result.activation_percent
     print(f"cycles={len(series)}, mean={series.mean():.1f}%, peak={series.max():.1f}%")
 
     # Figure 7 vs Figure 6: BFS adds work, so the run is longer and the chip
     # is at least as busy as in the ingestion-only experiment.
-    ingestion_series = pair["ingestion"].activation_percent
+    ingestion_series = runs["ingest"][1].stats().activation_percent()
     assert len(series) > len(ingestion_series)
     assert series.max() >= ingestion_series.max() * 0.8
-    assert result.bfs_reached > 0
+    assert record["algo_metrics"]["reached"] > 0

@@ -9,37 +9,35 @@ sampling orders.
 import numpy as np
 import pytest
 
-from conftest import BENCH_SCALE, CHIP_50K, dataset_50k
+from conftest import BENCH_SCALE, FIGURE_GRAPH_SEED, paper_pair
 
-from repro.analysis.experiments import run_ingestion_bfs_pair
-from repro.analysis.figures import increment_figure, render_ascii_plot
+from repro.analysis.figures import render_ascii_plot
 from repro.analysis.tables import render_table
+from repro.harness import increment_figures_from_records, run_suite
 
 
 @pytest.mark.parametrize("sampling", ["edge", "snowball"])
 def test_fig8_cycles_per_increment_50k(benchmark, sampling):
-    dataset = dataset_50k(sampling)
-    pair = benchmark.pedantic(
-        lambda: run_ingestion_bfs_pair(dataset, chip=CHIP_50K), rounds=1, iterations=1
-    )
-    fig = increment_figure(
-        pair, title=f"Figure 8{'a' if sampling == 'edge' else 'b'} "
-                    f"({sampling} sampling, scale={BENCH_SCALE})"
-    )
+    scenarios = list(paper_pair("graphchallenge-50k", sampling, FIGURE_GRAPH_SEED).values())
+    report = benchmark.pedantic(lambda: run_suite(scenarios), rounds=1, iterations=1)
+    ingest_record, bfs_record = report.records
+    (fig,) = increment_figures_from_records(report.records)
+    fig.title = (f"Figure 8{'a' if sampling == 'edge' else 'b'} "
+                 f"({sampling} sampling, scale={BENCH_SCALE})")
     print()
     print(render_ascii_plot(fig, max_points=10))
     rows = [
         {
             "Increment": i + 1,
-            "Streaming Edges": pair["ingestion"].increment_cycles[i],
-            "Streaming Edges with BFS": pair["ingestion_bfs"].increment_cycles[i],
+            "Streaming Edges": ingest_record["increment_cycles"][i],
+            "Streaming Edges with BFS": bfs_record["increment_cycles"][i],
         }
-        for i in range(len(dataset.increments))
+        for i in range(len(ingest_record["increment_cycles"]))
     ]
     print(render_table(rows))
 
-    ingest = np.array(pair["ingestion"].increment_cycles, dtype=float)
-    with_bfs = np.array(pair["ingestion_bfs"].increment_cycles, dtype=float)
+    ingest = np.array(ingest_record["increment_cycles"], dtype=float)
+    with_bfs = np.array(bfs_record["increment_cycles"], dtype=float)
     # The BFS curve sits above the ingestion-only curve overall.
     assert with_bfs.sum() > ingest.sum()
     if sampling == "edge":
@@ -51,5 +49,5 @@ def test_fig8_cycles_per_increment_50k(benchmark, sampling):
         # is what drives the growing curves in the published figure.  At
         # laptop scale the per-increment cycles are congestion-dominated, so
         # the size growth is the robust check.
-        sizes = dataset.increment_sizes()
+        sizes = ingest_record["increment_sizes"]
         assert sum(sizes[-3:]) > sum(sizes[:3])

@@ -7,38 +7,37 @@ the snowball-sampling growth and the BFS overhead are more pronounced.
 import numpy as np
 import pytest
 
-from conftest import BENCH_SCALE, CHIP_500K, dataset_500k
+from conftest import BENCH_SCALE, FIGURE_GRAPH_SEED, paper_pair
 
-from repro.analysis.experiments import run_ingestion_bfs_pair
-from repro.analysis.figures import increment_figure, render_ascii_plot
+from repro.analysis.figures import render_ascii_plot
 from repro.analysis.tables import render_table
+from repro.harness import increment_figures_from_records, run_suite
 
 
 @pytest.mark.parametrize("sampling", ["edge", "snowball"])
 def test_fig9_cycles_per_increment_500k(benchmark, sampling):
-    dataset = dataset_500k(sampling)
-    pair = benchmark.pedantic(
-        lambda: run_ingestion_bfs_pair(dataset, chip=CHIP_500K), rounds=1, iterations=1
-    )
-    fig = increment_figure(
-        pair, title=f"Figure 9{'a' if sampling == 'edge' else 'b'} "
-                    f"({sampling} sampling, scale={BENCH_SCALE})"
-    )
+    scenarios = list(paper_pair("graphchallenge-500k", sampling, FIGURE_GRAPH_SEED).values())
+    report = benchmark.pedantic(lambda: run_suite(scenarios), rounds=1, iterations=1)
+    ingest_record, bfs_record = report.records
+    (fig,) = increment_figures_from_records(report.records)
+    fig.title = (f"Figure 9{'a' if sampling == 'edge' else 'b'} "
+                 f"({sampling} sampling, scale={BENCH_SCALE})")
     print()
     print(render_ascii_plot(fig, max_points=10))
     rows = [
         {
             "Increment": i + 1,
-            "Streaming Edges": pair["ingestion"].increment_cycles[i],
-            "Streaming Edges with BFS": pair["ingestion_bfs"].increment_cycles[i],
+            "Streaming Edges": ingest_record["increment_cycles"][i],
+            "Streaming Edges with BFS": bfs_record["increment_cycles"][i],
         }
-        for i in range(len(dataset.increments))
+        for i in range(len(ingest_record["increment_cycles"]))
     ]
     print(render_table(rows))
 
-    ingest = np.array(pair["ingestion"].increment_cycles, dtype=float)
-    with_bfs = np.array(pair["ingestion_bfs"].increment_cycles, dtype=float)
+    ingest = np.array(ingest_record["increment_cycles"], dtype=float)
+    with_bfs = np.array(bfs_record["increment_cycles"], dtype=float)
     assert with_bfs.sum() > ingest.sum()
+    sizes = ingest_record["increment_sizes"]
     if sampling == "edge":
         # Edge sampling: similar ingestion cost per (equal-sized) increment.
         # Below paper scale the band is wide: the 500 K-class config overflows
@@ -49,8 +48,7 @@ def test_fig9_cycles_per_increment_500k(benchmark, sampling):
         assert ingest.max() <= 4.0 * ingest.min()
     else:
         # Snowball sampling: increment sizes grow monotonically (Table 1).
-        sizes = dataset.increment_sizes()
         assert sum(sizes[-3:]) > sum(sizes[:3])
     # The larger graph takes more total cycles than the smaller one would;
     # sanity-check against a trivially small bound.
-    assert with_bfs.sum() > 10 * len(dataset.increments)
+    assert with_bfs.sum() > 10 * len(sizes)

@@ -33,7 +33,7 @@ Partition as natural follow-on algorithms.  Registered workloads:
 """
 
 from repro.algorithms import registry
-from repro.algorithms.base import Algorithm, QueryAlgorithm, StreamingAlgorithm
+from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import (
     AlgorithmInfo,
     Capabilities,
@@ -58,8 +58,6 @@ __all__ = [
     "Algorithm",
     "AlgorithmInfo",
     "Capabilities",
-    "QueryAlgorithm",
-    "StreamingAlgorithm",
     "register_algorithm",
     "get_algorithm",
     "algorithm_names",

@@ -38,15 +38,10 @@ Which hooks do real work is declared as data on the class
 :func:`~repro.algorithms.registry.register_algorithm` decorator; the
 harness, fuzzer, suites and CLI read those capabilities instead of
 hardcoding algorithm sets.
-
-``StreamingAlgorithm`` and ``QueryAlgorithm`` remain as deprecated
-aliases of :class:`Algorithm` for external subclasses written against the
-pre-registry API.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 import networkx as nx
@@ -73,13 +68,6 @@ class Algorithm:
     def attach(self, graph: "DynamicGraph") -> None:
         """Register this algorithm's actions on the graph's device."""
         self.graph = graph
-
-    def register(self, graph: "DynamicGraph") -> None:
-        """Deprecated pre-registry name for :meth:`attach`."""
-        warnings.warn(
-            "Algorithm.register(graph) is deprecated; use attach(graph)",
-            DeprecationWarning, stacklevel=2)
-        self.attach(graph)
 
     def init_state(self, block: VertexBlock) -> None:
         """Initialise this algorithm's per-block state fields."""
@@ -139,9 +127,3 @@ class Algorithm:
                     resume_ctx.propagate(_action, _future.get(), *_ops)
 
                 future.enqueue(resume)
-
-
-#: Deprecated aliases kept for external subclasses of the pre-registry
-#: two-class API.  Both flavours are now capability flags on one contract.
-StreamingAlgorithm = Algorithm
-QueryAlgorithm = Algorithm

@@ -1,43 +1,20 @@
-"""Analysis and reporting: regenerating the paper's tables and figures.
+"""Analysis and reporting: rendering the paper's tables and figures.
 
-* :mod:`repro.analysis.experiments` -- the shared experiment driver used by
-  the benchmark harness, the CLI and the examples (stream a dataset with and
-  without BFS, collect per-increment cycles, activation series and energy).
-* :mod:`repro.analysis.tables` -- Table 1 (dataset increments) and Table 2
-  (energy/time) reproductions, rendered as ASCII tables.
-* :mod:`repro.analysis.figures` -- the per-increment cycle series of
-  Figures 8-9 and the per-cycle activation series of Figures 6-7, plus ASCII
-  plotting helpers.
+Runs go through the experiment harness (:mod:`repro.harness`); this package
+renders what they produce.
+
+* :mod:`repro.analysis.tables` -- Table 1 (dataset increments) rows and the
+  ASCII table renderer every report uses.
+* :mod:`repro.analysis.figures` -- ``FigureData`` series for Figures 6-9
+  plus ASCII plotting helpers.
 """
 
-from repro.analysis.experiments import (
-    ExperimentResult,
-    IncrementSeries,
-    run_streaming_experiment,
-    run_ingestion_bfs_pair,
-)
-from repro.analysis.figures import (
-    activation_figure,
-    downsample_series,
-    increment_figure,
-    render_ascii_plot,
-)
-from repro.analysis.tables import (
-    render_table,
-    table1_rows,
-    table2_rows,
-)
+from repro.analysis.figures import downsample_series, render_ascii_plot
+from repro.analysis.tables import render_table, table1_rows
 
 __all__ = [
-    "ExperimentResult",
-    "IncrementSeries",
-    "run_streaming_experiment",
-    "run_ingestion_bfs_pair",
-    "activation_figure",
     "downsample_series",
-    "increment_figure",
     "render_ascii_plot",
     "render_table",
     "table1_rows",
-    "table2_rows",
 ]

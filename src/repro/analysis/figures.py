@@ -1,10 +1,11 @@
-"""Figure reproductions: per-increment cycles and per-cycle activation.
+"""Figure data and terminal plots.
 
-* :func:`increment_figure` -- the data behind Figures 8 and 9: for one
-  dataset, the cycles per increment for "Streaming Edges" (ingestion only)
-  and "Streaming Edges with BFS".
-* :func:`activation_figure` -- the data behind Figures 6 and 7: the percent
-  of compute cells active per cycle for a whole run.
+* :class:`FigureData` -- named series ready to plot or assert on.  The
+  Figure 8/9 series (cycles per increment, "Streaming Edges" vs "Streaming
+  Edges with BFS") are built from harness records by
+  :func:`repro.harness.report.increment_figures_from_records`; the Figure
+  6/7 series (percent of cells active per cycle) come off the device that
+  :func:`repro.harness.run_scenario_traced` returns.
 * :func:`render_ascii_plot` -- a terminal rendering used by the examples and
   the CLI so the figures can be eyeballed without matplotlib (which is not a
   dependency of this project).
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro._compat import np, require_numpy
-from repro.analysis.experiments import ExperimentResult
 
 
 @dataclass
@@ -30,32 +30,6 @@ class FigureData:
 
     def add(self, label: str, values: Sequence[float]) -> None:
         self.series[label] = np.asarray(values, dtype=float)
-
-
-def increment_figure(pair: Dict[str, ExperimentResult], title: str = "") -> FigureData:
-    """Figure 8/9 data from a paired ingestion / ingestion+BFS experiment."""
-    ingestion = pair["ingestion"]
-    with_bfs = pair["ingestion_bfs"]
-    fig = FigureData(
-        title=title or f"Cycles per increment ({ingestion.dataset_name})",
-        x_label="Increment",
-        y_label="Cycles",
-    )
-    fig.add("Streaming Edges", ingestion.increment_cycles)
-    fig.add("Streaming Edges with BFS", with_bfs.increment_cycles)
-    return fig
-
-
-def activation_figure(result: ExperimentResult, title: str = "") -> FigureData:
-    """Figure 6/7 data: percent of cells active per cycle for one run."""
-    kind = "Ingestion with BFS" if result.with_bfs else "Ingestion Only"
-    fig = FigureData(
-        title=title or f"{kind}: cell activation ({result.dataset_name})",
-        x_label="Cycles",
-        y_label="Percent of Cells Active",
-    )
-    fig.add("Cells Active Percent", result.activation_percent)
-    return fig
 
 
 def downsample_series(values: Sequence[float], max_points: int = 200) -> np.ndarray:

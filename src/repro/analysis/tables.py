@@ -1,10 +1,13 @@
-"""Table reproductions: dataset increments (Table 1) and energy/time (Table 2)."""
+"""Table rendering and the Table 1 (dataset increments) reproduction.
+
+Table 2 (energy/time) rows are a view over harness records:
+:func:`repro.harness.report.table2_rows_from_records`.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.analysis.experiments import ExperimentResult
 from repro.datasets.streaming import StreamingDataset
 
 
@@ -26,29 +29,6 @@ def table1_rows(datasets: Sequence[StreamingDataset]) -> List[Dict[str, object]]
             row[f"Inc {i}"] = size
         row["Final Edges"] = dataset.total_edges
         rows.append(row)
-    return rows
-
-
-def table2_rows(pairs: Dict[str, Dict[str, ExperimentResult]]) -> List[Dict[str, object]]:
-    """Rows of Table 2: energy (uJ) and time (us) for ingestion and ingestion+BFS.
-
-    ``pairs`` maps a dataset label to the paired experiment results returned
-    by :func:`repro.analysis.experiments.run_ingestion_bfs_pair`.
-    """
-    rows: List[Dict[str, object]] = []
-    for label, pair in pairs.items():
-        ingestion = pair["ingestion"]
-        with_bfs = pair["ingestion_bfs"]
-        rows.append(
-            {
-                "Dataset": label,
-                "Sampling Type": ingestion.sampling.capitalize(),
-                "Ingestion Energy (uJ)": round(ingestion.energy.total_uj, 1),
-                "Ingestion Time (us)": round(ingestion.energy.time_us, 2),
-                "Ingestion & BFS Energy (uJ)": round(with_bfs.energy.total_uj, 1),
-                "Ingestion & BFS Time (us)": round(with_bfs.energy.time_us, 2),
-            }
-        )
     return rows
 
 

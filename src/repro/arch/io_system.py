@@ -42,17 +42,6 @@ class IOCell:
     def push(self, item: object) -> None:
         self.queue.append(item)
 
-    def step(self, factory: MessageFactory, cycle: int) -> Optional[Message]:
-        """Emit at most one message this cycle (the paper's 1 edge/cycle rule)."""
-        if not self.queue:
-            return None
-        item = self.queue.popleft()
-        msg = factory(item, self.attached_cc)
-        if msg is None:
-            return None
-        self.injected += 1
-        return msg
-
 
 def _border_cells(config: ChipConfig, side: str) -> List[int]:
     """Compute-cell ids along one chip border, ordered along the border."""
@@ -148,9 +137,8 @@ class IOSystem:
     def step(self, cycle: int) -> List[Message]:
         """Advance every IO cell by one cycle; return the created messages.
 
-        The loop body is an inline of :meth:`IOCell.step` (kept in sync):
-        it runs for every IO cell on every streaming cycle, where the
-        per-cell method call is measurable.
+        Each IO cell with queued items emits at most one message (the
+        paper's 1 edge/cycle rule).
         """
         if self._factory is None or self._pending == 0:
             return []

@@ -67,23 +67,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.experiments import run_ingestion_bfs_pair, run_streaming_experiment
-from repro.analysis.figures import activation_figure, increment_figure, render_ascii_plot
-from repro.analysis.tables import render_table, table1_rows, table2_rows
-from repro.arch.config import KERNELS, ChipConfig
-from repro.datasets.streaming import (
-    SCALE_PRESETS,
-    make_streaming_dataset,
-    paper_dataset_configs,
-)
+from repro.analysis.figures import FigureData, render_ascii_plot
+from repro.analysis.tables import render_table, table1_rows
+from repro.arch.config import KERNELS
+from repro.datasets.streaming import SCALE_PRESETS, paper_dataset_configs
+from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 
-
-def _chip_from_args(args: argparse.Namespace) -> ChipConfig:
-    side = getattr(args, "chip", 32) or 32
-    return ChipConfig(width=side, height=side, fidelity=getattr(args, "fidelity", "cycle"))
+#: Placement and ghost-allocation seed of the paper verbs, pinned to the
+#: value they have always used so their printed numbers stay put.
+VERB_GRAPH_SEED = 17
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -107,55 +103,73 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verb_scenario(args: argparse.Namespace, algorithm: str,
+                   dataset: Optional[DatasetSpec] = None,
+                   name: Optional[str] = None) -> Scenario:
+    """One paper-verb run as a harness scenario built from the CLI flags.
+
+    The dataset comes from the dataset flags unless one is given; the chip
+    and the ghost allocator always come from the chip flags.
+    """
+    if dataset is None:
+        dataset = DatasetSpec(vertices=args.vertices, edges=args.edges,
+                              sampling=args.sampling,
+                              num_increments=args.increments, seed=args.seed)
+    return Scenario(
+        name=name or f"{dataset.name}-{algorithm}",
+        dataset=dataset,
+        chip=ChipSpec(side=args.chip, fidelity=args.fidelity),
+        algorithm=algorithm,
+        options=RunOptions(ghost_allocator=args.allocator,
+                           graph_seed=VERB_GRAPH_SEED),
+    )
+
+
 def cmd_table2(args: argparse.Namespace) -> int:
-    chip = _chip_from_args(args)
-    datasets = paper_dataset_configs(scale=args.scale, seed=args.seed)
-    pairs = {}
-    for dataset in datasets:
-        pairs[dataset.name] = run_ingestion_bfs_pair(dataset, chip=chip,
-                                                     ghost_allocator=args.allocator)
-    print(f"Table 2 reproduction (scale={args.scale}, chip={chip.width}x{chip.height}):")
-    print(render_table(table2_rows(pairs)))
+    from repro.harness import (build_paper_suite, run_scenario,
+                               table2_rows_from_records)
+
+    records = [
+        run_scenario(_verb_scenario(args, s.algorithm,
+                                    replace(s.dataset, seed=args.seed), s.name))
+        for s in build_paper_suite(SCALE_PRESETS[args.scale])
+    ]
+    print(f"Table 2 reproduction (scale={args.scale}, chip={args.chip}x{args.chip}):")
+    print(render_table(table2_rows_from_records(records)))
     return 0
 
 
 def cmd_increments(args: argparse.Namespace) -> int:
-    chip = _chip_from_args(args)
-    dataset = make_streaming_dataset(
-        args.vertices, args.edges, sampling=args.sampling,
-        num_increments=args.increments, seed=args.seed,
-    )
-    pair = run_ingestion_bfs_pair(dataset, chip=chip, ghost_allocator=args.allocator)
-    fig = increment_figure(pair, title=f"Figure 8/9 analogue: {dataset.name}")
+    from repro.harness import increment_figures_from_records, run_scenario
+
+    scenarios = [_verb_scenario(args, algorithm) for algorithm in ("ingest", "bfs")]
+    ingest, bfs = (run_scenario(scenario) for scenario in scenarios)
+    (fig,) = increment_figures_from_records([ingest, bfs])
+    fig.title = f"Figure 8/9 analogue: {scenarios[0].dataset.name}"
     print(render_ascii_plot(fig))
     print()
     rows = [
-        {
-            "Increment": i + 1,
-            "Streaming Edges": pair["ingestion"].increment_cycles[i],
-            "Streaming Edges with BFS": pair["ingestion_bfs"].increment_cycles[i],
-        }
-        for i in range(len(dataset.increments))
+        {"Increment": i, "Streaming Edges": a, "Streaming Edges with BFS": b}
+        for i, (a, b) in enumerate(
+            zip(ingest["increment_cycles"], bfs["increment_cycles"]), start=1)
     ]
     print(render_table(rows))
     return 0
 
 
 def cmd_activation(args: argparse.Namespace) -> int:
-    chip = _chip_from_args(args)
-    dataset = make_streaming_dataset(
-        args.vertices, args.edges, sampling=args.sampling,
-        num_increments=args.increments, seed=args.seed,
-    )
-    result = run_streaming_experiment(
-        dataset, chip=chip, with_bfs=args.with_bfs, ghost_allocator=args.allocator
-    )
-    fig = activation_figure(result, title="Figure 6/7 analogue")
+    from repro.harness import run_scenario_traced
+
+    record, device = run_scenario_traced(
+        _verb_scenario(args, "bfs" if args.with_bfs else "ingest"))
+    # Records keep only the mean/peak; the series comes off the device.
+    fig = FigureData("Figure 6/7 analogue", "Cycles", "Percent of Cells Active")
+    fig.add("Cells Active Percent", device.stats().activation_percent())
     print(render_ascii_plot(fig))
     print()
-    print(f"total cycles: {result.total_cycles}")
-    print(f"mean activation: {result.summary['mean_activation'] * 100:.1f}%")
-    print(f"peak activation: {result.summary['peak_activation'] * 100:.1f}%")
+    print(f"total cycles: {record['total_cycles']}")
+    print(f"mean activation: {record['stats']['mean_activation'] * 100:.1f}%")
+    print(f"peak activation: {record['stats']['peak_activation'] * 100:.1f}%")
     return 0
 
 
@@ -211,7 +225,6 @@ def _write_metrics(registry, path: str) -> None:
 
 def cmd_suite_run(args: argparse.Namespace) -> int:
     import contextlib
-    from dataclasses import replace
 
     from repro.harness import ResultStore, get_suite, render_suite_report, run_suite
     from repro.obs import MetricsRegistry, Tracer, profile_to_collapsed
@@ -832,13 +845,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_quickstart(args: argparse.Namespace) -> int:
-    chip = ChipConfig.small()
-    dataset = make_streaming_dataset(200, 1600, sampling="edge", seed=1)
-    result = run_streaming_experiment(dataset, chip=chip, with_bfs=True)
-    print(f"streamed {dataset.total_edges} edges over {dataset.num_increments} increments")
-    print(f"total cycles: {result.total_cycles}")
-    print(f"BFS reached {result.bfs_reached} of {dataset.num_vertices} vertices")
-    print(f"energy: {result.energy.total_uj:.2f} uJ, time: {result.energy.time_us:.2f} us")
+    from repro.harness import run_scenario
+
+    dataset = DatasetSpec(vertices=200, edges=1600, sampling="edge", seed=1)
+    record = run_scenario(Scenario(
+        name="quickstart", dataset=dataset, chip=ChipSpec(side=8),
+        algorithm="bfs", options=RunOptions(graph_seed=VERB_GRAPH_SEED)))
+    sizes, energy = record["increment_sizes"], record["energy"]
+    print(f"streamed {sum(sizes)} edges over {len(sizes)} increments")
+    print(f"total cycles: {record['total_cycles']}")
+    print(f"BFS reached {record['algo_metrics']['reached']} of "
+          f"{dataset.vertices} vertices")
+    print(f"energy: {energy['total_uj']:.2f} uJ, time: {energy['time_us']:.2f} us")
     return 0
 
 

@@ -98,16 +98,8 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def attach(self, algorithm) -> None:
         """Attach an algorithm (registers its actions, inits block state)."""
-        from repro.algorithms.base import Algorithm
-
         self.algorithm = algorithm
-        legacy_register = getattr(type(algorithm), "register", None)
-        if legacy_register is not None and legacy_register is not Algorithm.register:
-            # Pre-1.4 subclasses implemented the contract via ``register``;
-            # honour their override (it is expected to set ``graph`` itself).
-            algorithm.register(self)
-        else:
-            algorithm.attach(self)
+        algorithm.attach(self)
         for block in self._root_blocks.values():
             algorithm.init_state(block)
 

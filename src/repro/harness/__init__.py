@@ -92,21 +92,8 @@ from repro.harness.store import (
     record_identity,
 )
 
-
-def __getattr__(name: str):
-    # Deprecated aliases for the pre-1.4 hardcoded algorithm tuples; the
-    # scenario module forwards them to the algorithm registry (and emits
-    # the DeprecationWarning).
-    if name in ("ALGORITHMS", "SYMMETRIC_ALGORITHMS", "QUERY_ALGORITHMS"):
-        from repro.harness import scenario
-
-        return getattr(scenario, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "ALGORITHMS",
     "BENCH_SCHEMA",
-    "QUERY_ALGORITHMS",
     "ablation_rows_from_records",
     "activation_rows_from_records",
     "allocator_rows_from_records",

@@ -343,9 +343,9 @@ def _ablation_suite() -> List[Scenario]:
 
     One skewed workload — snowball sampling concentrates edges on hub
     vertices, and a small edge-list capacity forces them into ghost chains
-    — swept over the three knobs the hand-rolled ablation benchmarks
-    varied: ghost allocator (Figure 5: vicinity vs random), dimension-order
-    routing (YX vs XY) and NoC fidelity (cycle-accurate vs latency).  The
+    — swept over the three knobs the ablation benchmarks vary: ghost
+    allocator (Figure 5: vicinity vs random), dimension-order routing (YX
+    vs XY) and NoC fidelity (cycle-accurate vs latency).  The
     ``ablation`` report section groups the stored records per knob.
     """
     dataset = DatasetSpec(vertices=200, edges=2400, sampling="snowball",

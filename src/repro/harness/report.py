@@ -3,9 +3,9 @@
 Records (plain dicts from :func:`repro.harness.runner.run_scenario`, or
 loaded back from a :class:`~repro.harness.store.ResultStore`) carry enough
 to rebuild the Table 1 / Table 2 rows and the Figure 8/9 per-increment
-series without re-running anything; rendering reuses the existing
-:mod:`repro.analysis` helpers so harness output matches the hand-rolled
-reproduction scripts row for row.
+series without re-running anything.  These views are the only source of
+those tables: the paper verbs of ``repro`` and the benchmarks render them
+through the :mod:`repro.analysis` helpers too.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def _pair_records(records: Sequence[Record]) -> Dict[Tuple, Dict[str, Record]]:
 def table2_rows_from_records(records: Sequence[Record]) -> List[Dict[str, object]]:
     """Table 2 rows (energy/time, ingestion vs ingestion+BFS) from records.
 
-    Pairs each ``ingest`` record with the ``bfs`` record sharing its dataset
-    and chip spec; unpaired records are skipped.  Matches the column layout
-    of :func:`repro.analysis.tables.table2_rows`.
+    Pairs each ``ingest`` record with the ``bfs`` record sharing its dataset,
+    chip and run options; unpaired records are skipped.  The row label is
+    the ingest scenario's name without its ``-ingest`` suffix.
     """
     rows: List[Dict[str, object]] = []
     for group in _pair_records(records).values():
@@ -140,8 +140,8 @@ def ablation_rows_from_records(records: Sequence[Record]) -> List[Dict[str, obje
 
     Groups the ``ablations`` suite's stored records by the knob being
     varied (allocator / routing / fidelity) so the cycle, hop, ghost and
-    energy movements the hand-rolled ``bench_ablation_*`` benchmarks
-    printed are readable straight from the store.
+    energy movements the ``bench_ablation_*`` benchmarks print are
+    readable straight from the store.
     """
     rows: List[Dict[str, object]] = []
     for record in records:

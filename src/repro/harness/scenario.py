@@ -17,40 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro import __version__
 from repro.arch.config import ChipConfig
-
-# What the harness can run is no longer a hardcoded tuple: algorithms
-# self-register with repro.algorithms.registry and declare capabilities
-# (query phase, symmetry requirement, truncation support, ...) as data.
-# Scenario validation reads those capabilities.  The historic module
-# constants ALGORITHMS / SYMMETRIC_ALGORITHMS / QUERY_ALGORITHMS are kept
-# as registry-derived deprecated aliases via __getattr__ below.
-_DEPRECATED_CONSTANTS = ("ALGORITHMS", "SYMMETRIC_ALGORITHMS", "QUERY_ALGORITHMS")
-
-
-def __getattr__(name: str) -> Tuple[str, ...]:
-    if name in _DEPRECATED_CONSTANTS:
-        import warnings
-
-        from repro.algorithms import registry
-
-        warnings.warn(
-            f"repro.harness.scenario.{name} is deprecated; enumerate "
-            "repro.algorithms.registry (algorithm_names(), "
-            "symmetric_algorithm_names(), query_algorithm_names()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "ALGORITHMS":
-            return tuple(registry.algorithm_names())
-        if name == "SYMMETRIC_ALGORITHMS":
-            return tuple(registry.symmetric_algorithm_names())
-        return tuple(registry.query_algorithm_names())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -150,6 +120,12 @@ class RunOptions:
     contract), so all three fields are stripped from
     :meth:`Scenario.spec_dict` (and therefore from spec hashes, graph seeds
     and stored records).
+
+    ``graph_seed`` pins the seed of placement and ghost allocation, which
+    :meth:`Scenario.graph_seed` otherwise derives from the spec.  It **is**
+    experiment identity, but the default ``None`` is omitted from
+    :meth:`Scenario.spec_dict` so every spec without a pin keeps its exact
+    canonical JSON, hash and derived seed.
     """
 
     ghost_allocator: str = "vicinity"
@@ -159,6 +135,13 @@ class RunOptions:
     snapshot_every: int = 0
     snapshot_dir: Optional[str] = None
     trace_path: Optional[str] = None
+    graph_seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        seed = self.graph_seed
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise ValueError(
+                f"graph_seed must be a non-negative int, not {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -218,6 +201,8 @@ class Scenario:
         # field keep their exact canonical JSON, hash and graph seed.
         if data["dataset"].get("generator") == "sbm":
             del data["dataset"]["generator"]
+        if data["options"].get("graph_seed") is None:
+            del data["options"]["graph_seed"]
         return data
 
     @classmethod
@@ -264,7 +249,10 @@ class Scenario:
         while renaming a scenario or releasing a new version does not
         silently change the experiment's RNG.  (The cache key,
         :meth:`spec_hash`, deliberately does include name and version.)
+        A pinned :attr:`RunOptions.graph_seed` is returned as is.
         """
+        if self.options.graph_seed is not None:
+            return self.options.graph_seed
         spec = self.spec_dict()
         del spec["name"]
         payload = json.dumps(spec, sort_keys=True, separators=(",", ":")).encode()

@@ -6,7 +6,8 @@ A :class:`ThreadingHTTPServer` whose handler translates requests into
 ====================================  ==========================================
 ``POST /v1/jobs``                     submit a Scenario spec (201 admitted,
                                       200 duplicate/cached, 400 invalid,
-                                      429 admission window full)
+                                      413 body too large, 429 admission
+                                      window full)
 ``GET /v1/jobs``                      all jobs, submission order
 ``GET /v1/jobs/<id>``                 job status / progress
 ``GET /v1/jobs/<id>/events``          progress lines — long-poll
@@ -43,6 +44,22 @@ from repro.serve.service import ScenarioService, ServeConfig
 
 #: Cap on one long-poll / stream wait so dead clients cannot pin threads.
 MAX_WAIT_S = 30.0
+
+#: Largest request body accepted (413 above it); far above any spec.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a request body may take to arrive in full.  Only the body read
+#: is bounded: a handler-wide timeout would also close idle keep-alive
+#: connections between requests.
+BODY_TIMEOUT_S = 10.0
+
+
+class _BadBody(Exception):
+    """A request body refused with ``status`` before or while reading it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -91,7 +108,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        if length < 0:
+            raise _BadBody(400, f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BadBody(413, f"body of {length} bytes exceeds the "
+                                f"{MAX_BODY_BYTES}-byte limit")
+        previous = self.connection.gettimeout()
+        self.connection.settimeout(BODY_TIMEOUT_S)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raw = b""
+        finally:
+            self.connection.settimeout(previous)
+        if len(raw) < length:
+            raise _BadBody(400, f"request body incomplete: {len(raw)} "
+                                f"of {length} bytes arrived")
         if not raw:
             raise ValueError("empty request body")
         return json.loads(raw)
@@ -166,6 +198,12 @@ class _Handler(BaseHTTPRequestHandler):
         route = "/v1/jobs"
         try:
             payload = self._read_json()
+        except _BadBody as exc:
+            # The stream no longer matches its framing: answer, then drop
+            # the connection instead of parsing leftovers as a request.
+            self.close_connection = True
+            self._error(exc.status, str(exc), route)
+            return
         except (ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"invalid JSON body: {exc}", route)
             return

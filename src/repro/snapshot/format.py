@@ -215,14 +215,19 @@ def _decode_value(buf: bytes, pos: int) -> Tuple[Any, int]:
             vid, weight, _pad = _unpack_edge(buf, pos)
             return EdgeSlot(dst_addr=Address(cc, obj_id), dst_vid=vid,
                             weight=weight), pos + 24
-    except (struct.error, IndexError, UnicodeDecodeError, ValueError) as exc:
+    except (struct.error, IndexError, UnicodeDecodeError, ValueError,
+            TypeError) as exc:  # TypeError: an unhashable dict key
         raise SnapshotError(f"corrupt snapshot payload at byte {pos}: {exc}") from exc
     raise SnapshotError(f"corrupt snapshot payload: unknown tag {tag!r} at byte {pos - 1}")
 
 
 def unpack_value(buf: bytes) -> Any:
     """Decode bytes produced by :func:`pack_value` back into the value."""
-    value, pos = _decode_value(buf, 0)
+    try:
+        value, pos = _decode_value(buf, 0)
+    except RecursionError:
+        raise SnapshotError(
+            "corrupt snapshot payload: values nested too deeply") from None
     if pos != len(buf):
         raise SnapshotError(
             f"corrupt snapshot payload: {len(buf) - pos} trailing bytes")

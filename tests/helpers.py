@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,6 +21,8 @@ from repro.arch.config import ChipConfig
 from repro.algorithms.bfs import StreamingBFS
 from repro.graph.graph import DynamicGraph
 from repro.graph.rpvo import Edge
+from repro.harness import (ChipSpec, DatasetSpec, RunOptions, Scenario,
+                           run_scenario_traced)
 from repro.runtime.device import AMCCADevice
 
 #: Marker for tests that need numpy-backed features (dataset generation,
@@ -94,3 +96,32 @@ def build_bfs_graph(
     graph.attach(bfs)
     bfs.seed(graph, root=root)
     return device, graph, bfs
+
+
+#: Placement and ghost-allocation seed pinned by the paper-shape tests (the
+#: value their bounds were set at).
+SHAPE_GRAPH_SEED = 17
+
+
+def shape_scenario(name: str, dataset: DatasetSpec, chip: ChipSpec,
+                   algorithm: str) -> Scenario:
+    """A paper-shape test run: the given workload, graph seed pinned."""
+    return Scenario(name=name, dataset=dataset, chip=chip, algorithm=algorithm,
+                    options=RunOptions(graph_seed=SHAPE_GRAPH_SEED))
+
+
+def run_paper_pair(name: str, dataset: DatasetSpec, chip: ChipSpec,
+                   ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Any]]:
+    """The paper's paired measurement: ingestion only, then with BFS.
+
+    Returns ``(records, activation)``, both keyed ``"ingest"``/``"bfs"``:
+    the run records (named ``<name>-ingest``/``<name>-bfs``) and each run's
+    per-cycle percent of cells active, which records do not store.
+    """
+    records, activation = {}, {}
+    for algorithm in ("ingest", "bfs"):
+        record, device = run_scenario_traced(
+            shape_scenario(f"{name}-{algorithm}", dataset, chip, algorithm))
+        records[algorithm] = record
+        activation[algorithm] = device.stats().activation_percent()
+    return records, activation

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import Algorithm, QueryAlgorithm, StreamingAlgorithm
+from repro.algorithms import Algorithm
 from repro.algorithms.registry import (
     algorithm_infos,
     algorithm_names,
@@ -127,42 +127,6 @@ def test_no_override_reintroduces_required_duck_typing(info):
     for method in ("attach", "init_state", "seed", "on_edge_inserted",
                    "run", "results", "reference", "verify", "summarize"):
         assert callable(getattr(info.cls, method)), (info.name, method)
-
-
-def test_legacy_register_and_aliases_keep_working():
-    # Pre-1.4 subclasses called graph.attach -> algorithm.register(graph);
-    # the aliases and the register() entry point survive, deprecated.
-    assert StreamingAlgorithm is Algorithm
-    assert QueryAlgorithm is Algorithm
-
-    calls = []
-
-    class Legacy(Algorithm):
-        def register(self, graph):  # old-style override
-            calls.append(graph)
-            self.graph = graph
-
-        def init_state(self, block):
-            pass
-
-    device = AMCCADevice(ChipConfig.small(edge_list_capacity=2))
-    graph = DynamicGraph(device, 4, seed=1)
-    graph.attach(Legacy())
-    assert calls == [graph]
-
-    with pytest.warns(DeprecationWarning):
-        Algorithm().register(graph)
-
-
-def test_harness_algorithm_constants_are_deprecated_registry_views():
-    import repro.harness as harness
-    import repro.harness.scenario as scenario_mod
-
-    for module in (harness, scenario_mod):
-        with pytest.warns(DeprecationWarning):
-            assert module.ALGORITHMS == algorithm_names()
-        with pytest.warns(DeprecationWarning):
-            assert module.QUERY_ALGORITHMS == query_algorithm_names()
 
 
 # ----------------------------------------------------------------------

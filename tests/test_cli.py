@@ -92,6 +92,29 @@ class TestCommands:
         assert "Streaming Edges with BFS" in out
 
     @requires_numpy
+    def test_increments_prints_record_cycles(self, capsys):
+        # The verb is a view over the harness records of the same specs.
+        from repro.cli import VERB_GRAPH_SEED
+        from repro.harness import ChipSpec, DatasetSpec, RunOptions, Scenario, run_scenario
+
+        assert main(["increments", "--vertices", "80", "--edges", "500",
+                     "--chip", "8", "--increments", "3"]) == 0
+        printed = [
+            [int(cell.replace(",", "")) for cell in line.split("|")]
+            for line in capsys.readouterr().out.strip().splitlines()[-3:]
+        ]
+        dataset = DatasetSpec(vertices=80, edges=500, num_increments=3)
+        ingest, bfs = (
+            run_scenario(Scenario(name=algorithm, dataset=dataset, chip=ChipSpec(side=8),
+                                  algorithm=algorithm,
+                                  options=RunOptions(graph_seed=VERB_GRAPH_SEED)))
+            for algorithm in ("ingest", "bfs"))
+        assert printed == [
+            [i, a, b] for i, (a, b) in enumerate(
+                zip(ingest["increment_cycles"], bfs["increment_cycles"]), start=1)
+        ]
+
+    @requires_numpy
     def test_activation_small(self, capsys):
         code = main([
             "activation", "--vertices", "80", "--edges", "500",

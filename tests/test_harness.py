@@ -103,6 +103,36 @@ class TestScenarioSpec:
         # Distinct physical specs still decorrelate.
         assert tiny_scenario("name-a", "bfs").graph_seed() != before
 
+    def test_unpinned_graph_seed_leaves_identity_unchanged(self):
+        # Default RunOptions() omit graph_seed, so specs predating the field
+        # keep their canonical JSON and derived seed (values pinned from
+        # before it existed).
+        scenario = tiny_scenario("unpinned")
+        assert "graph_seed" not in scenario.spec_dict()["options"]
+        assert scenario.canonical_json() == (
+            '{"algorithm":"ingest","chip":{"clock_ghz":1.0,"edge_list_capacity":16,'
+            '"fidelity":"cycle","ghost_slots":1,"routing":"yx","side":4},'
+            '"dataset":{"edges":256,"num_increments":10,"sampling":"edge","seed":3,'
+            '"symmetric":false,"vertices":64,"weighted":false},"name":"unpinned",'
+            '"options":{"ghost_allocator":"vicinity","max_cycles_per_increment":null,'
+            '"placement":"round_robin","root":0}}')
+        assert scenario.graph_seed() == 777195390
+
+    def test_pinned_graph_seed_is_identity_and_the_seed(self):
+        base = tiny_scenario("pinned")
+        pinned = base.with_(options=RunOptions(graph_seed=17))
+        assert pinned.spec_dict()["options"]["graph_seed"] == 17
+        assert pinned.graph_seed() == 17
+        assert pinned.spec_hash() != base.spec_hash()
+        assert Scenario.from_dict(pinned.spec_dict()) == pinned
+        repinned = base.with_(options=RunOptions(graph_seed=18))
+        assert repinned.spec_hash() != pinned.spec_hash()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "17", True])
+    def test_graph_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="graph_seed"):
+            RunOptions(graph_seed=seed)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             tiny_scenario(algorithm="quantum")

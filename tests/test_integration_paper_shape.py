@@ -15,34 +15,37 @@ are:
 
 import pytest
 
-from repro.analysis.experiments import run_ingestion_bfs_pair, run_streaming_experiment
 from repro.arch.config import ChipConfig
 from repro.baselines.static_recompute import static_recompute_bfs
-from repro.datasets.streaming import make_streaming_dataset
 from repro.graph.graph import DynamicGraph
 from repro.graph.rpvo import Edge
+from repro.harness import ChipSpec, DatasetSpec, materialize_dataset, run_scenario
 from repro.runtime.device import AMCCADevice
+
+from helpers import run_paper_pair, shape_scenario
 
 np = pytest.importorskip("numpy")  # these tests exercise numpy-backed features
 
-CHIP = ChipConfig(width=8, height=8, edge_list_capacity=8)
+CHIP = ChipSpec(side=8, edge_list_capacity=8)
 
 
 @pytest.fixture(scope="module")
 def edge_pair():
-    dataset = make_streaming_dataset(200, 2000, sampling="edge", num_increments=5, seed=21)
-    return run_ingestion_bfs_pair(dataset, chip=CHIP)
+    dataset = DatasetSpec(vertices=200, edges=2000, sampling="edge", num_increments=5, seed=21)
+    return run_paper_pair("edge", dataset, CHIP)
 
 
 @pytest.fixture(scope="module")
 def snowball_pair():
-    dataset = make_streaming_dataset(400, 4000, sampling="snowball", num_increments=5, seed=21)
-    return run_ingestion_bfs_pair(dataset, chip=CHIP)
+    dataset = DatasetSpec(vertices=400, edges=4000, sampling="snowball", num_increments=5,
+                          seed=21)
+    return run_paper_pair("snowball", dataset, CHIP)
 
 
 class TestFigure8and9Shapes:
     def test_edge_sampling_ingestion_is_roughly_flat(self, edge_pair):
-        cycles = np.array(edge_pair["ingestion"].increment_cycles, dtype=float)
+        records, _ = edge_pair
+        cycles = np.array(records["ingest"]["increment_cycles"], dtype=float)
         assert cycles.max() <= 2.5 * cycles.min()
 
     def test_snowball_ingestion_grows(self, snowball_pair):
@@ -50,39 +53,45 @@ class TestFigure8and9Shapes:
         # allocation storm (every overflowing vertex allocates its first
         # ghost block), so the snowball growth signal — cycles tracking the
         # growing increment sizes — is asserted over the warm increments.
-        cycles = snowball_pair["ingestion"].increment_cycles[1:]
+        records, _ = snowball_pair
+        cycles = records["ingest"]["increment_cycles"][1:]
         assert np.mean(cycles[-2:]) > np.mean(cycles[:2])
 
     def test_bfs_curve_dominates_ingestion_curve(self, edge_pair, snowball_pair):
-        for pair in (edge_pair, snowball_pair):
-            ingest = pair["ingestion"].increment_cycles
-            bfs = pair["ingestion_bfs"].increment_cycles
+        for records, _ in (edge_pair, snowball_pair):
+            ingest = records["ingest"]["increment_cycles"]
+            bfs = records["bfs"]["increment_cycles"]
             assert sum(bfs) > sum(ingest)
 
 
 class TestTable2Shape:
     def test_bfs_energy_and_time_exceed_ingestion(self, edge_pair):
-        ingest = edge_pair["ingestion"].energy
-        bfs = edge_pair["ingestion_bfs"].energy
-        assert bfs.total_uj > ingest.total_uj
-        assert bfs.time_us >= ingest.time_us
+        records, _ = edge_pair
+        ingest = records["ingest"]["energy"]
+        bfs = records["bfs"]["energy"]
+        assert bfs["total_uj"] > ingest["total_uj"]
+        assert bfs["time_us"] >= ingest["time_us"]
 
     def test_energy_scales_with_dataset_size(self):
-        small = make_streaming_dataset(100, 800, sampling="edge", num_increments=3, seed=2)
-        large = make_streaming_dataset(400, 3200, sampling="edge", num_increments=3, seed=2)
-        e_small = run_streaming_experiment(small, chip=CHIP, with_bfs=False).energy.total_uj
-        e_large = run_streaming_experiment(large, chip=CHIP, with_bfs=False).energy.total_uj
+        def ingest_energy(vertices, edges):
+            dataset = DatasetSpec(vertices=vertices, edges=edges, sampling="edge",
+                                  num_increments=3, seed=2)
+            record = run_scenario(shape_scenario("scale", dataset, CHIP, "ingest"))
+            return record["energy"]["total_uj"]
+
+        e_small = ingest_energy(100, 800)
+        e_large = ingest_energy(400, 3200)
         assert e_large > 2.5 * e_small
 
 
 class TestFigure6and7Shapes:
     def test_chip_reaches_substantial_parallel_activity(self, edge_pair):
-        activation = edge_pair["ingestion_bfs"].activation_percent
-        assert activation.max() > 30.0
+        _, activation = edge_pair
+        assert activation["bfs"].max() > 30.0
 
     def test_activation_eventually_drains_to_zero(self, edge_pair):
-        activation = edge_pair["ingestion_bfs"].activation_percent
-        assert activation[-1] <= 10.0
+        _, activation = edge_pair
+        assert activation["bfs"][-1] <= 10.0
 
 
 class TestFigure5AllocatorContrast:
@@ -105,14 +114,15 @@ class TestFigure5AllocatorContrast:
 
 class TestIncrementalVersusRecompute:
     def test_incremental_bfs_cheaper_than_recompute_at_the_end(self):
-        dataset = make_streaming_dataset(150, 1500, sampling="edge",
-                                         num_increments=5, seed=9)
-        pair = run_ingestion_bfs_pair(dataset, chip=CHIP)
+        spec = DatasetSpec(vertices=150, edges=1500, sampling="edge",
+                           num_increments=5, seed=9)
+        records, _ = run_paper_pair("recompute", spec, CHIP)
         incremental_bfs_cost = (
-            pair["ingestion_bfs"].total_cycles - pair["ingestion"].total_cycles
+            records["bfs"]["total_cycles"] - records["ingest"]["total_cycles"]
         )
+        dataset = materialize_dataset(spec)
         recompute = static_recompute_bfs(
-            CHIP, dataset.increments, dataset.num_vertices, root=0, seed=1
+            CHIP.to_chip_config(), dataset.increments, dataset.num_vertices, root=0, seed=1
         )
         # Recomputing from scratch every increment costs more than the total
         # incremental BFS overhead across the stream.

@@ -17,6 +17,7 @@ port; scenarios are tiny (seconds end to end).
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -30,7 +31,7 @@ import pytest
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
-from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, make_server
+from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, app, make_server
 
 from helpers import requires_numpy
 
@@ -239,6 +240,16 @@ class TestHTTPByteIdentity:
         _, listing = request(base, "GET", "/v1/jobs")
         assert json.loads(listing)["jobs"] == []
 
+    def test_bad_graph_seed_is_400(self, server):
+        service, base = server
+        spec = tiny_scenario("bad-seed").spec_dict()
+        spec["options"]["graph_seed"] = -1
+        code, body = request(base, "POST", "/v1/jobs", spec)
+        assert code == 400
+        assert "graph_seed" in json.loads(body)["error"]
+        _, listing = request(base, "GET", "/v1/jobs")
+        assert json.loads(listing)["jobs"] == []
+
     def test_missing_record_is_404(self, server):
         service, base = server
         code, _ = request(base, "GET", "/v1/records/deadbeef")
@@ -357,6 +368,34 @@ class TestKeepAlive:
         finally:
             conn.close()
         assert statistics.median(elapsed) < 0.020, elapsed
+
+
+class TestRequestBodies:
+    """A bad ``Content-Length`` is answered, never waited on forever."""
+
+    @pytest.mark.parametrize("length,body,status", [
+        (-1, b"", 400), (100, b"{}", 400), (app.MAX_BODY_BYTES + 1, b"", 413),
+    ], ids=["negative", "short-body", "over-cap"])
+    def test_bad_content_length_gets_4xx_in_time(self, server, monkeypatch,
+                                                 length, body, status):
+        service, base = server
+        monkeypatch.setattr(app, "BODY_TIMEOUT_S", 0.5)
+        url = urllib.parse.urlsplit(base)
+        started = time.monotonic()
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: %d\r\n\r\n" % length + body)
+            reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 %d " % status), reply
+        assert time.monotonic() - started < 5
+        # The handler is free again: a normal submit still goes through.
+        scenario = tiny_scenario("after-bad-body", generator="uniform")
+        code, _ = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        final = wait_state(base, scenario.spec_hash(), ("done", "failed"))
+        assert final["state"] == "done", final
 
 
 class TestEventsAndViews:

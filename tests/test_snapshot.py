@@ -9,6 +9,7 @@ round-trip/corruption/versioning behaviour and the capture guard rails.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -36,7 +37,7 @@ from repro.snapshot import (
     capture_simulator,
     restore_simulator,
 )
-from repro.snapshot.format import pack_value, unpack_value
+from repro.snapshot.format import SCHEMA_VERSION, pack_value, unpack_value
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -135,6 +136,49 @@ class TestFormat:
     def test_load_missing_file_is_actionable(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
             Snapshot.load(tmp_path / "nope.snap")
+
+
+#: Hostile tagged values: 200 000 nested one-element lists, and a dict
+#: keyed by a list (decodable tags, but not a hashable key).
+HOSTILE = {
+    "deep": b"l\x01\x00\x00\x00" * 200_000 + b"N",
+    "list-key": b"d\x01\x00\x00\x00" + b"l\x00\x00\x00\x00" + b"N",
+}
+
+
+def _container(meta: bytes, body: bytes) -> bytes:
+    """Snapshot file bytes around raw meta/body sections, digest intact."""
+    return b"".join([
+        b"RPSNAP", struct.pack(">H", SCHEMA_VERSION),
+        struct.pack("<I", len(meta)), meta,
+        struct.pack("<Q", len(body)), body,
+        hashlib.sha256(body).digest(),
+    ])
+
+
+def _hostile_file(section: str, payload: str) -> bytes:
+    empty = pack_value({})
+    if section == "meta":
+        return _container(HOSTILE[payload], empty)
+    return _container(empty, HOSTILE[payload])
+
+
+@pytest.mark.parametrize("payload", sorted(HOSTILE))
+@pytest.mark.parametrize("section", ["meta", "body"])
+def test_hostile_payload_is_a_snapshot_error(section, payload):
+    """The digest covers the body only and is not a MAC, so a crafted file
+    reaches the value decoder in either section."""
+    with pytest.raises(SnapshotError, match="corrupt"):
+        Snapshot.from_bytes(_hostile_file(section, payload))
+
+
+def test_snapshot_info_reports_hostile_file(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "deep.snap"
+    path.write_bytes(_hostile_file("body", "deep"))
+    assert main(["snapshot", "info", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
