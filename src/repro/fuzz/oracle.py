@@ -13,8 +13,11 @@ on curated cases elsewhere, plus the conservation laws of its statistics:
 3. **park_transparency** — disabling busy-cell parking changes nothing in
    the record.
 4. **pipeline_vs_serial** — the increment-sharded run (checkpoint hand-off
-   between spans) stores bytes identical (``cmp``) to the serial one.
-   A truncated scenario is planned as the single span ``[0, total)``.
+   between spans) stores bytes identical (``cmp``) to the serial one, in
+   two legs: in-process spans continue the warm slot's live run, and a
+   cold leg empties the slot before every span so each one restores its
+   checkpoint.  A truncated scenario is planned as the single span
+   ``[0, total)``.
 5. **trace_transparency** — attaching the Chrome tracer leaves the record
    byte-identical, and the emitted trace validates.
 6. **conservation** — the baseline's statistics conserve messages and
@@ -36,11 +39,14 @@ import filecmp
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arch._native import HAVE_NATIVE
 from repro.fuzz.fingerprint import classify, fingerprint_record
 from repro.harness.runner import (
+    _pinned,
+    _span_tasks,
+    drop_warm_run,
     restore_scenario,
     resume_scenario,
     run_scenario,
@@ -236,26 +242,46 @@ def _check_park_transparency(scenario: Scenario,
                     "disabling busy-cell parking changed the record")
 
 
+def _sharded_cold(scenario: Scenario, shards: int,
+                  workdir: str) -> Tuple[Dict[str, Any], List[str]]:
+    """The in-process sharded run with the warm slot emptied before every
+    span; returns the record and how each span started."""
+    spill = os.path.join(workdir, "cold-spill")
+    os.makedirs(spill, exist_ok=True)
+    handoffs = []
+    for fn, args in _span_tasks(_pinned(scenario, "python"), shards,
+                                spill, None):
+        drop_warm_run()
+        _cycles, record, handoff = fn(*args)
+        handoffs.append(handoff)
+    return record, handoffs
+
+
 def _check_pipeline_vs_serial(scenario: Scenario, baseline: Dict[str, Any],
                               workdir: str) -> InvariantOutcome:
     name = "pipeline_vs_serial"
     shards = min(3, scenario.dataset.num_increments)
     if shards < 2:
         return InvariantOutcome(name, "skip", "single increment, nothing to shard")
-    sharded = run_scenario_sharded(scenario, shards, kernel="python")
-    outcome = _compare(name, baseline, sharded,
-                       "sharded record != serial record")
-    if outcome.status == "fail":
-        return outcome
-    serial_path = os.path.join(workdir, "serial.jsonl")
-    sharded_path = os.path.join(workdir, "sharded.jsonl")
-    ResultStore(serial_path).put(baseline)
-    ResultStore(sharded_path).put(sharded)
-    if not filecmp.cmp(serial_path, sharded_path, shallow=False):
+    warm = run_scenario_sharded(scenario, shards, kernel="python")
+    cold, handoffs = _sharded_cold(scenario, shards, workdir)
+    if any(handoff != "restored" for handoff in handoffs[1:]):
         return InvariantOutcome(
-            name, "fail",
-            "sharded store bytes != serial store bytes "
-            "(records compared equal: store encoding diverged)")
+            name, "fail", f"cold leg spans started {handoffs}, not restored")
+    serial_path = os.path.join(workdir, "serial.jsonl")
+    ResultStore(serial_path).put(baseline)
+    for leg, sharded in (("warm", warm), ("cold", cold)):
+        outcome = _compare(name, baseline, sharded,
+                           f"sharded record ({leg} spans) != serial record")
+        if outcome.status == "fail":
+            return outcome
+        sharded_path = os.path.join(workdir, f"sharded-{leg}.jsonl")
+        ResultStore(sharded_path).put(sharded)
+        if not filecmp.cmp(serial_path, sharded_path, shallow=False):
+            return InvariantOutcome(
+                name, "fail",
+                f"sharded store bytes ({leg} spans) != serial store bytes "
+                "(records compared equal: store encoding diverged)")
     return InvariantOutcome(name, "ok")
 
 

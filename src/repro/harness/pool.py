@@ -11,7 +11,7 @@ interpreter/import startup is paid once per worker, not once per scenario
 as with a fresh ``multiprocessing.Pool`` per run.
 
 Tasks travel over one duplex :func:`multiprocessing.Pipe` per worker rather
-than a shared queue.  That buys two properties a ``Pool`` cannot offer:
+than a shared queue.  That buys three properties a ``Pool`` cannot offer:
 
 * **Hard per-task timeouts.**  The parent knows exactly which worker runs
   which task, so an overdue task is handled by killing *that* worker and
@@ -22,6 +22,12 @@ than a shared queue.  That buys two properties a ``Pool`` cannot offer:
   dispatcher, which resolves that task as an ``error`` and respawns.  Pipes
   carry whole pickled messages, so killing a worker can never corrupt a
   shared queue the way terminating a ``multiprocessing.Queue`` feeder can.
+* **Affinity.**  A task submitted with an ``affinity`` key goes to the idle
+  worker whose previous task had the same key, so state a worker process
+  keeps between tasks (the runner's warm slot) serves the next task of
+  the same job.  When that worker is busy the task takes the longest-idle
+  worker instead; it never waits for the preferred one.  A respawned
+  worker has no key.
 
 Task callables must be module-level functions (they are pickled by
 reference); arguments and results must be picklable.
@@ -87,6 +93,8 @@ class _Worker:
     """One live worker process and the parent's end of its pipe."""
 
     def __init__(self, ctx) -> None:
+        #: Affinity key of the last task dispatched here (None when unkeyed).
+        self.affinity: Optional[str] = None
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main, args=(child_conn,), daemon=True
@@ -163,14 +171,17 @@ class _Queued:
     fn: Callable[..., Any]
     args: Tuple[Any, ...]
     timeout: Optional[float]
+    affinity: Optional[str]
 
 
 class DispatchPool:
     """Warm worker processes behind a thread-safe, always-on dispatcher.
 
     Tasks queue through :meth:`submit` and go to idle workers in FIFO order
-    as they free up.  A task that outlives its ``timeout`` has its worker
-    killed and respawned; a worker that crashes resolves only its own task.
+    as they free up, the longest-idle worker first unless the task's
+    ``affinity`` key names an idle worker.  A task that outlives its
+    ``timeout`` has its worker killed and respawned; a worker that crashes
+    resolves only its own task.
     Either way the handle resolves with a ``timeout``/``error``
     :class:`TaskResult` and sibling tasks keep running.
 
@@ -225,21 +236,28 @@ class DispatchPool:
                     if w.process.pid is not None]
 
     def submit(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
-               *, timeout: Optional[float] = None) -> TaskHandle:
-        """Queue one task; returns immediately with its result handle."""
+               *, timeout: Optional[float] = None,
+               affinity: Optional[str] = None) -> TaskHandle:
+        """Queue one task; returns immediately with its result handle.
+
+        A keyed task (``affinity``) prefers the idle worker whose previous
+        task had the same key; see the module docstring.
+        """
         handle = TaskHandle()
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool has been shut down")
             self._pending.append(_Queued(next(self._task_ids), handle, fn,
-                                         tuple(args), timeout))
+                                         tuple(args), timeout, affinity))
         self._wake()
         return handle
 
     def run(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
-            *, timeout: Optional[float] = None) -> TaskResult:
+            *, timeout: Optional[float] = None,
+            affinity: Optional[str] = None) -> TaskResult:
         """Submit and block until the task resolves (convenience wrapper)."""
-        result = self.submit(fn, args, timeout=timeout).wait()
+        result = self.submit(fn, args, timeout=timeout,
+                             affinity=affinity).wait()
         assert result is not None  # handle.wait() without timeout never None
         return result
 
@@ -258,17 +276,19 @@ class DispatchPool:
                 # die while idle (an OOM kill between tasks): replace it
                 # instead of letting the send take the task down.
                 while self._pending and self._idle and not closed:
-                    worker = self._idle.popleft()
+                    item = self._pending[0]
+                    worker = self._take_idle_locked(item.affinity)
                     if not worker.alive:
                         self._replace_locked(worker)
                         continue
-                    item = self._pending.popleft()
+                    self._pending.popleft()
                     try:
                         worker.conn.send((item.task_id, item.fn, item.args))
                     except (BrokenPipeError, OSError):
                         self._pending.appendleft(item)
                         self._replace_locked(worker)
                         continue
+                    worker.affinity = item.affinity
                     self._busy[worker] = (item.handle,
                                           self._dispatched(item, worker))
                 busy = dict(self._busy)
@@ -316,6 +336,15 @@ class DispatchPool:
                                         task_id=flight.task_id)
                 self._finish(worker, TaskResult(status="timeout"),
                              replace=True)
+
+    def _take_idle_locked(self, affinity: Optional[str]) -> _Worker:
+        """The idle worker for a task keyed ``affinity`` (lock held)."""
+        if affinity is not None:
+            for worker in self._idle:
+                if worker.affinity == affinity:
+                    self._idle.remove(worker)
+                    return worker
+        return self._idle.popleft()
 
     def _dispatched(self, item: _Queued, worker: _Worker) -> _InFlight:
         """Book-keeping and observation of one dispatch (lock held)."""

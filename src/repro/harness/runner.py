@@ -39,6 +39,22 @@ An unsharded scenario is the single span ``[0, total)``.  A scenario with
 ``max_cycles_per_increment`` set also always runs as one span: a truncated
 increment can end with continuations still awaiting their trigger, which
 no checkpoint can capture.
+
+The warm slot
+-------------
+Restoring a checkpoint means regenerating the dataset, decoding the file
+and rebuilding the device and graph, which costs several times what one
+increment does.  So every process keeps a **warm slot**: the live run
+(dataset, device, graph, algorithm) of the last span it finished with a
+checkpoint, keyed by the scenario's spec hash and that checkpoint's body
+digest.  The next span of the same scenario continues the live run when
+both keys match its own spec hash and the last 32 bytes of its input
+checkpoint; otherwise it restores, as any span on another process does.
+The checkpoint is still saved at every boundary, and a live run is the
+state a restore of it rebuilds, so records and checkpoint bytes are the
+same either way.  In-process sharded runs continue warm span after span;
+on a pool, ``repro serve`` keys each job's spans to the worker that ran
+the previous one (:meth:`DispatchPool.submit`'s ``affinity``).
 """
 
 from __future__ import annotations
@@ -46,6 +62,7 @@ from __future__ import annotations
 import os
 import random
 import tempfile
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -69,6 +86,10 @@ from repro.snapshot.format import SnapshotError
 # ----------------------------------------------------------------------
 # Materialisation
 # ----------------------------------------------------------------------
+#: A built run: dataset, device, graph and algorithm (``None`` for ingest).
+Run = Tuple[StreamingDataset, AMCCADevice, DynamicGraph, Any]
+
+
 def materialize_dataset(spec: DatasetSpec) -> StreamingDataset:
     """Generate the streaming dataset a :class:`DatasetSpec` describes."""
     dataset = make_streaming_dataset(
@@ -111,7 +132,7 @@ def _materialize(
     snapshot: Optional[Snapshot] = None,
     *,
     frames_every: int = 0,
-) -> Tuple[StreamingDataset, AMCCADevice, DynamicGraph, Any]:
+) -> Run:
     """Build the dataset + device + graph + algorithm a scenario describes.
 
     With a ``snapshot`` the algorithm is attached but not seeded (e.g. no
@@ -240,8 +261,8 @@ def _capture(graph: DynamicGraph, scenario: Scenario, increment: int,
 def _run_span(
     scenario: Scenario,
     stop: Optional[int] = None,
-    checkpoint: Optional[Snapshot] = None,
     *,
+    run: Optional[Run] = None,
     final: bool = True,
     timings: Optional[Dict[str, float]] = None,
     device_setup: Optional[Callable[[AMCCADevice], None]] = None,
@@ -249,8 +270,10 @@ def _run_span(
 ) -> Tuple[List[int], Any]:
     """Stream one span of a run and return ``(cycles, end)``.
 
-    Materialises the scenario, or restores ``checkpoint``, then streams the
-    increments from there up to boundary ``stop`` (default: the last one).
+    Materialises the scenario, or continues ``run`` (one built fresh,
+    restored from a checkpoint, or left live by an earlier span), then
+    streams the increments from there up to boundary ``stop`` (default:
+    the last one).
     The scenario's options drive the observers: every ``snapshot_every``
     boundaries a checkpoint is saved into ``snapshot_dir``, and with a
     ``trace_path`` a :class:`repro.obs.Tracer` watches the device and is
@@ -274,8 +297,8 @@ def _run_span(
     """
     t0 = time.perf_counter()
     opts: RunOptions = scenario.options
-    dataset, device, graph, algorithm = _materialize(
-        scenario, checkpoint, frames_every=frames_every)
+    dataset, device, graph, algorithm = run or _materialize(
+        scenario, frames_every=frames_every)
     start, total = graph.increments_streamed, len(dataset.increments)
     stop = total if stop is None else stop
     if not start <= stop <= total:
@@ -362,7 +385,7 @@ def run_scenario_traced(
 
 def restore_scenario(
     scenario: Scenario, snapshot, *, kernel: Optional[str] = None,
-) -> Tuple[StreamingDataset, AMCCADevice, DynamicGraph, Any]:
+) -> Run:
     """Rebuild a scenario's run mid-stream from a snapshot.
 
     Reconstructs the code side (device, registry, graph skeleton,
@@ -402,7 +425,7 @@ def resume_scenario(
     restored state.
     """
     scenario = _pinned(scenario, kernel)
-    cycles, final = _run_span(scenario, checkpoint=snapshot)
+    cycles, final = _run_span(scenario, run=_materialize(scenario, snapshot))
     return _assemble_record(scenario, cycles, final)
 
 
@@ -468,35 +491,87 @@ def _await_snapshot(path: str, timeout_s: float) -> None:
         time.sleep(0.02)
 
 
+@dataclass
+class _WarmRun:
+    """The warm slot's entry: a live run parked at a saved checkpoint."""
+
+    spec_hash: str
+    digest: bytes  # body digest: the checkpoint file's last 32 bytes
+    run: Run
+
+
+#: This process's warm slot (see the module docstring); at most one entry.
+#: Spans take it under the lock, so two threads never continue one run.
+_warm: Optional[_WarmRun] = None
+_warm_lock = threading.Lock()
+
+
+def drop_warm_run() -> None:
+    """Empty this process's warm slot: the next span restores its input."""
+    global _warm
+    _warm = None
+
+
+def _body_digest(path: str) -> bytes:
+    """The body digest a snapshot file ends with (empty if unreadable)."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-32, os.SEEK_END)
+            return fh.read(32)
+    except OSError:
+        return b""
+
+
 def _pipeline_span_task(
     scenario: Scenario,
     stop: int,
     snap_in: Optional[str],
     snap_out: Optional[str],
     wait_s: float = PIPELINE_WAIT_S,
-) -> Tuple[List[int], Optional[Dict[str, Any]]]:
+) -> Tuple[List[int], Optional[Dict[str, Any]], str]:
     """Pool task: one span of a scenario (module-level, picklable).
 
     The first span (no ``snap_in``) materialises fresh; a later span waits
-    for the checkpoint its predecessor saved at ``snap_in``, restores it
-    and streams up to boundary ``stop``.  A span with a successor saves the
-    checkpoint at ``stop`` to ``snap_out``; the last span (no ``snap_out``)
-    assembles the record.  Returns ``(cycles, record)``: the cycles of
-    every increment streamed since the start of the run, and the record or
-    ``None``.  On failure a ``.failed`` marker next to the would-be output
-    unblocks downstream waiters.
+    for the checkpoint its predecessor saved at ``snap_in`` and streams
+    from there up to boundary ``stop``.  It continues the warm slot's live
+    run when that run sits at exactly this checkpoint of this spec, and
+    restores the checkpoint otherwise.  A span with a successor saves the
+    checkpoint at ``stop`` to ``snap_out`` and leaves its live run in the
+    slot; the last span (no ``snap_out``) assembles the record.
+
+    Returns ``(cycles, record, handoff)``: the cycles of every increment
+    streamed since the start of the run, the record or ``None``, and how
+    the span started: ``"fresh"``, ``"warm"`` or ``"restored"``.  On
+    failure the slot stays empty, and a ``.failed`` marker next to the
+    would-be output unblocks downstream waiters.
     """
+    global _warm
+    with _warm_lock:
+        warm, _warm = _warm, None
     try:
-        checkpoint = None
+        run, handoff = None, "fresh"
         if snap_in is not None:
             _await_snapshot(snap_in, wait_s)
-            checkpoint = Snapshot.load(snap_in)
-        cycles, end = _run_span(scenario, stop, checkpoint,
+            # Both keys: two specs can share a checkpoint body and still
+            # differ in later increments.
+            if (warm is not None and warm.spec_hash == scenario.spec_hash()
+                    and warm.digest == _body_digest(snap_in)):
+                run, handoff = warm.run, "warm"
+            else:
+                handoff = "restored"
+        warm = None  # a live run not continued is dropped before any build
+        if run is None:
+            checkpoint = Snapshot.load(snap_in) if snap_in else None
+            run = _materialize(scenario, checkpoint)
+        cycles, end = _run_span(scenario, stop, run=run,
                                 final=snap_out is None)
         if snap_out is None:
-            return cycles, _assemble_record(scenario, cycles, end)
+            return cycles, _assemble_record(scenario, cycles, end), handoff
         end.save(snap_out)
-        return cycles, None
+        sim = run[1].simulator
+        sim.tracer = sim.phase_ns = None  # the next span attaches its own
+        _warm = _WarmRun(scenario.spec_hash(), end.to_bytes()[-32:], run)
+        return cycles, None, handoff
     except BaseException:
         if snap_out is not None:
             try:
@@ -617,7 +692,7 @@ def run_scenario_sharded(
         with _spill_dir() as spill_dir:
             for fn, args in _span_tasks(_pinned(scenario, kernel), shards,
                                         spill_dir, None):
-                _cycles, record = fn(*args)
+                _cycles, record, _handoff = fn(*args)
         return record
     (outcome,) = _run_on_pool(pool, [scenario], shards, timeout, kernel)
     if outcome.status == "timeout":

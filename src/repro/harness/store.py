@@ -12,6 +12,15 @@ a temp file in the same directory, fsync'd, and moved over the store with
 either the old store or the new one on disk — never a truncated line — and
 each rewrite doubles as compaction, so a hash appears at most once.
 
+A handle keeps each record as its canonical line, not as a decoded dict:
+a write encodes only the records it adds and writes the cached lines of
+the rest, and :meth:`ResultStore.get` decodes a fresh dict on demand.  A
+write re-reads the file only when its ``(st_ino, st_size, st_mtime_ns)``
+changed since this handle last loaded or wrote it, which is when another
+writer rewrote it (``os.replace`` gives every rewrite a new inode).  So a
+write costs one encode plus a copy of the cached bytes, not a parse and
+re-encode of the whole store.
+
 Two scenarios carry two distinct keys here:
 
 * ``spec_hash`` — spec **plus** :data:`repro.__version__`; the cache key.
@@ -27,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -34,6 +44,14 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro import __version__
 
 Record = Dict[str, Any]
+
+#: What identifies one version of the store file: ``(st_ino, st_size,
+#: st_mtime_ns)``.
+Signature = Tuple[int, int, int]
+
+
+def _signature(st: os.stat_result) -> Signature:
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def record_identity(record: Record) -> str:
@@ -66,19 +84,25 @@ class ResultStore:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self._records: Dict[str, Record] = {}
+        #: The canonical line (no newline) of every record, by spec hash.
+        self._lines: Dict[str, str] = {}
+        #: The file as this handle last loaded or wrote it.
+        self._seen: Optional[Signature] = None
         #: Observability (repro.obs), attached by run_suite / the CLI for
         #: the span of one operation.  Observer-only: spans cover rewrites,
         #: counters count them; the bytes written never change.
         self.tracer = None
         self.metrics = None
         if self.path.exists():
-            self._load()
+            self._lines = self._load()
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def _load(self) -> None:
+    def _load(self) -> Dict[str, str]:
+        """Read the file: the canonical line per spec hash, last one winning
+        (append-only update semantics).  Remembers the file's signature."""
+        lines: Dict[str, str] = {}
         with self.path.open("r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -93,33 +117,39 @@ class ResultStore:
                 key = record.get("spec_hash")
                 if not key:
                     raise ValueError(f"{self.path}:{line_no}: record has no spec_hash")
-                # Last record for a hash wins (append-only update semantics).
-                self._records[key] = record
+                lines[key] = self.encode(record)
+            self._seen = _signature(os.fstat(fh.fileno()))
+        return lines
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def __contains__(self, spec_hash: str) -> bool:
-        return spec_hash in self._records
+        return spec_hash in self._lines
 
     def get(self, spec_hash: str) -> Optional[Record]:
-        """The stored record for a scenario hash, or None on a cache miss."""
-        record = self._records.get(spec_hash)
+        """A fresh copy of the stored record for a scenario hash, or None
+        on a cache miss."""
+        line = self._lines.get(spec_hash)
         if self.metrics is not None:
             self.metrics.counter(
                 "store_lookups_total", "Store cache lookups", ("result",),
-            ).inc(result="hit" if record is not None else "miss")
-        return record
+            ).inc(result="hit" if line is not None else "miss")
+        return None if line is None else json.loads(line)
+
+    def line(self, spec_hash: str) -> Optional[str]:
+        """The stored canonical line for a scenario hash (no newline)."""
+        return self._lines.get(spec_hash)
 
     def records(self) -> List[Record]:
-        """All stored records, in insertion order."""
-        return list(self._records.values())
+        """All stored records, in insertion order (fresh copies)."""
+        return [record for _key, record in self._decoded()]
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records.values())
+        return iter(self.records())
 
     def stale_records(self, current_version: Optional[str] = None) -> List[Record]:
         """Records written by a repro version other than ``current_version``.
@@ -127,9 +157,17 @@ class ResultStore:
         Stale records are unreachable through the cache (the version is part
         of ``spec_hash``) but still occupy the file until compacted away.
         """
+        return list(self._stale(current_version).values())
+
+    def _stale(self, current_version: Optional[str]) -> Dict[str, Record]:
         current = current_version if current_version is not None else __version__
-        return [r for r in self._records.values()
-                if r.get("repro_version") != current]
+        return {key: record for key, record in self._decoded()
+                if record.get("repro_version") != current}
+
+    def _decoded(self) -> List[Tuple[str, Record]]:
+        """``(spec_hash, record)`` pairs, in insertion order."""
+        return [(key, json.loads(line))
+                for key, line in list(self._lines.items())]
 
     # ------------------------------------------------------------------
     # Writes
@@ -147,44 +185,48 @@ class ResultStore:
         """Insert or replace a batch of records with one atomic rewrite.
 
         Batching matters: a ``--force`` re-run replaces many records at
-        once, and one rewrite per batch keeps I/O at O(store) instead of
-        O(batch x store).  Before rewriting, records another process added
-        to the file since our load are folded in (best effort — the window
-        between that read and our rename remains a last-writer-wins race,
-        but two suite runs appending different scenarios to one store no
-        longer silently drop each other's results).
+        once, and one rewrite per batch writes the file once instead of
+        once per record.  Before rewriting, records another process added
+        to the file since our last load or write are folded in (best
+        effort — the window between that read and our rename remains a
+        last-writer-wins race, but two suite runs appending different
+        scenarios to one store no longer silently drop each other's
+        results).
         """
+        lines = {}
         for record in records:
             key = record.get("spec_hash")
             if not key:
                 raise ValueError("record must carry a spec_hash")
-            self._records[key] = record
-        if records:
-            if self.tracer is not None:
-                with self.tracer.span("store_put", "store",
-                                      records=len(records)):
-                    self._merge_disk()
-                    self._rewrite()
-            else:
-                self._merge_disk()
-                self._rewrite()
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "store_puts_total", "Records written to the store",
-                ).inc(len(records))
+            lines[key] = self.encode(record)
+        if not lines:
+            return
+        self._lines.update(lines)
+        span = (self.tracer.span("store_put", "store", records=len(records))
+                if self.tracer is not None else nullcontext())
+        with span:
+            self._merge_disk()
+            self._rewrite()
+        if self.metrics is not None:
+            self.metrics.counter(
+                "store_puts_total", "Records written to the store",
+            ).inc(len(records))
 
     def _merge_disk(self) -> None:
-        """Fold in on-disk records a concurrent writer added since our load.
+        """Fold in on-disk records another writer added since our last load
+        or write; a file with the signature we last saw is not re-read.
 
         Our own records win on conflicting hashes (that is what ``put``
         means); only hashes we have never seen are adopted.
         """
-        if not self.path.exists():
+        try:
+            if _signature(os.stat(self.path)) == self._seen:
+                return
+            on_disk = self._load()
+        except FileNotFoundError:
             return
-        on_disk = ResultStore(self.path)
-        for key, record in on_disk._records.items():
-            if key not in self._records:
-                self._records[key] = record
+        for key, line in on_disk.items():
+            self._lines.setdefault(key, line)
 
     def _rewrite(self) -> None:
         """Persist the in-memory records, crash-safely.
@@ -198,20 +240,22 @@ class ResultStore:
             self.metrics.counter(
                 "store_rewrites_total", "Atomic store rewrites").inc()
             self.metrics.gauge(
-                "store_records", "Records in the store").set(len(self._records))
+                "store_records", "Records in the store").set(len(self._lines))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".jsonl.tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for record in self._records.values():
-                    fh.write(self.encode(record) + "\n")
+                for line in self._lines.values():
+                    fh.write(line + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
+                written = _signature(os.fstat(fh.fileno()))
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self._seen = written
         self._fsync_parent()
 
     def _fsync_parent(self) -> None:
@@ -238,27 +282,20 @@ class ResultStore:
         only the one with the highest version survives.  Returns the
         dropped records; rewrites atomically only when something changed.
         """
-        best: Dict[str, Record] = {}
-        for record in self._records.values():
+        records = dict(self._decoded())
+        best: Dict[str, str] = {}  # identity -> spec hash of its newest record
+        for key, record in records.items():
             identity = record_identity(record)
             incumbent = best.get(identity)
             if incumbent is None or (
                 _version_key(record.get("repro_version"))
-                >= _version_key(incumbent.get("repro_version"))
+                >= _version_key(records[incumbent].get("repro_version"))
             ):
-                best[identity] = record
-        keep = {id(r) for r in best.values()}
-        dropped = [r for r in self._records.values() if id(r) not in keep]
-        if dropped:
-            self._records = {r["spec_hash"]: r for r in self._records.values()
-                             if id(r) in keep}
-            if self.tracer is not None:
-                with self.tracer.span("store_compact", "store",
-                                      dropped=len(dropped)):
-                    self._rewrite()
-            else:
-                self._rewrite()
-        return dropped
+                best[identity] = key
+        keep = set(best.values())
+        dropped = {k: r for k, r in records.items() if k not in keep}
+        self._drop(dropped, "store_compact")
+        return list(dropped.values())
 
     def gc(self, current_version: Optional[str] = None) -> List[Record]:
         """Drop every record not written by ``current_version``.
@@ -267,19 +304,20 @@ class ResultStore:
         under an old version are dropped, leaving exactly the records the
         cache can still serve.  Returns the dropped records.
         """
-        current = current_version if current_version is not None else __version__
-        dropped = self.stale_records(current)
-        if dropped:
-            gone = {id(r) for r in dropped}
-            self._records = {k: r for k, r in self._records.items()
-                             if id(r) not in gone}
-            if self.tracer is not None:
-                with self.tracer.span("store_gc", "store",
-                                      dropped=len(dropped)):
-                    self._rewrite()
-            else:
-                self._rewrite()
-        return dropped
+        dropped = self._stale(current_version)
+        self._drop(dropped, "store_gc")
+        return list(dropped.values())
+
+    def _drop(self, dropped: Dict[str, Record], name: str) -> None:
+        """Remove records by spec hash and rewrite (nothing to drop: no-op)."""
+        if not dropped:
+            return
+        self._lines = {k: line for k, line in self._lines.items()
+                       if k not in dropped}
+        span = (self.tracer.span(name, "store", dropped=len(dropped))
+                if self.tracer is not None else nullcontext())
+        with span:
+            self._rewrite()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ dependencies):
   a POST whose record is already cached returns immediately,
 * execution feeds the warm worker machinery through
   :class:`~repro.harness.pool.DispatchPool` (per-span timeouts, crash
-  containment, respawn),
+  containment, respawn, and job affinity that keeps a job's spans on the
+  worker holding its live run),
 * progress, pause and resume ride the snapshot subsystem: a job runs as a
   sequence of spans with a checkpoint at every boundary, exactly the
   transport ``repro suite run --shard-increments`` uses, so a

@@ -12,9 +12,16 @@ through the pool:
   and every boundary is a valid park/handoff point.  A scenario with
   ``max_cycles_per_increment`` runs as one span, since its boundaries can
   hold state no checkpoint captures;
+* a job's spans are submitted with the job id as their pool ``affinity``,
+  so each lands on the worker that ran the previous one whenever that
+  worker is idle, and continues the live run the worker kept in its warm
+  slot instead of rebuilding the chip from the checkpoint.  The
+  checkpoint is still written at every boundary; ``/metrics`` counts how
+  each span started in ``serve_span_handoffs_total{kind}`` (``fresh``,
+  ``warm`` or ``restored``);
 * pausing simply stops dispatching further spans (the boundary checkpoint
   stays on disk); resuming re-enqueues the job, which picks up at
-  ``next_start``.  The last span assembles the record from the restored
+  ``next_start``.  The last span assembles the record from the run's
   cursor, exactly as a sharded suite run does, so it is byte-identical to
   an uninterrupted run;
 * per-span timeouts and crash containment come from the pool: an overdue
@@ -104,6 +111,11 @@ class ScenarioService:
             self._spans_total = self.metrics.counter(
                 "serve_spans_total", "Executed job spans by status",
                 ("status",))
+            self._handoffs_total = self.metrics.counter(
+                "serve_span_handoffs_total",
+                "Finished job spans by how they started (fresh: first "
+                "span, warm: continued the worker's live run, restored: "
+                "rebuilt from the checkpoint)", ("kind",))
             self._job_seconds = self.metrics.histogram(
                 "serve_job_seconds", "Job wall time (dispatch to record)")
             self._queue_depth = self.metrics.gauge(
@@ -172,8 +184,7 @@ class ScenarioService:
         if existing is not None:
             return existing, 200
 
-        record = self.store.get(job_id)
-        if record is not None:
+        if job_id in self.store:
             job = Job(scenario, client, kernel)
             job.cached = True
             job.state = DONE
@@ -300,6 +311,7 @@ class ScenarioService:
                 _pipeline_span_task,
                 (scenario, stop, snap_in, snap_out, 10.0),
                 timeout=self.config.timeout,
+                affinity=job.id,
             )
             self._count_span(result.status)
             if result.status != "ok":
@@ -310,7 +322,9 @@ class ScenarioService:
                                f"{result.error}")
                 self._fail(job, detail, outcome=result.status)
                 return
-            cycles, record = result.value
+            cycles, record, handoff = result.value
+            with self.metrics.locked():
+                self._handoffs_total.inc(kind=handoff)
             with job.cond:
                 job.next_start = stop
                 job.completed_increments = stop
@@ -369,10 +383,8 @@ class ScenarioService:
         Byte-identical to the line a direct ``repro suite run`` writes —
         the HTTP half of the determinism contract.
         """
-        record = self.store.get(spec_hash)
-        if record is None:
-            return None
-        return (ResultStore.encode(record) + "\n").encode("utf-8")
+        line = self.store.line(spec_hash)
+        return None if line is None else (line + "\n").encode("utf-8")
 
     # ------------------------------------------------------------------
     # Metrics plumbing

@@ -217,6 +217,53 @@ class TestResultStore:
         with pytest.raises(ValueError, match="corrupt"):
             ResultStore(path)
 
+    def test_put_on_unchanged_store_does_not_reread(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "store.jsonl"
+        ResultStore(path).put({"spec_hash": "a", "value": 1})
+        store = ResultStore(path)  # loaded from the file
+        reads = []
+        real_load = ResultStore._load
+
+        def spy(self):
+            reads.append(self)
+            return real_load(self)
+
+        monkeypatch.setattr(ResultStore, "_load", spy)
+        store.put({"spec_hash": "b", "value": 2})
+        store.put_many([{"spec_hash": "c", "value": 3}])
+        assert reads == []
+        # Another handle's rewrite changes the file: the next put reads
+        # it once and keeps that handle's record.
+        ResultStore(path).put({"spec_hash": "d", "value": 4})
+        reads.clear()
+        store.put({"spec_hash": "e", "value": 5})
+        assert reads == [store]
+        assert {r["spec_hash"] for r in ResultStore(path)} == \
+            {"a", "b", "c", "d", "e"}
+
+    def test_rewrite_writes_canonical_lines(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"value": 1,  "spec_hash": "a"}\n')
+        ResultStore(path).put({"spec_hash": "b", "value": 2})
+        assert path.read_text() == (
+            ResultStore.encode({"spec_hash": "a", "value": 1}) + "\n"
+            + ResultStore.encode({"spec_hash": "b", "value": 2}) + "\n")
+
+    def test_get_returns_a_copy(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        record = {"spec_hash": "a", "stats": {"hops": 3}}
+        store.put(record)
+        before = path.read_bytes()
+        got = store.get("a")
+        got["stats"]["hops"] = 99
+        got["extra"] = True
+        record["stats"]["hops"] = 7
+        assert store.get("a") == {"spec_hash": "a", "stats": {"hops": 3}}
+        store.put({"spec_hash": "b"})
+        assert path.read_bytes().startswith(before)
+
 
 class TestRunner:
     @requires_numpy

@@ -78,6 +78,11 @@ def _die():
     os._exit(17)
 
 
+def _pid_after(seconds=0.0):
+    time.sleep(seconds)
+    return os.getpid()
+
+
 @pytest.fixture()
 def pool2():
     pool = DispatchPool(2)
@@ -151,6 +156,19 @@ class TestDispatchPool:
         results = run_all(pool2, [(_double, (i,)) for i in range(4)])
         assert [r.value for r in results] == [0, 2, 4, 6]
         assert pool2.size == 2
+
+    def test_same_key_tasks_land_on_one_worker(self, pool2):
+        pids = [pool2.run(_pid_after, affinity="job").value
+                for _ in range(5)]
+        assert len(set(pids)) == 1, pids
+
+    def test_keyed_task_never_waits_for_its_busy_worker(self, pool2):
+        home = pool2.run(_pid_after, affinity="job").value
+        slow = pool2.submit(_pid_after, (2.0,), affinity="job")
+        fast = pool2.run(_pid_after, affinity="job")
+        assert not slow.done()
+        assert fast.ok and fast.value != home
+        assert slow.wait(30).value == home
 
     def test_workers_persist_across_batches(self, pool2):
         run_all(pool2, [(_double, (1,))])

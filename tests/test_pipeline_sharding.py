@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,18 @@ from helpers import requires_numpy
 
 from repro.graph.graph import DynamicGraph
 from repro.harness import ResultStore, run_suite
+from repro.harness import runner
 from repro.harness.pool import DispatchPool
-from repro.harness.runner import run_scenario, run_scenario_sharded
+from repro.harness.runner import (
+    _pipeline_span_task,
+    _span_tasks,
+    drop_warm_run,
+    run_scenario,
+    run_scenario_sharded,
+    snapshot_at,
+)
 from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
+from repro.snapshot.format import SnapshotError
 
 pytestmark = requires_numpy
 
@@ -145,6 +155,105 @@ class TestPooled:
         assert not report.failures, report.failures[0].error
         assert (tmp_path / "serial.jsonl").read_bytes() == \
             (tmp_path / "sharded.jsonl").read_bytes()
+
+
+def run_spans(scenario, shards, spill, *, cold=False):
+    """Run a scenario's span tasks in order; ``(record, handoffs)``."""
+    spill.mkdir()
+    handoffs = []
+    for fn, args in _span_tasks(scenario, shards, str(spill), None):
+        if cold:
+            drop_warm_run()
+        _cycles, record, handoff = fn(*args)
+        handoffs.append(handoff)
+    return record, handoffs
+
+
+class TestWarmSlot:
+    """A span continues its predecessor's live run only when it sits at
+    exactly the span's input checkpoint of the span's own spec."""
+
+    def test_warm_and_cold_spans_save_identical_checkpoints(self, tmp_path):
+        scenario = eight_increment_scenario()
+        warm, warm_handoffs = run_spans(scenario, 8, tmp_path / "warm")
+        cold, cold_handoffs = run_spans(scenario, 8, tmp_path / "cold",
+                                        cold=True)
+        assert warm_handoffs == ["fresh"] + ["warm"] * 7
+        assert cold_handoffs == ["fresh"] + ["restored"] * 7
+        assert runner._warm is None  # the last span leaves no live run
+        assert json.dumps(warm, sort_keys=True) == \
+            json.dumps(cold, sort_keys=True) == \
+            json.dumps(run_scenario(scenario), sort_keys=True)
+        names = sorted(os.listdir(tmp_path / "warm"))
+        assert len(names) == 7 and names == sorted(
+            os.listdir(tmp_path / "cold"))
+        for name in names:
+            assert (tmp_path / "warm" / name).read_bytes() == \
+                (tmp_path / "cold" / name).read_bytes(), name
+
+    def test_not_continued_on_spec_hash_mismatch(self, tmp_path):
+        """A renamed spec saves the same checkpoint body, so only the spec
+        hash tells its live run apart: a warm continue would run, a
+        restore refuses the other spec's checkpoint."""
+        scenario = eight_increment_scenario()
+        renamed = eight_increment_scenario(name="pipe-bfs-renamed")
+        mine = str(tmp_path / "mine.snap")
+        _pipeline_span_task(scenario, 4, None, mine)
+        assert runner._warm is not None
+        theirs = str(tmp_path / "theirs.snap")
+        snapshot_at(renamed, 4).save(theirs)
+        with open(mine, "rb") as a, open(theirs, "rb") as b:
+            assert a.read()[-32:] == b.read()[-32:]
+        with pytest.raises(SnapshotError, match="captured from scenario"):
+            _pipeline_span_task(renamed, 8, mine, None)
+        assert runner._warm is None
+
+    def test_not_continued_on_digest_mismatch(self, tmp_path, monkeypatch):
+        scenario = eight_increment_scenario()
+        _pipeline_span_task(scenario, 4, None, str(tmp_path / "inc4.snap"))
+        older = str(tmp_path / "inc2.snap")
+        snapshot_at(scenario, 2).save(older)
+        streamed = spy_streamed(monkeypatch)
+        _cycles, record, handoff = _pipeline_span_task(scenario, 8, older,
+                                                       None)
+        assert handoff == "restored"
+        assert streamed == list(range(2, 8))
+        assert record == run_scenario(scenario)
+
+    def test_continued_span_traces_only_itself(self, tmp_path):
+        def traced(name):
+            scenario = eight_increment_scenario()
+            return scenario.with_(options=replace(
+                scenario.options, trace_path=str(tmp_path / name)))
+
+        def increments(name):
+            events = json.loads((tmp_path / name).read_text())["traceEvents"]
+            return [e["name"] for e in events if e.get("cat") == "sim"]
+
+        checkpoint = str(tmp_path / "inc4.snap")
+        _pipeline_span_task(traced("first.json"), 4, None, checkpoint)
+        assert runner._warm.run[1].simulator.tracer is None
+        _cycles, _record, handoff = _pipeline_span_task(
+            traced("second.json"), 8, checkpoint, None)
+        assert handoff == "warm"
+        assert increments("first.json") == [
+            f"increment-{i}" for i in range(1, 5)]
+        assert increments("second.json") == [
+            f"increment-{i}" for i in range(5, 9)]
+
+    def test_failed_span_leaves_no_slot(self, tmp_path):
+        scenario = eight_increment_scenario()
+        checkpoint = str(tmp_path / "inc4.snap")
+        _pipeline_span_task(scenario, 4, None, checkpoint)
+        assert runner._warm is not None
+        # Continues warm, then fails: the live run is not put back.
+        with pytest.raises(ValueError, match="invalid span"):
+            _pipeline_span_task(scenario, 2, checkpoint, None)
+        assert runner._warm is None
+        # A restored span still works from the same checkpoint.
+        _cycles, record, handoff = _pipeline_span_task(scenario, 8,
+                                                       checkpoint, None)
+        assert handoff == "restored" and record == run_scenario(scenario)
 
 
 class TestFailurePropagation:

@@ -28,8 +28,6 @@ from repro.arch.stats import SimStats
 from repro.harness import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.runner import run_scenario
 
-from helpers import requires_numpy
-
 try:
     from repro.arch._native import _sweep as _native_sweep
 except ImportError:  # pragma: no cover - optional extension absent
@@ -122,7 +120,7 @@ def _trunc_scenario(**overrides):
     kwargs = dict(
         name="prepaid-trunc",
         dataset=DatasetSpec(vertices=80, edges=600, sampling="snowball",
-                            seed=3),
+                            seed=3, generator="uniform"),
         chip=ChipSpec(side=4, edge_list_capacity=8),
         algorithm="bfs",
         options=RunOptions(max_cycles_per_increment=40),
@@ -143,7 +141,6 @@ def test_record_exposes_untraversed_remainder():
     assert quiesced["stats"]["hops_untraversed"] == 0
 
 
-@requires_numpy
 def test_record_remainder_is_kernel_invariant():
     scenario = _trunc_scenario()
     assert run_scenario(scenario, kernel="python") == run_scenario(scenario)

@@ -33,12 +33,13 @@ from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, app, make_server
 
-from helpers import requires_numpy
-
 CORPUS = Path(__file__).parent / "corpus"
 
 
 def tiny_scenario(name="serve-t", *, seed=3, increments=4, **dataset_kwargs):
+    # The stdlib generator: SBM generation needs numpy, and these tests
+    # also run on the numpy-free lane.
+    dataset_kwargs.setdefault("generator", "uniform")
     return Scenario(
         name=name,
         dataset=DatasetSpec(vertices=40, edges=200,
@@ -51,10 +52,9 @@ def tiny_scenario(name="serve-t", *, seed=3, increments=4, **dataset_kwargs):
     )
 
 
-@pytest.fixture
-def server(tmp_path):
+def serve(tmp_path, jobs):
     """A live service + HTTP server on an ephemeral port."""
-    config = ServeConfig(port=0, jobs=1, queue_depth=2,
+    config = ServeConfig(port=0, jobs=jobs, queue_depth=2,
                         store=str(tmp_path / "store.jsonl"),
                         work_dir=str(tmp_path / "spill"))
     service = ScenarioService(config)
@@ -67,6 +67,16 @@ def server(tmp_path):
     httpd.shutdown()
     httpd.server_close()
     service.stop()
+
+
+@pytest.fixture
+def server(tmp_path):
+    yield from serve(tmp_path, jobs=1)
+
+
+@pytest.fixture
+def server2(tmp_path):
+    yield from serve(tmp_path, jobs=2)
 
 
 def request(base, method, path, payload=None, headers=None, timeout=60):
@@ -134,7 +144,6 @@ class TestHTTPByteIdentity:
         direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         assert via_http == direct
 
-    @requires_numpy
     def test_record_over_http_matches_direct_run_python_kernel(self, server):
         """Kernel pinning is identity-free: a python-pinned job produces
         the same id and byte-identical record as the default kernel."""
@@ -254,6 +263,27 @@ class TestHTTPByteIdentity:
         service, base = server
         code, _ = request(base, "GET", "/v1/records/deadbeef")
         assert code == 404
+
+
+class TestWarmHandoff:
+    def test_job_spans_continue_on_one_worker(self, server2):
+        """Two workers, one job: affinity keeps every span after the first
+        on the worker holding the live run, and the record is unchanged."""
+        service, base = server2
+        scenario = tiny_scenario("warm-ten", increments=10)
+        code, body = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        final = wait_state(base, json.loads(body)["id"], ("done", "failed"))
+        assert final["state"] == "done", final
+        _, via_http = request(base, "GET",
+                              f"/v1/records/{scenario.spec_hash()}")
+        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
+        assert via_http == direct
+        _, body = request(base, "GET", "/metrics")
+        text = body.decode()
+        assert 'serve_span_handoffs_total{kind="fresh"} 1\n' in text
+        assert 'serve_span_handoffs_total{kind="warm"} 9\n' in text
+        assert 'kind="restored"' not in text
 
 
 class TestPauseResume:
@@ -391,7 +421,7 @@ class TestRequestBodies:
         assert reply.startswith(b"HTTP/1.1 %d " % status), reply
         assert time.monotonic() - started < 5
         # The handler is free again: a normal submit still goes through.
-        scenario = tiny_scenario("after-bad-body", generator="uniform")
+        scenario = tiny_scenario("after-bad-body")
         code, _ = request(base, "POST", "/v1/jobs", scenario.spec_dict())
         assert code == 201
         final = wait_state(base, scenario.spec_hash(), ("done", "failed"))

@@ -8,7 +8,9 @@ full contract from the outside, exactly as a client would:
 2. fetch ``GET /v1/records/<spec_hash>`` and compare the bytes against a
    direct in-process ``run_scenario`` encoded by the result store — the
    HTTP half of the determinism contract (``--kernel native`` re-runs this
-   under the C sweep kernel);
+   under the C sweep kernel) — and require ``/metrics`` to count at least
+   one ``warm`` span hand-off (a span that continued its worker's live
+   run instead of restoring the checkpoint);
 3. re-POST the same spec and require an immediate ``cached`` response;
 4. pause a fresh job, wait for the park, resume it, and require the final
    record bytes to match the uninterrupted run;
@@ -23,6 +25,7 @@ Usage: python tools/serve_smoke.py [--kernel KERNEL]
 import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -131,6 +134,12 @@ def main():
         check(via_http == direct,
               f"record over HTTP byte-identical to direct run "
               f"(kernel={args.kernel or 'default'})")
+        _, body = request(base, "GET", "/metrics")
+        warm = re.search(r'^serve_span_handoffs_total\{kind="warm"\} (\d+)$',
+                         body.decode(), re.MULTILINE)
+        check(warm is not None and int(warm.group(1)) >= 1,
+              f"spans after the first continued warm "
+              f"({warm.group(1) if warm else 0} warm hand-offs)")
 
         # 3: duplicate submission is a cache hit, no recompute.
         code, body = submit(scenario)
