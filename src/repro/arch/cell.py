@@ -11,13 +11,16 @@ the network.  Per simulation cycle a CC performs exactly one operation:
 
 This mirrors the paper's execution rule ("a single CC can perform either of
 the two operations: a computing instruction contained in the action, or the
-creation and staging of a new message when propagate is called").
+creation and staging of a new message when propagate is called").  The
+rule itself runs in :meth:`repro.arch.simulator.Simulator.step` (and its C
+twin in the native kernel), which sweeps every active cell per cycle; a
+:class:`ComputeCell` holds the state it reads and writes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from repro.arch.address import Address
 from repro.arch.message import Message
@@ -170,55 +173,6 @@ class ComputeCell:
     @property
     def queued_tasks(self) -> int:
         return len(self.task_queue)
-
-    def step(self) -> Optional[str]:
-        """Perform this cell's single operation for the current cycle.
-
-        Returns ``"compute"`` if an instruction was executed, ``"stage"`` if
-        an outgoing message is ready to be injected (the caller pops it from
-        :attr:`staging` and hands it to the NoC), or ``None`` if the cell was
-        idle this cycle.
-
-        This method is the reference semantics; ``Simulator.step`` inlines
-        an equivalent body (kept in sync) and, under the runtime's executor
-        fast path, additionally accepts raw messages in :attr:`task_queue`.
-        Direct callers of this method should enqueue :class:`Task` objects.
-        """
-        # 1. Finish the instructions of the action in progress.
-        if self._remaining_instructions > 0:
-            self._remaining_instructions -= 1
-            self.instructions_executed += 1
-            if self._remaining_instructions == 0 and self._held_messages:
-                self.staging.extend(self._held_messages)
-                self._held_messages = []
-            return "compute"
-
-        # 2. Drain the output staging queue (one message per cycle).
-        if self.staging:
-            self.messages_staged += 1
-            return "stage"
-
-        # 3. Start the next queued task.
-        if self.task_queue:
-            task = self.task_queue.popleft()
-            cost, messages = task.run()
-            if cost < 1:
-                cost = 1
-            self.tasks_executed += 1
-            self.instructions_executed += 1
-            self._remaining_instructions = cost - 1
-            if self._remaining_instructions == 0:
-                if messages:
-                    self.staging.extend(messages)
-            else:
-                self._held_messages = list(messages)
-            return "compute"
-
-        return None
-
-    def pop_staged(self) -> Message:
-        """Remove and return the message staged this cycle."""
-        return self.staging.popleft()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

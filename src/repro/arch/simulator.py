@@ -312,15 +312,13 @@ class Simulator:
             _t = _now
 
         # 4. Every cell with work performs one operation, in activation
-        # order.  The scratch buffers are reused so steady-state cycles
-        # allocate no fresh containers here.  The loop body is an inline of
-        # ``ComputeCell.step`` (kept in sync with cell.py, which remains the
-        # reference semantics and the API for direct users): this loop runs
-        # once per active cell per cycle, and at that rate the method call
-        # and the ``has_work`` property are measurable.  Each cell is
-        # re-stamped while it runs (so a same-cell task spawned mid-step
-        # cannot re-append it) and the stamp is retired if the cell goes
-        # idle.
+        # order: the execution rule of repro.arch.cell.  The scratch buffers
+        # are reused so steady-state cycles allocate no fresh containers
+        # here.  Cell state is read directly rather than through methods or
+        # the ``has_work`` property: this loop runs once per active cell per
+        # cycle, where a call is measurable.  Each cell is re-stamped while
+        # it runs (so a same-cell task spawned mid-step cannot re-append it)
+        # and the stamp is retired if the cell goes idle.
         active_this_cycle = self._cells_active_this_cycle
         active_this_cycle.clear()
         active_append = active_this_cycle.append
@@ -437,8 +435,7 @@ class Simulator:
 
         # 5. Record statistics and traces; run hooks.  Parked cells execute
         # one (virtual) instruction per parked cycle, so they count as
-        # active.  (Inline of stats.record_cycle, which stays the reference
-        # form for other callers.)
+        # active.
         stats = self.stats
         stats.cycles += 1
         stats.active_cells_per_cycle.append(len(active_this_cycle) + parked_this_cycle)

@@ -60,14 +60,6 @@ class SimStats:
     phase_marks: Dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def record_cycle(self, active_cells: int, in_flight: int, delivered: int) -> None:
-        """Append one cycle's worth of per-cycle series data."""
-        self.cycles += 1
-        self.active_cells_per_cycle.append(active_cells)
-        self.messages_in_flight_per_cycle.append(in_flight)
-        self.deliveries_per_cycle.append(delivered)
-        self.messages_delivered += delivered
-
     def mark_phase(self, name: str) -> None:
         """Record the current cycle as the start of a named phase."""
         self.phase_marks[name] = self.cycles

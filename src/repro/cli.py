@@ -21,7 +21,7 @@ Reproduce Figure 6/7 (cell activation) and print an ASCII plot::
 Run a whole scenario suite in parallel with cached results::
 
     repro suite run --preset paper-tiny -j 4
-    repro suite run --preset paper-tiny -j 4 --shard-increments 4 --timeout 120
+    repro suite run --preset paper-tiny -j 4 --timeout 120
     repro suite list
     repro suite show --preset paper-tiny
 
@@ -267,7 +267,6 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
             store=store,
             force=args.force,
             progress=lambda line: print(line, flush=True),
-            shard_increments=args.shard_increments,
             timeout=args.timeout,
             expect_cached=args.expect_cached,
             kernel=args.kernel,
@@ -924,19 +923,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-run scenarios even when cached, replacing records")
     p_run.add_argument("--no-store", action="store_true",
                        help="do not read or write the result store")
-    p_run.add_argument("--shard-increments", type=int, default=1, metavar="N",
-                       help="split each scenario's increment stream into up to N "
-                            "tasks that hand chip state over as snapshots — no "
-                            "increment is simulated twice, and records stay "
-                            "byte-identical to serial")
     p_run.add_argument("--snapshot-every", type=int, default=0, metavar="N",
                        help="checkpoint every N streamed increments (resumable "
                             "runs; requires --snapshot-dir, see repro snapshot)")
     p_run.add_argument("--snapshot-dir", default=None, metavar="DIR",
                        help="directory receiving --snapshot-every checkpoints")
     p_run.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-task wall-clock budget; overdue scenarios record "
-                            "a timeout outcome instead of hanging the suite")
+                       help="per-scenario wall-clock budget; an overdue "
+                            "scenario records a timeout outcome instead of "
+                            "hanging the suite")
     p_run.add_argument("--expect-cached", action="store_true",
                        help="fail (exit 1) if any scenario would be computed "
                             "instead of served from the store")
@@ -1112,7 +1107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz_run = fuzz_sub.add_parser(
         "run",
         help="fuzz random scenarios through the differential oracle "
-             "(kernels, snapshots, parking, sharding, tracing, conservation)",
+             "(kernels, snapshots, parking, span hand-off, tracing, "
+             "conservation)",
     )
     p_fuzz_run.add_argument("--profile", choices=("ci", "deep"), default="ci",
                             help="example budget profile (default: ci)")

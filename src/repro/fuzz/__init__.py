@@ -1,10 +1,10 @@
 """Property-based scenario fuzzing for the determinism contract.
 
 The repo's central claim — bit-identical schedules across kernels,
-snapshot round-trips, busy-cell parking transparency, sharded-equals-serial
-stores and observer-only tracing, over statistics that conserve messages and
-prepaid hops — is pinned on curated scenarios by tier-1.  This package pins
-it on the *space*:
+snapshot round-trips, busy-cell parking transparency, span hand-off stores
+equal to serial ones and observer-only tracing, over statistics that
+conserve messages and prepaid hops — is pinned on curated scenarios by
+tier-1.  This package pins it on the *space*:
 
 * :mod:`repro.fuzz.strategies` — hypothesis strategies generating valid
   random scenarios over every contract axis, shrinking toward minimal

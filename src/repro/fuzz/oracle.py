@@ -12,12 +12,12 @@ on curated cases elsewhere, plus the conservation laws of its statistics:
    recapture reproduces the snapshot's ``state_hash``.
 3. **park_transparency** — disabling busy-cell parking changes nothing in
    the record.
-4. **pipeline_vs_serial** — the increment-sharded run (checkpoint hand-off
-   between spans) stores bytes identical (``cmp``) to the serial one, in
-   two legs: in-process spans continue the warm slot's live run, and a
-   cold leg empties the slot before every span so each one restores its
-   checkpoint.  A truncated scenario is planned as the single span
-   ``[0, total)``.
+4. **pipeline_vs_serial** — the run cut into at most three spans that hand
+   chip state over as checkpoints (``repro serve``'s span plan) stores
+   bytes identical (``cmp``) to the serial one, in two legs: warm spans
+   continue the live run the previous span left in the warm slot, and cold
+   spans empty the slot first so each one restores its checkpoint.  A
+   truncated scenario is planned as the single span ``[0, total)``.
 5. **trace_transparency** — attaching the Chrome tracer leaves the record
    byte-identical, and the emitted trace validates.
 6. **conservation** — the baseline's statistics conserve messages and
@@ -45,12 +45,12 @@ from repro.arch._native import HAVE_NATIVE
 from repro.fuzz.fingerprint import classify, fingerprint_record
 from repro.harness.runner import (
     _pinned,
-    _span_tasks,
+    _pipeline_span_task,
     drop_warm_run,
+    plan_spans,
     restore_scenario,
     resume_scenario,
     run_scenario,
-    run_scenario_sharded,
 )
 from repro.harness.scenario import Scenario
 from repro.harness.store import ResultStore
@@ -242,17 +242,20 @@ def _check_park_transparency(scenario: Scenario,
                     "disabling busy-cell parking changed the record")
 
 
-def _sharded_cold(scenario: Scenario, shards: int,
-                  workdir: str) -> Tuple[Dict[str, Any], List[str]]:
-    """The in-process sharded run with the warm slot emptied before every
-    span; returns the record and how each span started."""
-    spill = os.path.join(workdir, "cold-spill")
+def _span_leg(scenario: Scenario, cadence: int, spill: str,
+              cold: bool) -> Tuple[Dict[str, Any], List[str]]:
+    """Run a scenario's planned spans in order, in-process; returns the
+    record and how each span started.  A cold leg empties the warm slot
+    before every span."""
     os.makedirs(spill, exist_ok=True)
+    scenario = _pinned(scenario, "python")
     handoffs = []
-    for fn, args in _span_tasks(_pinned(scenario, "python"), shards,
-                                spill, None):
-        drop_warm_run()
-        _cycles, record, handoff = fn(*args)
+    for _start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
+                                                      spill):
+        if cold:
+            drop_warm_run()
+        _cycles, record, handoff = _pipeline_span_task(scenario, stop,
+                                                       snap_in, snap_out)
         handoffs.append(handoff)
     return record, handoffs
 
@@ -260,27 +263,30 @@ def _sharded_cold(scenario: Scenario, shards: int,
 def _check_pipeline_vs_serial(scenario: Scenario, baseline: Dict[str, Any],
                               workdir: str) -> InvariantOutcome:
     name = "pipeline_vs_serial"
-    shards = min(3, scenario.dataset.num_increments)
-    if shards < 2:
-        return InvariantOutcome(name, "skip", "single increment, nothing to shard")
-    warm = run_scenario_sharded(scenario, shards, kernel="python")
-    cold, handoffs = _sharded_cold(scenario, shards, workdir)
-    if any(handoff != "restored" for handoff in handoffs[1:]):
-        return InvariantOutcome(
-            name, "fail", f"cold leg spans started {handoffs}, not restored")
+    total = scenario.dataset.num_increments
+    if total < 2:
+        return InvariantOutcome(name, "skip",
+                                "single increment, nothing to hand off")
+    cadence = -(-total // 3)  # at most three spans
     serial_path = os.path.join(workdir, "serial.jsonl")
     ResultStore(serial_path).put(baseline)
-    for leg, sharded in (("warm", warm), ("cold", cold)):
-        outcome = _compare(name, baseline, sharded,
-                           f"sharded record ({leg} spans) != serial record")
+    for leg, kind in (("warm", "warm"), ("cold", "restored")):
+        record, handoffs = _span_leg(scenario, cadence,
+                                     os.path.join(workdir, f"{leg}-spill"),
+                                     cold=leg == "cold")
+        if any(handoff != kind for handoff in handoffs[1:]):
+            return InvariantOutcome(
+                name, "fail", f"{leg} leg spans started {handoffs}, not {kind}")
+        outcome = _compare(name, baseline, record,
+                           f"span record ({leg} spans) != serial record")
         if outcome.status == "fail":
             return outcome
-        sharded_path = os.path.join(workdir, f"sharded-{leg}.jsonl")
-        ResultStore(sharded_path).put(sharded)
-        if not filecmp.cmp(serial_path, sharded_path, shallow=False):
+        span_path = os.path.join(workdir, f"spans-{leg}.jsonl")
+        ResultStore(span_path).put(record)
+        if not filecmp.cmp(serial_path, span_path, shallow=False):
             return InvariantOutcome(
                 name, "fail",
-                f"sharded store bytes ({leg} spans) != serial store bytes "
+                f"span store bytes ({leg} spans) != serial store bytes "
                 "(records compared equal: store encoding diverged)")
     return InvariantOutcome(name, "ok")
 

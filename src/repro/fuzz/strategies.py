@@ -5,7 +5,7 @@ Scenario` specs spanning every axis the determinism contract quantifies
 over: mesh sizes, dataset families and sampling orders, increment counts,
 fidelities, routings, kernels, cell capacities, truncation budgets and
 snapshot cadences.  Sizes are kept deliberately tiny — the oracle runs each
-example ~8 times (kernels x snapshots x shards x traces), so one example
+example ~8 times (kernels x snapshots x spans x traces), so one example
 must stay in the tens-of-milliseconds range.
 
 Shrinking

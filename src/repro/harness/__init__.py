@@ -7,9 +7,10 @@ The harness is the one place the repository fans experiments out:
 * :mod:`repro.harness.registry` — named suites covering the paper's
   evaluation plus chip/sampling/algorithm/fidelity sweeps and the
   ``perf`` benchmark workloads,
-* :mod:`repro.harness.runner` — serial, pooled, sharded and
-  timeout-guarded execution with deterministic per-scenario seeding,
-  every run path streaming through one span function,
+* :mod:`repro.harness.runner` — serial, pooled and timeout-guarded
+  execution with deterministic per-scenario seeding, every run path
+  streaming through one span function (and ``repro serve`` handing chip
+  state between a job's spans as checkpoints),
 * :mod:`repro.harness.pool` — the persistent worker pool underneath
   (per-task timeouts, crash isolation, warm-worker reuse across runs),
 * :mod:`repro.harness.store` — a crash-safe JSONL result cache keyed by
@@ -73,10 +74,8 @@ from repro.harness.runner import (
     restore_scenario,
     resume_scenario,
     run_scenario,
-    run_scenario_sharded,
     run_scenario_traced,
     run_suite,
-    shard_spans,
     snapshot_at,
 )
 from repro.harness.scenario import (
@@ -132,10 +131,8 @@ __all__ = [
     "resume_scenario",
     "run_bench",
     "run_scenario",
-    "run_scenario_sharded",
     "run_scenario_traced",
     "run_suite",
-    "shard_spans",
     "shutdown_pool",
     "snapshot_at",
     "suite_table_rows",

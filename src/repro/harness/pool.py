@@ -4,9 +4,10 @@
 behind a dispatcher thread.  Any thread may :meth:`~DispatchPool.submit` a
 task at any time and gets a :class:`TaskHandle` back; idle workers take
 tasks in submission order.  :func:`~repro.harness.runner.run_suite`
-submits every task of a suite and then waits on the handles, reusing the
-process-wide pool from :func:`get_pool` across calls; ``repro serve``
-submits one job span at a time from each scheduler thread.  Either way
+submits one independent task per scenario and then waits on the handles,
+reusing the process-wide pool from :func:`get_pool` across calls;
+``repro serve`` submits one job span at a time from each scheduler
+thread, so a span is dispatched only after its predecessor has finished.  Either way
 interpreter/import startup is paid once per worker, not once per scenario
 as with a fresh ``multiprocessing.Pool`` per run.
 

@@ -5,38 +5,37 @@ into a dataset + device + graph + algorithm, streams every increment, runs
 the query diffusion when the algorithm has one, and returns a flat,
 JSON-serialisable **record** containing only deterministic fields (no
 timestamps, hostnames or wall-clock), so the same scenario produces a
-byte-identical record whether it runs in-process, in a worker, or sharded.
+byte-identical record whether it runs in-process, in a worker, or span by
+span.
 
 Every entry point — :func:`run_scenario`, :func:`run_scenario_traced`,
 :func:`snapshot_at`, :func:`resume_scenario` and the pool task behind
-sharded suites and ``repro serve`` — is a thin wrapper over
-:func:`_run_span`: materialise or restore a checkpoint, stream up to an
-increment boundary with the ``snapshot_every`` cadence and the tracer, and
-return the final payload or the boundary snapshot.
+``repro serve`` — is a thin wrapper over :func:`_run_span`: materialise or
+restore a checkpoint, stream up to an increment boundary with the
+``snapshot_every`` cadence and the tracer, and return the final payload or
+the boundary snapshot.
 
 :func:`run_suite` fans a suite out over the shared
-:class:`~repro.harness.pool.DispatchPool`.  A mid-run simulator is full of
-closures and is not picklable, but a :class:`Scenario` is a frozen
-dataclass of plain values, so only scenarios and checkpoint paths cross the
-process boundary (records come back as plain dicts).  Scenarios already
-present in the :class:`~repro.harness.store.ResultStore` are skipped as
-cache hits unless ``force`` is set.
+:class:`~repro.harness.pool.DispatchPool`, one :func:`run_scenario` task
+per scenario.  A mid-run simulator is full of closures and is not
+picklable, but a :class:`Scenario` is a frozen dataclass of plain values,
+so only scenarios cross the process boundary (records come back as plain
+dicts).  Scenarios already present in the
+:class:`~repro.harness.store.ResultStore` are skipped as cache hits unless
+``force`` is set.
 
-Increment sharding
-------------------
-``shard_increments=N`` splits one scenario's increment stream into up to N
-contiguous spans, each its own task (:func:`run_scenario_sharded`).  The
-chip's state is sequential — increment ``i`` runs against the graph that
-increments ``0..i-1`` built — so span K restores the :mod:`repro.snapshot`
-checkpoint span K-1 saved at their shared boundary into a spill directory.
-**No increment is ever simulated twice**: total CPU is one pass over the
-stream, whatever the shard count.  The last span assembles the record from
-the restored cursor plus its own increments, which is **byte-identical to
-a serial run** because a restored snapshot continues the bit-identical
-schedule (see docs/snapshot.md).
-
-An unsharded scenario is the single span ``[0, total)``.  A scenario with
-``max_cycles_per_increment`` set also always runs as one span: a truncated
+Span hand-off
+-------------
+``repro serve`` runs a job as the spans :func:`plan_spans` cuts at its
+cadence, one :func:`_pipeline_span_task` each.  The chip's state is
+sequential — increment ``i`` runs against the graph that increments
+``0..i-1`` built — so every span but the first starts from the
+:mod:`repro.snapshot` checkpoint its predecessor saved at their shared
+boundary, and **no increment is ever simulated twice**.  The last span
+assembles the record from the run's cursor plus its own increments, which
+is **byte-identical to a serial run** because a restored snapshot continues
+the bit-identical schedule (see docs/snapshot.md).  A scenario with
+``max_cycles_per_increment`` set always runs as one span: a truncated
 increment can end with continuations still awaiting their trigger, which
 no checkpoint can capture.
 
@@ -52,21 +51,18 @@ both keys match its own spec hash and the last 32 bytes of its input
 checkpoint; otherwise it restores, as any span on another process does.
 The checkpoint is still saved at every boundary, and a live run is the
 state a restore of it rebuilds, so records and checkpoint bytes are the
-same either way.  In-process sharded runs continue warm span after span;
-on a pool, ``repro serve`` keys each job's spans to the worker that ran
-the previous one (:meth:`DispatchPool.submit`'s ``affinity``).
+same either way.  ``repro serve`` keys each job's spans to the worker that
+ran the previous one (:meth:`DispatchPool.submit`'s ``affinity``).
 """
 
 from __future__ import annotations
 
 import os
 import random
-import tempfile
 import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import __version__
@@ -74,7 +70,7 @@ from repro.algorithms.registry import get_algorithm
 from repro.datasets.streaming import StreamingDataset, make_streaming_dataset
 from repro.graph.graph import DynamicGraph
 from repro.graph.rpvo import Edge
-from repro.harness.pool import DispatchPool, Task, get_pool
+from repro.harness.pool import DispatchPool, get_pool
 from repro.harness.scenario import DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry, Tracer, derive_trace_path, record_metrics
@@ -216,7 +212,7 @@ def _assemble_record(
     increment_cycles: List[int],
     final: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """The canonical result record: one code path for serial and sharded runs."""
+    """The canonical result record: one code path for every run path."""
     return {
         "spec_hash": scenario.spec_hash(),
         "name": scenario.name,
@@ -432,63 +428,37 @@ def resume_scenario(
 # ----------------------------------------------------------------------
 # Span plans and the pool task
 # ----------------------------------------------------------------------
-def shard_spans(num_increments: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``num_increments`` into up to ``shards`` contiguous spans."""
-    shards = max(1, min(shards, num_increments))
-    bounds = [round(i * num_increments / shards) for i in range(shards + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+#: One planned span: ``(start, stop, snap_in, snap_out)``.
+Span = Tuple[int, int, Optional[str], Optional[str]]
 
 
-def cadence_spans(num_increments: int, cadence: int) -> List[Tuple[int, int]]:
-    """Contiguous spans of at most ``cadence`` increments each.
+def plan_spans(scenario: Scenario, cadence: int, spill_dir: str) -> List[Span]:
+    """A scenario's run as contiguous spans of at most ``cadence`` increments.
 
-    The progress/pause granularity of ``repro serve``: a job executes one
-    :func:`_pipeline_span_task` per span, with a checkpoint at every
-    boundary, so increments completed (and the park point of a paused job)
-    advance in ``cadence``-sized steps.
+    Span ``(start, stop, snap_in, snap_out)`` streams increments
+    ``[start, stop)`` from the checkpoint at ``snap_in`` (``None`` for the
+    first span, which materialises fresh) and saves the checkpoint at
+    ``stop`` to ``snap_out`` (``None`` for the last span, which assembles
+    the record).  Checkpoints are named ``incNNNNN.snap`` by boundary
+    inside ``spill_dir``.  This is the progress/pause granularity of
+    ``repro serve``: a job runs one :func:`_pipeline_span_task` per span.
+
+    A truncated scenario (``max_cycles_per_increment`` set) is the single
+    span ``[0, total)``: an increment cut off by its cycle budget can end
+    with registered continuations still awaiting their trigger, state a
+    checkpoint refuses to capture.
     """
-    cadence = max(1, cadence)
-    return [(a, min(a + cadence, num_increments))
-            for a in range(0, num_increments, cadence)]
+    total = scenario.dataset.num_increments
+    if scenario.options.max_cycles_per_increment is not None:
+        cadence = total
+    bounds = list(range(0, total, max(1, cadence))) + [total]
 
+    def checkpoint(boundary: int) -> str:
+        return os.path.join(spill_dir, f"inc{boundary:05d}.snap")
 
-def _plan_spans(scenario: Scenario,
-                spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """``spans``, or the single span ``[0, total)`` for a truncated scenario.
-
-    ``max_cycles_per_increment`` can end an increment with registered
-    continuations still awaiting their trigger, state a checkpoint refuses
-    to capture, so a truncated scenario never hands off mid-stream.
-    """
-    if scenario.options.max_cycles_per_increment is None:
-        return spans
-    return [(0, scenario.dataset.num_increments)]
-
-
-#: Default ceiling (seconds) a span waits for its upstream checkpoint
-#: before giving up (used when no --timeout guards the task).
-PIPELINE_WAIT_S = 600.0
-
-
-def _await_snapshot(path: str, timeout_s: float) -> None:
-    """Block until an upstream span's checkpoint appears (or fails).
-
-    Checkpoints are written atomically (temp + rename), so existence
-    implies completeness.  A ``<path>.failed`` marker — written by a span
-    that raised — aborts the wait immediately instead of timing out.
-    """
-    deadline = time.monotonic() + timeout_s
-    marker = path + ".failed"
-    while not os.path.exists(path):
-        if os.path.exists(marker):
-            raise RuntimeError(
-                f"upstream pipeline shard failed (marker {marker}); "
-                "see its error for the cause")
-        if time.monotonic() >= deadline:
-            raise TimeoutError(
-                f"pipeline shard waited {timeout_s:.0f}s for upstream "
-                f"checkpoint {path}; upstream shard lost or stalled")
-        time.sleep(0.02)
+    return [(a, b, checkpoint(a) if a > 0 else None,
+             checkpoint(b) if b < total else None)
+            for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -527,180 +497,47 @@ def _pipeline_span_task(
     stop: int,
     snap_in: Optional[str],
     snap_out: Optional[str],
-    wait_s: float = PIPELINE_WAIT_S,
 ) -> Tuple[List[int], Optional[Dict[str, Any]], str]:
     """Pool task: one span of a scenario (module-level, picklable).
 
-    The first span (no ``snap_in``) materialises fresh; a later span waits
-    for the checkpoint its predecessor saved at ``snap_in`` and streams
-    from there up to boundary ``stop``.  It continues the warm slot's live
-    run when that run sits at exactly this checkpoint of this spec, and
-    restores the checkpoint otherwise.  A span with a successor saves the
-    checkpoint at ``stop`` to ``snap_out`` and leaves its live run in the
-    slot; the last span (no ``snap_out``) assembles the record.
+    The first span (no ``snap_in``) materialises fresh; a later span
+    streams from the checkpoint its predecessor saved at ``snap_in`` up to
+    boundary ``stop``.  It continues the warm slot's live run when that run
+    sits at exactly this checkpoint of this spec, and restores the
+    checkpoint otherwise, so a missing ``snap_in`` fails at once with the
+    :class:`SnapshotError` that names it.  A span with a successor saves
+    the checkpoint at ``stop`` to ``snap_out`` and leaves its live run in
+    the slot; the last span (no ``snap_out``) assembles the record.
 
     Returns ``(cycles, record, handoff)``: the cycles of every increment
     streamed since the start of the run, the record or ``None``, and how
-    the span started: ``"fresh"``, ``"warm"`` or ``"restored"``.  On
-    failure the slot stays empty, and a ``.failed`` marker next to the
-    would-be output unblocks downstream waiters.
+    the span started: ``"fresh"``, ``"warm"`` or ``"restored"``.  A span
+    that raises leaves the slot empty.
     """
     global _warm
     with _warm_lock:
         warm, _warm = _warm, None
-    try:
-        run, handoff = None, "fresh"
-        if snap_in is not None:
-            _await_snapshot(snap_in, wait_s)
-            # Both keys: two specs can share a checkpoint body and still
-            # differ in later increments.
-            if (warm is not None and warm.spec_hash == scenario.spec_hash()
-                    and warm.digest == _body_digest(snap_in)):
-                run, handoff = warm.run, "warm"
-            else:
-                handoff = "restored"
-        warm = None  # a live run not continued is dropped before any build
-        if run is None:
-            checkpoint = Snapshot.load(snap_in) if snap_in else None
-            run = _materialize(scenario, checkpoint)
-        cycles, end = _run_span(scenario, stop, run=run,
-                                final=snap_out is None)
-        if snap_out is None:
-            return cycles, _assemble_record(scenario, cycles, end), handoff
-        end.save(snap_out)
-        sim = run[1].simulator
-        sim.tracer = sim.phase_ns = None  # the next span attaches its own
-        _warm = _WarmRun(scenario.spec_hash(), end.to_bytes()[-32:], run)
-        return cycles, None, handoff
-    except BaseException:
-        if snap_out is not None:
-            try:
-                Path(snap_out + ".failed").touch()
-            except OSError:  # pragma: no cover - spill dir already gone
-                pass
-        raise
-
-
-def _pipeline_wait_s(timeout: Optional[float], span_index: int) -> float:
-    """Checkpoint-wait budget for span ``span_index`` of a scenario.
-
-    The wait legitimately spans the *cumulative* runtime of every upstream
-    span (span K cannot see its input before spans 0..K-1 have all run),
-    so the unguarded default scales with the span index instead of
-    applying one flat cap that long runs would trip spuriously.  An
-    explicit ``--timeout`` takes over outright — the pool kills overdue
-    waiters anyway, so a tighter in-task deadline would only race it.
-    """
-    if timeout is not None:
-        return timeout
-    return PIPELINE_WAIT_S * max(1, span_index)
-
-
-def _span_tasks(scenario: Scenario, shards: int, spill_dir: str,
-                timeout: Optional[float]) -> List[Task]:
-    """One scenario's task list: a :func:`_pipeline_span_task` per span.
-
-    Checkpoints hand over through ``spill_dir``, named by spec hash so the
-    scenarios of one suite never collide.  A multi-span scenario traces
-    each span to its own file derived from the scenario's trace path, so
-    parallel spans never share a file.
-    """
-    spans = _plan_spans(
-        scenario, shard_spans(scenario.dataset.num_increments, shards))
-    last = spans[-1][1]
-    prefix = os.path.join(spill_dir, scenario.spec_hash()[:16])
-    trace = scenario.options.trace_path
-    tasks: List[Task] = []
-    for index, (a, b) in enumerate(spans):
-        span = scenario
-        if trace is not None and len(spans) > 1:
-            span = scenario.with_(options=replace(
-                scenario.options,
-                trace_path=derive_trace_path(trace, f"span{a}-{b}")))
-        tasks.append((_pipeline_span_task, (
-            span, b,
-            f"{prefix}-inc{a:05d}.snap" if a > 0 else None,
-            f"{prefix}-inc{b:05d}.snap" if b != last else None,
-            _pipeline_wait_s(timeout, index),
-        )))
-    return tasks
-
-
-def _spill_dir() -> tempfile.TemporaryDirectory:
-    """A temporary directory for the checkpoints spans hand over."""
-    return tempfile.TemporaryDirectory(prefix="repro-pipeline-",
-                                       ignore_cleanup_errors=True)
-
-
-def _run_on_pool(
-    pool: DispatchPool,
-    scenarios: List[Scenario],
-    shards: int,
-    timeout: Optional[float],
-    kernel: Optional[str],
-) -> List["ScenarioOutcome"]:
-    """Run scenarios' task lists on a pool; one outcome per scenario.
-
-    Every span of every scenario is submitted before any is waited on, so
-    spans of a long scenario interleave with other scenarios across the
-    workers.  Each scenario's spans are submitted contiguously and in
-    order, and the pool dispatches in FIFO order, so the earliest
-    unfinished span of any scenario always has a finished predecessor: a
-    worker blocked on an upstream checkpoint can never deadlock the pool.
-    """
-    with _spill_dir() as spill_dir:
-        submitted = [
-            [pool.submit(fn, args, timeout=timeout)
-             for fn, args in _span_tasks(_pinned(scenario, kernel), shards,
-                                         spill_dir, timeout)]
-            for scenario in scenarios
-        ]
-        outcomes = []
-        for scenario, handles in zip(scenarios, submitted):
-            results = [handle.wait() for handle in handles]
-            bad = [r for r in results if r.status != "ok"]
-            if bad:
-                status = ("timeout" if any(r.status == "timeout" for r in bad)
-                          else "error")
-                error = next((r.error for r in bad if r.error), None)
-                outcomes.append(ScenarioOutcome(scenario, None, cached=False,
-                                                status=status, error=error))
-            else:
-                outcomes.append(ScenarioOutcome(scenario, results[-1].value[1],
-                                                cached=False))
-    return outcomes
-
-
-def run_scenario_sharded(
-    scenario: Scenario,
-    shards: int,
-    *,
-    pool: Optional[DispatchPool] = None,
-    timeout: Optional[float] = None,
-    kernel: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run one scenario as up to ``shards`` spans — byte-identical to serial.
-
-    Each span restores the checkpoint its predecessor saved at their shared
-    boundary, so every increment is simulated exactly once.  With ``pool``
-    the spans run as pool tasks (each guarded by ``timeout``, if set);
-    without one they run in-process, in order, through the same
-    spill-directory transport.  Raises ``TimeoutError`` or ``RuntimeError``
-    when a pooled span fails.
-    """
-    if pool is None:
-        with _spill_dir() as spill_dir:
-            for fn, args in _span_tasks(_pinned(scenario, kernel), shards,
-                                        spill_dir, None):
-                _cycles, record, _handoff = fn(*args)
-        return record
-    (outcome,) = _run_on_pool(pool, [scenario], shards, timeout, kernel)
-    if outcome.status == "timeout":
-        raise TimeoutError(f"shard of {scenario.name!r} exceeded {timeout}s")
-    if outcome.status != "ok":
-        raise RuntimeError(
-            f"shard of {scenario.name!r} failed:\n{outcome.error}")
-    return outcome.record
+    run, handoff = None, "fresh"
+    if snap_in is not None:
+        # Both keys: two specs can share a checkpoint body and still
+        # differ in later increments.
+        if (warm is not None and warm.spec_hash == scenario.spec_hash()
+                and warm.digest == _body_digest(snap_in)):
+            run, handoff = warm.run, "warm"
+        else:
+            handoff = "restored"
+    warm = None  # a live run not continued is dropped before any build
+    if run is None:
+        checkpoint = Snapshot.load(snap_in) if snap_in else None
+        run = _materialize(scenario, checkpoint)
+    cycles, end = _run_span(scenario, stop, run=run, final=snap_out is None)
+    if snap_out is None:
+        return cycles, _assemble_record(scenario, cycles, end), handoff
+    end.save(snap_out)
+    sim = run[1].simulator
+    sim.tracer = sim.phase_ns = None  # the next span attaches its own
+    _warm = _WarmRun(scenario.spec_hash(), end.to_bytes()[-32:], run)
+    return cycles, None, handoff
 
 
 # ----------------------------------------------------------------------
@@ -711,7 +548,7 @@ class ScenarioOutcome:
     """One scenario's result plus how it was obtained.
 
     ``status`` is one of ``"ok"`` (record present, fresh or cached),
-    ``"timeout"`` (exceeded the per-task budget), ``"error"`` (raised or
+    ``"timeout"`` (exceeded the per-scenario budget), ``"error"`` (raised or
     the worker died) or ``"uncached"`` (``expect_cached`` found no stored
     record and refused to compute).  Only ``"ok"`` outcomes carry a record.
     """
@@ -763,7 +600,6 @@ def run_suite(
     store: Optional[ResultStore] = None,
     force: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    shard_increments: int = 1,
     timeout: Optional[float] = None,
     expect_cached: bool = False,
     pool: Optional[DispatchPool] = None,
@@ -787,14 +623,10 @@ def run_suite(
         Re-run every scenario even on a cache hit, replacing stored records.
     progress:
         Optional callback receiving one human-readable line per scenario.
-    shard_increments:
-        Split each pending scenario's increment stream into up to this many
-        spans, each its own task, handing chip state over as checkpoints
-        (see the module docstring).  ``1`` disables sharding.
     timeout:
-        Per-task wall-clock budget in seconds.  An overdue task's worker is
-        killed; the scenario records a ``timeout`` outcome and the rest of
-        the suite keeps running.  With sharding the budget guards each span.
+        Per-scenario wall-clock budget in seconds.  An overdue scenario's
+        worker is killed; the scenario records a ``timeout`` outcome and
+        the rest of the suite keeps running.
     expect_cached:
         Assert-only mode: scenarios missing from the store are *not* run but
         reported with status ``"uncached"`` (in ``report.failures``), so CI
@@ -824,9 +656,8 @@ def run_suite(
     trace_base:
         Base path for per-scenario simulator traces: each freshly computed
         scenario writes a Chrome trace to
-        ``derive_trace_path(trace_base, name)`` (per-span files when
-        sharded).  Works with every execution mode, including pooled
-        workers.
+        ``derive_trace_path(trace_base, name)``.  Works with every
+        execution mode, including pooled workers.
     """
     say = progress or (lambda _msg: None)
     started = time.perf_counter()
@@ -874,23 +705,28 @@ def run_suite(
             pending = []
 
         if pending:
-            workers = max(1, min(jobs, len(pending) * max(1, shard_increments)))
-            if workers > 1 or timeout is not None:
+            if min(jobs, len(pending)) > 1 or timeout is not None:
                 # Sized from jobs, not from this call's task count, so
                 # repeated calls at the same jobs keep their warm workers.
                 observed_pool = pool or get_pool(max(1, jobs))
                 observed_pool.tracer = tracer
                 observed_pool.metrics = metrics
-                outcomes = _run_on_pool(
-                    observed_pool, [scenarios[i] for i in pending],
-                    shard_increments, timeout, kernel)
+                # The kernel pin rides inside the pickled scenario.
+                handles = [observed_pool.submit(
+                               run_scenario, (_pinned(scenarios[i], kernel),),
+                               timeout=timeout)
+                           for i in pending]
+                # Task statuses are outcome statuses; only "ok" has a value.
+                results = [handle.wait() for handle in handles]
+                outcomes = [ScenarioOutcome(scenarios[i], result.value,
+                                            cached=False, status=result.status,
+                                            error=result.error)
+                            for i, result in zip(pending, results)]
             else:
-                # Inline, the same span task list runs in order, so
-                # --shard-increments never silently no-ops at jobs=1.
                 outcomes = [
-                    ScenarioOutcome(scenarios[i], run_scenario_sharded(
-                        scenarios[i], shard_increments, kernel=kernel),
-                        cached=False)
+                    ScenarioOutcome(scenarios[i],
+                                    run_scenario(scenarios[i], kernel=kernel),
+                                    cached=False)
                     for i in pending
                 ]
             fresh_records = []

@@ -29,7 +29,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 #: Event types :func:`validate_trace` accepts (the subset repro emits).
 KNOWN_PHASES = ("X", "i", "C", "M", "B", "E")
@@ -196,17 +196,15 @@ def validate_trace_file(path: str | os.PathLike) -> List[str]:
     return validate_trace(data)
 
 
-def derive_trace_path(base: str, scenario: str,
-                      span: Optional[tuple] = None) -> str:
-    """Per-scenario (and per-shard) trace filename derived from a base path.
+def derive_trace_path(base: str, scenario: str) -> str:
+    """Per-scenario trace filename derived from a base path.
 
     ``repro suite run --trace out.json`` writes the harness-level trace to
     ``out.json`` itself; each scenario's simulator trace goes to
-    ``out-<scenario>.json`` (``out-<scenario>-spanA-B.json`` for a shard),
-    so parallel workers never contend for one file.
+    ``out-<scenario>.json``, so parallel workers never contend for one
+    file.
     """
     p = Path(base)
     suffix = p.suffix or ".json"
     stem = p.name[:-len(p.suffix)] if p.suffix else p.name
-    tag = scenario if span is None else f"{scenario}-span{span[0]}-{span[1]}"
-    return str(p.with_name(f"{stem}-{tag}{suffix}"))
+    return str(p.with_name(f"{stem}-{scenario}{suffix}"))

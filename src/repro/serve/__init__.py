@@ -11,10 +11,10 @@ dependencies):
   containment, respawn, and job affinity that keeps a job's spans on the
   worker holding its live run),
 * progress, pause and resume ride the snapshot subsystem: a job runs as a
-  sequence of spans with a checkpoint at every boundary, exactly the
-  transport ``repro suite run --shard-increments`` uses, so a
-  paused-then-resumed job ends with a record byte-identical to an
-  uninterrupted run (a truncated scenario runs as one span),
+  sequence of spans with a checkpoint at every boundary
+  (:func:`~repro.harness.runner.plan_spans`), so a paused-then-resumed
+  job ends with a record byte-identical to an uninterrupted run (a
+  truncated scenario runs as one span),
 * ``GET /v1/records/<spec_hash>`` returns the store's canonical JSONL
   bytes, so records fetched over HTTP are byte-identical to a direct
   ``repro suite run`` of the same spec,

@@ -6,10 +6,11 @@ metrics registry — and runs ``jobs`` scheduler threads, each of which pops
 one job at a time (round-robin across clients) and drives it span by span
 through the pool:
 
-* every span is a :func:`~repro.harness.runner._pipeline_span_task` — the
-  same module-level pool task ``--shard-increments`` uses — started from
-  the previous boundary's checkpoint, so nothing is ever simulated twice
-  and every boundary is a valid park/handoff point.  A scenario with
+* a job's spans come from :func:`~repro.harness.runner.plan_spans` at the
+  configured cadence, with checkpoints in ``work_dir/<id[:16]>``; every
+  span is a :func:`~repro.harness.runner._pipeline_span_task` started
+  from the previous boundary's checkpoint, so nothing is ever simulated
+  twice and every boundary is a valid park/handoff point.  A scenario with
   ``max_cycles_per_increment`` runs as one span, since its boundaries can
   hold state no checkpoint captures;
 * a job's spans are submitted with the job id as their pool ``affinity``,
@@ -22,8 +23,9 @@ through the pool:
 * pausing simply stops dispatching further spans (the boundary checkpoint
   stays on disk); resuming re-enqueues the job, which picks up at
   ``next_start``.  The last span assembles the record from the run's
-  cursor, exactly as a sharded suite run does, so it is byte-identical to
-  an uninterrupted run;
+  cursor, so it is byte-identical to an uninterrupted run.  A resumed job
+  whose boundary checkpoint has gone fails at once, with the
+  :class:`~repro.snapshot.format.SnapshotError` that names the file;
 * per-span timeouts and crash containment come from the pool: an overdue
   or crashed span fails only its own job, and the worker is respawned.
 
@@ -44,12 +46,7 @@ from typing import Any, Optional, Tuple
 
 from repro.arch.config import KERNELS
 from repro.harness.pool import DispatchPool
-from repro.harness.runner import (
-    _pinned,
-    _pipeline_span_task,
-    _plan_spans,
-    cadence_spans,
-)
+from repro.harness.runner import _pinned, _pipeline_span_task, plan_spans
 from repro.harness.scenario import Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry
@@ -263,15 +260,6 @@ class ScenarioService:
             except Exception as exc:  # pragma: no cover - defensive
                 self._fail(job, f"internal scheduler error: {exc}")
 
-    def _spill_dir(self, job: Job) -> str:
-        path = os.path.join(self.work_dir, job.id[:16])
-        os.makedirs(path, exist_ok=True)
-        return path
-
-    def _checkpoint_path(self, job: Job, boundary: int) -> str:
-        return os.path.join(self._spill_dir(job),
-                            f"inc{boundary:05d}.snap")
-
     def _execute(self, job: Job) -> None:
         with job.cond:
             if job.pause_requested:
@@ -292,24 +280,18 @@ class ScenarioService:
         scenario = _pinned(Scenario.from_dict(job.scenario.spec_dict()),
                            job.kernel)
         total = job.total_increments
-        spans = [(a, b) for a, b in _plan_spans(
-                     scenario, cadence_spans(total, self.config.cadence))
-                 if a >= job.next_start]
-        for start, stop in spans:
+        spill_dir = os.path.join(self.work_dir, job.id[:16])
+        os.makedirs(spill_dir, exist_ok=True)
+        spans = [span for span in plan_spans(scenario, self.config.cadence,
+                                             spill_dir)
+                 if span[0] >= job.next_start]
+        for start, stop, snap_in, snap_out in spans:
             if self._stopping.is_set():
                 self._park(job, "service stopping")
                 return
-            want_final = stop == total
-            snap_in = (self._checkpoint_path(job, start)
-                       if start > 0 else None)
-            snap_out = (None if want_final
-                        else self._checkpoint_path(job, stop))
-            # Spans run strictly in order here, so the upstream checkpoint
-            # is always already on disk; a short wait fails fast if it was
-            # removed from under a parked job.
             result = self.pool.run(
                 _pipeline_span_task,
-                (scenario, stop, snap_in, snap_out, 10.0),
+                (scenario, stop, snap_in, snap_out),
                 timeout=self.config.timeout,
                 affinity=job.id,
             )
@@ -338,13 +320,12 @@ class ScenarioService:
                     os.remove(snap_in)
                 except OSError:  # pragma: no cover - already gone
                     pass
-            if not want_final and job.pause_requested:
+            if snap_out is not None and job.pause_requested:
                 self._park(job, f"paused at increment {stop}")
                 return
         with self._store_lock:
             self.store.put(record)
-        shutil.rmtree(os.path.join(self.work_dir, job.id[:16]),
-                      ignore_errors=True)
+        shutil.rmtree(spill_dir, ignore_errors=True)
         with job.cond:
             job.state = DONE
             job.events.append(
@@ -364,13 +345,14 @@ class ScenarioService:
         self._refresh_gauges()
 
     def _fail(self, job: Job, detail: str, outcome: str = "failed") -> None:
+        # The spill dir goes first, so a job seen failed has none left.
+        shutil.rmtree(os.path.join(self.work_dir, job.id[:16]),
+                      ignore_errors=True)
         with job.cond:
             job.state = FAILED
             job.error = detail
             job.events.append(f"failed: {detail}")
             job.cond.notify_all()
-        shutil.rmtree(os.path.join(self.work_dir, job.id[:16]),
-                      ignore_errors=True)
         self._count_job(outcome)
         self._refresh_gauges()
 

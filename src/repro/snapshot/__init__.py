@@ -1,20 +1,19 @@
 """``repro.snapshot``: deterministic checkpoint/restore of mid-stream chip state.
 
-Chip state is sequential, so without checkpoints a shard of an increment
-stream would have to re-simulate its whole prefix, and total CPU would
-grow quadratically with the shard count.  This package removes that
-cost.  A :class:`Snapshot`
-captures the **complete data state** of a run at a point in simulated time
-— simulator clock and wake wheel, per-cell execution bookkeeping, NoC
-in-flight messages, IO queues, runtime counters, RPVO blocks, ghost
-allocator RNG, ingest cursors — in a compact, schema-versioned,
-stdlib-only binary format (:mod:`repro.snapshot.format`).  Restoring it
-onto a freshly constructed device/graph yields a simulator whose
-subsequent schedule is **bit-identical** to the uninterrupted run, on
-every NoC kernel; that invariant is what lets the harness hand chip state
-between the spans of a sharded run (``repro suite run --shard-increments
-N``, ``repro serve`` jobs) and makes long runs resumable
-(``snapshot_every``).  See docs/snapshot.md.
+Chip state is sequential, so without checkpoints any run that stops
+mid-stream would have to re-simulate its whole prefix to go on.  This
+package removes that cost.  A :class:`Snapshot` captures the **complete
+data state** of a run at a point in simulated time — simulator clock and
+wake wheel, per-cell execution bookkeeping, NoC in-flight messages, IO
+queues, runtime counters, RPVO blocks, ghost allocator RNG, ingest
+cursors — in a compact, schema-versioned, stdlib-only binary format
+(:mod:`repro.snapshot.format`).  Restoring it onto a freshly constructed
+device/graph yields a simulator whose subsequent schedule is
+**bit-identical** to the uninterrupted run, on every NoC kernel; that
+invariant is what lets ``repro serve`` hand chip
+state between the spans of a job (and pause and resume it at any
+boundary) and makes long runs resumable (``snapshot_every``).  See
+docs/snapshot.md.
 
 Code is never serialised: executors, action handlers and message
 factories are rebuilt from the declarative spec by the restore path, and

@@ -6,7 +6,7 @@ Two capture granularities exist:
   the :class:`~repro.arch.simulator.Simulator` (clock, wake wheel, cells,
   statistics, NoC in-flight state), the IO channels, the device runtime
   counters and the graph side (RPVO blocks, ghost allocator RNG, ingest
-  cursor).  This is what the harness's increment sharding and
+  cursor).  This is what ``repro serve``'s span hand-off and
   ``snapshot_every`` use.
 * :func:`capture_simulator` — a bare :class:`Simulator` with no graph on
   top (used by architecture-level tests and custom harnesses).  Cell

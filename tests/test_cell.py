@@ -1,10 +1,17 @@
-"""Tests for the compute cell: memory, task execution, one operation per cycle."""
+"""Tests for the compute cell: memory, task execution, one operation per cycle.
+
+The execution rule runs in ``Simulator.step``, so the execution tests drive
+a small chip with directly enqueued tasks and read each cycle's operation
+off the cell's counters and the per-cycle statistics.
+"""
 
 import pytest
 
 from repro.arch.address import Address
 from repro.arch.cell import ComputeCell, Task
+from repro.arch.config import ChipConfig
 from repro.arch.message import Message
+from repro.arch.simulator import Simulator
 
 
 def make_cell(cc_id=0):
@@ -14,6 +21,35 @@ def make_cell(cc_id=0):
 def simple_task(cost=1, messages=None, label="t"):
     msgs = messages or []
     return Task(lambda: (cost, list(msgs)), label=label)
+
+
+def make_chip():
+    """A 2x2 chip whose executor records every message delivered to it."""
+    sim = Simulator(ChipConfig(width=2, height=2))
+    delivered = []
+
+    def execute(cell, msg):
+        delivered.append((cell.cc_id, msg))
+        return 1, []
+
+    sim.set_executor(execute)
+    return sim, delivered
+
+
+def step(sim, cc_id=0):
+    """Advance the chip one cycle and name cell ``cc_id``'s operation in it.
+
+    A busy cycle executes one instruction or stages one message, so the
+    cell's counters tell which: ``"compute"``, ``"stage"``, or ``None``.
+    """
+    cell = sim.cell(cc_id)
+    instructions, staged = cell.instructions_executed, cell.messages_staged
+    sim.step()
+    if cell.instructions_executed > instructions:
+        return "compute"
+    if cell.messages_staged > staged:
+        return "stage"
+    return None
 
 
 class TestMemory:
@@ -71,79 +107,90 @@ class TestContinuations:
 
 class TestExecution:
     def test_idle_cell_does_nothing(self):
-        cell = make_cell()
-        assert cell.step() is None
-        assert not cell.has_work
+        sim, _ = make_chip()
+        assert step(sim) is None
+        assert not sim.cell(0).has_work
+        assert sim.stats.active_cells_per_cycle == [0]
 
     def test_single_cycle_task(self):
-        cell = make_cell()
-        cell.enqueue_task(simple_task(cost=1))
-        assert cell.step() == "compute"
-        assert cell.step() is None
+        sim, _ = make_chip()
+        sim.enqueue_task(0, simple_task(cost=1))
+        assert step(sim) == "compute"
+        assert step(sim) is None
+        cell = sim.cell(0)
         assert cell.tasks_executed == 1
         assert cell.instructions_executed == 1
+        assert sim.stats.active_cells_per_cycle == [1, 0]
 
     def test_multi_cycle_task_charges_each_cycle(self):
-        cell = make_cell()
-        cell.enqueue_task(simple_task(cost=3))
-        ops = [cell.step() for _ in range(4)]
+        sim, _ = make_chip()
+        sim.enqueue_task(0, simple_task(cost=3))
+        ops = [step(sim) for _ in range(4)]
         assert ops == ["compute", "compute", "compute", None]
-        assert cell.instructions_executed == 3
+        assert sim.cell(0).instructions_executed == 3
+        assert sim.stats.active_cells_per_cycle == [1, 1, 1, 0]
 
     def test_minimum_cost_is_one(self):
-        cell = make_cell()
-        cell.enqueue_task(simple_task(cost=0))
-        assert cell.step() == "compute"
-        assert cell.step() is None
+        sim, _ = make_chip()
+        sim.enqueue_task(0, simple_task(cost=0))
+        assert step(sim) == "compute"
+        assert step(sim) is None
+        assert sim.cell(0).instructions_executed == 1
 
     def test_messages_released_after_instructions(self):
         msg = Message(src=0, dst=1, action="a")
-        cell = make_cell()
-        cell.enqueue_task(simple_task(cost=2, messages=[msg]))
-        assert cell.step() == "compute"      # first instruction
-        assert not cell.staging              # message held until cost charged
-        assert cell.step() == "compute"      # second instruction -> release
-        assert cell.step() == "stage"        # staging takes its own cycle
-        assert cell.pop_staged() is msg
+        sim, delivered = make_chip()
+        cell = sim.cell(0)
+        sim.enqueue_task(0, simple_task(cost=2, messages=[msg]))
+        assert step(sim) == "compute"      # first instruction
+        assert not cell.staging            # message held until cost charged
+        assert step(sim) == "compute"      # second instruction -> release
+        assert list(cell.staging) == [msg]
+        assert step(sim) == "stage"        # staging takes its own cycle
+        assert not cell.staging and msg.created_cycle == 2
+        assert sim.stats.messages_in_flight_per_cycle[-1] == 1
+        sim.run()
+        assert delivered == [(1, msg)]
 
     def test_one_staging_per_cycle(self):
         msgs = [Message(src=0, dst=1, action="a") for _ in range(3)]
-        cell = make_cell()
-        cell.enqueue_task(simple_task(cost=1, messages=msgs))
-        assert cell.step() == "compute"
-        staged = []
-        for _ in range(3):
-            assert cell.step() == "stage"
-            staged.append(cell.pop_staged())
-        assert staged == msgs
-        assert cell.step() is None
-        assert cell.messages_staged == 3
+        sim, delivered = make_chip()
+        sim.enqueue_task(0, simple_task(cost=1, messages=msgs))
+        assert step(sim) == "compute"
+        assert [step(sim) for _ in range(3)] == ["stage"] * 3
+        assert [m.created_cycle for m in msgs] == [1, 2, 3]
+        sim.run()
+        assert [m for _, m in delivered] == msgs
+        assert sim.cell(0).messages_staged == 3
 
     def test_staging_drains_before_next_task(self):
         msg = Message(src=0, dst=1, action="a")
-        cell = make_cell()
-        cell.enqueue_task(simple_task(cost=1, messages=[msg]))
-        cell.enqueue_task(simple_task(cost=1, label="second"))
-        assert cell.step() == "compute"
-        assert cell.step() == "stage"
-        cell.pop_staged()
-        assert cell.step() == "compute"  # only now does the second task start
+        sim, _ = make_chip()
+        cell = sim.cell(0)
+        sim.enqueue_task(0, simple_task(cost=1, messages=[msg]))
+        sim.enqueue_task(0, simple_task(cost=1, label="second"))
+        assert step(sim) == "compute"
+        assert step(sim) == "stage"
+        assert cell.tasks_executed == 1
+        assert step(sim) == "compute"  # only now does the second task start
         assert cell.tasks_executed == 2
 
     def test_has_work_reflects_all_queues(self):
-        cell = make_cell()
+        sim, _ = make_chip()
+        cell = sim.cell(0)
         assert not cell.has_work
-        cell.enqueue_task(simple_task())
+        sim.enqueue_task(0, simple_task())
         assert cell.has_work
-        cell.step()
+        step(sim)
         assert not cell.has_work
 
     def test_busy_cycles_counter(self):
-        cell = make_cell()
-        cell.enqueue_task(simple_task(cost=2))
-        cell.step()
-        cell.step()
-        assert cell.busy_cycles == 2
+        sim, _ = make_chip()
+        sim.enqueue_task(0, simple_task(cost=2))
+        step(sim)
+        step(sim)
+        assert sim.cell(0).busy_cycles == 2
+        assert sim.stats.active_cells_per_cycle == [1, 1]
 
 
 class TestTaskRepr:

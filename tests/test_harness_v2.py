@@ -1,7 +1,9 @@
-"""Harness v2 tests: worker pool, sharding, timeouts, store lifecycle, bench.
+"""Harness v2 tests: worker pool, span hand-off, timeouts, store lifecycle,
+bench.
 
-Covers the PR-3 acceptance surface: sharded-parallel records byte-identical
-to serial ones, per-task timeouts that record an outcome without killing
+Covers the pool (crash containment, affinity, warm workers reused across
+suites), runs cut into spans whose records and stores are byte-identical
+to serial ones, per-scenario timeouts that record an outcome without killing
 sibling scenarios, `suite diff` on before/after stores, compaction/GC that
 preserves latest-version records, crash-safe store rewrites, and the
 `repro bench` report/compare pipeline.
@@ -29,11 +31,11 @@ from repro.harness import (
     render_store_diff,
     run_bench,
     run_scenario,
-    run_scenario_sharded,
     run_suite,
-    shard_spans,
     shutdown_pool,
 )
+from repro.harness.runner import _pipeline_span_task, drop_warm_run, plan_spans
+from repro.serve import ScenarioService, ServeConfig
 from repro.harness.bench import (
     BENCH_AB_SCHEMA,
     BENCH_SCHEMA,
@@ -191,66 +193,39 @@ class TestDispatchPool:
 
 @requires_numpy
 class TestSharding:
-    def test_shard_spans_cover_contiguously(self):
-        assert shard_spans(10, 3) == [(0, 3), (3, 7), (7, 10)]
-        assert shard_spans(2, 8) == [(0, 1), (1, 2)]
-        assert shard_spans(5, 1) == [(0, 5)]
+    """A run cut into spans (``plan_spans``) hands off at checkpoints."""
 
-    def test_sharded_record_byte_identical_to_serial(self):
+    def test_sharded_record_byte_identical_to_serial(self, tmp_path):
         scenario = tiny_scenario("shard", "bfs")
         serial = run_scenario(scenario)
-        sharded = run_scenario_sharded(scenario, 4)
+        spans = plan_spans(scenario, 3, str(tmp_path))
+        assert len(spans) == 4
+        for _start, stop, snap_in, snap_out in spans:
+            drop_warm_run()  # every later span restores its checkpoint
+            _cycles, sharded, handoff = _pipeline_span_task(
+                scenario, stop, snap_in, snap_out)
+            assert handoff == ("fresh" if snap_in is None else "restored")
         assert json.dumps(serial, sort_keys=True) == \
                json.dumps(sharded, sort_keys=True)
 
     def test_sharded_pooled_suite_store_byte_identical(self, tmp_path):
+        # A suite served span by span on pool workers stores serial bytes.
         suite = [tiny_scenario("s1", "ingest"), tiny_scenario("s2", "bfs")]
-        serial_store = ResultStore(tmp_path / "serial.jsonl")
-        sharded_store = ResultStore(tmp_path / "sharded.jsonl")
-        run_suite(suite, jobs=1, store=serial_store)
-        pool = DispatchPool(3)
+        run_suite(suite, jobs=1, store=ResultStore(tmp_path / "serial.jsonl"))
+        service = ScenarioService(ServeConfig(
+            jobs=2, cadence=3, store=str(tmp_path / "sharded.jsonl"),
+            work_dir=str(tmp_path / "spill")))
+        service.start()
         try:
-            run_suite(suite, jobs=3, store=sharded_store, shard_increments=3,
-                      pool=pool)
+            for scenario in suite:  # one at a time: the store keeps order
+                job, code = service.submit(scenario.spec_dict(), "suite")
+                assert code == 201
+                assert job.wait_until(lambda: job.terminal, timeout=120)
+                assert job.state == "done", job.events
         finally:
-            pool.shutdown()
+            service.stop()
         assert (tmp_path / "serial.jsonl").read_bytes() == \
                (tmp_path / "sharded.jsonl").read_bytes()
-
-    def test_serial_jobs_still_shard_in_process(self, tmp_path, monkeypatch):
-        # --shard-increments must not silently no-op at jobs=1: the serial
-        # path routes through run_scenario_sharded (span hand-off exercised).
-        from repro.harness import runner as runner_mod
-
-        calls = []
-        real = runner_mod.run_scenario_sharded
-
-        def spy(scenario, shards, **kwargs):
-            calls.append((scenario.name, shards))
-            return real(scenario, shards, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "run_scenario_sharded", spy)
-        store = ResultStore(tmp_path / "store.jsonl")
-        report = run_suite([tiny_scenario("serial-shard", "bfs")],
-                           jobs=1, store=store, shard_increments=3)
-        assert calls == [("serial-shard", 3)]
-        assert report.cache_misses == 1
-        # Record equals the unsharded serial one.
-        assert store.get(tiny_scenario("serial-shard", "bfs").spec_hash()) == \
-               run_scenario(tiny_scenario("serial-shard", "bfs"))
-
-    def test_sharded_runs_hit_the_same_cache(self, tmp_path):
-        store = ResultStore(tmp_path / "store.jsonl")
-        scenario = tiny_scenario("cacheable", "bfs")
-        pool = DispatchPool(2)
-        try:
-            first = run_suite([scenario], jobs=2, store=store,
-                              shard_increments=2, pool=pool)
-        finally:
-            pool.shutdown()
-        assert first.cache_misses == 1
-        second = run_suite([scenario], jobs=1, store=store)
-        assert second.cache_hits == 1
 
     def test_suites_at_the_same_jobs_keep_warm_workers(self):
         shutdown_pool()  # earlier suites may have left a shared pool
@@ -593,15 +568,16 @@ class TestBenchAb:
 
 class TestCliIntegration:
     @requires_numpy
-    def test_suite_run_shard_flags_round_trip(self, tmp_path, capsys):
+    def test_suite_run_pooled_store_matches_serial(self, tmp_path, capsys):
         from repro.cli import main
 
         store_a = tmp_path / "serial.jsonl"
-        store_b = tmp_path / "sharded.jsonl"
+        store_b = tmp_path / "pooled.jsonl"
         assert main(["suite", "run", "--preset", "tiny", "--serial",
                      "--store", str(store_a)]) == 0
         assert main(["suite", "run", "--preset", "tiny", "-j", "2",
-                     "--shard-increments", "2", "--store", str(store_b)]) == 0
+                     "--store", str(store_b)]) == 0
+        assert main(["suite", "diff", str(store_a), str(store_b)]) == 0
         capsys.readouterr()
         assert store_a.read_bytes() == store_b.read_bytes()
         shutdown_pool()

@@ -91,8 +91,6 @@ class TestTracer:
         assert derive_trace_path("out.json", "s1") == "out-s1.json"
         assert derive_trace_path("a/b/out.json", "s1") == "a/b/out-s1.json"
         assert derive_trace_path("out", "s1") == "out-s1.json"
-        assert (derive_trace_path("out.json", "s1", span=(0, 5))
-                == "out-s1-span0-5.json")
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Pipeline-parallel increment sharding: byte-identity without prefix replay.
+"""Span hand-off: byte-identity without prefix replay.
 
-The acceptance contract: ``--shard-increments N`` produces a store
-byte-identical to the serial run, while a spy on
-``DynamicGraph.stream_increment`` proves every increment is streamed
-exactly once, whatever the shard count.
+``repro serve`` runs a job as the spans ``plan_spans`` cuts at its
+cadence, each a ``_pipeline_span_task`` that starts from the checkpoint its
+predecessor saved.  The contract: the last span's record is byte-identical
+to the serial run, while a spy on ``DynamicGraph.stream_increment`` proves
+every increment is streamed exactly once, whatever the cadence, whether a
+span continues the warm slot's live run or restores the checkpoint.
 """
 
 from __future__ import annotations
@@ -18,18 +20,16 @@ import pytest
 from helpers import requires_numpy
 
 from repro.graph.graph import DynamicGraph
-from repro.harness import ResultStore, run_suite
 from repro.harness import runner
-from repro.harness.pool import DispatchPool
 from repro.harness.runner import (
     _pipeline_span_task,
-    _span_tasks,
     drop_warm_run,
+    plan_spans,
     run_scenario,
-    run_scenario_sharded,
     snapshot_at,
 )
 from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
+from repro.serve import ScenarioService, ServeConfig
 from repro.snapshot.format import SnapshotError
 
 pytestmark = requires_numpy
@@ -59,114 +59,125 @@ def spy_streamed(monkeypatch):
     return streamed
 
 
+def run_spans(scenario, cadence, spill, *, cold=False):
+    """Run a scenario's planned spans in order; ``(record, handoffs)``.
+
+    A cold run empties the warm slot before every span, so each one
+    restores its input checkpoint.
+    """
+    spill.mkdir()
+    handoffs = []
+    for _start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
+                                                      str(spill)):
+        if cold:
+            drop_warm_run()
+        _cycles, record, handoff = _pipeline_span_task(scenario, stop,
+                                                       snap_in, snap_out)
+        handoffs.append(handoff)
+    return record, handoffs
+
+
 class TestInProcess:
-    def test_pipeline_record_identical_to_serial(self):
+    def test_pipeline_record_identical_to_serial(self, tmp_path):
         scenario = eight_increment_scenario()
         serial = run_scenario(scenario)
-        piped = run_scenario_sharded(scenario, 4)
+        piped, handoffs = run_spans(scenario, 3, tmp_path / "spill")
+        assert handoffs == ["fresh", "warm", "warm"]
         assert json.dumps(piped, sort_keys=True) == \
             json.dumps(serial, sort_keys=True)
 
-    def test_no_prefix_replay_cpu_proof(self, monkeypatch):
-        """Every shard streams exactly its own span: total CPU is one pass
-        over the stream, independent of the shard count."""
+    def test_no_prefix_replay_cpu_proof(self, monkeypatch, tmp_path):
+        """Every restored span streams exactly its own increments: total
+        CPU is one pass over the stream, independent of the span count."""
         scenario = eight_increment_scenario()
         serial = run_scenario(scenario)
         streamed = spy_streamed(monkeypatch)
-        assert run_scenario_sharded(scenario, 4) == serial
+        record, handoffs = run_spans(scenario, 2, tmp_path / "spill",
+                                     cold=True)
+        assert handoffs == ["fresh"] + ["restored"] * 3
+        assert record == serial
         assert streamed == list(range(scenario.dataset.num_increments))
 
-    def test_every_shard_count_at_every_boundary(self, monkeypatch):
-        """Across shard counts: identical records, each increment streamed
-        exactly once."""
+    def test_every_shard_count_at_every_boundary(self, monkeypatch,
+                                                 tmp_path):
+        """Across cadences (so span counts) and both hand-offs: identical
+        records, each increment streamed exactly once."""
         scenario = eight_increment_scenario(name="pipe-ingest",
                                             algorithm="ingest")
         serial = json.dumps(run_scenario(scenario), sort_keys=True)
         streamed = spy_streamed(monkeypatch)
-        for shards in (2, 3, 8):
-            streamed.clear()
-            piped = run_scenario_sharded(scenario, shards)
-            assert json.dumps(piped, sort_keys=True) == serial, shards
-            assert streamed == list(range(scenario.dataset.num_increments)), \
-                shards
+        for cadence in (1, 3, 4):
+            for cold in (False, True):
+                streamed.clear()
+                piped, _handoffs = run_spans(
+                    scenario, cadence, tmp_path / f"c{cadence}-{cold}",
+                    cold=cold)
+                assert json.dumps(piped, sort_keys=True) == serial, cadence
+                assert streamed == list(
+                    range(scenario.dataset.num_increments)), cadence
+
+
+class TestSpanPlan:
+    def test_cadence_boundaries_and_checkpoint_paths(self, tmp_path):
+        scenario = eight_increment_scenario()
+        spill = str(tmp_path)
+
+        def snap(boundary):
+            return os.path.join(spill, f"inc{boundary:05d}.snap")
+
+        assert plan_spans(scenario, 3, spill) == [
+            (0, 3, None, snap(3)),
+            (3, 6, snap(3), snap(6)),
+            (6, 8, snap(6), None),
+        ]
+        assert [span[:2] for span in plan_spans(scenario, 1, spill)] == \
+            [(i, i + 1) for i in range(8)]
+        assert plan_spans(scenario, 0, spill) == plan_spans(scenario, 1,
+                                                             spill)
+        for cadence in (8, 20):
+            assert plan_spans(scenario, cadence, spill) == [
+                (0, 8, None, None)]
+
+    def test_truncated_scenario_runs_as_one_span(self, tmp_path):
+        """A truncated run's boundaries can hold continuations no checkpoint
+        captures, so its plan is one span at any cadence, not a failure."""
+        spec = json.loads((CORPUS / "fuzz-truncation-carry.json").read_text())
+        scenario = Scenario.from_dict(spec["scenario"])
+        total = scenario.dataset.num_increments
+        assert total > 1
+        assert plan_spans(scenario, 1, str(tmp_path)) == [
+            (0, total, None, None)]
+        record, handoffs = run_spans(scenario, 1, tmp_path / "spill")
+        assert handoffs == ["fresh"]
+        assert json.dumps(record, sort_keys=True) == \
+            json.dumps(run_scenario(scenario), sort_keys=True)
 
 
 class TestPooled:
-    def test_pooled_pipeline_identical_with_fewer_workers_than_shards(self):
-        """5 shards on 2 workers: exercises the in-order dispatch argument
-        that makes checkpoint waiting deadlock-free."""
-        scenario = eight_increment_scenario()
-        serial = run_scenario(scenario)
-        pool = DispatchPool(2)
-        try:
-            piped = run_scenario_sharded(scenario, 5, pool=pool, timeout=120)
-        finally:
-            pool.shutdown()
-        assert json.dumps(piped, sort_keys=True) == \
-            json.dumps(serial, sort_keys=True)
-
-    def test_suite_pipeline_store_byte_identical(self, tmp_path):
-        scenarios = [
-            eight_increment_scenario(),
-            eight_increment_scenario(name="pipe-ingest", algorithm="ingest"),
-        ]
-        serial_store = ResultStore(tmp_path / "serial.jsonl")
-        report = run_suite(list(scenarios), jobs=1, store=serial_store)
-        assert not report.failures
-        pool = DispatchPool(2)
-        try:
-            pipe_store = ResultStore(tmp_path / "pipe.jsonl")
-            report = run_suite(list(scenarios), jobs=2, store=pipe_store,
-                               shard_increments=4, pool=pool, timeout=120)
-        finally:
-            pool.shutdown()
-        assert not report.failures
-        assert (tmp_path / "serial.jsonl").read_bytes() == \
-            (tmp_path / "pipe.jsonl").read_bytes()
-
     def test_spill_dir_is_cleaned_up(self, tmp_path, monkeypatch):
+        """Pooled spans spill their checkpoints into the service's temp
+        work dir: a job's dir goes once its record is stored, the work dir
+        when the service stops."""
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         scenario = eight_increment_scenario()
-        pool = DispatchPool(2)
+        service = ScenarioService(ServeConfig(
+            jobs=2, cadence=3, store=str(tmp_path / "store.jsonl")))
+        service.start()
         try:
-            run_scenario_sharded(scenario, 3, pool=pool, timeout=120)
+            job, code = service.submit(scenario.spec_dict(), "spill")
+            assert code == 201
+            assert job.wait_until(lambda: job.terminal, timeout=120)
+            assert job.state == "done", job.events
+            assert os.listdir(service.work_dir) == []
         finally:
-            pool.shutdown()
+            service.stop()
         leftovers = [p for p in os.listdir(tmp_path)
-                     if p.startswith("repro-pipeline-")]
+                     if p.startswith("repro-serve-")]
         assert leftovers == []
-
-    def test_truncated_scenario_runs_as_one_span(self, tmp_path):
-        """A truncated run's boundaries can hold continuations no checkpoint
-        captures, so sharding it must fall back to one span, not fail."""
-        spec = json.loads((CORPUS / "fuzz-truncation-carry.json").read_text())
-        scenario = Scenario.from_dict(spec["scenario"])
-        serial_store = ResultStore(tmp_path / "serial.jsonl")
-        assert not run_suite([scenario], store=serial_store).failures
-        pool = DispatchPool(2)
-        try:
-            sharded_store = ResultStore(tmp_path / "sharded.jsonl")
-            report = run_suite([scenario], jobs=2, store=sharded_store,
-                               shard_increments=3, pool=pool, timeout=120)
-        finally:
-            pool.shutdown()
-        assert not report.failures, report.failures[0].error
-        assert (tmp_path / "serial.jsonl").read_bytes() == \
-            (tmp_path / "sharded.jsonl").read_bytes()
-
-
-def run_spans(scenario, shards, spill, *, cold=False):
-    """Run a scenario's span tasks in order; ``(record, handoffs)``."""
-    spill.mkdir()
-    handoffs = []
-    for fn, args in _span_tasks(scenario, shards, str(spill), None):
-        if cold:
-            drop_warm_run()
-        _cycles, record, handoff = fn(*args)
-        handoffs.append(handoff)
-    return record, handoffs
+        assert json.loads(service.record_bytes(job.id)) == \
+            run_scenario(scenario)
 
 
 class TestWarmSlot:
@@ -175,8 +186,8 @@ class TestWarmSlot:
 
     def test_warm_and_cold_spans_save_identical_checkpoints(self, tmp_path):
         scenario = eight_increment_scenario()
-        warm, warm_handoffs = run_spans(scenario, 8, tmp_path / "warm")
-        cold, cold_handoffs = run_spans(scenario, 8, tmp_path / "cold",
+        warm, warm_handoffs = run_spans(scenario, 1, tmp_path / "warm")
+        cold, cold_handoffs = run_spans(scenario, 1, tmp_path / "cold",
                                         cold=True)
         assert warm_handoffs == ["fresh"] + ["warm"] * 7
         assert cold_handoffs == ["fresh"] + ["restored"] * 7
@@ -254,19 +265,3 @@ class TestWarmSlot:
         _cycles, record, handoff = _pipeline_span_task(scenario, 8,
                                                        checkpoint, None)
         assert handoff == "restored" and record == run_scenario(scenario)
-
-
-class TestFailurePropagation:
-    def test_upstream_failure_marker_unblocks_waiters(self, tmp_path):
-        from repro.harness.runner import _await_snapshot
-
-        path = str(tmp_path / "x.snap")
-        open(path + ".failed", "w").close()
-        with pytest.raises(RuntimeError, match="upstream pipeline shard"):
-            _await_snapshot(path, timeout_s=5)
-
-    def test_wait_timeout_is_actionable(self, tmp_path):
-        from repro.harness.runner import _await_snapshot
-
-        with pytest.raises(TimeoutError, match="waited"):
-            _await_snapshot(str(tmp_path / "never.snap"), timeout_s=0.05)

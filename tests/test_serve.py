@@ -306,6 +306,42 @@ class TestPauseResume:
         _, via_http = request(base, "GET", f"/v1/records/{job_id}")
         direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         assert via_http == direct
+        # A finished job leaves no checkpoints behind.
+        assert not (Path(service.work_dir) / job_id[:16]).exists()
+
+    def test_resume_without_checkpoint_fails_fast(self, server, monkeypatch):
+        """A resumed job whose boundary checkpoint was deleted fails at
+        once, naming the file, and leaves no spill dir."""
+        service, base = server
+        scenario = tiny_scenario("lost-checkpoint", increments=6)
+        job_id = scenario.spec_hash()
+        real_run = service.pool.run
+
+        def run_then_pause(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            service.pause(service.registry.get(job_id))
+            return result
+
+        # Park the job deterministically after its first span.
+        monkeypatch.setattr(service.pool, "run", run_then_pause)
+        code, _ = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        status = wait_state(base, job_id, ("paused", "done", "failed"))
+        assert status["state"] == "paused", status
+        assert status["completed_increments"] == 1
+        spill = Path(service.work_dir) / job_id[:16]
+        checkpoint = spill / "inc00001.snap"
+        checkpoint.unlink()
+        monkeypatch.setattr(service.pool, "run", real_run)
+        started = time.monotonic()
+        code, _ = request(base, "POST", f"/v1/jobs/{job_id}/resume")
+        assert code == 202
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert time.monotonic() - started < 2.0
+        assert final["state"] == "failed", final
+        assert "SnapshotError" in final["error"]
+        assert str(checkpoint) in final["error"]
+        assert not spill.exists()
 
     def test_pause_terminal_job_conflicts(self, server):
         service, base = server

@@ -367,20 +367,31 @@ def test_snapshot_every_checkpoints_are_resumable(tmp_path):
 @requires_numpy
 @pytest.mark.parametrize("pooled", [False, True])
 def test_snapshot_every_survives_increment_sharding(tmp_path, pooled):
-    """The checkpoint cadence must not be lost when runs are sharded,
-    in-process or on pool workers (the pickled scenario carries it)."""
+    """The checkpoint cadence must not be lost when a run is cut into
+    spans, in-process or on a pool worker (the pickled scenario carries
+    it): a boundary past a span's start is saved by the span it ends."""
     from dataclasses import replace
 
     from repro.harness.pool import DispatchPool
-    from repro.harness.runner import run_scenario_sharded
+    from repro.harness.runner import _pipeline_span_task, plan_spans
 
     scenario = tiny_scenario()
     serial = run_scenario(scenario)
+    spill = tmp_path / "spill"
+    spill.mkdir()
     checkpointed = scenario.with_(options=replace(
         scenario.options, snapshot_every=2, snapshot_dir=str(tmp_path)))
-    pool = DispatchPool(2) if pooled else None
+    pool = DispatchPool(1) if pooled else None
     try:
-        record = run_scenario_sharded(checkpointed, 3, pool=pool, timeout=120)
+        for _start, stop, snap_in, snap_out in plan_spans(checkpointed, 3,
+                                                          str(spill)):
+            args = (checkpointed, stop, snap_in, snap_out)
+            if pool is None:
+                _cycles, record, _handoff = _pipeline_span_task(*args)
+            else:
+                result = pool.run(_pipeline_span_task, args, timeout=120)
+                assert result.ok, result.error
+                _cycles, record, _handoff = result.value
     finally:
         if pool is not None:
             pool.shutdown()
@@ -390,5 +401,36 @@ def test_snapshot_every_survives_increment_sharding(tmp_path, pooled):
     assert {f"snap-tiny-inc{i:04d}.snap" for i in (2, 4, 6)} <= names
     resumed = resume_scenario(
         scenario, Snapshot.load(tmp_path / "snap-tiny-inc0004.snap"))
+    assert json.dumps(resumed, sort_keys=True) == \
+        json.dumps(serial, sort_keys=True)
+
+
+@requires_numpy
+def test_snapshot_every_survives_pooled_suite(tmp_path):
+    """A pooled suite carries the checkpoint cadence to its workers: the
+    option is identity-free, so it rides inside the pickled scenario."""
+    from dataclasses import replace
+
+    from repro.harness import run_suite
+    from repro.harness.pool import DispatchPool
+
+    scenarios = [tiny_scenario(), tiny_scenario(name="snap-tiny-2")]
+    serial = run_scenario(scenarios[0])
+    checkpointed = [s.with_(options=replace(
+        s.options, snapshot_every=2, snapshot_dir=str(tmp_path)))
+        for s in scenarios]
+    pool = DispatchPool(2)
+    try:
+        report = run_suite(checkpointed, jobs=2, pool=pool, timeout=120)
+    finally:
+        pool.shutdown()
+    assert not report.failures
+    assert json.dumps(report.records[0], sort_keys=True) == \
+        json.dumps(serial, sort_keys=True)
+    names = {p.name for p in tmp_path.iterdir()}
+    assert {f"{s.name}-inc{i:04d}.snap"
+            for s in scenarios for i in (2, 4, 6)} <= names
+    resumed = resume_scenario(
+        scenarios[0], Snapshot.load(tmp_path / "snap-tiny-inc0004.snap"))
     assert json.dumps(resumed, sort_keys=True) == \
         json.dumps(serial, sort_keys=True)

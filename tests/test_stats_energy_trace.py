@@ -4,8 +4,11 @@ import pytest
 
 from hypothesis import given, strategies as st
 
+from repro.arch.cell import Task
 from repro.arch.config import ChipConfig
 from repro.arch.energy import EnergyModel, estimate_energy
+from repro.arch.message import Message
+from repro.arch.simulator import Simulator
 from repro.arch.stats import SimStats
 from repro.arch.trace import TraceRecorder
 
@@ -14,24 +17,32 @@ np = pytest.importorskip("numpy")  # these tests exercise numpy-backed features
 
 class TestSimStats:
     def test_record_cycle_appends_series(self):
-        stats = SimStats(num_cells=16)
-        stats.record_cycle(active_cells=4, in_flight=2, delivered=1)
-        stats.record_cycle(active_cells=8, in_flight=0, delivered=0)
-        assert stats.cycles == 2
-        assert stats.active_cells_per_cycle == [4, 8]
-        assert stats.messages_delivered == 1
+        """Simulator.step records every cycle: one entry per series."""
+        sim = Simulator(ChipConfig(width=2, height=2))
+        sim.set_executor(lambda cell, msg: (1, []))
+        msg = Message(src=0, dst=1, action="a")
+        sim.enqueue_task(0, Task(lambda: (1, [msg])))
+        sim.run()
+        stats = sim.stats
+        assert stats.cycles == sim.cycle > 2
+        for series in (stats.active_cells_per_cycle,
+                       stats.messages_in_flight_per_cycle,
+                       stats.deliveries_per_cycle):
+            assert len(series) == stats.cycles
+        # Cycle 0 runs the task, cycle 1 stages its message.
+        assert stats.active_cells_per_cycle[:2] == [1, 1]
+        assert stats.messages_in_flight_per_cycle[1] == 1
+        assert stats.messages_delivered == sum(stats.deliveries_per_cycle) == 1
 
     def test_activation_series_fraction(self):
-        stats = SimStats(num_cells=10)
-        stats.record_cycle(5, 0, 0)
-        stats.record_cycle(10, 0, 0)
+        stats = SimStats(num_cells=10, cycles=2,
+                         active_cells_per_cycle=[5, 10])
         assert np.allclose(stats.activation_series(), [0.5, 1.0])
         assert np.allclose(stats.activation_percent(), [50.0, 100.0])
 
     def test_mean_and_peak_activation(self):
-        stats = SimStats(num_cells=4)
-        for active in (0, 2, 4):
-            stats.record_cycle(active, 0, 0)
+        stats = SimStats(num_cells=4, cycles=3,
+                         active_cells_per_cycle=[0, 2, 4])
         assert stats.mean_activation() == pytest.approx(0.5)
         assert stats.peak_activation() == pytest.approx(1.0)
 
@@ -44,11 +55,9 @@ class TestSimStats:
     def test_phase_marks_and_cycles(self):
         stats = SimStats(num_cells=4)
         stats.mark_phase("a")
-        for _ in range(3):
-            stats.record_cycle(1, 0, 0)
+        stats.cycles += 3
         stats.mark_phase("b")
-        for _ in range(2):
-            stats.record_cycle(1, 0, 0)
+        stats.cycles += 2
         assert stats.phase_cycles() == {"a": 3, "b": 2}
 
     def test_merge_cell_counters(self):

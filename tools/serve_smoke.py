@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -214,6 +215,9 @@ def main():
             server.wait(timeout=30)
         except subprocess.TimeoutExpired:
             server.kill()
+            server.wait()
+        # The server has exited, so nothing writes the store any more.
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":
