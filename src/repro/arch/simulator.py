@@ -337,94 +337,75 @@ class Simulator:
                 sweep, noc)
             did_work = did_work or bool(did2)
             self._parked_count += parked_delta
-            self._active_cells, self._still_active_scratch = (
-                still_active, self._active_cells,
-            )
-            if timers is not None:
-                _now = _pc()
-                timers["cells"] += _now - _t
-                _t = _now
-            stats = self.stats
-            stats.cycles += 1
-            stats.active_cells_per_cycle.append(
-                active_count + parked_this_cycle)
-            stats.messages_in_flight_per_cycle.append(noc.in_flight)
-            ndelivered = len(delivered)
-            stats.deliveries_per_cycle.append(ndelivered)
-            stats.messages_delivered += ndelivered
-            for hook in self._cycle_hooks:
-                hook(cycle)
-            if timers is not None:
-                timers["account"] += _pc() - _t
-            self.cycle += 1
-            return did_work
-        for cc_id in active_cells:
-            cell_stamp[cc_id] = sweep
-            if parked[cc_id]:
-                # Parked placeholder: the wake bucket does the burn
-                # accounting; the slot is kept only so the cell re-enters
-                # processing at its original position.
-                still_active_append(cc_id)
-                continue
-            cell = cells[cc_id]
-            remaining = cell._remaining_instructions
-            if remaining > 0:
-                # Finish the instructions of the action in progress.
-                remaining -= 1
-                cell._remaining_instructions = remaining
-                cell.instructions_executed += 1
-                if remaining == 0 and cell._held_messages:
-                    cell.staging.extend(cell._held_messages)
-                    cell._held_messages = []
-                active_append(cc_id)
-                did_work = True
-            elif cell.staging:
-                # Drain the output staging queue (one message per cycle).
-                cell.messages_staged += 1
-                staged = cell.staging.popleft()
-                staged.created_cycle = cycle
-                noc_inject(staged, cycle)
-                active_append(cc_id)
-                did_work = True
-            elif cell.task_queue:
-                # Start the next queued task: a delivered message runs
-                # through the executor, an enqueued Task runs itself.
-                item = cell.task_queue.popleft()
-                if item.__class__ is Message:
-                    cost, messages = executor(cell, item)
-                else:
-                    cost, messages = item.run()
-                cell.tasks_executed += 1
-                cell.instructions_executed += 1
-                remaining = cost - 1
-                active_append(cc_id)
-                did_work = True
-                if remaining <= 0:
-                    if messages:
-                        cell.staging.extend(messages)
-                else:
-                    cell._held_messages = list(messages)
-                    # Parking pays off from 2 skipped decrements up; a
-                    # 1-skip park costs more in bucket traffic than it saves.
-                    if fast_park and remaining >= 3:
-                        # Park: the next remaining-1 cycles are pure
-                        # decrements; skip them and wake on the flush cycle.
-                        # The cell stays in the active list as a placeholder
-                        # so its processing-order slot survives the park.
-                        cell._remaining_instructions = 1
-                        parked[cc_id] = 1
-                        self._parked_count += 1
-                        bucket = self._wake_buckets.get(cycle + remaining)
-                        if bucket is None:
-                            self._wake_buckets[cycle + remaining] = bucket = []
-                        bucket.append((cc_id, remaining - 1))
-                        still_active_append(cc_id)
-                        continue
+        else:
+            for cc_id in active_cells:
+                cell_stamp[cc_id] = sweep
+                if parked[cc_id]:
+                    # Parked placeholder: the wake bucket does the burn
+                    # accounting; the slot is kept only so the cell re-enters
+                    # processing at its original position.
+                    still_active_append(cc_id)
+                    continue
+                cell = cells[cc_id]
+                remaining = cell._remaining_instructions
+                if remaining > 0:
+                    # Finish the instructions of the action in progress.
+                    remaining -= 1
                     cell._remaining_instructions = remaining
-            if cell._remaining_instructions > 0 or cell.staging or cell.task_queue:
-                still_active_append(cc_id)
-            else:
-                cell_stamp[cc_id] = 0
+                    cell.instructions_executed += 1
+                    if remaining == 0 and cell._held_messages:
+                        cell.staging.extend(cell._held_messages)
+                        cell._held_messages = []
+                    active_append(cc_id)
+                    did_work = True
+                elif cell.staging:
+                    # Drain the output staging queue (one message per cycle).
+                    cell.messages_staged += 1
+                    staged = cell.staging.popleft()
+                    staged.created_cycle = cycle
+                    noc_inject(staged, cycle)
+                    active_append(cc_id)
+                    did_work = True
+                elif cell.task_queue:
+                    # Start the next queued task: a delivered message runs
+                    # through the executor, an enqueued Task runs itself.
+                    item = cell.task_queue.popleft()
+                    if item.__class__ is Message:
+                        cost, messages = executor(cell, item)
+                    else:
+                        cost, messages = item.run()
+                    cell.tasks_executed += 1
+                    cell.instructions_executed += 1
+                    remaining = cost - 1
+                    active_append(cc_id)
+                    did_work = True
+                    if remaining <= 0:
+                        if messages:
+                            cell.staging.extend(messages)
+                    else:
+                        cell._held_messages = list(messages)
+                        # Parking pays off from 2 skipped decrements up; a
+                        # 1-skip park costs more in bucket traffic than it saves.
+                        if fast_park and remaining >= 3:
+                            # Park: the next remaining-1 cycles are pure
+                            # decrements; skip them and wake on the flush cycle.
+                            # The cell stays in the active list as a placeholder
+                            # so its processing-order slot survives the park.
+                            cell._remaining_instructions = 1
+                            parked[cc_id] = 1
+                            self._parked_count += 1
+                            bucket = self._wake_buckets.get(cycle + remaining)
+                            if bucket is None:
+                                self._wake_buckets[cycle + remaining] = bucket = []
+                            bucket.append((cc_id, remaining - 1))
+                            still_active_append(cc_id)
+                            continue
+                        cell._remaining_instructions = remaining
+                if cell._remaining_instructions > 0 or cell.staging or cell.task_queue:
+                    still_active_append(cc_id)
+                else:
+                    cell_stamp[cc_id] = 0
+            active_count = len(active_this_cycle)
         self._active_cells, self._still_active_scratch = (
             still_active, self._active_cells,
         )
@@ -438,7 +419,7 @@ class Simulator:
         # active.
         stats = self.stats
         stats.cycles += 1
-        stats.active_cells_per_cycle.append(len(active_this_cycle) + parked_this_cycle)
+        stats.active_cells_per_cycle.append(active_count + parked_this_cycle)
         stats.messages_in_flight_per_cycle.append(noc.in_flight)
         ndelivered = len(delivered)
         stats.deliveries_per_cycle.append(ndelivered)

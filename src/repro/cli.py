@@ -47,12 +47,13 @@ Track simulator throughput with a machine-readable report::
 
     repro bench --json BENCH_local.json
     repro bench --baseline benchmarks/BENCH_baseline.json --tolerance 0.25
+    repro bench --reps 5 --kernel python,native     # interleaved kernel A/B
 
 Observe runs without perturbing them (see docs/observability.md)::
 
     repro suite run --preset paper-tiny --trace results/suite-trace.json
     repro suite run --preset paper-tiny --metrics-out results/metrics.prom
-    repro bench --trace results/bench-trace.json --profile results/bench.folded
+    repro suite run --preset perf --no-store --profile results/perf.folded
     repro metrics --store results/suite.jsonl --format prometheus
 
 Fuzz the determinism contract and classify workloads (docs/fuzzing.md)::
@@ -234,11 +235,7 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    try:
-        store = None if args.no_store else ResultStore(args.store)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store = None if args.no_store else ResultStore(args.store)
     if args.snapshot_every:
         if not args.snapshot_dir:
             print("--snapshot-every requires --snapshot-dir", file=sys.stderr)
@@ -309,11 +306,7 @@ def cmd_suite_show(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    try:
-        store = ResultStore(args.store)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store = ResultStore(args.store)
     records = []
     missing = []
     for scenario in scenarios:
@@ -348,12 +341,8 @@ def cmd_suite_diff(args: argparse.Namespace) -> int:
 
     if not _require_store_paths(args.store_a, args.store_b):
         return 2
-    try:
-        store_a = ResultStore(args.store_a)
-        store_b = ResultStore(args.store_b)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store_a = ResultStore(args.store_a)
+    store_b = ResultStore(args.store_b)
     diff = diff_stores(store_a, store_b)
     print(f"comparing {store_a.path} ({len(store_a)} records) "
           f"vs {store_b.path} ({len(store_b)} records)\n")
@@ -378,11 +367,7 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
 
     if not _require_store_paths(args.store):
         return 2
-    try:
-        store = ResultStore(args.store)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store = ResultStore(args.store)
     dropped = store.compact()
     _print_dropped(dropped, "compacted away")
     print(f"{store.path}: {len(store)} record(s) kept")
@@ -395,11 +380,7 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
 
     if not _require_store_paths(args.store):
         return 2
-    try:
-        store = ResultStore(args.store)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store = ResultStore(args.store)
     dropped = store.gc()
     _print_dropped(dropped, f"collected (not version {__version__})")
     print(f"{store.path}: {len(store)} record(s) kept")
@@ -498,11 +479,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if not _require_store_paths(args.store):
         return 2
-    try:
-        store = ResultStore(args.store)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store = ResultStore(args.store)
     if args.preset:
         try:
             scenarios = get_suite(args.preset)
@@ -530,141 +507,71 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import contextlib
-
+    from repro.analysis.tables import render_table
     from repro.harness import get_suite
     from repro.harness.bench import (
         bench_payload,
         compare_bench,
         load_bench,
         run_bench,
-        update_baseline,
         write_bench,
     )
-    from repro.obs import profile_to_collapsed
-
-    if args.update_baseline:
-        try:
-            payload = update_baseline(args.update_baseline, args.baseline_out)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(f"promoted {args.update_baseline} (tag "
-              f"{payload['source_tag']!r}, repro {payload['repro_version']}, "
-              f"{len(payload['workloads'])} workloads) -> {args.baseline_out}")
-        return 0
 
     try:
         scenarios = get_suite(args.suite)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    baseline = None
+    if args.baseline is not None:
+        try:
+            baseline = load_bench(args.baseline)
+        except (OSError, ValueError) as exc:
+            print(exc, file=sys.stderr)
+            return 2
 
-    if args.ab:
-        return _bench_ab(args, scenarios)
-
-    # --profile wraps the whole bench (its numbers describe the profiled
-    # process, so do not compare them against an unprofiled baseline);
-    # --trace adds one extra *untimed* traced rep per workload, keeping
-    # the timed medians free of instrumentation overhead.
-    profiler = (profile_to_collapsed(args.profile) if args.profile
-                else contextlib.nullcontext())
-    with profiler:
-        results = run_bench(scenarios, reps=args.reps,
-                            progress=lambda line: print(line, flush=True),
-                            kernel=args.kernel, trace_path=args.trace)
-    if args.profile:
-        print(f"profile (collapsed stacks): {args.profile}")
-    from repro.analysis.tables import render_table
+    kernels = [k.strip() for k in args.kernel.split(",")]
+    try:
+        results = run_bench(scenarios, kernels=kernels, reps=args.reps,
+                            progress=lambda line: print(line, flush=True))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    rows = []
+    for r in results:
+        row = {"Workload": r.name, "Cycles": r.total_cycles}
+        for kernel in kernels:
+            row[f"{kernel} (cyc/s)"] = f"{r.median_cycles_per_sec(kernel):,.0f}"
+        for kernel in kernels[1:]:
+            speedup = (r.median_cycles_per_sec(kernel)
+                       / r.median_cycles_per_sec(kernels[0]))
+            row[f"{kernel} speedup"] = f"{speedup:.2f}x"
+        rows.append(row)
     print()
-    print(render_table([
-        {
-            "Workload": r.name,
-            "Cycles": r.total_cycles,
-            "Median cycles/sec": f"{r.median_cycles_per_sec:,.0f}",
-            "Reps": len(r.sim_wall_s),
-        }
-        for r in results
-    ]))
+    print(render_table(rows))
     payload = bench_payload(results, tag=args.tag, suite=args.suite,
-                            reps=args.reps, kernel=args.kernel)
+                            reps=args.reps)
     if args.json:
         path = write_bench(args.json, payload)
         print(f"\nwrote {path}")
-    if args.baseline is None:
+    if baseline is None:
         return 0
 
-    try:
-        baseline = load_bench(args.baseline)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
     comparison = compare_bench(payload, baseline, tolerance=args.tolerance)
     print(f"\nvs baseline {args.baseline} "
           f"(tolerance {100 * args.tolerance:.0f}%):")
     for row in comparison.rows:
         ratio = "" if row.ratio is None else f" ({row.ratio:.2f}x baseline)"
         detail = f" - {row.detail}" if row.detail else ""
-        print(f"  [{row.status:<14}] {row.name}{ratio}{detail}")
+        print(f"  [{row.status:<14}] {row.name} ({row.kernel}){ratio}{detail}")
     if not comparison.passed:
         print(f"\nFAILED: {len(comparison.failures)} workload(s) regressed",
               file=sys.stderr)
         return 1
     print("\nbench comparison passed")
-    return 0
-
-
-def _bench_ab(args: argparse.Namespace, scenarios) -> int:
-    """``repro bench --ab K1,K2``: interleaved kernel comparison."""
-    from repro.analysis.tables import render_table
-    from repro.harness.bench import ab_payload, run_bench_ab, write_bench
-
-    if args.baseline is not None:
-        print("--ab and --baseline are mutually exclusive (the A/B report "
-              "is its own comparison)", file=sys.stderr)
-        return 2
-    kernels = [k.strip() for k in args.ab.split(",") if k.strip()]
-    valid = tuple(k for k in KERNELS if k != "auto")
-    bad = [k for k in kernels if k not in valid]
-    if bad or len(kernels) < 2:
-        print(f"--ab needs >= 2 comma-separated kernels out of {valid}, "
-              f"got {args.ab!r}", file=sys.stderr)
-        return 2
-    if "native" in kernels:
-        from repro.arch._native import HAVE_NATIVE
-
-        if not HAVE_NATIVE:
-            print("--ab includes 'native' but the extension is not built; "
-                  "an A/B against the silent python fallback would be "
-                  "dishonest (pip install -e '.[native]' builds it)",
-                  file=sys.stderr)
-            return 2
-
-    try:
-        results = run_bench_ab(scenarios, kernels, reps=args.reps,
-                               progress=lambda line: print(line, flush=True))
-    except RuntimeError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    base = kernels[0]
-    rows = []
-    for i, base_result in enumerate(results[base]):
-        row = {"Workload": base_result.name,
-               "Cycles": base_result.total_cycles}
-        for kernel in kernels:
-            row[f"{kernel} (cyc/s)"] = \
-                f"{results[kernel][i].median_cycles_per_sec:,.0f}"
-        for kernel in kernels[1:]:
-            row[f"{kernel} speedup"] = (
-                f"{results[kernel][i].median_cycles_per_sec / results[base][i].median_cycles_per_sec:.2f}x")
-        rows.append(row)
-    print()
-    print(render_table(rows))
-    if args.json:
-        payload = ab_payload(results, tag=args.tag, suite=args.suite,
-                             reps=args.reps)
-        path = write_bench(args.json, payload)
-        print(f"\nwrote {path}")
     return 0
 
 
@@ -674,11 +581,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     if not _require_store_paths(args.store):
         return 2
-    try:
-        store = ResultStore(args.store)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store = ResultStore(args.store)
     if args.preset:
         try:
             scenarios = get_suite(args.preset)
@@ -789,11 +692,7 @@ def cmd_fuzz_classify(args: argparse.Namespace) -> int:
 
     if not _require_store_paths(args.store):
         return 2
-    try:
-        store = ResultStore(args.store)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    store = ResultStore(args.store)
     if args.preset:
         try:
             scenarios = get_suite(args.preset)
@@ -1069,33 +968,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compare against this bench JSON; exit 1 on regression")
     p_bench.add_argument("--tolerance", type=float, default=0.25,
                          help="tolerated relative cycles/sec drop (default 0.25)")
-    p_bench.add_argument("--kernel", choices=KERNELS, default=None,
-                         help="pin the NoC kernel for every workload "
-                              "(cycle counts are kernel-independent, so the "
-                              "delta is pure implementation speed)")
-    p_bench.add_argument("--ab", default=None, metavar="K1,K2[,K3]",
-                         help="interleaved kernel A/B: bench every workload "
-                              "under each listed kernel back to back in one "
-                              "process and report per-kernel medians plus "
-                              "speedups vs the first (e.g. python,native); "
-                              "also live-checks that all kernels report "
-                              "identical cycle counts")
-    p_bench.add_argument("--update-baseline", default=None, metavar="PATH",
-                         help="promote a downloaded BENCH_ci.json artifact to "
-                              "the committed baseline instead of benchmarking")
-    p_bench.add_argument("--baseline-out", default="benchmarks/BENCH_baseline.json",
-                         metavar="PATH",
-                         help="where --update-baseline writes "
-                              "(default: benchmarks/BENCH_baseline.json)")
-    p_bench.add_argument("--trace", default=None, metavar="PATH",
-                         help="after the timed reps, run one extra untimed "
-                              "traced rep per workload, writing "
-                              "PATH-<workload>.json (timed medians stay "
-                              "instrumentation-free)")
-    p_bench.add_argument("--profile", default=None, metavar="PATH",
-                         help="cProfile the bench and write collapsed stacks "
-                              "here (profiled numbers are not comparable to "
-                              "an unprofiled baseline)")
+    p_bench.add_argument("--kernel", default="auto", metavar="K1[,K2...]",
+                         help="NoC kernel(s) out of " + ", ".join(KERNELS)
+                              + " (default: auto); two or more concrete "
+                              "kernels run interleaved inside each "
+                              "(rep, workload) pair "
+                              "as an A/B with speedups vs the first, and "
+                              "must report identical cycle counts")
     p_bench.set_defaults(func=cmd_bench)
 
     p_fuzz = sub.add_parser(

@@ -42,7 +42,6 @@ from repro.harness.bench import (
     compare_bench,
     load_bench,
     run_bench,
-    update_baseline,
     write_bench,
 )
 from repro.harness.pool import DispatchPool, TaskResult, get_pool, shutdown_pool
@@ -99,7 +98,6 @@ __all__ = [
     "baseline_rows_from_records",
     "export_png_figures",
     "fuzz_rows_from_records",
-    "update_baseline",
     "BenchComparison",
     "ChipSpec",
     "DatasetSpec",

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,6 +89,8 @@ class ResultStore:
         self._lines: Dict[str, str] = {}
         #: The file as this handle last loaded or wrote it.
         self._seen: Optional[Signature] = None
+        #: ``(line number, reason)`` of every line the last load skipped.
+        self.skipped: List[Tuple[int, str]] = []
         #: Observability (repro.obs), attached by run_suite / the CLI for
         #: the span of one operation.  Observer-only: spans cover rewrites,
         #: counters count them; the bytes written never change.
@@ -101,25 +104,41 @@ class ResultStore:
     # ------------------------------------------------------------------
     def _load(self) -> Dict[str, str]:
         """Read the file: the canonical line per spec hash, last one winning
-        (append-only update semantics).  Remembers the file's signature."""
+        (append-only update semantics).  Remembers the file's signature.
+
+        A line that is not a JSON object carrying a ``spec_hash`` is skipped,
+        with one warning naming ``path:line`` and the reason, and listed in
+        :attr:`skipped`; one bad line must not take every command over the
+        store down with it.
+        """
         lines: Dict[str, str] = {}
-        with self.path.open("r", encoding="utf-8") as fh:
+        self.skipped = []
+        with self.path.open("rb") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self.path}:{line_no}: corrupt result store line: {exc}"
-                    ) from exc
+                except ValueError as exc:  # bad JSON or bad UTF-8
+                    self._skip(line_no, f"not JSON ({exc})")
+                    continue
+                if not isinstance(record, dict):
+                    self._skip(line_no, "not a JSON object")
+                    continue
                 key = record.get("spec_hash")
-                if not key:
-                    raise ValueError(f"{self.path}:{line_no}: record has no spec_hash")
+                if not isinstance(key, str) or not key:
+                    self._skip(line_no, "record has no spec_hash")
+                    continue
                 lines[key] = self.encode(record)
             self._seen = _signature(os.fstat(fh.fileno()))
         return lines
+
+    def _skip(self, line_no: int, reason: str) -> None:
+        self.skipped.append((line_no, reason))
+        warnings.warn(f"{self.path}:{line_no}: skipped corrupt result store "
+                      f"line: {reason}; the next rewrite of the store will "
+                      "not keep it", RuntimeWarning)
 
     # ------------------------------------------------------------------
     # Queries

@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     MetricsRegistry,
     POW2_BUCKETS,
-    parse_prometheus,
     record_metrics,
 )
 from repro.obs.profiling import (
@@ -37,7 +36,6 @@ __all__ = [
     "Tracer",
     "collapse_stats",
     "derive_trace_path",
-    "parse_prometheus",
     "profile_to_collapsed",
     "record_metrics",
     "validate_trace",

@@ -16,17 +16,17 @@ serves two distinct producers, with one hard line between them:
   ``repro metrics``) and are **never** written into records.
 
 Export formats: a JSON snapshot (:meth:`MetricsRegistry.snapshot`, also the
-embedded-record form) and the Prometheus text exposition format
-(:meth:`MetricsRegistry.to_prometheus`) — the surface a future
-``repro serve`` endpoint will hand to a scraper.  :func:`parse_prometheus`
-round-trips the exposition back into a registry for tests and tooling.
+embedded-record form, read back by :meth:`MetricsRegistry.merge_snapshot`)
+and the Prometheus text exposition format
+(:meth:`MetricsRegistry.to_prometheus`) that ``repro serve`` hands to a
+scraper on ``/metrics``.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[str, ...]
 
@@ -128,10 +128,6 @@ class Histogram(Metric):
         cell["sum"] += value
         cell["count"] += 1
 
-    def observe_many(self, values: Iterable[float], **labels: str) -> None:
-        for value in values:
-            self.observe(value, **labels)
-
 
 class MetricsRegistry:
     """A named collection of metrics with deterministic serialisation.
@@ -216,30 +212,6 @@ class MetricsRegistry:
                 entry["buckets"] = list(metric.bounds)
             out[metric.name] = entry
         return out
-
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output."""
-        registry = cls()
-        for name, entry in data.items():
-            kind = entry.get("type")
-            labels = entry.get("labels", ())
-            help_ = entry.get("help", "")
-            if kind == "counter":
-                metric: Metric = registry.counter(name, help_, labels)
-            elif kind == "gauge":
-                metric = registry.gauge(name, help_, labels)
-            elif kind == "histogram":
-                metric = registry.histogram(name, help_, labels,
-                                            entry.get("buckets", ()))
-            else:
-                raise ValueError(f"metric {name!r}: unknown type {kind!r}")
-            for series in entry.get("series", []):
-                key = _label_key(metric.label_names, series.get("labels", {}))
-                value = series["value"]
-                metric.series[key] = (dict(value) if isinstance(value, dict)
-                                      else value)
-        return registry
 
     def merge_snapshot(self, data: Dict[str, Any],
                        extra_labels: Optional[Dict[str, str]] = None) -> None:
@@ -337,133 +309,6 @@ def _sample(name: str, labels: Dict[str, str], value: Any) -> str:
                         for k, v in sorted(labels.items()))
         return f"{name}{{{body}}} {_fmt(value)}"
     return f"{name} {_fmt(value)}"
-
-
-# ----------------------------------------------------------------------
-# Prometheus text parsing (round-trip tests, tooling)
-# ----------------------------------------------------------------------
-def parse_prometheus(text: str) -> "MetricsRegistry":
-    """Parse :meth:`MetricsRegistry.to_prometheus` output back.
-
-    Supports the subset the exposition above emits: ``# HELP``/``# TYPE``
-    comments, counter/gauge samples, and histogram ``_bucket``/``_sum``/
-    ``_count`` families.  Numbers parse as int when exactly integral, so a
-    registry of integer counters round-trips to equal snapshots.
-    """
-    registry = MetricsRegistry()
-    types: Dict[str, str] = {}
-    helps: Dict[str, str] = {}
-    hist_cells: Dict[Tuple[str, LabelKey], Dict[str, Any]] = {}
-    hist_bounds: Dict[str, List[float]] = {}
-    hist_labelnames: Dict[str, Tuple[str, ...]] = {}
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, help_ = rest.partition(" ")
-            helps[name] = help_
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            types[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        name, labels, value = _parse_sample(line)
-        family = _histogram_family(name, types)
-        if family is not None:
-            bounds = hist_bounds.setdefault(family, [])
-            base_labels = {k: v for k, v in labels.items() if k != "le"}
-            label_names = tuple(sorted(base_labels))
-            hist_labelnames.setdefault(family, label_names)
-            key = tuple(base_labels[k] for k in hist_labelnames[family])
-            cell = hist_cells.setdefault((family, key),
-                                         {"buckets": {}, "sum": 0, "count": 0})
-            if name.endswith("_bucket"):
-                le = labels.get("le", "+Inf")
-                if le != "+Inf":
-                    bound = _num(le)
-                    if bound not in bounds:
-                        bounds.append(bound)
-                    cell["buckets"][bound] = value
-            elif name.endswith("_sum"):
-                cell["sum"] = value
-            else:
-                cell["count"] = value
-            continue
-        kind = types.get(name, "gauge")
-        if kind == "counter":
-            metric: Metric = registry.counter(name, helps.get(name, ""),
-                                              tuple(sorted(labels)))
-        else:
-            metric = registry.gauge(name, helps.get(name, ""),
-                                    tuple(sorted(labels)))
-        metric.series[_label_key(metric.label_names, labels)] = value
-
-    for (family, key), cell in hist_cells.items():
-        bounds = sorted(hist_bounds.get(family, []))
-        metric = registry.histogram(family, helps.get(family, ""),
-                                    hist_labelnames[family], bounds)
-        metric.series[key] = {
-            "buckets": [cell["buckets"].get(b, 0) for b in bounds],
-            "sum": cell["sum"],
-            "count": cell["count"],
-        }
-    return registry
-
-
-def _histogram_family(name: str, types: Dict[str, str]) -> Optional[str]:
-    for suffix in ("_bucket", "_sum", "_count"):
-        if name.endswith(suffix):
-            family = name[:-len(suffix)]
-            if types.get(family) == "histogram":
-                return family
-    return None
-
-
-def _num(token: str) -> Any:
-    value = float(token)
-    return int(value) if value.is_integer() else value
-
-
-def _parse_sample(line: str) -> Tuple[str, Dict[str, str], Any]:
-    if "{" in line:
-        name, _, rest = line.partition("{")
-        body, _, tail = rest.rpartition("}")
-        labels: Dict[str, str] = {}
-        for part in _split_labels(body):
-            k, _, v = part.partition("=")
-            labels[k.strip()] = v.strip().strip('"')
-        return name, labels, _parse_value(tail.strip())
-    name, _, tail = line.partition(" ")
-    return name, {}, _parse_value(tail.strip())
-
-
-def _split_labels(body: str) -> List[str]:
-    parts: List[str] = []
-    depth_quote = False
-    current = ""
-    for ch in body:
-        if ch == '"':
-            depth_quote = not depth_quote
-        if ch == "," and not depth_quote:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    if current:
-        parts.append(current)
-    return parts
-
-
-def _parse_value(token: str) -> Any:
-    if token == "+Inf":
-        return float("inf")
-    return _num(token)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Profiling hooks: cProfile wrapping with collapsed-stack output.
 
-``repro suite run --profile out.folded`` (and ``repro bench --profile``)
-wrap the run in :func:`profile_to_collapsed`, which drives the stdlib
+``repro suite run --profile out.folded`` wraps the run in
+:func:`profile_to_collapsed`, which drives the stdlib
 :mod:`cProfile` and writes two side artifacts:
 
 * ``<path>`` — collapsed stacks (``frame;frame;frame count`` per line),

@@ -211,11 +211,27 @@ class TestResultStore:
         with pytest.raises(ValueError):
             store.put({"value": 1})
 
-    def test_corrupt_line_reported(self, tmp_path):
+    def test_corrupt_line_reported(self, tmp_path, capsys):
+        from repro.cli import main
+
         path = tmp_path / "store.jsonl"
-        path.write_text('{"spec_hash": "ok"}\nnot json\n')
-        with pytest.raises(ValueError, match="corrupt"):
-            ResultStore(path)
+        good = [run_scenario(tiny_scenario(name, generator="uniform"))
+                for name in ("a", "b")]
+        path.write_text(ResultStore.encode(good[0]) + "\nnot json\n[]\n"
+                        + ResultStore.encode(good[1]) + "\n")
+        with pytest.warns(RuntimeWarning) as caught:
+            store = ResultStore(path)
+        assert [r["name"] for r in store.records()] == ["a", "b"]
+        assert [line for line, _reason in store.skipped] == [2, 3]
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert messages[0].startswith(f"{path}:2: ")
+        assert messages[1].startswith(f"{path}:3: ")
+        assert all("rewrite" in m for m in messages)
+        # Every command over the store keeps working.
+        with pytest.warns(RuntimeWarning):
+            assert main(["report", "--store", str(path)]) == 0
+        capsys.readouterr()
 
     def test_put_on_unchanged_store_does_not_reread(self, tmp_path,
                                                     monkeypatch):

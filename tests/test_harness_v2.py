@@ -37,13 +37,10 @@ from repro.harness import (
 from repro.harness.runner import _pipeline_span_task, drop_warm_run, plan_spans
 from repro.serve import ScenarioService, ServeConfig
 from repro.harness.bench import (
-    BENCH_AB_SCHEMA,
     BENCH_SCHEMA,
-    ab_payload,
     bench_payload,
     compare_bench,
     load_bench,
-    run_bench_ab,
     write_bench,
 )
 
@@ -416,8 +413,9 @@ class TestBench:
         results = run_bench(scenarios, reps=2)
         assert [r.name for r in results] == ["w1", "w2"]
         for result in results:
-            assert len(result.sim_wall_s) == 2
-            assert result.median_cycles_per_sec > 0
+            assert list(result.sim_wall_s) == ["auto"]
+            assert len(result.sim_wall_s["auto"]) == 2
+            assert result.median_cycles_per_sec("auto") > 0
             assert result.total_cycles > 0
 
     @requires_numpy
@@ -425,6 +423,7 @@ class TestBench:
         results = run_bench([tiny_scenario("w", "ingest")], reps=1)
         payload = bench_payload(results, tag="test", suite="custom", reps=1)
         assert payload["schema"] == BENCH_SCHEMA
+        assert payload["kernels"] == ["auto"]
         assert payload["repro_version"] == __version__
         path = write_bench(tmp_path / "BENCH_test.json", payload)
         assert load_bench(path) == payload
@@ -435,14 +434,15 @@ class TestBench:
         with pytest.raises(ValueError, match="unsupported bench schema"):
             load_bench(path)
 
-    def _payload(self, medians, *, version=__version__, cycles=None):
+    def _payload(self, medians, *, version=__version__, cycles=None,
+                 kernel="auto"):
         cycles = cycles or {name: 1000 for name in medians}
         return {
             "schema": BENCH_SCHEMA,
             "repro_version": version,
             "workloads": [
-                {"name": name, "median_cycles_per_sec": median,
-                 "total_cycles": cycles[name]}
+                {"name": name, "total_cycles": cycles[name],
+                 "kernels": {kernel: {"median_cycles_per_sec": median}}}
                 for name, median in medians.items()
             ],
         }
@@ -480,10 +480,16 @@ class TestBench:
         assert statuses["dropped"] == "missing"
         assert statuses["added"] == "new"
         assert not comparison.passed  # missing fails, new does not
+        # Medians compare per kernel: another kernel's run is no stand-in.
+        other = compare_bench(self._payload({"kept": 1000.0}, kernel="python"),
+                              self._payload({"kept": 1000.0}))
+        assert {(r.kernel, r.status) for r in other.rows} == \
+               {("auto", "missing"), ("python", "new")}
 
 
-#: The A/B pair.  Without the extension the native leg warns and runs the
-#: python fallback, so the harness is still exercised end to end.
+#: The A/B pair.  Without the extension the tests get past run_bench's
+#: refusal (see ``ab_kernels``) and the native leg warns and runs the
+#: python fallback, so the loop is still exercised end to end.
 AB_KERNELS = ["python", "native"]
 
 
@@ -496,44 +502,70 @@ def _native_fallback_warns():
     return pytest.warns(RuntimeWarning, match="native.*not built")
 
 
+@pytest.fixture
+def ab_kernels(monkeypatch):
+    """:data:`AB_KERNELS`, with run_bench's native check satisfied."""
+    from repro.arch import _native
+
+    monkeypatch.setattr(_native, "HAVE_NATIVE", True)
+    return AB_KERNELS
+
+
 class TestBenchAb:
     @requires_numpy
-    def test_run_bench_ab_reports_per_kernel_medians(self):
-        kernels = AB_KERNELS
+    def test_kernel_list_reports_per_kernel_medians(self, ab_kernels):
         scenarios = [tiny_scenario("w1", "ingest"), tiny_scenario("w2", "bfs")]
         with _native_fallback_warns():
-            results = run_bench_ab(scenarios, kernels, reps=2)
-        assert sorted(results) == sorted(kernels)
-        for kernel in kernels:
-            assert [r.name for r in results[kernel]] == ["w1", "w2"]
-            for result in results[kernel]:
-                assert len(result.sim_wall_s) == 2
-                assert result.median_cycles_per_sec > 0
-        # The A/B doubles as a schedule-contract check: identical cycles.
-        for i in range(2):
-            assert len({results[k][i].total_cycles for k in kernels}) == 1
+            results = run_bench(scenarios, kernels=ab_kernels, reps=2)
+        assert [r.name for r in results] == ["w1", "w2"]
+        for result in results:
+            assert list(result.sim_wall_s) == ab_kernels
+            for kernel in ab_kernels:
+                assert len(result.sim_wall_s[kernel]) == 2
+                assert result.median_cycles_per_sec(kernel) > 0
 
-    def test_run_bench_ab_validates_kernel_list(self):
-        with pytest.raises(ValueError, match="at least two"):
-            run_bench_ab([tiny_scenario()], ["python"], reps=1)
-        with pytest.raises(ValueError, match="duplicate"):
-            run_bench_ab([tiny_scenario()], ["python", "python"], reps=1)
+    def test_run_bench_validates_kernel_list(self, monkeypatch):
+        from repro.arch import _native
+
+        for kernels in ([], ["python", "python"], ["numpy"]):
+            with pytest.raises(ValueError, match="distinct names"):
+                run_bench([tiny_scenario()], kernels=kernels, reps=1)
+        # `auto` aliases a concrete kernel: in an A/B it times one twice.
+        for kernels in (["auto", "python"], ["python", "auto"]):
+            with pytest.raises(ValueError, match="'auto' aliases"):
+                run_bench([tiny_scenario()], kernels=kernels, reps=1)
+        monkeypatch.setattr(_native, "HAVE_NATIVE", False)
+        for kernels in (["native"], AB_KERNELS):
+            with pytest.raises(ValueError, match="not built"):
+                run_bench([tiny_scenario()], kernels=kernels, reps=1)
+
+    def test_divergent_cycles_abort_the_bench(self, monkeypatch):
+        import repro.harness.bench as bench
+
+        def fake_run(scenario, *, timings, kernel):
+            timings["sim_s"] = 0.5
+            return {"total_cycles": 10 + (kernel == "native"),
+                    "spec_hash": "h"}
+
+        monkeypatch.setattr(bench, "run_scenario", fake_run)
+        monkeypatch.setattr(bench._native, "HAVE_NATIVE", True)
+        with pytest.raises(RuntimeError, match="bit-identical-schedule"):
+            run_bench([tiny_scenario()], kernels=AB_KERNELS, reps=1)
 
     @requires_numpy
-    def test_ab_payload_schema_and_speedups(self, tmp_path):
-        kernels = AB_KERNELS
+    def test_payload_carries_every_kernel(self, tmp_path, ab_kernels):
         with _native_fallback_warns():
-            results = run_bench_ab([tiny_scenario("w", "ingest")], kernels,
-                                   reps=1)
-        payload = ab_payload(results, tag="test", suite="custom", reps=1)
-        assert payload["schema"] == BENCH_AB_SCHEMA
-        assert payload["kernels"] == kernels
+            results = run_bench([tiny_scenario("w", "ingest")],
+                                kernels=ab_kernels, reps=1)
+        payload = bench_payload(results, tag="test", suite="custom", reps=1)
+        assert payload["kernels"] == ab_kernels
         (workload,) = payload["workloads"]
-        assert workload["speedup_vs_first"][kernels[0]] == 1.0
-        assert set(workload["kernels"]) == set(kernels)
-        # write_bench round-trips, but load_bench guards the plain schema.
+        assert list(workload["kernels"]) == ab_kernels
+        for entry in workload["kernels"].values():
+            assert len(entry["sim_wall_s"]) == 1
+            assert entry["median_cycles_per_sec"] > 0
         path = write_bench(tmp_path / "BENCH_ab.json", payload)
-        assert json.loads(path.read_text()) == payload
+        assert load_bench(path) == payload
 
     @requires_numpy
     def test_cli_bench_ab(self, tmp_path, capsys, monkeypatch):
@@ -542,7 +574,7 @@ class TestBenchAb:
 
         out_json = tmp_path / "BENCH_ab.json"
         argv = ["bench", "--suite", "tiny", "--reps", "1",
-                "--ab", "python,native", "--json", str(out_json)]
+                "--kernel", "python,native", "--json", str(out_json)]
         if not _native.HAVE_NATIVE:
             # The CLI refuses to time python against its own fallback...
             assert main(argv) == 2
@@ -553,17 +585,21 @@ class TestBenchAb:
             assert main(argv) == 0
         out = capsys.readouterr().out
         assert "native speedup" in out
-        assert json.loads(out_json.read_text())["schema"] == BENCH_AB_SCHEMA
+        assert load_bench(out_json)["kernels"] == AB_KERNELS
 
-    def test_cli_bench_ab_rejects_bad_flag_combinations(self, capsys):
+    def test_cli_bench_ab_rejects_bad_flag_combinations(self, capsys,
+                                                        monkeypatch):
+        from repro.arch import _native
         from repro.cli import main
 
-        assert main(["bench", "--ab", "python",
-                     "--suite", "tiny"]) == 2
-        assert ">= 2 comma-separated kernels" in capsys.readouterr().err
-        assert main(["bench", "--ab", "python,native", "--suite", "tiny",
-                     "--baseline", "whatever.json"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        monkeypatch.setattr(_native, "HAVE_NATIVE", False)
+        for kernels in ("python,python", "numpy", "python,", "native",
+                        "python,native", "auto,python"):
+            assert main(["bench", "--suite", "tiny",
+                         "--kernel", kernels]) == 2
+        err = capsys.readouterr().err
+        assert "distinct names" in err and "not built" in err
+        assert "'auto' aliases" in err
 
 
 class TestCliIntegration:

@@ -20,7 +20,6 @@ from repro.harness import (
     run_scenario,
     run_suite,
 )
-from repro.harness.bench import run_bench
 from repro.harness.runner import run_scenario_traced
 from repro.harness.scenario import RunOptions
 from repro.obs import (
@@ -29,7 +28,6 @@ from repro.obs import (
     Tracer,
     collapse_stats,
     derive_trace_path,
-    parse_prometheus,
     profile_to_collapsed,
     record_metrics,
     validate_trace,
@@ -106,7 +104,8 @@ class TestMetricsRegistry:
         g.set(4)
         g.add(-1)
         h = reg.histogram("lat", "latency", buckets=(1, 2, 4))
-        h.observe_many([0.5, 1.5, 3, 100])
+        for value in (0.5, 1.5, 3, 100):
+            h.observe(value)
         snap = reg.snapshot()
         assert snap["jobs_total"]["series"] == [
             {"labels": {"status": "error"}, "value": 2},
@@ -137,7 +136,8 @@ class TestMetricsRegistry:
         reg.counter("c_total", "help me").inc(5)
         reg.gauge("g", labels=("k",)).set(2.5, k="v")
         reg.histogram("h", buckets=POW2_BUCKETS).observe(3)
-        rebuilt = MetricsRegistry.from_snapshot(reg.snapshot())
+        rebuilt = MetricsRegistry()
+        rebuilt.merge_snapshot(reg.snapshot())
         assert rebuilt.snapshot() == reg.snapshot()
 
     def test_prometheus_roundtrip(self):
@@ -146,14 +146,31 @@ class TestMetricsRegistry:
         c.inc(3, k="v1")
         c.inc(7, k="v2")
         reg.gauge("g", "a gauge").set(12)
-        reg.histogram("h", "a histogram", ("s",),
-                      buckets=(1, 2, 4)).observe_many([0.5, 3], s="x")
-        text = reg.to_prometheus()
-        assert "# TYPE c_total counter" in text
-        assert 'c_total{k="v1"} 3' in text
-        assert 'h_bucket{le="+Inf",s="x"} 2' in text
-        parsed = parse_prometheus(text)
-        assert parsed.snapshot() == reg.snapshot()
+        h = reg.histogram("h", "a histogram", ("s",), buckets=(1, 2, 4))
+        h.observe(0.5, s="x")
+        h.observe(3, s="x")
+        expected = (
+            "# HELP c_total a counter\n"
+            "# TYPE c_total counter\n"
+            'c_total{k="v1"} 3\n'
+            'c_total{k="v2"} 7\n'
+            "# HELP g a gauge\n"
+            "# TYPE g gauge\n"
+            "g 12\n"
+            "# HELP h a histogram\n"
+            "# TYPE h histogram\n"
+            'h_bucket{le="1",s="x"} 1\n'
+            'h_bucket{le="2",s="x"} 1\n'
+            'h_bucket{le="4",s="x"} 2\n'
+            'h_bucket{le="+Inf",s="x"} 2\n'
+            'h_sum{s="x"} 3.5\n'
+            'h_count{s="x"} 2\n'
+        )
+        assert reg.to_prometheus() == expected
+        # The snapshot carries everything the exposition shows.
+        rebuilt = MetricsRegistry()
+        rebuilt.merge_snapshot(reg.snapshot())
+        assert rebuilt.to_prometheus() == expected
 
     def test_merge_snapshot_widens_labels(self):
         per_record = MetricsRegistry()
@@ -317,15 +334,3 @@ class TestObserverOnly:
         assert timers is not None
         assert set(timers) == {"io", "noc", "dispatch", "cells", "account"}
         assert sum(timers.values()) > 0
-
-
-class TestBenchTrace:
-    @requires_numpy
-    def test_bench_trace_rep_untimed(self, tmp_path):
-        scenarios = [tiny_scenario("w1", "ingest")]
-        results = run_bench(scenarios, reps=2,
-                            trace_path=str(tmp_path / "bench.json"))
-        # The traced rep must not contribute a timing sample.
-        assert len(results[0].sim_wall_s) == 2
-        per = derive_trace_path(str(tmp_path / "bench.json"), "w1")
-        assert validate_trace_file(per) == []

@@ -46,6 +46,32 @@ class TestSimStats:
         assert stats.mean_activation() == pytest.approx(0.5)
         assert stats.peak_activation() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("algorithm", ["ingest", "bfs"])
+    def test_mean_activation_paths_agree_on_power_of_two_chips(
+            self, side, algorithm, monkeypatch):
+        """numpy's pairwise mean and the numpy-free sum write the same bits
+        when the cell count is a power of two: every ``c / n`` is exact, so
+        every partial sum is exact in either order.  Other chip sizes fork
+        in the last bits, which is why every registered suite uses
+        power-of-two chips."""
+        import repro.arch.stats as stats_module
+        from repro.harness import ChipSpec, DatasetSpec, Scenario, list_suites
+        from repro.harness.runner import run_scenario_traced
+
+        scenario = Scenario(
+            name="pow2", algorithm=algorithm, chip=ChipSpec(side=side),
+            dataset=DatasetSpec(vertices=200, edges=1200, sampling="edge",
+                                seed=5, generator="uniform"))
+        _record, device = run_scenario_traced(scenario)
+        stats = device.simulator.stats
+        with_numpy = stats.mean_activation()
+        monkeypatch.setattr(stats_module, "np", None)
+        assert stats.mean_activation() == with_numpy
+        suite_sides = {s.chip.side for suite in list_suites()
+                       for s in suite.build()}
+        assert all(n & (n - 1) == 0 for n in suite_sides), suite_sides
+
     def test_empty_series(self):
         stats = SimStats(num_cells=4)
         assert stats.mean_activation() == 0.0

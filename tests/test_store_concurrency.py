@@ -43,8 +43,9 @@ class TestReadersVsLifecycle:
 
         One thread compacts/repopulates in a loop; reader threads
         continuously open fresh handles (a second process in miniature).
-        A torn or partially-visible file would raise ValueError in _load
-        or yield a record set that is neither pre- nor post-compact.
+        A torn or partially-visible file would leave a line _load skips
+        (listed in ``store.skipped``) or yield a record set that is
+        neither pre- nor post-compact.
         """
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
@@ -62,11 +63,11 @@ class TestReadersVsLifecycle:
 
         def reader():
             while not stop.is_set():
-                try:
-                    seen = {r["spec_hash"] for r in ResultStore(path)}
-                except ValueError as exc:  # torn file
-                    errors.append(f"corrupt store: {exc}")
+                loaded = ResultStore(path)
+                if loaded.skipped:  # torn file
+                    errors.append(f"corrupt store: {loaded.skipped}")
                     return
+                seen = {r["spec_hash"] for r in loaded}
                 if seen not in valid_sets:
                     errors.append(f"inconsistent record set: {seen}")
                     return
@@ -90,15 +91,22 @@ class TestReadersVsLifecycle:
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
         store.put_many([_record("old", "0.9.0"), _record("new")])
+        valid_sets = (
+            {"old-0.9.0", f"new-{__version__}"},  # before gc
+            {f"new-{__version__}"},               # after gc
+        )
         errors = []
         stop = threading.Event()
 
         def reader():
             while not stop.is_set():
-                try:
-                    ResultStore(path)
-                except ValueError as exc:
-                    errors.append(str(exc))
+                loaded = ResultStore(path)
+                if loaded.skipped:  # torn file
+                    errors.append(f"corrupt store: {loaded.skipped}")
+                    return
+                seen = {r["spec_hash"] for r in loaded}
+                if seen not in valid_sets:
+                    errors.append(f"inconsistent record set: {seen}")
                     return
 
         readers = [threading.Thread(target=reader) for _ in range(4)]
@@ -214,11 +222,11 @@ class TestFailureInjection:
 
         def reader():
             while not stop.is_set():
-                try:
-                    seen = {r["spec_hash"] for r in ResultStore(path)}
-                except ValueError as exc:
-                    errors.append(str(exc))
+                loaded = ResultStore(path)
+                if loaded.skipped:  # torn file
+                    errors.append(f"corrupt store: {loaded.skipped}")
                     return
+                seen = {r["spec_hash"] for r in loaded}
                 if seen != expected:
                     errors.append(f"readers saw {seen}")
                     return
