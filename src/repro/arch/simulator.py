@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.arch._native import _sweep as _native_sweep
@@ -32,6 +33,18 @@ from repro.arch.noc import BaseNoC, build_noc
 from repro.arch.routing import RoutingPolicy, make_routing
 from repro.arch.stats import SimStats
 from repro.arch.trace import TraceRecorder
+
+#: Per-cell counters a snapshot captures, as ``(column, attribute)``.
+_CELL_COUNTERS = (
+    ("remaining", "_remaining_instructions"),
+    ("next_obj_id", "_next_obj_id"),
+    ("memory_words", "memory_words"),
+    ("next_cont_id", "_next_cont_id"),
+    ("instructions", "instructions_executed"),
+    ("staged", "messages_staged"),
+    ("tasks", "tasks_executed"),
+    ("allocations", "allocations"),
+)
 
 #: Executes an arrived message directly on its destination cell, returning
 #: the ``(instruction_cost, outgoing_messages)`` pair a Task.run would.
@@ -469,9 +482,10 @@ class Simulator:
         """Scheduling/accounting state as plain values (snapshot capture).
 
         Covers the clock, the active-cell order, parked cells and their
-        wake wheel, every cell's execution bookkeeping (lifetime counters,
-        in-progress instruction burns, held/staging/task-queue messages)
-        plus the statistics object and the NoC's in-flight state.  Cell
+        wake wheel, every cell's execution bookkeeping (one int64 column
+        per counter, in-progress instruction burns included, plus the
+        held/staging/task-queue messages of the cells that hold any) plus
+        the statistics object and the NoC's in-flight state.  Cell
         *memory contents* and dispatch wiring are deliberately excluded --
         they belong to the layer that owns them (the graph side for
         vertex blocks; the runtime re-installs its executor from code).
@@ -485,63 +499,72 @@ class Simulator:
         """
         from repro.snapshot.format import SnapshotError
 
-        cells_state = []
-        for cell in self.cells:
+        cells = self.cells
+        state: Dict[str, object] = {
+            name: array("q", list(map(attrgetter(attr), cells)))
+            for name, attr in _CELL_COUNTERS
+        }
+        messages = []
+        for cell in cells:
+            if cell.continuations:
+                raise SnapshotError(
+                    f"cell {cell.cc_id} has {len(cell.continuations)} "
+                    "registered continuation(s) awaiting their trigger; "
+                    "capture at an increment boundary")
+            if not (cell.task_queue or cell.staging or cell._held_messages):
+                continue
             for item in cell.task_queue:
                 if item.__class__ is not Message:
                     raise SnapshotError(
                         f"cell {cell.cc_id} has a queued {item!r}: Task "
                         "closures cannot be serialised; capture at an "
                         "increment boundary")
-            if cell.continuations:
-                raise SnapshotError(
-                    f"cell {cell.cc_id} has {len(cell.continuations)} "
-                    "registered continuation(s) awaiting their trigger; "
-                    "capture at an increment boundary")
-            cells_state.append({
-                "remaining": cell._remaining_instructions,
-                "next_obj_id": cell._next_obj_id,
-                "memory_words": cell.memory_words,
-                "next_cont_id": cell._next_cont_id,
-                "instructions": cell.instructions_executed,
-                "staged": cell.messages_staged,
-                "tasks": cell.tasks_executed,
-                "allocations": cell.allocations,
-                "held": [m.to_state() for m in cell._held_messages],
-                "staging": [m.to_state() for m in cell.staging],
-                "queue": [m.to_state() for m in cell.task_queue],
-            })
+            messages.append((
+                cell.cc_id,
+                [m.to_state() for m in cell._held_messages],
+                [m.to_state() for m in cell.staging],
+                [m.to_state() for m in cell.task_queue],
+            ))
+        state["messages"] = messages
         return {
             "cycle": self.cycle,
-            "active_cells": list(self._active_cells),
-            "parked": list(self._parked),
+            "active_cells": array("q", self._active_cells),
+            "parked": bytes(self._parked),
             "wake_buckets": {wake: [list(entry) for entry in entries]
                              for wake, entries in self._wake_buckets.items()},
-            "cells": cells_state,
+            "cells": state,
             "stats": self.stats.state_dict(),
             "noc": self.noc.export_state(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Load :meth:`snapshot_state` output into a freshly built simulator."""
+        from repro.snapshot.format import SnapshotError
+
+        cells = self.cells
+        parked = state["parked"]
+        if type(parked) is not bytes or len(parked) != len(cells):
+            raise SnapshotError(
+                f"corrupt snapshot: parked flags are not {len(cells)} bytes")
+        cell_state = state["cells"]
+        for name, _attr in _CELL_COUNTERS:
+            if len(cell_state[name]) != len(cells):
+                raise SnapshotError(
+                    f"corrupt snapshot: cell column {name!r} has "
+                    f"{len(cell_state[name])} entries, expected {len(cells)}")
         self.cycle = state["cycle"]
-        self._parked = bytearray(state["parked"])
+        self._parked = bytearray(parked)
         self._parked_count = sum(self._parked)
         self._wake_buckets = {wake: [tuple(entry) for entry in entries]
                               for wake, entries in state["wake_buckets"].items()}
-        cells = self.cells
-        for cell, cs in zip(cells, state["cells"]):
-            cell._remaining_instructions = cs["remaining"]
-            cell._next_obj_id = cs["next_obj_id"]
-            cell.memory_words = cs["memory_words"]
-            cell._next_cont_id = cs["next_cont_id"]
-            cell.instructions_executed = cs["instructions"]
-            cell.messages_staged = cs["staged"]
-            cell.tasks_executed = cs["tasks"]
-            cell.allocations = cs["allocations"]
-            cell._held_messages = [Message.from_state(s) for s in cs["held"]]
-            cell.staging.extend(Message.from_state(s) for s in cs["staging"])
-            cell.task_queue.extend(Message.from_state(s) for s in cs["queue"])
+        for name, attr in _CELL_COUNTERS:
+            for cell, value in zip(cells, cell_state[name]):
+                setattr(cell, attr, value)
+        for cc_id, held, staging, queue in cell_state["messages"]:
+            cell = cells[cc_id]
+            cell._held_messages = [Message.from_state(s) for s in held]
+            cell.staging.extend(Message.from_state(s) for s in staging)
+            cell.task_queue.extend(Message.from_state(s) for s in queue)
         # Re-stamp the active list against this instance's fresh sweep
         # counter; only membership and order matter to the schedule.
         sweep = self._cell_sweep

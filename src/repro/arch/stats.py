@@ -12,6 +12,7 @@ model of :mod:`repro.arch.energy`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -187,11 +188,12 @@ class SimStats:
         state: Dict[str, object] = {name: getattr(self, name)
                                     for name in self._SCALARS}
         state["num_cells"] = self.num_cells
-        state["active_cells_per_cycle"] = list(self.active_cells_per_cycle)
-        state["messages_in_flight_per_cycle"] = list(self.messages_in_flight_per_cycle)
-        state["deliveries_per_cycle"] = list(self.deliveries_per_cycle)
+        state["active_cells_per_cycle"] = array("q", self.active_cells_per_cycle)
+        state["messages_in_flight_per_cycle"] = array(
+            "q", self.messages_in_flight_per_cycle)
+        state["deliveries_per_cycle"] = array("q", self.deliveries_per_cycle)
         state["link_busy_per_link"] = (None if self.link_busy_per_link is None
-                                       else list(self.link_busy_per_link))
+                                       else array("q", self.link_busy_per_link))
         state["phase_marks"] = dict(self.phase_marks)
         return state
 

@@ -415,10 +415,13 @@ def cmd_snapshot_info(args: argparse.Namespace) -> int:
         return 2
     info = snap.info()
     chip = info.pop("chip", {})
+    sections = info.pop("sections")
     for key in sorted(info):
         print(f"{key}: {info[key]}")
     if chip:
         print("chip: " + ", ".join(f"{k}={v}" for k, v in sorted(chip.items())))
+    print("section bytes: " + ", ".join(f"{name}={size}"
+                                        for name, size in sections.items()))
     return 0
 
 
@@ -476,6 +479,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         get_suite,
         render_suite_report,
     )
+    from repro.harness.report import reportable_records
 
     if not _require_store_paths(args.store):
         return 2
@@ -490,9 +494,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                    if (r := store.get(s.spec_hash())) is not None]
     else:
         records = store.records()
+    records = reportable_records(records)
     if not records:
         print("no records to report", file=sys.stderr)
-        return 1
+        return 2
     print(render_suite_report(records, tables=args.tables))
     if args.png:
         written = export_png_figures(records, args.png)

@@ -20,6 +20,7 @@ cycle count and statistics.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -28,7 +29,14 @@ from repro.arch.address import Address
 from repro.arch.config import ChipConfig
 from repro.graph.allocator import GhostAllocator, VertexPlacement, make_ghost_allocator
 from repro.graph.ingest import INSERT_EDGE_ACTION, EdgeIngestor
-from repro.graph.rpvo import Edge, EdgeSlot, VertexBlock
+from repro.graph.rpvo import (
+    Edge,
+    EdgeSlot,
+    VertexBlock,
+    capture_blocks,
+    check_block_table,
+    restore_blocks,
+)
 from repro.runtime.device import AMCCADevice, RunResult
 from repro.runtime.terminator import Terminator
 
@@ -222,22 +230,19 @@ class DynamicGraph:
     def snapshot_state(self) -> Dict[str, Any]:
         """Graph-side state as plain values: blocks, allocator RNG, cursors.
 
-        Root blocks are keyed by vertex id (their addresses are derivable —
-        the constructor re-places them deterministically — but are captured
-        anyway so a restore can verify the layout matches).  Ghost blocks,
-        allocated at runtime, are keyed by their ``(cell, object id)``
-        memory slot.  The ghost allocator's RNG state rides along so the
-        next overflow after a restore picks the same cell the uninterrupted
-        run would.
+        Blocks are captured column-wise (:func:`~repro.graph.rpvo.capture_blocks`)
+        in two tables: ``roots`` in vertex-id order, and ``ghosts``, allocated
+        at runtime, in ``(cell, object id)`` memory order.  Root addresses
+        are derivable (the constructor re-places them deterministically)
+        but are captured anyway so a restore can verify the layout matches.
+        The ghost allocator's RNG state rides along so the next overflow
+        after a restore picks the same cell the uninterrupted run would.
         """
         from repro.snapshot.format import SnapshotError
 
-        cells = self.device.simulator.cells
-        roots = {}
-        for vid, addr in self.vertex_addrs.items():
-            roots[vid] = (addr, self._root_blocks[vid].to_state())
-        ghosts = []
-        for cell in cells:
+        ghosts: List[VertexBlock] = []
+        ghost_addrs: List[Address] = []
+        for cell in self.device.simulator.cells:
             for obj_id, obj in cell.memory.items():
                 if not isinstance(obj, VertexBlock):
                     raise SnapshotError(
@@ -245,8 +250,10 @@ class DynamicGraph:
                         f"{type(obj).__name__}, not a VertexBlock; "
                         "graph-level snapshots only cover RPVO state")
                 if not obj.is_root:
-                    ghosts.append((cell.cc_id, obj_id, obj.to_state()))
+                    ghosts.append(obj)
+                    ghost_addrs.append(Address(cell.cc_id, obj_id))
         allocator = self.ghost_allocator
+        version, internal, gauss = allocator.rng.getstate()
         ingestor = self.ingestor
         return {
             "num_vertices": self.num_vertices,
@@ -258,13 +265,14 @@ class DynamicGraph:
                 (r.phase, r.cycles, r.start_cycle, r.end_cycle)
                 for r in self.increment_results
             ],
-            "roots": roots,
-            "ghosts": ghosts,
+            "roots": capture_blocks(list(self._root_blocks.values()),
+                                    list(self.vertex_addrs.values())),
+            "ghosts": capture_blocks(ghosts, ghost_addrs),
             "allocator": {
                 "name": allocator.name,
-                "rng": allocator.rng.getstate(),
+                "rng": (version, array("q", internal), gauss),
                 "placed": dict(allocator.placed),
-                "distances": list(getattr(allocator, "_distances", [])),
+                "distances": array("q", getattr(allocator, "_distances", ())),
             },
             "ingestor": {
                 "edges_inserted": ingestor.edges_inserted,
@@ -290,8 +298,10 @@ class DynamicGraph:
 
         The graph must have been constructed from the same spec (vertices,
         placement, seed, chip) and have streamed nothing yet; the root-block
-        address check catches mismatches.  Cell-level allocation counters
-        are owned by :meth:`repro.arch.simulator.Simulator.restore_state`.
+        address check catches mismatches.  Both block tables are checked
+        (:func:`~repro.graph.rpvo.check_block_table`) before any block is
+        touched.  Cell-level allocation counters are owned by
+        :meth:`repro.arch.simulator.Simulator.restore_state`.
         """
         from repro.snapshot.format import SnapshotError
 
@@ -304,19 +314,40 @@ class DynamicGraph:
                 "restore target must be a freshly built graph "
                 f"(this one already streamed {self.increments_streamed} "
                 "increments)")
-        cells = self.device.simulator.cells
-        for vid, (addr, block_state) in state["roots"].items():
-            if self.vertex_addrs.get(vid) != addr:
+        roots, ghosts = state["roots"], state["ghosts"]
+        if check_block_table(roots, self.ghost_slots, "roots") != self.num_vertices:
+            raise SnapshotError(
+                f"corrupt snapshot: {len(roots['vid'])} root blocks for "
+                f"{self.num_vertices} vertices")
+        check_block_table(ghosts, self.ghost_slots, "ghosts")
+        for vid, (cc, obj, captured_vid, capacity) in enumerate(zip(
+                roots["cc"], roots["obj"], roots["vid"], roots["capacity"])):
+            addr = self.vertex_addrs[vid]
+            if (addr.cc_id, addr.obj_id) != (cc, obj):
                 raise SnapshotError(
-                    f"vertex {vid} was placed at {addr} in the captured run "
-                    f"but at {self.vertex_addrs.get(vid)} here: the chip "
-                    "spec, placement policy or graph seed differs")
-            self._root_blocks[vid].apply_state(block_state)
-        for cc_id, obj_id, block_state in state["ghosts"]:
-            cells[cc_id].memory[obj_id] = VertexBlock.from_state(block_state)
+                    f"vertex {vid} was placed at {Address(cc, obj)} in the "
+                    f"captured run but at {addr} here: the chip spec, "
+                    "placement policy or graph seed differs")
+            if (captured_vid, capacity) != (vid, self.capacity):
+                raise SnapshotError(
+                    f"snapshot block v{captured_vid} (capacity {capacity}) "
+                    f"does not match vertex {vid} (capacity "
+                    f"{self.capacity}): the chip spec or graph seed differs "
+                    "from the captured run")
+        restore_blocks(roots, list(self._root_blocks.values()))
+        cells = self.device.simulator.cells
+        blocks = [VertexBlock(vid, capacity, self.ghost_slots, is_root=False)
+                  for vid, capacity in zip(ghosts["vid"], ghosts["capacity"])]
+        restore_blocks(ghosts, blocks)
+        for cc, obj, block in zip(ghosts["cc"], ghosts["obj"], blocks):
+            if not 0 <= cc < len(cells):
+                raise SnapshotError(
+                    f"corrupt snapshot: ghost block on cell {cc} of "
+                    f"{len(cells)}")
+            cells[cc].memory[obj] = block
         self.increments_streamed = state["increments_streamed"]
         self.edges_streamed = state["edges_streamed"]
-        self.carried_outstanding = state.get("carried_outstanding", 0)
+        self.carried_outstanding = state["carried_outstanding"]
         self.ghost_blocks_allocated = state["ghost_blocks_allocated"]
         stats = self.device.simulator.stats
         self.increment_results = [
@@ -330,7 +361,8 @@ class DynamicGraph:
             raise SnapshotError(
                 f"snapshot used the {alloc_state['name']!r} ghost allocator, "
                 f"this graph uses {allocator.name!r}")
-        allocator.rng.setstate(alloc_state["rng"])
+        version, internal, gauss = alloc_state["rng"]
+        allocator.rng.setstate((version, tuple(internal), gauss))
         allocator.placed = dict(alloc_state["placed"])
         if hasattr(allocator, "_distances"):
             allocator._distances = list(alloc_state["distances"])

@@ -10,6 +10,7 @@ through the :mod:`repro.analysis` helpers too.
 
 from __future__ import annotations
 
+import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.figures import FigureData
@@ -17,6 +18,38 @@ from repro.analysis.tables import render_table
 from repro.harness.store import StoreDiff
 
 Record = Dict[str, Any]
+
+#: What every report view reads off a record: the ``suite`` overview is
+#: always rendered, and the figures read the per-increment series.
+_RECORD_FIELDS = ("name", "scenario", "total_cycles", "edges_stored",
+                  "energy", "increment_sizes", "increment_cycles")
+_SCENARIO_FIELDS = ("dataset", "chip", "algorithm")
+
+
+def reportable_records(records: Sequence[Record]) -> List[Record]:
+    """The records the report views can read, in order.
+
+    A store keeps any JSON object with a ``spec_hash`` (hand-written or
+    foreign lines included), but the views need a harness record.  Every
+    other line is skipped with one warning naming its spec hash and the
+    missing fields.
+    """
+    kept: List[Record] = []
+    for record in records:
+        missing = [key for key in _RECORD_FIELDS if key not in record]
+        spec = record.get("scenario")
+        if isinstance(spec, dict):
+            missing += [f"scenario.{key}" for key in _SCENARIO_FIELDS
+                        if key not in spec]
+        elif "scenario" not in missing:
+            missing.append("scenario")
+        if missing:
+            warnings.warn(
+                f"skipped store record {record.get('spec_hash')!r}: not a "
+                f"harness record (no {', '.join(missing)})", RuntimeWarning)
+            continue
+        kept.append(record)
+    return kept
 
 
 def suite_table_rows(records: Sequence[Record]) -> List[Dict[str, object]]:

@@ -239,16 +239,25 @@ def _snapshot_path(directory: str, scenario: Scenario, increment: int) -> str:
 
 
 def _capture(graph: DynamicGraph, scenario: Scenario, increment: int,
-             tracer: Optional[Tracer]) -> Snapshot:
-    """Capture the checkpoint of a run at one increment boundary."""
+             tracer: Optional[Tracer], path: Optional[str] = None) -> Snapshot:
+    """Capture the checkpoint of a run at one increment boundary.
+
+    The checkpoint is encoded, and saved to ``path`` when given, inside
+    the ``snapshot_capture`` trace span, so the span times the whole
+    checkpoint and not only the walk over the chip.
+    """
     span = (tracer.span("snapshot_capture", "snapshot", increment=increment)
             if tracer is not None else nullcontext())
     with span:
-        return capture(graph, extra_meta={
+        snap = capture(graph, extra_meta={
             "spec_hash": scenario.spec_hash(),
             "scenario": scenario.name,
             "increment": increment,
         })
+        snap.to_bytes()
+        if path is not None:
+            snap.save(path)
+    return snap
 
 
 # ----------------------------------------------------------------------
@@ -317,8 +326,8 @@ def _run_span(
             max_cycles=opts.max_cycles_per_increment,
         )
         if every > 0 and directory and (i + 1) % every == 0:
-            _capture(graph, scenario, i + 1, tracer).save(
-                _snapshot_path(directory, scenario, i + 1))
+            _capture(graph, scenario, i + 1, tracer,
+                     _snapshot_path(directory, scenario, i + 1))
     if final:
         end = _final_payload(scenario, dataset, device, graph, algorithm)
     else:

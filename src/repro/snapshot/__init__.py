@@ -45,6 +45,7 @@ from repro.snapshot.format import (
     SnapshotError,
     decode_snapshot,
     encode_snapshot,
+    pack_value,
 )
 
 
@@ -136,12 +137,17 @@ class Snapshot:
                 "changed; re-create the snapshot from a fresh run")
 
     def info(self) -> Dict[str, Any]:
-        """A flat summary for ``repro snapshot info`` (no restore needed)."""
+        """A flat summary for ``repro snapshot info`` (no restore needed).
+
+        ``sections`` maps each body section to its encoded bytes, so a
+        reader can see where a checkpoint's bytes go.
+        """
         out = dict(self.meta)
         out["schema"] = SCHEMA_VERSION
         out["state_hash"] = self.state_hash
         out["size_bytes"] = len(self.to_bytes())
-        out["sections"] = sorted(self.body)
+        out["sections"] = {name: len(pack_value(value))
+                           for name, value in sorted(self.body.items())}
         return out
 
 

@@ -14,11 +14,13 @@ layout or a length-prefixed payload.  The codec is **stdlib only**
 it is closed over exactly the value shapes mid-stream chip state is made
 of -- ``None``/bools/ints/floats/strings/bytes, tuples/lists/dicts,
 :class:`~repro.arch.address.Address`, :class:`~repro.graph.rpvo.Edge` and
-:class:`~repro.graph.rpvo.EdgeSlot`, plus a packed int64-array tag for the
-long per-cycle statistics series.  Anything else (a closure, a Task, an
-arbitrary object smuggled into message operands) fails the capture with a
-:class:`SnapshotError` naming the offending type instead of silently
-pickling code.
+:class:`~repro.graph.rpvo.EdgeSlot`, plus ``array('q')`` buffers.  Those
+carry the column-wise state (RPVO block tables, per-cell counters,
+per-cycle statistics series) and encode as they are: one raw int64 block,
+with no per-element type scan or tag.  Anything else (a closure, a Task,
+an arbitrary object smuggled into message operands) fails the capture
+with a :class:`SnapshotError` naming the offending type instead of
+silently pickling code.
 
 Integers are encoded little-endian int64 when they fit and as decimal
 strings otherwise, floats as IEEE-754 doubles, so every value round-trips
@@ -39,7 +41,8 @@ from repro.arch.address import Address
 from repro.graph.rpvo import Edge, EdgeSlot
 
 #: Bumped whenever the container layout or the codec changes shape.
-SCHEMA_VERSION = 1
+#: Schema 2 captures RPVO blocks and cell bookkeeping column-wise.
+SCHEMA_VERSION = 2
 
 _MAGIC = b"RPSNAP"
 
@@ -59,6 +62,9 @@ _unpack_addr = struct.Struct("<qq").unpack_from
 _pack_edge = struct.Struct("<qqq").pack
 _unpack_edge = struct.Struct("<qqq").unpack_from
 
+#: int64 blocks are little-endian on the wire.
+_SWAP = sys.byteorder != "little"
+
 
 class SnapshotError(RuntimeError):
     """Raised when chip state cannot be captured, decoded or restored."""
@@ -68,75 +74,50 @@ class SnapshotError(RuntimeError):
 # Tagged-value encoder
 # ----------------------------------------------------------------------
 def _encode_value(value: Any, out: List[bytes]) -> None:
-    if value is None:
-        out.append(b"N")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif type(value) is int:
+    # Checks run in order of how often each type occurs in chip state.
+    kind = type(value)
+    if kind is int:
         if _I64_MIN <= value <= _I64_MAX:
-            out.append(b"i")
-            out.append(_pack_i64(value))
+            out += (b"i", _pack_i64(value))
         else:
             text = str(value).encode("ascii")
-            out.append(b"I")
-            out.append(_pack_u32(len(text)))
-            out.append(text)
-    elif type(value) is float:
-        out.append(b"f")
-        out.append(_pack_f64(value))
-    elif type(value) is str:
+            out += (b"I", _pack_u32(len(text)), text)
+    elif kind is str:
         data = value.encode("utf-8")
-        out.append(b"s")
-        out.append(_pack_u32(len(data)))
-        out.append(data)
-    elif type(value) is bytes:
-        out.append(b"b")
-        out.append(_pack_u32(len(value)))
-        out.append(value)
-    elif type(value) is tuple:
-        out.append(b"t")
-        out.append(_pack_u32(len(value)))
-        for item in value:
-            _encode_value(item, out)
-    elif type(value) is list:
-        if value and all(
-            type(v) is int and _I64_MIN <= v <= _I64_MAX for v in value
-        ):
-            # Long homogeneous int lists (per-cycle series, parked flags,
-            # link counters) pack as one raw little-endian int64 block.
-            arr = array("q", value)
-            if sys.byteorder != "little":  # pragma: no cover - BE hosts
-                arr.byteswap()
-            data = arr.tobytes()
-            out.append(b"q")
-            out.append(_pack_u32(len(value)))
-            out.append(data)
-        else:
-            out.append(b"l")
-            out.append(_pack_u32(len(value)))
-            for item in value:
-                _encode_value(item, out)
-    elif type(value) is dict:
-        out.append(b"d")
-        out.append(_pack_u32(len(value)))
+        out += (b"s", _pack_u32(len(data)), data)
+    elif kind is dict:
+        out += (b"d", _pack_u32(len(value)))
         for key, item in value.items():
             _encode_value(key, out)
             _encode_value(item, out)
-    elif type(value) is Address:
-        out.append(b"A")
-        out.append(_pack_addr(value.cc_id, value.obj_id))
-    elif type(value) is Edge:
-        out.append(b"E")
-        out.append(_pack_edge(value.src, value.dst, value.weight))
-    elif type(value) is EdgeSlot:
-        out.append(b"S")
-        out.append(_pack_addr(value.dst_addr.cc_id, value.dst_addr.obj_id))
-        out.append(_pack_edge(value.dst_vid, value.weight, 0))
+    elif kind is array and value.typecode == "q":
+        if _SWAP:
+            # Swap a copy: the caller's buffer may be live state.
+            value = array("q", value)
+            value.byteswap()
+        out += (b"q", _pack_u32(len(value)), value.tobytes())
+    elif kind is list or kind is tuple:
+        out += (b"l" if kind is list else b"t", _pack_u32(len(value)))
+        for item in value:
+            _encode_value(item, out)
+    elif value is None:
+        out.append(b"N")
+    elif kind is bool:
+        out.append(b"T" if value else b"F")
+    elif kind is float:
+        out += (b"f", _pack_f64(value))
+    elif kind is bytes:
+        out += (b"b", _pack_u32(len(value)), value)
+    elif kind is Address:
+        out += (b"A", _pack_addr(value.cc_id, value.obj_id))
+    elif kind is Edge:
+        out += (b"E", _pack_edge(value.src, value.dst, value.weight))
+    elif kind is EdgeSlot:
+        out += (b"S", _pack_addr(value.dst_addr.cc_id, value.dst_addr.obj_id),
+                _pack_edge(value.dst_vid, value.weight, 0))
     else:
         raise SnapshotError(
-            f"cannot serialise {type(value).__name__!r} value {value!r}: "
+            f"cannot serialise {kind.__name__!r} value {value!r}: "
             "snapshots only carry plain data (capture at an increment "
             "boundary, where no closures are in flight)"
         )
@@ -181,11 +162,16 @@ def _decode_value(buf: bytes, pos: int) -> Tuple[Any, int]:
         if tag == b"q":
             n = _unpack_u32(buf, pos)[0]
             pos += 4
+            data = buf[pos:pos + 8 * n]
+            if len(data) != 8 * n:
+                raise SnapshotError(
+                    f"corrupt snapshot payload: int64 array of {n} entries "
+                    f"at byte {pos - 5} runs past the end")
             arr = array("q")
-            arr.frombytes(buf[pos:pos + 8 * n])
-            if sys.byteorder != "little":  # pragma: no cover - BE hosts
+            arr.frombytes(data)
+            if _SWAP:
                 arr.byteswap()
-            return arr.tolist(), pos + 8 * n
+            return arr, pos + 8 * n
         if tag in (b"t", b"l"):
             n = _unpack_u32(buf, pos)[0]
             pos += 4

@@ -14,7 +14,7 @@ run from the capture point, on every kernel.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.arch.config import ChipConfig
 from repro.arch.simulator import Simulator
@@ -29,6 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover
 def _check_chip(snapshot: "Snapshot", config: ChipConfig) -> None:
     expected = snapshot.meta.get("chip")
     actual = _chip_meta(config)
+    if not isinstance(expected, dict):
+        raise SnapshotError(
+            "corrupt snapshot: meta carries no chip spec to check the "
+            "restore target against")
     if expected != actual:
         diffs = sorted(
             k for k in set(expected) | set(actual)
@@ -53,14 +57,31 @@ def restore_into(graph: DynamicGraph, snapshot: "Snapshot") -> DynamicGraph:
             f"snapshot format {snapshot.meta.get('format')!r} cannot be "
             "restored into a graph (expected a graph-level capture)")
     _check_chip(snapshot, graph.config)
-    body = snapshot.body
     sim = graph.device.simulator
-    sim.restore_state(body["sim"])
-    sim.io.import_state(body["io"])
-    graph.device.restore_state(body["device"])
-    graph.restore_snapshot_state(body["graph"])
+    _overlay(snapshot, "sim", sim.restore_state)
+    _overlay(snapshot, "io", sim.io.import_state)
+    _overlay(snapshot, "device", graph.device.restore_state)
+    _overlay(snapshot, "graph", graph.restore_snapshot_state)
     _maybe_inject_fault(sim)
     return graph
+
+
+def _overlay(snapshot: "Snapshot", section: str,
+             restore: Callable[[Any], None]) -> None:
+    """Restore one body section, reporting a malformed one by name.
+
+    The digest only proves the body is the one that was written, not that
+    a valid capture wrote it: a body that decodes but has the wrong shape
+    (a missing key, a column of the wrong type) fails here as a
+    :class:`SnapshotError` instead of a raw lookup or type error.
+    """
+    try:
+        restore(snapshot.body[section])
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise SnapshotError(
+            f"corrupt snapshot: malformed {section!r} section "
+            f"({type(exc).__name__}: {exc})") from exc
 
 
 def _maybe_inject_fault(sim: Simulator) -> None:
@@ -98,6 +119,6 @@ def restore_simulator(config: ChipConfig, snapshot: "Snapshot") -> Simulator:
             "bare-simulator capture (use restore_into for graph snapshots)")
     _check_chip(snapshot, config)
     sim = Simulator(config)
-    sim.restore_state(snapshot.body["sim"])
-    sim.io.import_state(snapshot.body["io"])
+    _overlay(snapshot, "sim", sim.restore_state)
+    _overlay(snapshot, "io", sim.io.import_state)
     return sim

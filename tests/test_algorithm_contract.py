@@ -12,6 +12,8 @@ capabilities say.
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.algorithms import Algorithm
@@ -29,7 +31,7 @@ from repro.graph.graph import DynamicGraph
 from repro.harness import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.runner import run_scenario
 from repro.runtime.device import AMCCADevice
-from repro.snapshot import capture, restore_into
+from repro.snapshot import Snapshot, capture, restore_into
 
 from helpers import random_edges, requires_numpy
 
@@ -211,3 +213,48 @@ def test_snapshot_roundtrip_preserves_algorithm_state(info):
     assert (algorithm.summarize(algorithm.results(graph))
             == fresh_algorithm.summarize(fresh_algorithm.results(fresh_graph)))
     assert capture(graph).state_hash == capture(fresh_graph).state_hash
+
+
+def _containers(value, found):
+    """ids of the mutable containers reachable from ``value``."""
+    if isinstance(value, (dict, list, set, array)):
+        found.add(id(value))
+    if isinstance(value, dict):
+        for item in value.values():
+            _containers(item, found)
+    elif isinstance(value, (list, tuple, set)):
+        for item in value:
+            _containers(item, found)
+    return found
+
+
+def _block_containers(graph):
+    found = set()
+    for cell in graph.device.simulator.cells:
+        for block in cell.memory.values():
+            for value in (block.state, block.edges, block.mirror,
+                          block.ghosts, block.ghost_addrs):
+                _containers(value, found)
+    return found
+
+
+def test_jaccard_snapshot_shares_no_mutable_state_with_the_run():
+    """Jaccard nests a pair map in every block's state: neither the
+    captured body nor a run restored from it may alias the other."""
+    info = get_algorithm("jaccard")
+    _, graph, algorithm = attach_fresh(info)
+    graph.stream_increment(fixed_edges(info))
+    algorithm.run(graph)
+    assert any(graph.vertex_state(v, algorithm.state_key)
+               for v in range(NUM_VERTICES))
+    snap = capture(graph)
+    body = _containers(snap.body, set())
+    assert not body & _block_containers(graph)
+
+    _, fresh_graph, _ = attach_fresh(info, seed_algorithm=False)
+    restore_into(fresh_graph, snap)
+    assert not body & _block_containers(fresh_graph)
+    encoded = snap.to_bytes()
+    for vid in range(NUM_VERTICES):
+        fresh_graph.root_block(vid).state[algorithm.state_key][(-1, -1)] = 0.5
+    assert Snapshot(snap.meta, snap.body).to_bytes() == encoded

@@ -233,6 +233,25 @@ class TestResultStore:
             assert main(["report", "--store", str(path)]) == 0
         capsys.readouterr()
 
+    def test_report_skips_store_lines_that_are_not_records(self, tmp_path,
+                                                           capsys):
+        from repro.cli import main
+
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"spec_hash": "a", "name": "x"}\n')
+        with pytest.warns(RuntimeWarning, match="skipped store record 'a'"):
+            assert main(["report", "--store", str(path)]) == 2
+        assert "no records to report" in capsys.readouterr().err
+        ResultStore(path).put(run_scenario(tiny_scenario("real",
+                                                         generator="uniform")))
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(["report", "--store", str(path)]) == 0
+        assert [str(w.message) for w in caught] == [
+            "skipped store record 'a': not a harness record (no "
+            "scenario, total_cycles, edges_stored, energy, "
+            "increment_sizes, increment_cycles)"]
+        assert "real" in capsys.readouterr().out
+
     def test_put_on_unchanged_store_does_not_reread(self, tmp_path,
                                                     monkeypatch):
         path = tmp_path / "store.jsonl"

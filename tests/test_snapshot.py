@@ -9,9 +9,14 @@ round-trip/corruption/versioning behaviour and the capture guard rails.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import random
 import struct
+import time
+from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +26,8 @@ from repro import __version__
 from repro.arch.config import ChipConfig
 from repro.arch.message import Message
 from repro.arch.simulator import Simulator
-from repro.graph.rpvo import Edge, EdgeSlot, VertexBlock
+from repro.graph.graph import DynamicGraph
+from repro.graph.rpvo import Edge, EdgeSlot
 from repro.arch.address import Address
 from repro.harness.runner import (
     restore_scenario,
@@ -30,6 +36,7 @@ from repro.harness.runner import (
     snapshot_at,
 )
 from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
+from repro.runtime.device import AMCCADevice
 from repro.snapshot import (
     Snapshot,
     SnapshotError,
@@ -79,9 +86,34 @@ class TestFormat:
         series = [0, 1, -1, (1 << 62), -(1 << 62)]
         assert unpack_value(pack_value(series)) == series
 
+    @pytest.mark.parametrize("values", [[], [0, 1, -1, 1 << 62, -(1 << 63)]],
+                             ids=["empty", "non-empty"])
+    def test_int64_array_round_trip(self, values):
+        column = array("q", values)
+        packed = pack_value(column)
+        assert packed == (b"q" + struct.pack("<I", len(values))
+                          + struct.pack(f"<{len(values)}q", *values))
+        decoded = unpack_value(packed)
+        assert type(decoded) is array and decoded.typecode == "q"
+        assert decoded == column
+
+    def test_big_endian_encode_swaps_a_copy(self, monkeypatch):
+        from repro.snapshot import format as fmt
+
+        column = array("q", [1, 2, 3])
+        monkeypatch.setattr(fmt, "_SWAP", True)
+        packed = pack_value(column)
+        assert column == array("q", [1, 2, 3])  # the caller's buffer
+        swapped = array("q", [1, 2, 3])
+        swapped.byteswap()
+        assert packed == b"q" + struct.pack("<I", 3) + swapped.tobytes()
+        assert unpack_value(packed) == column
+
     def test_unencodable_value_is_actionable(self):
         with pytest.raises(SnapshotError, match="cannot serialise"):
             pack_value({"fn": lambda: None})
+        with pytest.raises(SnapshotError, match="cannot serialise"):
+            pack_value(array("d", [1.0]))
 
     def test_snapshot_bytes_round_trip(self):
         snap = Snapshot({"repro_version": __version__, "k": 1}, {"body": [1, 2]})
@@ -99,6 +131,13 @@ class TestFormat:
         data = bytearray(Snapshot({"repro_version": __version__}, {}).to_bytes())
         data[6:8] = struct.pack(">H", 99)
         with pytest.raises(SnapshotError, match="schema v99"):
+            Snapshot.from_bytes(bytes(data))
+
+    def test_v1_file_is_refused(self):
+        data = bytearray(Snapshot({"repro_version": __version__}, {}).to_bytes())
+        data[6:8] = struct.pack(">H", 1)
+        with pytest.raises(SnapshotError,
+                           match="unsupported snapshot schema v1 "):
             Snapshot.from_bytes(bytes(data))
 
     def test_corrupted_body_is_rejected(self):
@@ -181,6 +220,19 @@ def test_snapshot_info_reports_hostile_file(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_snapshot_info_prints_section_bytes(tmp_path, capsys):
+    from repro.cli import main
+
+    snap = capture_simulator(Simulator(ChipConfig(width=4, height=4,
+                                                  kernel="python")))
+    path = snap.save(tmp_path / "bare.snap")
+    assert main(["snapshot", "info", str(path)]) == 0
+    sizes = {name: len(pack_value(value)) for name, value in snap.body.items()}
+    assert sizes["sim"] > sizes["io"] > 0
+    assert (f"section bytes: io={sizes['io']}, sim={sizes['sim']}"
+            in capsys.readouterr().out.splitlines())
+
+
 # ----------------------------------------------------------------------
 # Bare-simulator mid-flight capture (numpy-free)
 # ----------------------------------------------------------------------
@@ -260,10 +312,22 @@ def test_capture_refuses_tracing():
 
 
 def test_pending_ghost_future_refuses_capture():
-    block = VertexBlock(vid=0, capacity=2, ghost_slots=1)
-    block.ghosts[0].set_pending()
+    device = AMCCADevice(ChipConfig(width=4, height=4, kernel="python"))
+    graph = DynamicGraph(device, 4, seed=1)
+    graph.root_block(2).ghosts[0].set_pending()
     with pytest.raises(SnapshotError, match="pending ghost allocation"):
-        block.to_state()
+        capture(graph)
+
+
+def test_malformed_bare_simulator_body_names_the_section():
+    config = ChipConfig(width=4, height=4, kernel="python")
+    sim, _executed = _sim_with_recorder(config)
+    _inject_wave(sim, 8)
+    sim.run()
+    snap = capture_simulator(sim)
+    del snap.body["sim"]["cells"]["remaining"]
+    with pytest.raises(SnapshotError, match="malformed 'sim' section"):
+        restore_simulator(config, Snapshot.from_bytes(snap.to_bytes()))
 
 
 # ----------------------------------------------------------------------
@@ -434,3 +498,152 @@ def test_snapshot_every_survives_pooled_suite(tmp_path):
         scenarios[0], Snapshot.load(tmp_path / "snap-tiny-inc0004.snap"))
     assert json.dumps(resumed, sort_keys=True) == \
         json.dumps(serial, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# Malformed bodies: a body that decodes but has the wrong shape
+# ----------------------------------------------------------------------
+def _with_body(snap: Snapshot, mutate) -> Snapshot:
+    """``snap`` with a mutated copy of its body, re-encoded (fresh digest)."""
+    body = copy.deepcopy(snap.body)
+    mutate(body)
+    return Snapshot.from_bytes(Snapshot(snap.meta, body).to_bytes())
+
+
+def _delete_cell_counter(body):
+    del body["sim"]["cells"]["remaining"]
+
+
+def _shorten_cell_column(body):
+    body["sim"]["cells"]["tasks"].pop()
+
+
+def _shorten_block_column(body):
+    body["graph"]["roots"]["depth"].pop()
+
+
+def _offsets_not_from_zero(body):
+    body["graph"]["roots"]["edge_offsets"][0] = 1
+
+
+def _offsets_decrease(body):
+    offsets = body["graph"]["roots"]["edge_offsets"]
+    offsets[1] = offsets[-1] + 1
+
+
+def _offsets_past_flat_end(body):
+    body["graph"]["roots"]["mirror_offsets"][-1] += 1
+
+
+def _shorten_slot_column(body):
+    body["graph"]["ghosts"]["ghost_cc"].pop()
+
+
+def _ghosts_as_roots(body):
+    body["graph"]["roots"] = body["graph"]["ghosts"]
+
+
+def _drop_section(body):
+    del body["io"]
+
+
+def _parked_not_bytes(body):
+    body["sim"]["parked"] = 12
+
+
+MALFORMED = [
+    (_delete_cell_counter, "malformed 'sim' section .*remaining"),
+    (_shorten_cell_column, "cell column 'tasks' has"),
+    (_shorten_block_column, "roots column 'depth' has"),
+    (_offsets_not_from_zero, "roots column 'edge_offsets' does not start"),
+    (_offsets_decrease, "roots column 'edge_offsets' does not start"),
+    (_offsets_past_flat_end, "roots column 'mirror' has"),
+    (_shorten_slot_column, "ghosts column 'ghost_cc' has"),
+    (_ghosts_as_roots, r"\d+ root blocks for 60 vertices"),
+    (_drop_section, "malformed 'io' section"),
+    (_parked_not_bytes, "parked flags"),
+]
+
+
+@pytest.fixture(scope="module")
+def ghost_checkpoint():
+    """A mid-run checkpoint of a scenario whose small edge lists overflow
+    into ghost blocks."""
+    snap = snapshot_at(tiny_scenario(), 3)
+    assert len(snap.body["graph"]["ghosts"]["vid"]) > 0
+    return snap
+
+
+@requires_numpy
+@pytest.mark.parametrize("mutate,match", MALFORMED,
+                         ids=[m.__name__.lstrip("_") for m, _ in MALFORMED])
+def test_malformed_body_is_a_snapshot_error(ghost_checkpoint, mutate, match):
+    corrupt = _with_body(ghost_checkpoint, mutate)
+    with pytest.raises(SnapshotError, match=match):
+        restore_scenario(tiny_scenario(), corrupt)
+
+
+@requires_numpy
+def test_snapshot_restore_cli_exits_2_on_malformed_body(tmp_path, capsys):
+    from repro.cli import main
+    from repro.harness import get_suite
+
+    scenario = next(s for s in get_suite("tiny") if s.name == "tiny-bfs")
+    path = tmp_path / "bad.snap"
+    _with_body(snapshot_at(scenario, 2), _delete_cell_counter).save(path)
+    code = main(["snapshot", "restore", str(path), "--preset", "tiny",
+                 "--scenario", "tiny-bfs"])
+    assert code == 2
+    assert "malformed 'sim' section" in capsys.readouterr().err
+
+
+@requires_numpy
+def test_byte_mutations_load_and_restore_or_raise_snapshot_error(
+        ghost_checkpoint):
+    """Seeded sweep: overwrite 1-3 body bytes, recompute the digest (it is
+    not a MAC), and every load + restore either succeeds or raises a
+    SnapshotError."""
+    data = ghost_checkpoint.to_bytes()
+    start = 12 + struct.unpack_from("<I", data, 8)[0] + 8
+    body = data[start:-32]
+    rng = random.Random(0)
+    outcomes = {"restored": 0, "refused": 0}
+    for _ in range(150):
+        mutated = bytearray(body)
+        for _ in range(rng.randint(1, 3)):
+            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        mutated = bytes(mutated)
+        try:
+            snap = Snapshot.from_bytes(
+                data[:start] + mutated + hashlib.sha256(mutated).digest())
+            restore_scenario(tiny_scenario(), snap)
+            outcomes["restored"] += 1
+        except SnapshotError:
+            outcomes["refused"] += 1
+    assert outcomes["restored"] and outcomes["refused"]
+
+
+@requires_numpy
+def test_snapshot_capture_span_covers_the_save(tmp_path, monkeypatch):
+    """The trace span around a checkpoint times the capture, the encode
+    and the save, not only the walk over the chip."""
+    saves = []
+    real_save = Snapshot.save
+
+    def timed_save(self, path):
+        started = time.perf_counter_ns()
+        result = real_save(self, path)
+        saves.append(time.perf_counter_ns() - started)
+        return result
+
+    monkeypatch.setattr(Snapshot, "save", timed_save)
+    scenario = tiny_scenario()
+    trace = tmp_path / "trace.json"
+    run_scenario(scenario.with_(options=replace(
+        scenario.options, snapshot_every=1,
+        snapshot_dir=str(tmp_path / "snaps"), trace_path=str(trace))))
+    spans = [event["dur"] for event in json.loads(trace.read_text())
+             ["traceEvents"] if event["name"] == "snapshot_capture"]
+    assert len(spans) == len(saves) == scenario.dataset.num_increments
+    for span_us, save_ns in zip(spans, saves):
+        assert span_us * 1000 >= save_ns
