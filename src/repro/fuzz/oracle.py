@@ -12,12 +12,14 @@ on curated cases elsewhere, plus the conservation laws of its statistics:
    recapture reproduces the snapshot's ``state_hash``.
 3. **park_transparency** — disabling busy-cell parking changes nothing in
    the record.
-4. **pipeline_vs_serial** — the run cut into at most three spans that hand
-   chip state over as checkpoints (``repro serve``'s span plan) stores
-   bytes identical (``cmp``) to the serial one, in two legs: warm spans
-   continue the live run the previous span left in the warm slot, and cold
-   spans empty the slot first so each one restores its checkpoint.  A
-   truncated scenario is planned as the single span ``[0, total)``.
+4. **pipeline_vs_serial** — the run cut into at most three spans
+   (``repro serve``'s span plan) stores bytes identical (``cmp``) to the
+   serial one, in two legs: the warm leg runs the spans as serve does,
+   each continuing the live run the previous span left in the warm slot
+   and saving no checkpoint, and the cold leg empties the slot before
+   every span, so each one saves its end checkpoint and the next restores
+   it.  A truncated scenario is planned as the single span
+   ``[0, total)``.
 5. **trace_transparency** — attaching the Chrome tracer leaves the record
    byte-identical, and the emitted trace validates.
 6. **conservation** — the baseline's statistics conserve messages and
@@ -245,17 +247,18 @@ def _check_park_transparency(scenario: Scenario,
 def _span_leg(scenario: Scenario, cadence: int, spill: str,
               cold: bool) -> Tuple[Dict[str, Any], List[str]]:
     """Run a scenario's planned spans in order, in-process; returns the
-    record and how each span started.  A cold leg empties the warm slot
-    before every span."""
+    record and how each span started.  A warm leg saves no checkpoint; a
+    cold leg empties the warm slot before every span and saves each
+    boundary's checkpoint for the next span to restore."""
     os.makedirs(spill, exist_ok=True)
     scenario = _pinned(scenario, "python")
     handoffs = []
-    for _start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
-                                                      spill):
+    for start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
+                                                     spill):
         if cold:
             drop_warm_run()
-        _cycles, record, handoff = _pipeline_span_task(scenario, stop,
-                                                       snap_in, snap_out)
+        _cycles, record, handoff = _pipeline_span_task(
+            scenario, start, stop, snap_in, snap_out if cold else None)
         handoffs.append(handoff)
     return record, handoffs
 

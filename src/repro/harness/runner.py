@@ -29,30 +29,31 @@ Span hand-off
 ``repro serve`` runs a job as the spans :func:`plan_spans` cuts at its
 cadence, one :func:`_pipeline_span_task` each.  The chip's state is
 sequential — increment ``i`` runs against the graph that increments
-``0..i-1`` built — so every span but the first starts from the
-:mod:`repro.snapshot` checkpoint its predecessor saved at their shared
-boundary, and **no increment is ever simulated twice**.  The last span
-assembles the record from the run's cursor plus its own increments, which
-is **byte-identical to a serial run** because a restored snapshot continues
-the bit-identical schedule (see docs/snapshot.md).  A scenario with
-``max_cycles_per_increment`` set always runs as one span: a truncated
-increment can end with continuations still awaiting their trigger, which
-no checkpoint can capture.
+``0..i-1`` built — so every span but the first picks the run up at its
+start boundary, and **no increment is ever simulated twice**.  The last
+span assembles the record from the run's cursor plus its own increments,
+which is **byte-identical to a serial run** because a live run and a
+restored checkpoint continue the same bit-identical schedule (see
+docs/snapshot.md).  A scenario with ``max_cycles_per_increment`` set
+always runs as one span: a truncated increment can end with continuations
+still awaiting their trigger, which no checkpoint can capture.
 
 The warm slot
 -------------
-Restoring a checkpoint means regenerating the dataset, decoding the file
-and rebuilding the device and graph, which costs several times what one
-increment does.  So every process keeps a **warm slot**: the live run
-(dataset, device, graph, algorithm) of the last span it finished with a
-checkpoint, keyed by the scenario's spec hash and that checkpoint's body
-digest.  The next span of the same scenario continues the live run when
-both keys match its own spec hash and the last 32 bytes of its input
-checkpoint; otherwise it restores, as any span on another process does.
-The checkpoint is still saved at every boundary, and a live run is the
-state a restore of it rebuilds, so records and checkpoint bytes are the
-same either way.  ``repro serve`` keys each job's spans to the worker that
-ran the previous one (:meth:`DispatchPool.submit`'s ``affinity``).
+A running job's state lives in its worker; a parked job's state lives in
+its checkpoint.  Every process keeps a **warm slot**: the live run
+(dataset, device, graph, algorithm) of the last non-final span it ran,
+keyed by the scenario's spec hash and the boundary that span stopped at.
+The next span continues the live run when both keys match its own spec
+hash and start boundary; otherwise it restores its input checkpoint, so a
+span whose run is neither live nor saved fails at once with the
+:class:`SnapshotError` that names the missing file.  A span saves the
+checkpoint at its end only when given ``snap_out``.  ``repro serve`` gives
+none: each of its scheduler threads owns one worker, which runs every
+span of the thread's job, and a checkpoint is written only when a job
+parks (:func:`_park_task`), which also empties the slot, so a resume
+restores.  A live run is the state a restore of its checkpoint rebuilds,
+so records and checkpoint bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -269,6 +270,7 @@ def _run_span(
     *,
     run: Optional[Run] = None,
     final: bool = True,
+    capture: bool = True,
     timings: Optional[Dict[str, float]] = None,
     device_setup: Optional[Callable[[AMCCADevice], None]] = None,
     frames_every: int = 0,
@@ -288,7 +290,8 @@ def _run_span(
     of the run, a restored prefix included.  With ``final`` (``stop`` must
     then be the last boundary), ``end`` is the final payload (query phase
     + statistics); otherwise it is the snapshot captured at ``stop``, which
-    may be any boundary, the last one included.
+    may be any boundary, the last one included, or ``None`` when
+    ``capture`` is off (the run itself carries the state on).
 
     ``timings``, when given, receives wall-clock phase durations for the
     benchmark driver: ``setup_s`` is the materialisation, ``sim_s`` the
@@ -331,7 +334,7 @@ def _run_span(
     if final:
         end = _final_payload(scenario, dataset, device, graph, algorithm)
     else:
-        end = _capture(graph, scenario, stop, tracer)
+        end = _capture(graph, scenario, stop, tracer) if capture else None
     if timings is not None:
         timings["setup_s"] = t1 - t0
         timings["sim_s"] = time.perf_counter() - t1
@@ -445,12 +448,13 @@ def plan_spans(scenario: Scenario, cadence: int, spill_dir: str) -> List[Span]:
     """A scenario's run as contiguous spans of at most ``cadence`` increments.
 
     Span ``(start, stop, snap_in, snap_out)`` streams increments
-    ``[start, stop)`` from the checkpoint at ``snap_in`` (``None`` for the
-    first span, which materialises fresh) and saves the checkpoint at
-    ``stop`` to ``snap_out`` (``None`` for the last span, which assembles
-    the record).  Checkpoints are named ``incNNNNN.snap`` by boundary
-    inside ``spill_dir``.  This is the progress/pause granularity of
-    ``repro serve``: a job runs one :func:`_pipeline_span_task` per span.
+    ``[start, stop)``.  ``snap_in`` and ``snap_out`` name the checkpoints
+    at its two boundaries, ``incNNNNN.snap`` inside ``spill_dir``: ``None``
+    at boundary 0, where the first span materialises fresh, and at the
+    last boundary, where the last span assembles the record.  This is the
+    progress/pause granularity of ``repro serve``: a job runs one
+    :func:`_pipeline_span_task` per span, and parks at a span's end into
+    its ``snap_out``.
 
     A truncated scenario (``max_cycles_per_increment`` set) is the single
     span ``[0, total)``: an increment cut off by its cycle budget can end
@@ -472,15 +476,15 @@ def plan_spans(scenario: Scenario, cadence: int, spill_dir: str) -> List[Span]:
 
 @dataclass
 class _WarmRun:
-    """The warm slot's entry: a live run parked at a saved checkpoint."""
+    """The warm slot's entry: a live run stopped at an increment boundary."""
 
     spec_hash: str
-    digest: bytes  # body digest: the checkpoint file's last 32 bytes
+    boundary: int
     run: Run
 
 
 #: This process's warm slot (see the module docstring); at most one entry.
-#: Spans take it under the lock, so two threads never continue one run.
+#: Tasks take it under the lock, so two threads never continue one run.
 _warm: Optional[_WarmRun] = None
 _warm_lock = threading.Lock()
 
@@ -491,32 +495,38 @@ def drop_warm_run() -> None:
     _warm = None
 
 
-def _body_digest(path: str) -> bytes:
-    """The body digest a snapshot file ends with (empty if unreadable)."""
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(-32, os.SEEK_END)
-            return fh.read(32)
-    except OSError:
-        return b""
+def _take_warm(spec_hash: str, boundary: int) -> Optional[Run]:
+    """Empty the warm slot; its run if it is this spec's at ``boundary``.
+
+    A live run that does not match is dropped here, before the caller
+    builds anything, so a process never holds two chips.
+    """
+    global _warm
+    with _warm_lock:
+        warm, _warm = _warm, None
+    if (warm is not None and warm.spec_hash == spec_hash
+            and warm.boundary == boundary):
+        return warm.run
+    return None
 
 
 def _pipeline_span_task(
     scenario: Scenario,
+    start: int,
     stop: int,
     snap_in: Optional[str],
     snap_out: Optional[str],
 ) -> Tuple[List[int], Optional[Dict[str, Any]], str]:
-    """Pool task: one span of a scenario (module-level, picklable).
+    """Pool task: one span ``[start, stop)`` of a scenario (picklable).
 
-    The first span (no ``snap_in``) materialises fresh; a later span
-    streams from the checkpoint its predecessor saved at ``snap_in`` up to
-    boundary ``stop``.  It continues the warm slot's live run when that run
-    sits at exactly this checkpoint of this spec, and restores the
-    checkpoint otherwise, so a missing ``snap_in`` fails at once with the
-    :class:`SnapshotError` that names it.  A span with a successor saves
-    the checkpoint at ``stop`` to ``snap_out`` and leaves its live run in
-    the slot; the last span (no ``snap_out``) assembles the record.
+    The first span (``start`` 0) materialises fresh.  A later span
+    continues the warm slot's live run when that run is this spec's at
+    exactly ``start``, and otherwise restores the checkpoint at
+    ``snap_in``; a missing file fails at once with the
+    :class:`SnapshotError` that names it, and no fresh run is built.  A
+    span that ends before the last boundary leaves its live run in the
+    slot, and saves the checkpoint at ``stop`` to ``snap_out`` only when
+    one is given; the last span assembles the record.
 
     Returns ``(cycles, record, handoff)``: the cycles of every increment
     streamed since the start of the run, the record or ``None``, and how
@@ -524,29 +534,41 @@ def _pipeline_span_task(
     that raises leaves the slot empty.
     """
     global _warm
-    with _warm_lock:
-        warm, _warm = _warm, None
-    run, handoff = None, "fresh"
-    if snap_in is not None:
-        # Both keys: two specs can share a checkpoint body and still
-        # differ in later increments.
-        if (warm is not None and warm.spec_hash == scenario.spec_hash()
-                and warm.digest == _body_digest(snap_in)):
-            run, handoff = warm.run, "warm"
-        else:
-            handoff = "restored"
-    warm = None  # a live run not continued is dropped before any build
-    if run is None:
-        checkpoint = Snapshot.load(snap_in) if snap_in else None
+    spec_hash = scenario.spec_hash()
+    run = _take_warm(spec_hash, start)
+    if run is not None:
+        handoff = "warm"
+    else:
+        handoff = "restored" if start > 0 else "fresh"
+        checkpoint = Snapshot.load(snap_in) if start > 0 else None
         run = _materialize(scenario, checkpoint)
-    cycles, end = _run_span(scenario, stop, run=run, final=snap_out is None)
-    if snap_out is None:
+    final = stop == scenario.dataset.num_increments
+    cycles, end = _run_span(scenario, stop, run=run, final=final,
+                            capture=snap_out is not None)
+    if final:
         return cycles, _assemble_record(scenario, cycles, end), handoff
-    end.save(snap_out)
+    if snap_out is not None:
+        end.save(snap_out)
     sim = run[1].simulator
     sim.tracer = sim.phase_ns = None  # the next span attaches its own
-    _warm = _WarmRun(scenario.spec_hash(), end.to_bytes()[-32:], run)
+    _warm = _WarmRun(spec_hash, stop, run)
     return cycles, None, handoff
+
+
+def _park_task(scenario: Scenario, boundary: int, path: str) -> None:
+    """Pool task: save the warm slot's live run to ``path`` and drop it.
+
+    ``repro serve`` runs it on the worker of a job that parks at
+    ``boundary``: the live run, which must be this spec's at exactly that
+    boundary, becomes the checkpoint the resumed job restores, and the
+    slot is left empty, so a resume never continues a run in place of
+    its checkpoint.
+    """
+    run = _take_warm(scenario.spec_hash(), boundary)
+    if run is None:
+        raise SnapshotError(f"no live run of {scenario.name!r} at increment "
+                            f"{boundary} to park")
+    _capture(run[2], scenario, boundary, None, path)
 
 
 # ----------------------------------------------------------------------

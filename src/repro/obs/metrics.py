@@ -24,8 +24,10 @@ scraper on ``/metrics``.
 
 from __future__ import annotations
 
+import collections
 import threading
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[str, ...]
@@ -363,16 +365,12 @@ def record_metrics(stats) -> Dict[str, Any]:
     for name, help_, values in series:
         histogram = registry.histogram(name, help_, buckets=POW2_BUCKETS)
         cell = histogram._cell(())
-        buckets = cell["buckets"]
-        bounds = histogram.bounds
-        total = 0
-        count = 0
-        for value in values:
-            i = bisect_left(bounds, value)
-            for j in range(i, len(buckets)):
-                buckets[j] += 1
-            total += value
-            count += 1
-        cell["sum"] = total
-        cell["count"] = count
+        # Count each distinct value into its own bucket (the slot past the
+        # last bound is +Inf), then one running sum makes them cumulative.
+        own = [0] * (len(histogram.bounds) + 1)
+        for value, times in collections.Counter(values).items():
+            own[bisect_left(histogram.bounds, value)] += times
+        cell["buckets"] = list(accumulate(own[:-1]))
+        cell["sum"] = sum(values)
+        cell["count"] = len(values)
     return registry.snapshot()

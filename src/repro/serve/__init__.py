@@ -8,13 +8,13 @@ dependencies):
   a POST whose record is already cached returns immediately,
 * execution feeds the warm worker machinery through
   :class:`~repro.harness.pool.DispatchPool` (per-span timeouts, crash
-  containment, respawn, and job affinity that keeps a job's spans on the
-  worker holding its live run),
-* progress, pause and resume ride the snapshot subsystem: a job runs as a
-  sequence of spans with a checkpoint at every boundary
-  (:func:`~repro.harness.runner.plan_spans`), so a paused-then-resumed
-  job ends with a record byte-identical to an uninterrupted run (a
-  truncated scenario runs as one span),
+  containment, respawn): each scheduler thread owns one worker, which
+  runs every span of its job on the live run it keeps between spans,
+* progress, pause and resume ride the span plan
+  (:func:`~repro.harness.runner.plan_spans`) and the snapshot subsystem:
+  a job parks at a span boundary into a checkpoint, so a
+  paused-then-resumed job ends with a record byte-identical to an
+  uninterrupted run (a truncated scenario runs as one span),
 * ``GET /v1/records/<spec_hash>`` returns the store's canonical JSONL
   bytes, so records fetched over HTTP are byte-identical to a direct
   ``repro suite run`` of the same spec,

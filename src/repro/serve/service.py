@@ -1,33 +1,35 @@
 """The scenario service: admission, scheduling, span execution, metrics.
 
-:class:`ScenarioService` owns the long-lived pieces — result store, warm
-:class:`~repro.harness.pool.DispatchPool`, job registry, fair queue,
-metrics registry — and runs ``jobs`` scheduler threads, each of which pops
-one job at a time (round-robin across clients) and drives it span by span
-through the pool:
+:class:`ScenarioService` owns the long-lived pieces — result store, job
+registry, fair queue, metrics registry — and runs ``jobs`` scheduler
+threads.  Each thread owns one warm
+:class:`~repro.harness.pool.DispatchPool` worker, pops one job at a time
+(round-robin across clients) and drives it span by span on that worker:
 
 * a job's spans come from :func:`~repro.harness.runner.plan_spans` at the
-  configured cadence, with checkpoints in ``work_dir/<id[:16]>``; every
-  span is a :func:`~repro.harness.runner._pipeline_span_task` started
-  from the previous boundary's checkpoint, so nothing is ever simulated
-  twice and every boundary is a valid park/handoff point.  A scenario with
-  ``max_cycles_per_increment`` runs as one span, since its boundaries can
-  hold state no checkpoint captures;
-* a job's spans are submitted with the job id as their pool ``affinity``,
-  so each lands on the worker that ran the previous one whenever that
-  worker is idle, and continues the live run the worker kept in its warm
-  slot instead of rebuilding the chip from the checkpoint.  The
-  checkpoint is still written at every boundary; ``/metrics`` counts how
-  each span started in ``serve_span_handoffs_total{kind}`` (``fresh``,
-  ``warm`` or ``restored``);
-* pausing simply stops dispatching further spans (the boundary checkpoint
-  stays on disk); resuming re-enqueues the job, which picks up at
-  ``next_start``.  The last span assembles the record from the run's
-  cursor, so it is byte-identical to an uninterrupted run.  A resumed job
-  whose boundary checkpoint has gone fails at once, with the
+  configured cadence; every span is a
+  :func:`~repro.harness.runner._pipeline_span_task` that picks the run up
+  at the previous boundary, so nothing is ever simulated twice.  A
+  scenario with ``max_cycles_per_increment`` runs as one span, since its
+  boundaries can hold state no checkpoint captures;
+* a running job lives in its worker, a parked job in its checkpoint.
+  Every span after a job's first runs on the worker that ran the previous
+  one, which continues the live run it kept in its warm slot and writes
+  no checkpoint.  ``/metrics`` counts how each span started in
+  ``serve_span_handoffs_total{kind}`` (``fresh``, ``warm`` or
+  ``restored``);
+* a pause (or the service stopping) parks the job at the next boundary:
+  the worker saves its live run as ``incNNNNN.snap`` in
+  ``work_dir/<id[:16]>`` and drops it (``serve_checkpoints_total`` counts
+  these writes).  Resuming re-enqueues the job, whose next span restores
+  that checkpoint on whichever scheduler picks it up, and deletes it.
+  The last span assembles the record from the run's cursor, so it is
+  byte-identical to an uninterrupted run.  A resumed job whose
+  checkpoint has gone fails at once, with the
   :class:`~repro.snapshot.format.SnapshotError` that names the file;
 * per-span timeouts and crash containment come from the pool: an overdue
   or crashed span fails only its own job, and the worker is respawned.
+  Nothing retries a failed span, so it needs no checkpoint.
 
 Determinism: the service composes existing runner primitives and never
 touches spec hashing or the schedule — the record a job stores is the one
@@ -45,8 +47,13 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.arch.config import KERNELS
-from repro.harness.pool import DispatchPool
-from repro.harness.runner import _pinned, _pipeline_span_task, plan_spans
+from repro.harness.pool import DispatchPool, TaskResult
+from repro.harness.runner import (
+    _park_task,
+    _pinned,
+    _pipeline_span_task,
+    plan_spans,
+)
 from repro.harness.scenario import Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry
@@ -68,7 +75,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8631
-    #: Scheduler threads = warm pool workers = jobs simulating concurrently.
+    #: Scheduler threads, each owning one worker = jobs simulating at once.
     jobs: int = 2
     #: Max jobs admitted but not yet finished (queued + running); a
     #: submission beyond this is rejected with 429.
@@ -88,6 +95,8 @@ class ScenarioService:
     """Long-lived execution engine behind the HTTP app."""
 
     def __init__(self, config: ServeConfig) -> None:
+        if config.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         self.config = config
         self.store = ResultStore(config.store)
         #: ResultStore's atomic rewrite protects against crashes, not
@@ -95,7 +104,9 @@ class ScenarioService:
         self._store_lock = threading.Lock()
         self.registry = JobRegistry()
         self.queue = FairQueue()
-        self.pool = DispatchPool(config.jobs)
+        #: One single-worker pool per scheduler thread: a job's spans all
+        #: run on its scheduler's worker, which holds the live run.
+        self.pools = [DispatchPool(1) for _ in range(config.jobs)]
         self.metrics = MetricsRegistry()
         self.started_monotonic = time.monotonic()
         with self.metrics.locked():
@@ -113,6 +124,10 @@ class ScenarioService:
                 "Finished job spans by how they started (fresh: first "
                 "span, warm: continued the worker's live run, restored: "
                 "rebuilt from the checkpoint)", ("kind",))
+            self._checkpoints_total = self.metrics.counter(
+                "serve_checkpoints_total",
+                "Checkpoints written by parking jobs")
+            self._checkpoints_total.inc(0)  # scraped as 0 before any park
             self._job_seconds = self.metrics.histogram(
                 "serve_job_seconds", "Job wall time (dispatch to record)")
             self._queue_depth = self.metrics.gauge(
@@ -124,9 +139,9 @@ class ScenarioService:
         self._own_work_dir = config.work_dir is None
         self._stopping = threading.Event()
         self._runners = [
-            threading.Thread(target=self._runner_loop, daemon=True,
-                             name=f"serve-runner-{i}")
-            for i in range(config.jobs)
+            threading.Thread(target=self._runner_loop, args=(pool,),
+                             daemon=True, name=f"serve-runner-{i}")
+            for i, pool in enumerate(self.pools)
         ]
 
     # ------------------------------------------------------------------
@@ -137,12 +152,13 @@ class ScenarioService:
             thread.start()
 
     def stop(self) -> None:
-        """Stop schedulers and the pool; in-flight spans finish first."""
+        """Stop schedulers and their pools; in-flight spans finish first."""
         self._stopping.set()
         self.queue.close()
         for thread in self._runners:
             thread.join(timeout=60)
-        self.pool.shutdown()
+        for pool in self.pools:
+            pool.shutdown()
         if self._own_work_dir:
             shutil.rmtree(self.work_dir, ignore_errors=True)
 
@@ -250,17 +266,17 @@ class ScenarioService:
     # ------------------------------------------------------------------
     # Execution (scheduler threads)
     # ------------------------------------------------------------------
-    def _runner_loop(self) -> None:
+    def _runner_loop(self, pool: DispatchPool) -> None:
         while not self._stopping.is_set():
             job = self.queue.pop(timeout=0.2)
             if job is None:
                 continue
             try:
-                self._execute(job)
+                self._execute(job, pool)
             except Exception as exc:  # pragma: no cover - defensive
                 self._fail(job, f"internal scheduler error: {exc}")
 
-    def _execute(self, job: Job) -> None:
+    def _execute(self, job: Job, pool: DispatchPool) -> None:
         with job.cond:
             if job.pause_requested:
                 # Pause won the race before the first span: park as-is.
@@ -281,30 +297,28 @@ class ScenarioService:
                            job.kernel)
         total = job.total_increments
         spill_dir = os.path.join(self.work_dir, job.id[:16])
-        os.makedirs(spill_dir, exist_ok=True)
         spans = [span for span in plan_spans(scenario, self.config.cadence,
                                              spill_dir)
                  if span[0] >= job.next_start]
+        live = False  # the worker holds the job's run at the next start
         for start, stop, snap_in, snap_out in spans:
             if self._stopping.is_set():
-                self._park(job, "service stopping")
+                self._park(job, pool, "service stopping",
+                           (scenario, start, snap_in) if live else None)
                 return
-            result = self.pool.run(
-                _pipeline_span_task,
-                (scenario, stop, snap_in, snap_out),
-                timeout=self.config.timeout,
-                affinity=job.id,
-            )
+            # No snap_out: the live run stays on this worker for the next
+            # span, and a park saves it.
+            result = pool.run(_pipeline_span_task,
+                              (scenario, start, stop, snap_in, None),
+                              timeout=self.config.timeout)
             self._count_span(result.status)
             if result.status != "ok":
-                detail = (f"span [{start}, {stop}) timed out after "
-                          f"{self.config.timeout:.0f}s"
-                          if result.status == "timeout"
-                          else f"span [{start}, {stop}) failed: "
-                               f"{result.error}")
-                self._fail(job, detail, outcome=result.status)
+                self._fail(job, self._failure(f"span [{start}, {stop})",
+                                              result),
+                           outcome=result.status)
                 return
             cycles, record, handoff = result.value
+            live = True
             with self.metrics.locked():
                 self._handoffs_total.inc(kind=handoff)
             with job.cond:
@@ -314,14 +328,15 @@ class ScenarioService:
                     f"increment {stop}/{total} complete "
                     f"({sum(cycles[start:])} cycles in span)")
                 job.cond.notify_all()
-            if snap_in is not None:
-                # Only the newest boundary matters from here on.
+            if handoff == "restored":
+                # The park checkpoint is consumed: the run lives on here.
                 try:
                     os.remove(snap_in)
                 except OSError:  # pragma: no cover - already gone
                     pass
-            if snap_out is not None and job.pause_requested:
-                self._park(job, f"paused at increment {stop}")
+            if stop < total and job.pause_requested:
+                self._park(job, pool, f"paused at increment {stop}",
+                           (scenario, stop, snap_out))
                 return
         with self._store_lock:
             self.store.put(record)
@@ -337,12 +352,31 @@ class ScenarioService:
             self._job_seconds.observe(time.monotonic() - started)
         self._refresh_gauges()
 
-    def _park(self, job: Job, line: str) -> None:
+    def _park(self, job: Job, pool: DispatchPool, line: str,
+              checkpoint: Optional[Tuple[Scenario, int, str]]) -> None:
+        """Park a job; ``checkpoint`` ``(scenario, boundary, path)`` first
+        saves the live run its worker holds (``None``: nothing is live)."""
+        if checkpoint is not None:
+            result = pool.run(_park_task, checkpoint,
+                              timeout=self.config.timeout)
+            if result.status != "ok":
+                what = f"checkpoint at increment {checkpoint[1]}"
+                self._fail(job, self._failure(what, result),
+                           outcome=result.status)
+                return
+            with self.metrics.locked():
+                self._checkpoints_total.inc()
         with job.cond:
             job.state = PAUSED
             job.events.append(line)
             job.cond.notify_all()
         self._refresh_gauges()
+
+    def _failure(self, what: str, result: TaskResult) -> str:
+        """The error line of a pool task that did not finish ``ok``."""
+        if result.status == "timeout":
+            return f"{what} timed out after {self.config.timeout:.0f}s"
+        return f"{what} failed: {result.error}"
 
     def _fail(self, job: Job, detail: str, outcome: str = "failed") -> None:
         # The spill dir goes first, so a job seen failed has none left.
@@ -387,7 +421,7 @@ class ScenarioService:
     def _refresh_gauges(self) -> None:
         with self.metrics.locked():
             self._queue_depth.set(self.registry.active_count())
-            self._respawns.set(self.pool.respawns)
+            self._respawns.set(sum(pool.respawns for pool in self.pools))
 
     def prometheus(self) -> str:
         self._refresh_gauges()

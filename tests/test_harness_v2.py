@@ -1,7 +1,7 @@
 """Harness v2 tests: worker pool, span hand-off, timeouts, store lifecycle,
 bench.
 
-Covers the pool (crash containment, affinity, warm workers reused across
+Covers the pool (crash containment, warm workers reused across
 suites), runs cut into spans whose records and stores are byte-identical
 to serial ones, per-scenario timeouts that record an outcome without killing
 sibling scenarios, `suite diff` on before/after stores, compaction/GC that
@@ -75,11 +75,6 @@ def _boom():
 
 def _die():
     os._exit(17)
-
-
-def _pid_after(seconds=0.0):
-    time.sleep(seconds)
-    return os.getpid()
 
 
 @pytest.fixture()
@@ -156,19 +151,6 @@ class TestDispatchPool:
         assert [r.value for r in results] == [0, 2, 4, 6]
         assert pool2.size == 2
 
-    def test_same_key_tasks_land_on_one_worker(self, pool2):
-        pids = [pool2.run(_pid_after, affinity="job").value
-                for _ in range(5)]
-        assert len(set(pids)) == 1, pids
-
-    def test_keyed_task_never_waits_for_its_busy_worker(self, pool2):
-        home = pool2.run(_pid_after, affinity="job").value
-        slow = pool2.submit(_pid_after, (2.0,), affinity="job")
-        fast = pool2.run(_pid_after, affinity="job")
-        assert not slow.done()
-        assert fast.ok and fast.value != home
-        assert slow.wait(30).value == home
-
     def test_workers_persist_across_batches(self, pool2):
         run_all(pool2, [(_double, (1,))])
         pids_first = sorted(pool2.worker_pids())
@@ -197,10 +179,10 @@ class TestSharding:
         serial = run_scenario(scenario)
         spans = plan_spans(scenario, 3, str(tmp_path))
         assert len(spans) == 4
-        for _start, stop, snap_in, snap_out in spans:
+        for start, stop, snap_in, snap_out in spans:
             drop_warm_run()  # every later span restores its checkpoint
             _cycles, sharded, handoff = _pipeline_span_task(
-                scenario, stop, snap_in, snap_out)
+                scenario, start, stop, snap_in, snap_out)
             assert handoff == ("fresh" if snap_in is None else "restored")
         assert json.dumps(serial, sort_keys=True) == \
                json.dumps(sharded, sort_keys=True)
@@ -241,13 +223,16 @@ class TestSharding:
 @requires_numpy
 class TestSuiteTimeouts:
     def test_timeout_recorded_without_killing_siblings(self, tmp_path):
+        # The budget also covers pooled dispatch, so it sits far from both
+        # runs on a busy host: `slow` simulates for well over 10 s (17.7 s
+        # on a 2-vCPU VM), `fast` for under 40 ms pooled.
         store = ResultStore(tmp_path / "store.jsonl")
-        slow = tiny_scenario("slow", "bfs", vertices=1200, edges=12000)
+        slow = tiny_scenario("slow", "bfs", vertices=4000, edges=120000)
         fast = tiny_scenario("fast", "ingest")
         pool = DispatchPool(2)
         try:
             report = run_suite([slow, fast], jobs=2, store=store,
-                               timeout=0.1, pool=pool)
+                               timeout=1.0, pool=pool)
         finally:
             pool.shutdown()
         by_name = {o.scenario.name: o for o in report.outcomes}

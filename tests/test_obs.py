@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.arch.stats import SimStats
 from repro.harness import (
     ChipSpec,
     DatasetSpec,
@@ -242,6 +243,29 @@ class TestRecordMetrics:
         assert hist["series"][0]["value"]["count"] == record["total_cycles"]
         # The whole snapshot must be JSON-round-trippable (it is stored).
         assert json.loads(json.dumps(metrics)) == metrics
+
+    @pytest.mark.parametrize("values", [
+        [], [0, 0, 1, 2, 3, 4096, 4097, 10**6], [5, 1, 5, 0, 300, 5]])
+    def test_histograms_count_every_value_once(self, values):
+        """The one-pass histograms equal observing value by value, for an
+        empty series and for values past the last bound (+Inf only)."""
+        stats = SimStats(num_cells=16, cycles=len(values),
+                         active_cells_per_cycle=list(values),
+                         messages_in_flight_per_cycle=values[::-1],
+                         deliveries_per_cycle=[v // 2 for v in values])
+        metrics = record_metrics(stats)
+        for name, series in (
+                ("sim_active_cells_per_cycle", stats.active_cells_per_cycle),
+                ("sim_messages_in_flight_per_cycle",
+                 stats.messages_in_flight_per_cycle),
+                ("sim_deliveries_per_cycle", stats.deliveries_per_cycle)):
+            reference = MetricsRegistry()
+            histogram = reference.histogram(name, "", buckets=POW2_BUCKETS)
+            histogram._cell(())
+            for value in series:
+                histogram.observe(value)
+            assert metrics[name]["series"] == \
+                reference.snapshot()[name]["series"], name
 
     @requires_numpy
     def test_metrics_identical_across_kernels(self):

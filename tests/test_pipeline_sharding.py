@@ -1,17 +1,21 @@
 """Span hand-off: byte-identity without prefix replay.
 
 ``repro serve`` runs a job as the spans ``plan_spans`` cuts at its
-cadence, each a ``_pipeline_span_task`` that starts from the checkpoint its
-predecessor saved.  The contract: the last span's record is byte-identical
-to the serial run, while a spy on ``DynamicGraph.stream_increment`` proves
-every increment is streamed exactly once, whatever the cadence, whether a
-span continues the warm slot's live run or restores the checkpoint.
+cadence, each a ``_pipeline_span_task`` that picks the run up where its
+predecessor stopped: from the live run in the warm slot, or from a saved
+checkpoint.  The contract: the last span's record is byte-identical to the
+serial run, while a spy on ``DynamicGraph.stream_increment`` proves every
+increment is streamed exactly once, whatever the cadence, whether a span
+continues the warm slot's live run or restores the checkpoint.  A
+checkpoint is written only where a span is given one to save, or where a
+job parks (``_park_task``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from helpers import requires_numpy
 from repro.graph.graph import DynamicGraph
 from repro.harness import runner
 from repro.harness.runner import (
+    _park_task,
     _pipeline_span_task,
     drop_warm_run,
     plan_spans,
@@ -59,20 +64,21 @@ def spy_streamed(monkeypatch):
     return streamed
 
 
-def run_spans(scenario, cadence, spill, *, cold=False):
+def run_spans(scenario, cadence, spill, *, cold=False, save=True):
     """Run a scenario's planned spans in order; ``(record, handoffs)``.
 
-    A cold run empties the warm slot before every span, so each one
-    restores its input checkpoint.
+    With ``save`` every span saves its end checkpoint; without it spans
+    save none, as under ``repro serve``.  A cold run empties the warm slot
+    before every span, so each one restores its input checkpoint.
     """
     spill.mkdir()
     handoffs = []
-    for _start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
-                                                      str(spill)):
+    for start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
+                                                     str(spill)):
         if cold:
             drop_warm_run()
-        _cycles, record, handoff = _pipeline_span_task(scenario, stop,
-                                                       snap_in, snap_out)
+        _cycles, record, handoff = _pipeline_span_task(
+            scenario, start, stop, snap_in, snap_out if save else None)
         handoffs.append(handoff)
     return record, handoffs
 
@@ -155,9 +161,8 @@ class TestSpanPlan:
 
 class TestPooled:
     def test_spill_dir_is_cleaned_up(self, tmp_path, monkeypatch):
-        """Pooled spans spill their checkpoints into the service's temp
-        work dir: a job's dir goes once its record is stored, the work dir
-        when the service stops."""
+        """A job leaves nothing in the service's temp work dir once its
+        record is stored, and the work dir goes when the service stops."""
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -182,7 +187,7 @@ class TestPooled:
 
 class TestWarmSlot:
     """A span continues its predecessor's live run only when it sits at
-    exactly the span's input checkpoint of the span's own spec."""
+    exactly the span's start boundary of the span's own spec."""
 
     def test_warm_and_cold_spans_save_identical_checkpoints(self, tmp_path):
         scenario = eight_increment_scenario()
@@ -202,6 +207,58 @@ class TestWarmSlot:
             assert (tmp_path / "warm" / name).read_bytes() == \
                 (tmp_path / "cold" / name).read_bytes(), name
 
+    def test_continuing_spans_without_snap_out_save_nothing(self, tmp_path):
+        """The serve path: no span is given a checkpoint to save, so the
+        spill dir stays empty, and the record is the serial one."""
+        scenario = eight_increment_scenario()
+        record, handoffs = run_spans(scenario, 1, tmp_path / "spill",
+                                     save=False)
+        assert handoffs == ["fresh"] + ["warm"] * 7
+        assert os.listdir(tmp_path / "spill") == []
+        assert json.dumps(record, sort_keys=True) == \
+            json.dumps(run_scenario(scenario), sort_keys=True)
+
+    def test_unmatched_span_fails_naming_the_missing_checkpoint(
+            self, tmp_path, monkeypatch):
+        """A continuing span whose run is neither live here nor saved
+        fails with the SnapshotError that names the file; it never builds
+        a fresh run."""
+        scenario = eight_increment_scenario()
+        _pipeline_span_task(scenario, 0, 4, None, None)
+        assert runner._warm.boundary == 4
+        missing = str(tmp_path / "inc00002.snap")
+        builds = []
+        real_materialize = runner._materialize
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return real_materialize(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_materialize", counted)
+        with pytest.raises(SnapshotError, match=re.escape(missing)):
+            _pipeline_span_task(scenario, 2, 8, missing, None)
+        assert builds == []
+        assert runner._warm is None
+
+    def test_park_saves_the_boundary_checkpoint_and_empties_the_slot(
+            self, tmp_path):
+        scenario = eight_increment_scenario()
+        spill = tmp_path / "spill"
+        first, second = plan_spans(scenario, 4, str(spill))
+        _pipeline_span_task(scenario, 0, 4, None, None)
+        assert not spill.exists()
+        _park_task(scenario, 4, first[3])
+        assert os.listdir(spill) == ["inc00004.snap"]
+        assert runner._warm is None
+        assert (spill / "inc00004.snap").read_bytes() == \
+            snapshot_at(scenario, 4).to_bytes()
+        with pytest.raises(SnapshotError, match="no live run"):
+            _park_task(scenario, 4, first[3])
+        _cycles, record, handoff = _pipeline_span_task(scenario, *second)
+        assert handoff == "restored"
+        assert json.dumps(record, sort_keys=True) == \
+            json.dumps(run_scenario(scenario), sort_keys=True)
+
     def test_not_continued_on_spec_hash_mismatch(self, tmp_path):
         """A renamed spec saves the same checkpoint body, so only the spec
         hash tells its live run apart: a warm continue would run, a
@@ -209,23 +266,23 @@ class TestWarmSlot:
         scenario = eight_increment_scenario()
         renamed = eight_increment_scenario(name="pipe-bfs-renamed")
         mine = str(tmp_path / "mine.snap")
-        _pipeline_span_task(scenario, 4, None, mine)
+        _pipeline_span_task(scenario, 0, 4, None, mine)
         assert runner._warm is not None
         theirs = str(tmp_path / "theirs.snap")
         snapshot_at(renamed, 4).save(theirs)
         with open(mine, "rb") as a, open(theirs, "rb") as b:
             assert a.read()[-32:] == b.read()[-32:]
         with pytest.raises(SnapshotError, match="captured from scenario"):
-            _pipeline_span_task(renamed, 8, mine, None)
+            _pipeline_span_task(renamed, 4, 8, mine, None)
         assert runner._warm is None
 
-    def test_not_continued_on_digest_mismatch(self, tmp_path, monkeypatch):
+    def test_not_continued_on_boundary_mismatch(self, tmp_path, monkeypatch):
         scenario = eight_increment_scenario()
-        _pipeline_span_task(scenario, 4, None, str(tmp_path / "inc4.snap"))
+        _pipeline_span_task(scenario, 0, 4, None, None)
         older = str(tmp_path / "inc2.snap")
         snapshot_at(scenario, 2).save(older)
         streamed = spy_streamed(monkeypatch)
-        _cycles, record, handoff = _pipeline_span_task(scenario, 8, older,
+        _cycles, record, handoff = _pipeline_span_task(scenario, 2, 8, older,
                                                        None)
         assert handoff == "restored"
         assert streamed == list(range(2, 8))
@@ -242,10 +299,10 @@ class TestWarmSlot:
             return [e["name"] for e in events if e.get("cat") == "sim"]
 
         checkpoint = str(tmp_path / "inc4.snap")
-        _pipeline_span_task(traced("first.json"), 4, None, checkpoint)
+        _pipeline_span_task(traced("first.json"), 0, 4, None, checkpoint)
         assert runner._warm.run[1].simulator.tracer is None
         _cycles, _record, handoff = _pipeline_span_task(
-            traced("second.json"), 8, checkpoint, None)
+            traced("second.json"), 4, 8, checkpoint, None)
         assert handoff == "warm"
         assert increments("first.json") == [
             f"increment-{i}" for i in range(1, 5)]
@@ -255,13 +312,13 @@ class TestWarmSlot:
     def test_failed_span_leaves_no_slot(self, tmp_path):
         scenario = eight_increment_scenario()
         checkpoint = str(tmp_path / "inc4.snap")
-        _pipeline_span_task(scenario, 4, None, checkpoint)
+        _pipeline_span_task(scenario, 0, 4, None, checkpoint)
         assert runner._warm is not None
         # Continues warm, then fails: the live run is not put back.
         with pytest.raises(ValueError, match="invalid span"):
-            _pipeline_span_task(scenario, 2, checkpoint, None)
+            _pipeline_span_task(scenario, 4, 2, checkpoint, None)
         assert runner._warm is None
         # A restored span still works from the same checkpoint.
-        _cycles, record, handoff = _pipeline_span_task(scenario, 8,
+        _cycles, record, handoff = _pipeline_span_task(scenario, 4, 8,
                                                        checkpoint, None)
         assert handoff == "restored" and record == run_scenario(scenario)

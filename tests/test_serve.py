@@ -28,10 +28,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.runner import run_scenario
+from repro.harness.runner import resume_scenario, run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, app, make_server
+from repro.snapshot import Snapshot
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -265,25 +266,46 @@ class TestHTTPByteIdentity:
         assert code == 404
 
 
-class TestWarmHandoff:
-    def test_job_spans_continue_on_one_worker(self, server2):
-        """Two workers, one job: affinity keeps every span after the first
-        on the worker holding the live run, and the record is unchanged."""
-        service, base = server2
-        scenario = tiny_scenario("warm-ten", increments=10)
+def run_warm(base, scenarios):
+    """Run ten-span jobs side by side: every span after a job's first
+    continues the live run on its scheduler's worker, no checkpoint is
+    written, and every record is unchanged."""
+    ids = []
+    for scenario in scenarios:
         code, body = request(base, "POST", "/v1/jobs", scenario.spec_dict())
         assert code == 201
-        final = wait_state(base, json.loads(body)["id"], ("done", "failed"))
+        ids.append(json.loads(body)["id"])
+    for scenario, job_id in zip(scenarios, ids):
+        final = wait_state(base, job_id, ("done", "failed"))
         assert final["state"] == "done", final
-        _, via_http = request(base, "GET",
-                              f"/v1/records/{scenario.spec_hash()}")
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
         direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         assert via_http == direct
-        _, body = request(base, "GET", "/metrics")
-        text = body.decode()
-        assert 'serve_span_handoffs_total{kind="fresh"} 1\n' in text
-        assert 'serve_span_handoffs_total{kind="warm"} 9\n' in text
-        assert 'kind="restored"' not in text
+    _, body = request(base, "GET", "/metrics")
+    text = body.decode()
+    jobs = len(scenarios)
+    assert f'serve_span_handoffs_total{{kind="fresh"}} {jobs}\n' in text
+    assert f'serve_span_handoffs_total{{kind="warm"}} {9 * jobs}\n' in text
+    assert 'kind="restored"' not in text
+    assert "serve_checkpoints_total 0\n" in text
+
+
+class TestWarmHandoff:
+    def test_service_needs_a_scheduler(self, tmp_path):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ScenarioService(ServeConfig(jobs=0,
+                                        store=str(tmp_path / "s.jsonl")))
+
+    def test_job_spans_continue_on_one_worker(self, server2):
+        """Two workers, one job."""
+        service, base = server2
+        run_warm(base, [tiny_scenario("warm-ten", increments=10)])
+
+    def test_concurrent_jobs_continue_on_their_own_workers(self, server2):
+        """Two workers, two jobs at once: each keeps its own worker."""
+        service, base = server2
+        run_warm(base, [tiny_scenario("warm-a", seed=11, increments=10),
+                        tiny_scenario("warm-b", seed=12, increments=10)])
 
 
 class TestPauseResume:
@@ -295,10 +317,12 @@ class TestPauseResume:
         code, body = request(base, "POST", f"/v1/jobs/{job_id}/pause")
         assert code == 202
         status = wait_state(base, job_id, ("paused", "done"))
+        parked_at = 0
         if status["state"] == "paused":
             # Parked strictly mid-stream (the pause raced ahead of
             # completion) — progress must be at an increment boundary.
-            assert 0 <= status["completed_increments"] < 6
+            parked_at = status["completed_increments"]
+            assert 0 <= parked_at < 6
             code, _ = request(base, "POST", f"/v1/jobs/{job_id}/resume")
             assert code == 202
         final = wait_state(base, job_id, ("done", "failed"))
@@ -308,6 +332,42 @@ class TestPauseResume:
         assert via_http == direct
         # A finished job leaves no checkpoints behind.
         assert not (Path(service.work_dir) / job_id[:16]).exists()
+        # A mid-stream park wrote one checkpoint, which the resume restored.
+        text = service.prometheus()
+        assert f"serve_checkpoints_total {int(parked_at > 0)}\n" in text
+        assert ('kind="restored"} 1\n' in text) == (parked_at > 0)
+
+    def test_stopping_parks_a_running_job_into_its_checkpoint(
+            self, tmp_path, monkeypatch):
+        """A service that stops parks a running job at the next boundary:
+        the worker saves its live run, which resumes to the serial
+        record."""
+        scenario = tiny_scenario("stopped", increments=6)
+        service = ScenarioService(ServeConfig(
+            jobs=1, store=str(tmp_path / "store.jsonl"),
+            work_dir=str(tmp_path / "spill")))
+        (pool,) = service.pools
+        real_run = pool.run
+
+        def run_then_stop(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            service._stopping.set()
+            return result
+
+        monkeypatch.setattr(pool, "run", run_then_stop)
+        service.start()
+        try:
+            job, code = service.submit(scenario.spec_dict(), "stop")
+            assert code == 201
+            assert job.wait_until(lambda: job.state == "paused", timeout=60)
+        finally:
+            service.stop()
+        assert job.completed_increments == 1
+        assert job.events[-1] == "service stopping"
+        assert "serve_checkpoints_total 1\n" in service.prometheus()
+        checkpoint = tmp_path / "spill" / job.id[:16] / "inc00001.snap"
+        resumed = resume_scenario(scenario, Snapshot.load(checkpoint))
+        assert resumed == run_scenario(scenario)
 
     def test_resume_without_checkpoint_fails_fast(self, server, monkeypatch):
         """A resumed job whose boundary checkpoint was deleted fails at
@@ -315,7 +375,8 @@ class TestPauseResume:
         service, base = server
         scenario = tiny_scenario("lost-checkpoint", increments=6)
         job_id = scenario.spec_hash()
-        real_run = service.pool.run
+        (pool,) = service.pools
+        real_run = pool.run
 
         def run_then_pause(*args, **kwargs):
             result = real_run(*args, **kwargs)
@@ -323,7 +384,7 @@ class TestPauseResume:
             return result
 
         # Park the job deterministically after its first span.
-        monkeypatch.setattr(service.pool, "run", run_then_pause)
+        monkeypatch.setattr(pool, "run", run_then_pause)
         code, _ = request(base, "POST", "/v1/jobs", scenario.spec_dict())
         assert code == 201
         status = wait_state(base, job_id, ("paused", "done", "failed"))
@@ -331,8 +392,10 @@ class TestPauseResume:
         assert status["completed_increments"] == 1
         spill = Path(service.work_dir) / job_id[:16]
         checkpoint = spill / "inc00001.snap"
+        assert "serve_checkpoints_total 1\n" in service.prometheus()
+        assert sorted(p.name for p in spill.iterdir()) == [checkpoint.name]
         checkpoint.unlink()
-        monkeypatch.setattr(service.pool, "run", real_run)
+        monkeypatch.setattr(pool, "run", real_run)
         started = time.monotonic()
         code, _ = request(base, "POST", f"/v1/jobs/{job_id}/resume")
         assert code == 202

@@ -447,9 +447,8 @@ def test_snapshot_every_survives_increment_sharding(tmp_path, pooled):
         scenario.options, snapshot_every=2, snapshot_dir=str(tmp_path)))
     pool = DispatchPool(1) if pooled else None
     try:
-        for _start, stop, snap_in, snap_out in plan_spans(checkpointed, 3,
-                                                          str(spill)):
-            args = (checkpointed, stop, snap_in, snap_out)
+        for span in plan_spans(checkpointed, 3, str(spill)):
+            args = (checkpointed, *span)
             if pool is None:
                 _cycles, record, _handoff = _pipeline_span_task(*args)
             else:

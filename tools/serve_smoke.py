@@ -8,12 +8,13 @@ full contract from the outside, exactly as a client would:
 2. fetch ``GET /v1/records/<spec_hash>`` and compare the bytes against a
    direct in-process ``run_scenario`` encoded by the result store — the
    HTTP half of the determinism contract (``--kernel native`` re-runs this
-   under the C sweep kernel) — and require ``/metrics`` to count at least
-   one ``warm`` span hand-off (a span that continued its worker's live
-   run instead of restoring the checkpoint);
+   under the C sweep kernel) — and require ``/metrics`` to count a
+   ``warm`` span hand-off for every span after the first (a span that
+   continued its worker's live run) and no checkpoint written;
 3. re-POST the same spec and require an immediate ``cached`` response;
 4. pause a fresh job, wait for the park, resume it, and require the final
-   record bytes to match the uninterrupted run;
+   record bytes to match the uninterrupted run; a mid-stream park must
+   write exactly one checkpoint, which one ``restored`` span reads;
 5. flood the admission window from concurrent client threads and require
    **exactly** ``k`` 429s for ``N + k`` fresh submissions;
 6. scrape ``/metrics`` and check the serve counters are present.
@@ -25,7 +26,6 @@ Usage: python tools/serve_smoke.py [--kernel KERNEL]
 import argparse
 import json
 import os
-import re
 import shutil
 import signal
 import subprocess
@@ -88,6 +88,16 @@ def wait_terminal(base, job_id, budget_s=300):
     raise SystemExit(f"job {job_id[:16]} never finished: {status}")
 
 
+def metric(base, sample):
+    """The value of one ``/metrics`` sample line (0 when absent)."""
+    _, body = request(base, "GET", "/metrics")
+    for line in body.decode().splitlines():
+        name, _, value = line.rpartition(" ")
+        if name == sample:
+            return int(float(value))
+    return 0
+
+
 def check(condition, label):
     if not condition:
         raise SystemExit(f"FAIL: {label}")
@@ -135,12 +145,14 @@ def main():
         check(via_http == direct,
               f"record over HTTP byte-identical to direct run "
               f"(kernel={args.kernel or 'default'})")
-        _, body = request(base, "GET", "/metrics")
-        warm = re.search(r'^serve_span_handoffs_total\{kind="warm"\} (\d+)$',
-                         body.decode(), re.MULTILINE)
-        check(warm is not None and int(warm.group(1)) >= 1,
+        warm = metric(base, 'serve_span_handoffs_total{kind="warm"}')
+        spans = final["total_increments"]
+        check(warm == spans - 1,
               f"spans after the first continued warm "
-              f"({warm.group(1) if warm else 0} warm hand-offs)")
+              f"({warm} of {spans - 1} warm hand-offs)")
+        written = metric(base, "serve_checkpoints_total")
+        check(written == 0,
+              f"an uninterrupted job writes no checkpoint ({written})")
 
         # 3: duplicate submission is a cache hit, no recompute.
         code, body = submit(scenario)
@@ -160,13 +172,21 @@ def main():
             if status["state"] in ("paused", "done"):
                 break
             time.sleep(0.05)
+        parked_at = 0
         if status["state"] == "paused":
-            print(f"   (parked at increment "
-                  f"{status['completed_increments']}/6)", flush=True)
+            parked_at = status["completed_increments"]
+            print(f"   (parked at increment {parked_at}/6)", flush=True)
             code, _ = request(base, "POST", f"/v1/jobs/{pid}/resume")
             check(code == 202, "resume accepted")
         final = wait_terminal(base, pid)
         check(final["state"] == "done", "paused job resumed to completion")
+        if parked_at > 0:
+            written = metric(base, "serve_checkpoints_total")
+            restored = metric(base,
+                              'serve_span_handoffs_total{kind="restored"}')
+            check(written == 1 and restored == 1,
+                  f"the park wrote one checkpoint ({written}), which one "
+                  f"span restored ({restored})")
         _, via_http = request(base, "GET", f"/v1/records/{pid}")
         direct = (ResultStore.encode(run_scenario(pausable)) + "\n").encode()
         check(via_http == direct,
