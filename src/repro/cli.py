@@ -336,6 +336,26 @@ def _require_store_paths(*paths: str) -> bool:
     return ok
 
 
+def _stored_records(args: argparse.Namespace) -> Optional[List[dict]]:
+    """The records in ``--store`` of the ``--preset`` suite's scenarios,
+    or every stored record without a preset.  ``None`` (the verb exits 2)
+    after reporting a missing store or an unknown preset."""
+    from repro.harness import ResultStore, get_suite
+
+    if not _require_store_paths(args.store):
+        return None
+    store = ResultStore(args.store)
+    if not args.preset:
+        return store.records()
+    try:
+        scenarios = get_suite(args.preset)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+    return [r for s in scenarios
+            if (r := store.get(s.spec_hash())) is not None]
+
+
 def cmd_suite_diff(args: argparse.Namespace) -> int:
     from repro.harness import ResultStore, diff_stores, render_store_diff
 
@@ -473,27 +493,12 @@ def _find_scenario(preset: str, name: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.harness import (
-        ResultStore,
-        export_png_figures,
-        get_suite,
-        render_suite_report,
-    )
+    from repro.harness import export_png_figures, render_suite_report
     from repro.harness.report import reportable_records
 
-    if not _require_store_paths(args.store):
+    records = _stored_records(args)
+    if records is None:
         return 2
-    store = ResultStore(args.store)
-    if args.preset:
-        try:
-            scenarios = get_suite(args.preset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        records = [r for s in scenarios
-                   if (r := store.get(s.spec_hash())) is not None]
-    else:
-        records = store.records()
     records = reportable_records(records)
     if not records:
         print("no records to report", file=sys.stderr)
@@ -581,22 +586,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.harness import ResultStore, get_suite
     from repro.obs import MetricsRegistry
 
-    if not _require_store_paths(args.store):
+    records = _stored_records(args)
+    if records is None:
         return 2
-    store = ResultStore(args.store)
-    if args.preset:
-        try:
-            scenarios = get_suite(args.preset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        records = [r for s in scenarios
-                   if (r := store.get(s.spec_hash())) is not None]
-    else:
-        records = store.records()
     registry = MetricsRegistry()
     skipped = 0
     for record in records:
@@ -693,21 +687,11 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz_classify(args: argparse.Namespace) -> int:
-    from repro.harness import ResultStore, fuzz_rows_from_records, get_suite
+    from repro.harness import fuzz_rows_from_records
 
-    if not _require_store_paths(args.store):
+    records = _stored_records(args)
+    if records is None:
         return 2
-    store = ResultStore(args.store)
-    if args.preset:
-        try:
-            scenarios = get_suite(args.preset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        records = [r for s in scenarios
-                   if (r := store.get(s.spec_hash())) is not None]
-    else:
-        records = store.records()
     rows = fuzz_rows_from_records(records)
     skipped = len(records) - len(rows)
     if skipped:

@@ -16,9 +16,9 @@ on curated cases elsewhere, plus the conservation laws of its statistics:
    (``repro serve``'s span plan) stores bytes identical (``cmp``) to the
    serial one, in two legs: the warm leg runs the spans as serve does,
    each continuing the live run the previous span left in the warm slot
-   and saving no checkpoint, and the cold leg empties the slot before
-   every span, so each one saves its end checkpoint and the next restores
-   it.  A truncated scenario is planned as the single span
+   and saving no checkpoint, and the cold leg parks at every boundary
+   through serve's pause path, so each later span restores the park
+   checkpoint.  A truncated scenario is planned as the single span
    ``[0, total)``.
 5. **trace_transparency** — attaching the Chrome tracer leaves the record
    byte-identical, and the emitted trace validates.
@@ -46,9 +46,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.arch._native import HAVE_NATIVE
 from repro.fuzz.fingerprint import classify, fingerprint_record
 from repro.harness.runner import (
+    _park_task,
     _pinned,
     _pipeline_span_task,
-    drop_warm_run,
     plan_spans,
     restore_scenario,
     resume_scenario,
@@ -247,19 +247,20 @@ def _check_park_transparency(scenario: Scenario,
 def _span_leg(scenario: Scenario, cadence: int, spill: str,
               cold: bool) -> Tuple[Dict[str, Any], List[str]]:
     """Run a scenario's planned spans in order, in-process; returns the
-    record and how each span started.  A warm leg saves no checkpoint; a
-    cold leg empties the warm slot before every span and saves each
-    boundary's checkpoint for the next span to restore."""
+    record and how each span started.  A warm leg runs as a serve job
+    does, saving nothing; a cold leg parks at every boundary through
+    serve's pause path (``_park_task``), so every later span restores the
+    checkpoint the park wrote."""
     os.makedirs(spill, exist_ok=True)
     scenario = _pinned(scenario, "python")
     handoffs = []
-    for start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
-                                                     spill):
-        if cold:
-            drop_warm_run()
+    for start, stop, snap_in, park_path in plan_spans(scenario, cadence,
+                                                      spill):
         _cycles, record, handoff = _pipeline_span_task(
-            scenario, start, stop, snap_in, snap_out if cold else None)
+            scenario, start, stop, snap_in)
         handoffs.append(handoff)
+        if cold and park_path is not None:
+            _park_task(scenario, stop, park_path)
     return record, handoffs
 
 

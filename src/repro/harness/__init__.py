@@ -11,8 +11,8 @@ The harness is the one place the repository fans experiments out:
   execution with deterministic per-scenario seeding, every run path
   streaming through one span function (and ``repro serve`` handing chip
   state between a job's spans as checkpoints),
-* :mod:`repro.harness.pool` — the persistent worker pool underneath
-  (per-task timeouts, crash isolation, warm-worker reuse across runs),
+* :mod:`repro.harness.pool` — the worker pool underneath, driven by the
+  thread that calls it (per-task timeouts, crash isolation),
 * :mod:`repro.harness.store` — a crash-safe JSONL result cache keyed by
   spec hash, with compaction/GC and cross-store diffing,
 * :mod:`repro.harness.report` — folds stored records back into the
@@ -44,7 +44,7 @@ from repro.harness.bench import (
     run_bench,
     write_bench,
 )
-from repro.harness.pool import DispatchPool, TaskResult, get_pool, shutdown_pool
+from repro.harness.pool import DispatchPool, TaskResult
 from repro.harness.registry import (
     SuiteDef,
     build_paper_suite,
@@ -115,7 +115,6 @@ __all__ = [
     "build_paper_suite",
     "compare_bench",
     "diff_stores",
-    "get_pool",
     "get_suite",
     "increment_figures_from_records",
     "list_suites",
@@ -131,7 +130,6 @@ __all__ = [
     "run_scenario",
     "run_scenario_traced",
     "run_suite",
-    "shutdown_pool",
     "snapshot_at",
     "suite_table_rows",
     "table1_rows_from_records",

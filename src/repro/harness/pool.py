@@ -1,29 +1,29 @@
-"""Persistent worker-process pool with per-task timeouts and crash isolation.
+"""Worker-process pool with per-task timeouts and crash isolation.
 
-:class:`DispatchPool` keeps a fixed set of long-lived worker processes warm
-behind a dispatcher thread.  Any thread may :meth:`~DispatchPool.submit` a
-task at any time and gets a :class:`TaskHandle` back; idle workers take
-tasks in submission order.  :func:`~repro.harness.runner.run_suite`
-submits one independent task per scenario and then waits on the handles,
-reusing the process-wide pool from :func:`get_pool` across calls;
-``repro serve`` submits one job span at a time from each scheduler
-thread, each on its own one-worker pool, so a span is dispatched only
-after its predecessor has finished, to the worker that ran it.  Either way
-interpreter/import startup is paid once per worker, not once per scenario
-as with a fresh ``multiprocessing.Pool`` per run.
+:class:`DispatchPool` keeps a fixed set of long-lived worker processes
+warm, and the thread that calls it drives it: :meth:`~DispatchPool.run_all`
+hands a batch of tasks to idle workers and waits on their pipes until every
+task has resolved, with no dispatcher thread in between.  Every pool has
+one owner.  :func:`~repro.harness.runner.run_suite` builds one for its call
+(one :func:`~repro.harness.runner.run_scenario` task per scenario) unless
+the caller passes ``pool=``; ``repro serve`` gives each scheduler thread a
+one-worker pool, which runs every span of that thread's job, so a span
+reaches the worker that ran its predecessor.  Interpreter/import startup
+is paid once per worker, not once per task.
 
 Tasks travel over one duplex :func:`multiprocessing.Pipe` per worker rather
 than a shared queue.  That buys two properties a ``Pool`` cannot offer:
 
-* **Hard per-task timeouts.**  The parent knows exactly which worker runs
+* **Hard per-task timeouts.**  The caller knows exactly which worker runs
   which task, so an overdue task is handled by killing *that* worker and
   respawning a replacement — sibling tasks keep running, and the task
   resolves with a ``timeout`` result instead of hanging.
 * **Crash containment.**  A worker that dies mid-task (OOM kill, segfault)
-  closes its pipe; :func:`multiprocessing.connection.wait` wakes the
-  dispatcher, which resolves that task as an ``error`` and respawns.  Pipes
-  carry whole pickled messages, so killing a worker can never corrupt a
-  shared queue the way terminating a ``multiprocessing.Queue`` feeder can.
+  closes its pipe; :func:`multiprocessing.connection.wait` returns it,
+  and that task resolves as an ``error`` while the worker is respawned.
+  Pipes carry whole pickled messages, so killing a worker can never
+  corrupt a shared queue the way terminating a ``multiprocessing.Queue``
+  feeder can.
 
 Task callables must be module-level functions (they are pickled by
 reference); arguments and results must be picklable.
@@ -31,7 +31,6 @@ reference); arguments and results must be picklable.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import multiprocessing
 import threading
@@ -41,7 +40,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 #: A task is a module-level callable plus its positional arguments.
 Task = Tuple[Callable[..., Any], Tuple[Any, ...]]
@@ -126,6 +125,7 @@ class _Worker:
 class _InFlight:
     """Book-keeping for a task currently assigned to a worker."""
 
+    index: int  # the task's position in its run_all call
     task_id: int
     started: float
     deadline: Optional[float]
@@ -133,57 +133,25 @@ class _InFlight:
     start_ns: int = 0  # tracer-clock dispatch time (observability only)
 
 
-class TaskHandle:
-    """Awaitable result slot for one :class:`DispatchPool` task."""
-
-    __slots__ = ("_event", "result")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.result: Optional[TaskResult] = None
-
-    def _resolve(self, result: TaskResult) -> None:
-        self.result = result
-        self._event.set()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[TaskResult]:
-        """Block until the task resolves; ``None`` only on wait timeout."""
-        if not self._event.wait(timeout):
-            return None
-        return self.result
-
-
-@dataclass
-class _Queued:
-    """One submitted-but-not-dispatched task."""
-
-    task_id: int
-    handle: TaskHandle
-    fn: Callable[..., Any]
-    args: Tuple[Any, ...]
-    timeout: Optional[float]
-
-
 class DispatchPool:
-    """Warm worker processes behind a thread-safe, always-on dispatcher.
+    """Warm worker processes, driven by the thread that calls the pool.
 
-    Tasks queue through :meth:`submit` and go to idle workers in FIFO order
-    as they free up, the longest-idle worker first.  A task that outlives its
-    ``timeout`` has its worker killed and respawned; a worker that crashes
-    resolves only its own task.
-    Either way the handle resolves with a ``timeout``/``error``
-    :class:`TaskResult` and sibling tasks keep running.
+    :meth:`run_all` hands its tasks to idle workers in order, the
+    longest-idle worker first, and waits in the calling thread until each
+    has resolved.  A task that outlives its ``timeout`` has its worker
+    killed and respawned; a worker that crashes resolves only its own task.
+    Either way the task resolves with a ``timeout``/``error``
+    :class:`TaskResult` and sibling tasks keep running.  One lock is held
+    across :meth:`run_all` and :meth:`shutdown`, so one caller drives the
+    pool at a time.
 
     ``tracer`` and ``metrics`` (a :class:`repro.obs.Tracer` and a
     :class:`repro.obs.MetricsRegistry`) may be attached for the span of a
-    run.  The dispatcher then records a ``pool_task`` span per task on the
+    run.  The pool then records a ``pool_task`` span per task on the
     parent clock (tid = worker pid), ``task_timeout`` and
     ``worker_respawn`` instants, and the ``pool_tasks_total``,
     ``pool_task_seconds``, ``pool_queue_depth`` and ``pool_respawns_total``
-    metrics, all before the task's handle resolves.  Nothing crosses the
+    metrics, all before the task's result is returned.  Nothing crosses the
     process boundary, so worker payloads stay untouched.
     """
 
@@ -193,9 +161,7 @@ class DispatchPool:
         self._ctx = context or multiprocessing.get_context()
         self._workers: List[_Worker] = [_Worker(self._ctx)
                                         for _ in range(workers)]
-        self._idle: deque = deque(self._workers)
-        self._busy: Dict[_Worker, Tuple[TaskHandle, _InFlight]] = {}
-        self._pending: deque = deque()
+        self._idle: Deque[_Worker] = deque(self._workers)
         self._lock = threading.Lock()
         self._closed = False
         self._task_ids = itertools.count()
@@ -205,12 +171,6 @@ class DispatchPool:
         self.metrics = None
         # Worker pids already named as thread tracks, per attached tracer.
         self._named: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        # Wake channel: submit()/shutdown() nudge the dispatcher out of its
-        # connection wait without a polling interval.
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
-        self._thread = threading.Thread(
-            target=self._loop, name="dispatch-pool", daemon=True)
-        self._thread.start()
 
     # ------------------------------------------------------------------
     @property
@@ -223,106 +183,104 @@ class DispatchPool:
 
     def worker_pids(self) -> List[int]:
         """PIDs of the current worker processes (changes when one is killed)."""
-        with self._lock:
-            return [w.process.pid for w in self._workers
-                    if w.process.pid is not None]
-
-    def submit(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
-               *, timeout: Optional[float] = None) -> TaskHandle:
-        """Queue one task; returns immediately with its result handle."""
-        handle = TaskHandle()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool has been shut down")
-            self._pending.append(_Queued(next(self._task_ids), handle, fn,
-                                         tuple(args), timeout))
-        self._wake()
-        return handle
+        return [w.process.pid for w in list(self._workers)
+                if w.process.pid is not None]
 
     def run(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
             *, timeout: Optional[float] = None) -> TaskResult:
-        """Submit and block until the task resolves (convenience wrapper)."""
-        result = self.submit(fn, args, timeout=timeout).wait()
-        assert result is not None  # handle.wait() without timeout never None
-        return result
+        """Run one task and return its result (:meth:`run_all` of one)."""
+        return self.run_all([(fn, tuple(args))], timeout=timeout)[0]
 
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(None)
-        except (BrokenPipeError, OSError):  # pragma: no cover - shutdown race
-            pass
+    def run_all(self, tasks: Sequence[Task], *,
+                timeout: Optional[float] = None) -> List[TaskResult]:
+        """Run every task on the workers; results in task order.
+
+        ``timeout`` is each task's wall-clock budget from its dispatch.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("pool has been shut down")
+            pending = deque(enumerate(tasks))
+            results: List[Optional[TaskResult]] = [None] * len(pending)
+            busy: Dict[_Worker, _InFlight] = {}
+            try:
+                while pending or busy:
+                    self._dispatch(pending, busy, timeout)
+                    self._collect(busy, results)
+            finally:
+                # Only a raise leaves tasks in flight (a task that fails to
+                # pickle, an interrupt): their workers go, so no stale
+                # result reaches the next call.
+                for worker in busy:
+                    self._replace(worker)
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        while True:
-            with self._lock:
-                closed = self._closed
-                # Dispatch everything an idle worker can take.  A worker can
-                # die while idle (an OOM kill between tasks): replace it
-                # instead of letting the send take the task down.
-                while self._pending and self._idle and not closed:
-                    item = self._pending[0]
-                    worker = self._idle.popleft()
-                    if not worker.alive:
-                        self._replace_locked(worker)
-                        continue
-                    self._pending.popleft()
-                    try:
-                        worker.conn.send((item.task_id, item.fn, item.args))
-                    except (BrokenPipeError, OSError):
-                        self._pending.appendleft(item)
-                        self._replace_locked(worker)
-                        continue
-                    self._busy[worker] = (item.handle,
-                                          self._dispatched(item, worker))
-                busy = dict(self._busy)
-                if closed and not busy:
-                    return
-            deadlines = [f.deadline for _, f in busy.values()
-                         if f.deadline is not None]
-            poll = None
-            if deadlines:
-                poll = max(0.0, min(deadlines) - time.monotonic())
-            conns = [w.conn for w in busy] + [self._wake_r]
-            ready = _wait_connections(conns, timeout=poll)
+    def _dispatch(self, pending: Deque[Tuple[int, Task]],
+                  busy: Dict[_Worker, _InFlight],
+                  timeout: Optional[float]) -> None:
+        """Hand pending tasks to idle workers, the longest-idle first.
 
-            if self._wake_r in ready:
-                try:
-                    while self._wake_r.poll():
-                        self._wake_r.recv()
-                except (EOFError, OSError):  # pragma: no cover - shutdown race
-                    pass
-            by_conn = {w.conn: w for w in busy}
-            for conn in ready:
-                worker = by_conn.get(conn)
-                if worker is None:
-                    continue
-                try:
-                    _task_id, status, payload = conn.recv()
-                except (EOFError, OSError):
-                    self._finish(worker, TaskResult(
-                        status="error",
-                        error="worker process died before returning a result",
-                    ), replace=True)
-                    continue
-                if status == "ok":
-                    self._finish(worker, TaskResult(status="ok", value=payload))
-                else:
-                    self._finish(worker, TaskResult(status="error",
-                                                    error=payload))
-            now = time.monotonic()
-            with self._lock:
-                overdue = [(w, f) for w, (_, f) in self._busy.items()
-                           if f.deadline is not None and f.deadline <= now]
-            for worker, flight in overdue:
+        A worker that died while idle (an OOM kill between tasks), or whose
+        pipe refuses the send, is replaced and the task waits for the next.
+        """
+        while pending and self._idle:
+            worker = self._idle[0]
+            index, (fn, args) = pending[0]
+            task_id = next(self._task_ids)
+            try:
+                sent = worker.alive
+                if sent:
+                    worker.conn.send((task_id, fn, args))
+            except OSError:
+                sent = False
+            # Popped only now: a task that fails to pickle leaves it idle.
+            self._idle.popleft()
+            if not sent:
+                self._replace(worker)
+                continue
+            pending.popleft()
+            busy[worker] = self._dispatched(index, task_id, worker, timeout,
+                                            len(pending))
+
+    def _collect(self, busy: Dict[_Worker, _InFlight],
+                 results: List[Optional[TaskResult]]) -> None:
+        """Wait for results until the earliest deadline, and resolve the
+        tasks that returned, died or are overdue (lock held)."""
+        deadlines = [f.deadline for f in busy.values()
+                     if f.deadline is not None]
+        wait_s = None
+        if deadlines:
+            wait_s = max(0.0, min(deadlines) - time.monotonic())
+        by_conn = {w.conn: w for w in busy}
+        for conn in _wait_connections(list(by_conn), timeout=wait_s):
+            worker = by_conn[conn]
+            try:
+                _task_id, status, payload = conn.recv()
+            except (EOFError, OSError):
+                self._finish(worker, busy, results, TaskResult(
+                    status="error",
+                    error="worker process died before returning a result",
+                ), replace=True)
+                continue
+            if status == "ok":
+                result = TaskResult(status="ok", value=payload)
+            else:
+                result = TaskResult(status="error", error=payload)
+            self._finish(worker, busy, results, result)
+        now = time.monotonic()
+        for worker, flight in list(busy.items()):
+            if flight.deadline is not None and flight.deadline <= now:
                 if self.tracer is not None:
-                    self.tracer.instant("task_timeout", "pool", tid=flight.pid,
+                    self.tracer.instant("task_timeout", "pool",
+                                        tid=flight.pid,
                                         task_id=flight.task_id)
-                self._finish(worker, TaskResult(status="timeout"),
-                             replace=True)
+                self._finish(worker, busy, results,
+                             TaskResult(status="timeout"), replace=True)
 
-    def _dispatched(self, item: _Queued, worker: _Worker) -> _InFlight:
-        """Book-keeping and observation of one dispatch (lock held)."""
+    def _dispatched(self, index: int, task_id: int, worker: _Worker,
+                    timeout: Optional[float], queued: int) -> _InFlight:
+        """Book-keeping and observation of one dispatch."""
         now = time.monotonic()
         pid = worker.process.pid or 0
         tracer, metrics = self.tracer, self.metrics
@@ -334,42 +292,43 @@ class DispatchPool:
         if metrics is not None:
             with metrics.locked():
                 metrics.gauge("pool_queue_depth", "Tasks not yet dispatched"
-                              ).set(len(self._pending))
+                              ).set(queued)
         return _InFlight(
-            task_id=item.task_id,
+            index=index,
+            task_id=task_id,
             started=now,
-            deadline=now + item.timeout if item.timeout is not None else None,
+            deadline=now + timeout if timeout is not None else None,
             pid=pid,
             start_ns=tracer.now_ns() if tracer is not None else 0,
         )
 
-    def _finish(self, worker: _Worker, result: TaskResult,
+    def _finish(self, worker: _Worker, busy: Dict[_Worker, _InFlight],
+                results: List[Optional[TaskResult]], result: TaskResult,
                 replace: bool = False) -> None:
-        with self._lock:
-            handle, flight = self._busy.pop(worker)
-            result.elapsed_s = time.monotonic() - flight.started
-            tracer, metrics = self.tracer, self.metrics
-            if tracer is not None:
-                tracer.complete(
-                    "pool_task", "pool", start_ns=flight.start_ns,
-                    dur_ns=tracer.now_ns() - flight.start_ns, tid=flight.pid,
-                    task_id=flight.task_id, status=result.status)
-            if metrics is not None:
-                with metrics.locked():
-                    metrics.counter("pool_tasks_total", "Pool tasks by outcome",
-                                    ("status",)).inc(status=result.status)
-                    metrics.histogram(
-                        "pool_task_seconds",
-                        "Pool task wall time (dispatch→result)",
-                    ).observe(result.elapsed_s)
-            if replace:
-                self._replace_locked(worker)
-            else:
-                self._idle.append(worker)
-        handle._resolve(result)
+        flight = busy.pop(worker)
+        result.elapsed_s = time.monotonic() - flight.started
+        tracer, metrics = self.tracer, self.metrics
+        if tracer is not None:
+            tracer.complete(
+                "pool_task", "pool", start_ns=flight.start_ns,
+                dur_ns=tracer.now_ns() - flight.start_ns, tid=flight.pid,
+                task_id=flight.task_id, status=result.status)
+        if metrics is not None:
+            with metrics.locked():
+                metrics.counter("pool_tasks_total", "Pool tasks by outcome",
+                                ("status",)).inc(status=result.status)
+                metrics.histogram(
+                    "pool_task_seconds",
+                    "Pool task wall time (dispatch→result)",
+                ).observe(result.elapsed_s)
+        if replace:
+            self._replace(worker)
+        else:
+            self._idle.append(worker)
+        results[flight.index] = result
 
-    def _replace_locked(self, worker: _Worker) -> None:
-        """Kill a worker and enlist a fresh replacement (lock held)."""
+    def _replace(self, worker: _Worker) -> None:
+        """Kill a worker and enlist a fresh replacement."""
         old_pid = worker.process.pid or 0
         worker.kill()
         self._workers.remove(worker)
@@ -388,55 +347,16 @@ class DispatchPool:
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop accepting work, resolve queued tasks as errors, reap workers.
+        """Reap the workers; later calls raise ``RuntimeError``.
 
-        In-flight tasks are allowed to finish; idempotent.
+        A :meth:`run_all` running on another thread finishes its tasks
+        first.  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            dropped = list(self._pending)
-            self._pending.clear()
-        for item in dropped:
-            item.handle._resolve(TaskResult(
-                status="error", error="pool shut down before dispatch"))
-        self._wake()
-        self._thread.join()
-        for worker in self._workers:
-            worker.stop()
-        self._workers = []
-
-
-# ----------------------------------------------------------------------
-# Shared pool: reused across run_suite calls within one process
-# ----------------------------------------------------------------------
-_shared_pool: Optional[DispatchPool] = None
-
-
-def get_pool(workers: int) -> DispatchPool:
-    """The process-wide shared pool, with exactly ``workers`` workers.
-
-    A live pool of that size is reused as-is, so successive ``run_suite``
-    calls keep their warm workers; a different size (or a shut-down pool)
-    rebuilds it.
-    """
-    global _shared_pool
-    if _shared_pool is not None and (_shared_pool.size != workers
-                                     or not _shared_pool.alive):
-        _shared_pool.shutdown()
-        _shared_pool = None
-    if _shared_pool is None:
-        _shared_pool = DispatchPool(workers)
-    return _shared_pool
-
-
-def shutdown_pool() -> None:
-    """Tear down the shared pool (no-op when none exists)."""
-    global _shared_pool
-    if _shared_pool is not None:
-        _shared_pool.shutdown()
-        _shared_pool = None
-
-
-atexit.register(shutdown_pool)
+            for worker in self._workers:
+                worker.stop()
+            self._workers = []
+            self._idle.clear()

@@ -12,17 +12,17 @@ Every entry point — :func:`run_scenario`, :func:`run_scenario_traced`,
 :func:`snapshot_at`, :func:`resume_scenario` and the pool task behind
 ``repro serve`` — is a thin wrapper over :func:`_run_span`: materialise or
 restore a checkpoint, stream up to an increment boundary with the
-``snapshot_every`` cadence and the tracer, and return the final payload or
-the boundary snapshot.
+``snapshot_every`` cadence and the tracer, and return the final payload
+(none at an earlier boundary, where the run itself carries the state on).
 
-:func:`run_suite` fans a suite out over the shared
-:class:`~repro.harness.pool.DispatchPool`, one :func:`run_scenario` task
-per scenario.  A mid-run simulator is full of closures and is not
-picklable, but a :class:`Scenario` is a frozen dataclass of plain values,
-so only scenarios cross the process boundary (records come back as plain
-dicts).  Scenarios already present in the
-:class:`~repro.harness.store.ResultStore` are skipped as cache hits unless
-``force`` is set.
+:func:`run_suite` fans a suite out over a
+:class:`~repro.harness.pool.DispatchPool` it builds for the call (or the
+caller's ``pool=``), one :func:`run_scenario` task per scenario.  A
+mid-run simulator is full of closures and is not picklable, but a
+:class:`Scenario` is a frozen dataclass of plain values, so only scenarios
+cross the process boundary (records come back as plain dicts).  Scenarios
+already present in the :class:`~repro.harness.store.ResultStore` are
+skipped as cache hits unless ``force`` is set.
 
 Span hand-off
 -------------
@@ -47,13 +47,13 @@ keyed by the scenario's spec hash and the boundary that span stopped at.
 The next span continues the live run when both keys match its own spec
 hash and start boundary; otherwise it restores its input checkpoint, so a
 span whose run is neither live nor saved fails at once with the
-:class:`SnapshotError` that names the missing file.  A span saves the
-checkpoint at its end only when given ``snap_out``.  ``repro serve`` gives
-none: each of its scheduler threads owns one worker, which runs every
-span of the thread's job, and a checkpoint is written only when a job
-parks (:func:`_park_task`), which also empties the slot, so a resume
-restores.  A live run is the state a restore of its checkpoint rebuilds,
-so records and checkpoint bytes are the same either way.
+:class:`SnapshotError` that names the missing file.  A span never saves
+the checkpoint at its end: one is written only when a job parks
+(:func:`_park_task`), which also empties the slot, so a resume restores
+(the ``snapshot_every`` cadence is a separate observer).  Each ``repro
+serve`` scheduler thread owns one worker, which runs every span of the
+thread's job.  A live run is the state a restore of its checkpoint
+rebuilds, so records and checkpoint bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from repro.algorithms.registry import get_algorithm
 from repro.datasets.streaming import StreamingDataset, make_streaming_dataset
 from repro.graph.graph import DynamicGraph
 from repro.graph.rpvo import Edge
-from repro.harness.pool import DispatchPool, get_pool
+from repro.harness.pool import DispatchPool
 from repro.harness.scenario import DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry, Tracer, derive_trace_path, record_metrics
@@ -270,7 +270,6 @@ def _run_span(
     *,
     run: Optional[Run] = None,
     final: bool = True,
-    capture: bool = True,
     timings: Optional[Dict[str, float]] = None,
     device_setup: Optional[Callable[[AMCCADevice], None]] = None,
     frames_every: int = 0,
@@ -289,9 +288,9 @@ def _run_span(
     ``cycles`` lists every streamed increment's cycle count since the start
     of the run, a restored prefix included.  With ``final`` (``stop`` must
     then be the last boundary), ``end`` is the final payload (query phase
-    + statistics); otherwise it is the snapshot captured at ``stop``, which
-    may be any boundary, the last one included, or ``None`` when
-    ``capture`` is off (the run itself carries the state on).
+    + statistics); otherwise it is ``None``, and the run itself carries the
+    state on from ``stop``, which may be any boundary, the last one
+    included.
 
     ``timings``, when given, receives wall-clock phase durations for the
     benchmark driver: ``setup_s`` is the materialisation, ``sim_s`` the
@@ -331,10 +330,8 @@ def _run_span(
         if every > 0 and directory and (i + 1) % every == 0:
             _capture(graph, scenario, i + 1, tracer,
                      _snapshot_path(directory, scenario, i + 1))
-    if final:
-        end = _final_payload(scenario, dataset, device, graph, algorithm)
-    else:
-        end = _capture(graph, scenario, stop, tracer) if capture else None
+    end = (_final_payload(scenario, dataset, device, graph, algorithm)
+           if final else None)
     if timings is not None:
         timings["setup_s"] = t1 - t0
         timings["sim_s"] = time.perf_counter() - t1
@@ -418,7 +415,10 @@ def snapshot_at(
         raise ValueError(
             f"increment boundary {increment} out of range 1..{total} "
             f"for {scenario.name!r}")
-    return _run_span(_pinned(scenario, kernel), increment, final=False)[1]
+    scenario = _pinned(scenario, kernel)
+    run = _materialize(scenario)
+    _run_span(scenario, increment, run=run, final=False)
+    return _capture(run[2], scenario, increment, None)
 
 
 def resume_scenario(
@@ -440,21 +440,22 @@ def resume_scenario(
 # ----------------------------------------------------------------------
 # Span plans and the pool task
 # ----------------------------------------------------------------------
-#: One planned span: ``(start, stop, snap_in, snap_out)``.
+#: One planned span: ``(start, stop, snap_in, park_path)``.
 Span = Tuple[int, int, Optional[str], Optional[str]]
 
 
 def plan_spans(scenario: Scenario, cadence: int, spill_dir: str) -> List[Span]:
     """A scenario's run as contiguous spans of at most ``cadence`` increments.
 
-    Span ``(start, stop, snap_in, snap_out)`` streams increments
-    ``[start, stop)``.  ``snap_in`` and ``snap_out`` name the checkpoints
-    at its two boundaries, ``incNNNNN.snap`` inside ``spill_dir``: ``None``
-    at boundary 0, where the first span materialises fresh, and at the
-    last boundary, where the last span assembles the record.  This is the
-    progress/pause granularity of ``repro serve``: a job runs one
+    Span ``(start, stop, snap_in, park_path)`` streams increments
+    ``[start, stop)``.  ``snap_in`` and ``park_path`` name the checkpoints
+    at its two boundaries, ``incNNNNN.snap`` inside ``spill_dir``: the one
+    a restore at ``start`` reads, and the one a park at ``stop`` writes;
+    ``None`` at boundary 0, where the first span materialises fresh, and at
+    the last boundary, where the last span assembles the record.  This is
+    the progress/pause granularity of ``repro serve``: a job runs one
     :func:`_pipeline_span_task` per span, and parks at a span's end into
-    its ``snap_out``.
+    its ``park_path`` (:func:`_park_task`).
 
     A truncated scenario (``max_cycles_per_increment`` set) is the single
     span ``[0, total)``: an increment cut off by its cycle budget can end
@@ -489,12 +490,6 @@ _warm: Optional[_WarmRun] = None
 _warm_lock = threading.Lock()
 
 
-def drop_warm_run() -> None:
-    """Empty this process's warm slot: the next span restores its input."""
-    global _warm
-    _warm = None
-
-
 def _take_warm(spec_hash: str, boundary: int) -> Optional[Run]:
     """Empty the warm slot; its run if it is this spec's at ``boundary``.
 
@@ -515,7 +510,6 @@ def _pipeline_span_task(
     start: int,
     stop: int,
     snap_in: Optional[str],
-    snap_out: Optional[str],
 ) -> Tuple[List[int], Optional[Dict[str, Any]], str]:
     """Pool task: one span ``[start, stop)`` of a scenario (picklable).
 
@@ -524,9 +518,9 @@ def _pipeline_span_task(
     exactly ``start``, and otherwise restores the checkpoint at
     ``snap_in``; a missing file fails at once with the
     :class:`SnapshotError` that names it, and no fresh run is built.  A
-    span that ends before the last boundary leaves its live run in the
-    slot, and saves the checkpoint at ``stop`` to ``snap_out`` only when
-    one is given; the last span assembles the record.
+    span that ends before the last boundary saves no checkpoint at
+    ``stop`` and leaves its live run in the slot, for the next span or a
+    park (:func:`_park_task`); the last span assembles the record.
 
     Returns ``(cycles, record, handoff)``: the cycles of every increment
     streamed since the start of the run, the record or ``None``, and how
@@ -543,12 +537,9 @@ def _pipeline_span_task(
         checkpoint = Snapshot.load(snap_in) if start > 0 else None
         run = _materialize(scenario, checkpoint)
     final = stop == scenario.dataset.num_increments
-    cycles, end = _run_span(scenario, stop, run=run, final=final,
-                            capture=snap_out is not None)
+    cycles, end = _run_span(scenario, stop, run=run, final=final)
     if final:
         return cycles, _assemble_record(scenario, cycles, end), handoff
-    if snap_out is not None:
-        end.save(snap_out)
     sim = run[1].simulator
     sim.tracer = sim.phase_ns = None  # the next span attaches its own
     _warm = _WarmRun(spec_hash, stop, run)
@@ -559,10 +550,11 @@ def _park_task(scenario: Scenario, boundary: int, path: str) -> None:
     """Pool task: save the warm slot's live run to ``path`` and drop it.
 
     ``repro serve`` runs it on the worker of a job that parks at
-    ``boundary``: the live run, which must be this spec's at exactly that
-    boundary, becomes the checkpoint the resumed job restores, and the
-    slot is left empty, so a resume never continues a run in place of
-    its checkpoint.
+    ``boundary`` (the fuzz oracle's cold leg parks at every boundary): the
+    live run, which must be this spec's at exactly that boundary, becomes
+    the checkpoint the resumed job restores, and the slot is left empty,
+    so a resume never continues a run in place of its checkpoint.  It is
+    the only writer of span checkpoints.
     """
     run = _take_warm(scenario.spec_hash(), boundary)
     if run is None:
@@ -663,11 +655,10 @@ def run_suite(
         reported with status ``"uncached"`` (in ``report.failures``), so CI
         can verify a warm cache without grep-ing log text.
     pool:
-        Explicit :class:`DispatchPool` to run on; its size, not ``jobs``,
-        sets the concurrency.  Defaults to the process-wide shared pool of
-        ``jobs`` workers (:func:`~repro.harness.pool.get_pool`), which
-        persists between calls so repeated suites at the same ``jobs``
-        reuse warm workers.
+        Explicit :class:`DispatchPool` to run on, kept warm across calls
+        by its owner; its size, not ``jobs``, sets the concurrency.
+        Without one, a pool of ``jobs`` workers (at most one per scenario
+        to run) is built for the call and shut down before it returns.
     kernel:
         Override every scenario's NoC kernel pin (one of
         :data:`repro.arch.config.KERNELS`).  A speed knob only: records, spec hashes and cache
@@ -737,18 +728,15 @@ def run_suite(
 
         if pending:
             if min(jobs, len(pending)) > 1 or timeout is not None:
-                # Sized from jobs, not from this call's task count, so
-                # repeated calls at the same jobs keep their warm workers.
-                observed_pool = pool or get_pool(max(1, jobs))
+                observed_pool = pool or DispatchPool(
+                    max(1, min(jobs, len(pending))))
                 observed_pool.tracer = tracer
                 observed_pool.metrics = metrics
                 # The kernel pin rides inside the pickled scenario.
-                handles = [observed_pool.submit(
-                               run_scenario, (_pinned(scenarios[i], kernel),),
-                               timeout=timeout)
-                           for i in pending]
                 # Task statuses are outcome statuses; only "ok" has a value.
-                results = [handle.wait() for handle in handles]
+                results = observed_pool.run_all(
+                    [(run_scenario, (_pinned(scenarios[i], kernel),))
+                     for i in pending], timeout=timeout)
                 outcomes = [ScenarioOutcome(scenarios[i], result.value,
                                             cached=False, status=result.status,
                                             error=result.error)
@@ -790,6 +778,8 @@ def run_suite(
         if observed_pool is not None:
             observed_pool.tracer = None
             observed_pool.metrics = None
+            if observed_pool is not pool:
+                observed_pool.shutdown()
 
     report.outcomes = [s for s in slots if s is not None]
     report.elapsed_s = time.perf_counter() - started

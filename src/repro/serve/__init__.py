@@ -6,10 +6,11 @@ dependencies):
 
 * jobs are keyed by the result store's **spec-hash × version** identity, so
   a POST whose record is already cached returns immediately,
-* execution feeds the warm worker machinery through
+* execution runs on warm workers through
   :class:`~repro.harness.pool.DispatchPool` (per-span timeouts, crash
-  containment, respawn): each scheduler thread owns one worker, which
-  runs every span of its job on the live run it keeps between spans,
+  containment, respawn): each scheduler thread owns and drives a
+  one-worker pool, whose worker runs every span of its job on the live
+  run it keeps between spans,
 * progress, pause and resume ride the span plan
   (:func:`~repro.harness.runner.plan_spans`) and the snapshot subsystem:
   a job parks at a span boundary into a checkpoint, so a

@@ -2,9 +2,10 @@
 
 :class:`ScenarioService` owns the long-lived pieces — result store, job
 registry, fair queue, metrics registry — and runs ``jobs`` scheduler
-threads.  Each thread owns one warm
-:class:`~repro.harness.pool.DispatchPool` worker, pops one job at a time
-(round-robin across clients) and drives it span by span on that worker:
+threads.  Each thread owns a one-worker
+:class:`~repro.harness.pool.DispatchPool` and drives it itself: it pops
+one job at a time (round-robin across clients) and runs it span by span
+on that worker, waiting on the worker's pipe in its own thread:
 
 * a job's spans come from :func:`~repro.harness.runner.plan_spans` at the
   configured cadence; every span is a
@@ -301,15 +302,15 @@ class ScenarioService:
                                              spill_dir)
                  if span[0] >= job.next_start]
         live = False  # the worker holds the job's run at the next start
-        for start, stop, snap_in, snap_out in spans:
+        for start, stop, snap_in, park_path in spans:
             if self._stopping.is_set():
                 self._park(job, pool, "service stopping",
                            (scenario, start, snap_in) if live else None)
                 return
-            # No snap_out: the live run stays on this worker for the next
-            # span, and a park saves it.
+            # The live run stays on this worker for the next span, or for
+            # a park to save.
             result = pool.run(_pipeline_span_task,
-                              (scenario, start, stop, snap_in, None),
+                              (scenario, start, stop, snap_in),
                               timeout=self.config.timeout)
             self._count_span(result.status)
             if result.status != "ok":
@@ -336,7 +337,7 @@ class ScenarioService:
                     pass
             if stop < total and job.pause_requested:
                 self._park(job, pool, f"paused at increment {stop}",
-                           (scenario, stop, snap_out))
+                           (scenario, stop, park_path))
                 return
         with self._store_lock:
             self.store.put(record)

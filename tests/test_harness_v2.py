@@ -1,12 +1,14 @@
 """Harness v2 tests: worker pool, span hand-off, timeouts, store lifecycle,
 bench.
 
-Covers the pool (crash containment, warm workers reused across
-suites), runs cut into spans whose records and stores are byte-identical
-to serial ones, per-scenario timeouts that record an outcome without killing
-sibling scenarios, `suite diff` on before/after stores, compaction/GC that
-preserves latest-version records, crash-safe store rewrites, and the
-`repro bench` report/compare pipeline.
+Covers the pool (driven by its caller's thread, with crash containment
+and workers kept warm across calls by the pool's owner), runs cut into
+spans whose records and stores are byte-identical to serial ones,
+per-scenario timeouts that record an outcome without killing sibling
+scenarios, `suite diff` on before/after stores, compaction/GC that
+preserves latest-version records, crash-safe store rewrites, the CLI's
+checks on store paths and presets, and the `repro bench` report/compare
+pipeline.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -26,15 +29,13 @@ from repro.harness import (
     DispatchPool,
     Scenario,
     diff_stores,
-    get_pool,
     record_identity,
     render_store_diff,
     run_bench,
     run_scenario,
     run_suite,
-    shutdown_pool,
 )
-from repro.harness.runner import _pipeline_span_task, drop_warm_run, plan_spans
+from repro.harness.runner import _park_task, _pipeline_span_task, plan_spans
 from repro.serve import ScenarioService, ServeConfig
 from repro.harness.bench import (
     BENCH_SCHEMA,
@@ -69,6 +70,11 @@ def _sleep_then(seconds, value):
     return value
 
 
+def _mark_then_sleep(path, seconds, value):
+    open(path, "w").close()
+    return _sleep_then(seconds, value)
+
+
 def _boom():
     raise RuntimeError("task exploded")
 
@@ -85,9 +91,8 @@ def pool2():
 
 
 def run_all(pool, tasks, timeout=None):
-    """Submit every task, then wait on each handle (the suite's pattern)."""
-    handles = [pool.submit(fn, args, timeout=timeout) for fn, args in tasks]
-    return [handle.wait(60) for handle in handles]
+    """Run every task on the pool (the suite's pattern)."""
+    return pool.run_all(tasks, timeout=timeout)
 
 
 class TestDispatchPool:
@@ -157,17 +162,37 @@ class TestDispatchPool:
         run_all(pool2, [(_double, (2,)) for _ in range(4)])
         assert sorted(pool2.worker_pids()) == pids_first
 
-    def test_shared_pool_reused_and_resized(self):
-        shutdown_pool()  # earlier suites may have left a shared pool
+    def test_pool_starts_no_thread(self):
+        before = threading.active_count()
+        pool = DispatchPool(2)
         try:
-            a = get_pool(2)
-            assert get_pool(2) is a
-            b = get_pool(3)  # a different size rebuilds
-            assert b is not a and b.size == 3 and not a.alive
-            c = get_pool(2)  # shrinking rebuilds too
-            assert c is not b and c.size == 2 and not b.alive
+            assert [r.value for r in run_all(pool, [(_double, (1,))] * 3)] \
+                == [2, 2, 2]
+            assert threading.active_count() == before
         finally:
-            shutdown_pool()
+            pool.shutdown()
+
+    def test_shutdown_from_another_thread_lets_the_running_task_finish(
+            self, pool2, monkeypatch, tmp_path):
+        # With a 0.05 s join grace, stopping the worker kills it mid-task:
+        # only a shutdown that waits for the running call saves the task.
+        monkeypatch.setattr("repro.harness.pool._JOIN_GRACE_S", 0.05)
+        started = tmp_path / "started"
+        results = []
+        caller = threading.Thread(target=lambda: results.extend(run_all(
+            pool2, [(_mark_then_sleep, (str(started), 0.5, "done"))])))
+        caller.start()
+        deadline = time.monotonic() + 30
+        while not started.exists():  # the task is running on its worker
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        pool2.shutdown()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert [(r.status, r.value) for r in results] == [("ok", "done")]
+        assert not pool2.alive and pool2.size == 0
+        with pytest.raises(RuntimeError, match="shut down"):
+            pool2.run(_double, (1,))
 
 
 @requires_numpy
@@ -179,11 +204,12 @@ class TestSharding:
         serial = run_scenario(scenario)
         spans = plan_spans(scenario, 3, str(tmp_path))
         assert len(spans) == 4
-        for start, stop, snap_in, snap_out in spans:
-            drop_warm_run()  # every later span restores its checkpoint
+        for start, stop, snap_in, park_path in spans:
             _cycles, sharded, handoff = _pipeline_span_task(
-                scenario, start, stop, snap_in, snap_out)
+                scenario, start, stop, snap_in)
             assert handoff == ("fresh" if snap_in is None else "restored")
+            if park_path is not None:  # every later span restores the park
+                _park_task(scenario, stop, park_path)
         assert json.dumps(serial, sort_keys=True) == \
                json.dumps(sharded, sort_keys=True)
 
@@ -205,19 +231,6 @@ class TestSharding:
             service.stop()
         assert (tmp_path / "serial.jsonl").read_bytes() == \
                (tmp_path / "sharded.jsonl").read_bytes()
-
-    def test_suites_at_the_same_jobs_keep_warm_workers(self):
-        shutdown_pool()  # earlier suites may have left a shared pool
-        try:
-            run_suite([tiny_scenario("w1"), tiny_scenario("w2")], jobs=2)
-            pool = get_pool(2)
-            pids = sorted(pool.worker_pids())
-            # Fewer pending tasks than jobs must not resize the shared pool.
-            run_suite([tiny_scenario("w3")], jobs=2, timeout=60)
-            assert get_pool(2) is pool and pool.alive
-            assert sorted(pool.worker_pids()) == pids
-        finally:
-            shutdown_pool()
 
 
 @requires_numpy
@@ -601,7 +614,6 @@ class TestCliIntegration:
         assert main(["suite", "diff", str(store_a), str(store_b)]) == 0
         capsys.readouterr()
         assert store_a.read_bytes() == store_b.read_bytes()
-        shutdown_pool()
 
     @requires_numpy
     def test_suite_diff_exit_codes(self, tmp_path, capsys):
@@ -623,11 +635,20 @@ class TestCliIntegration:
         from repro.cli import main
 
         missing = str(tmp_path / "nope.jsonl")
-        assert main(["suite", "diff", missing, missing]) == 2
-        assert main(["store", "compact", missing]) == 2
-        assert main(["store", "gc", missing]) == 2
-        err = capsys.readouterr().err
-        assert "no such result store" in err
+        for argv in (["suite", "diff", missing, missing],
+                     ["store", "compact", missing],
+                     ["store", "gc", missing],
+                     ["report", "--store", missing],
+                     ["metrics", "--store", missing],
+                     ["fuzz", "classify", "--store", missing]):
+            assert main(argv) == 2, argv
+            assert "no such result store" in capsys.readouterr().err, argv
+        present = tmp_path / "store.jsonl"
+        present.write_text("")
+        for verb in (["report"], ["metrics"], ["fuzz", "classify"]):
+            assert main([*verb, "--store", str(present),
+                         "--preset", "no-such-preset"]) == 2, verb
+            assert "no-such-preset" in capsys.readouterr().err, verb
 
     def test_store_compact_and_gc_commands(self, tmp_path, capsys):
         from repro.cli import main

@@ -6,9 +6,10 @@ predecessor stopped: from the live run in the warm slot, or from a saved
 checkpoint.  The contract: the last span's record is byte-identical to the
 serial run, while a spy on ``DynamicGraph.stream_increment`` proves every
 increment is streamed exactly once, whatever the cadence, whether a span
-continues the warm slot's live run or restores the checkpoint.  A
-checkpoint is written only where a span is given one to save, or where a
-job parks (``_park_task``).
+continues the warm slot's live run or restores the checkpoint.  A span
+never writes a checkpoint: one is written only where a job parks
+(``_park_task``).  The scenarios use the stdlib generator, so these run
+on numpy-free installs too.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import requires_numpy
-
 from repro.graph.graph import DynamicGraph
 from repro.harness import runner
 from repro.harness.runner import (
     _park_task,
     _pipeline_span_task,
-    drop_warm_run,
     plan_spans,
     run_scenario,
     snapshot_at,
@@ -37,15 +35,14 @@ from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
 from repro.serve import ScenarioService, ServeConfig
 from repro.snapshot.format import SnapshotError
 
-pytestmark = requires_numpy
-
 CORPUS = Path(__file__).parent / "corpus"
 
 
 def eight_increment_scenario(name="pipe-bfs", algorithm="bfs") -> Scenario:
     return Scenario(
         name=name,
-        dataset=DatasetSpec(vertices=60, edges=480, num_increments=8, seed=5),
+        dataset=DatasetSpec(vertices=60, edges=480, num_increments=8, seed=5,
+                            generator="uniform"),
         chip=ChipSpec(side=8, edge_list_capacity=4),
         algorithm=algorithm,
     )
@@ -64,22 +61,21 @@ def spy_streamed(monkeypatch):
     return streamed
 
 
-def run_spans(scenario, cadence, spill, *, cold=False, save=True):
+def run_spans(scenario, cadence, spill, *, cold=False):
     """Run a scenario's planned spans in order; ``(record, handoffs)``.
 
-    With ``save`` every span saves its end checkpoint; without it spans
-    save none, as under ``repro serve``.  A cold run empties the warm slot
-    before every span, so each one restores its input checkpoint.
+    Spans save no checkpoint, as under ``repro serve``.  A cold run parks
+    at every boundary, so each later span restores the park checkpoint.
     """
     spill.mkdir()
     handoffs = []
-    for start, stop, snap_in, snap_out in plan_spans(scenario, cadence,
-                                                     str(spill)):
-        if cold:
-            drop_warm_run()
+    for start, stop, snap_in, park_path in plan_spans(scenario, cadence,
+                                                      str(spill)):
         _cycles, record, handoff = _pipeline_span_task(
-            scenario, start, stop, snap_in, snap_out if save else None)
+            scenario, start, stop, snap_in)
         handoffs.append(handoff)
+        if cold and park_path is not None:
+            _park_task(scenario, stop, park_path)
     return record, handoffs
 
 
@@ -190,29 +186,38 @@ class TestWarmSlot:
     exactly the span's start boundary of the span's own spec."""
 
     def test_warm_and_cold_spans_save_identical_checkpoints(self, tmp_path):
+        """Parks after restored spans (cold) and after warm ones save the
+        bytes ``snapshot_at`` captures from one uninterrupted stream."""
         scenario = eight_increment_scenario()
-        warm, warm_handoffs = run_spans(scenario, 1, tmp_path / "warm")
         cold, cold_handoffs = run_spans(scenario, 1, tmp_path / "cold",
                                         cold=True)
-        assert warm_handoffs == ["fresh"] + ["warm"] * 7
         assert cold_handoffs == ["fresh"] + ["restored"] * 7
         assert runner._warm is None  # the last span leaves no live run
+        assert sorted(os.listdir(tmp_path / "cold")) == [
+            f"inc{b:05d}.snap" for b in range(1, 8)]
+        for boundary in range(1, 8):
+            assert (tmp_path / "cold" / f"inc{boundary:05d}.snap"
+                    ).read_bytes() == \
+                snapshot_at(scenario, boundary).to_bytes(), boundary
+        spans = plan_spans(scenario, 1, str(tmp_path / "warm"))
+        warm_handoffs = [_pipeline_span_task(scenario, *span[:3])[2]
+                         for span in spans[:-1]]
+        assert warm_handoffs == ["fresh"] + ["warm"] * 6
+        _park_task(scenario, 7, spans[-2][3])
+        assert (tmp_path / "warm" / "inc00007.snap").read_bytes() == \
+            snapshot_at(scenario, 7).to_bytes()
+        _cycles, warm, handoff = _pipeline_span_task(scenario,
+                                                     *spans[-1][:3])
+        assert handoff == "restored"
         assert json.dumps(warm, sort_keys=True) == \
             json.dumps(cold, sort_keys=True) == \
             json.dumps(run_scenario(scenario), sort_keys=True)
-        names = sorted(os.listdir(tmp_path / "warm"))
-        assert len(names) == 7 and names == sorted(
-            os.listdir(tmp_path / "cold"))
-        for name in names:
-            assert (tmp_path / "warm" / name).read_bytes() == \
-                (tmp_path / "cold" / name).read_bytes(), name
 
-    def test_continuing_spans_without_snap_out_save_nothing(self, tmp_path):
-        """The serve path: no span is given a checkpoint to save, so the
-        spill dir stays empty, and the record is the serial one."""
+    def test_continuing_spans_save_nothing(self, tmp_path):
+        """The serve path: spans save no checkpoint, so the spill dir
+        stays empty, and the record is the serial one."""
         scenario = eight_increment_scenario()
-        record, handoffs = run_spans(scenario, 1, tmp_path / "spill",
-                                     save=False)
+        record, handoffs = run_spans(scenario, 1, tmp_path / "spill")
         assert handoffs == ["fresh"] + ["warm"] * 7
         assert os.listdir(tmp_path / "spill") == []
         assert json.dumps(record, sort_keys=True) == \
@@ -224,7 +229,7 @@ class TestWarmSlot:
         fails with the SnapshotError that names the file; it never builds
         a fresh run."""
         scenario = eight_increment_scenario()
-        _pipeline_span_task(scenario, 0, 4, None, None)
+        _pipeline_span_task(scenario, 0, 4, None)
         assert runner._warm.boundary == 4
         missing = str(tmp_path / "inc00002.snap")
         builds = []
@@ -236,7 +241,7 @@ class TestWarmSlot:
 
         monkeypatch.setattr(runner, "_materialize", counted)
         with pytest.raises(SnapshotError, match=re.escape(missing)):
-            _pipeline_span_task(scenario, 2, 8, missing, None)
+            _pipeline_span_task(scenario, 2, 8, missing)
         assert builds == []
         assert runner._warm is None
 
@@ -245,7 +250,7 @@ class TestWarmSlot:
         scenario = eight_increment_scenario()
         spill = tmp_path / "spill"
         first, second = plan_spans(scenario, 4, str(spill))
-        _pipeline_span_task(scenario, 0, 4, None, None)
+        _pipeline_span_task(scenario, 0, 4, None)
         assert not spill.exists()
         _park_task(scenario, 4, first[3])
         assert os.listdir(spill) == ["inc00004.snap"]
@@ -254,7 +259,7 @@ class TestWarmSlot:
             snapshot_at(scenario, 4).to_bytes()
         with pytest.raises(SnapshotError, match="no live run"):
             _park_task(scenario, 4, first[3])
-        _cycles, record, handoff = _pipeline_span_task(scenario, *second)
+        _cycles, record, handoff = _pipeline_span_task(scenario, *second[:3])
         assert handoff == "restored"
         assert json.dumps(record, sort_keys=True) == \
             json.dumps(run_scenario(scenario), sort_keys=True)
@@ -266,24 +271,24 @@ class TestWarmSlot:
         scenario = eight_increment_scenario()
         renamed = eight_increment_scenario(name="pipe-bfs-renamed")
         mine = str(tmp_path / "mine.snap")
-        _pipeline_span_task(scenario, 0, 4, None, mine)
+        _pipeline_span_task(scenario, 0, 4, None)
         assert runner._warm is not None
+        snapshot_at(scenario, 4).save(mine)
         theirs = str(tmp_path / "theirs.snap")
         snapshot_at(renamed, 4).save(theirs)
         with open(mine, "rb") as a, open(theirs, "rb") as b:
             assert a.read()[-32:] == b.read()[-32:]
         with pytest.raises(SnapshotError, match="captured from scenario"):
-            _pipeline_span_task(renamed, 4, 8, mine, None)
+            _pipeline_span_task(renamed, 4, 8, mine)
         assert runner._warm is None
 
     def test_not_continued_on_boundary_mismatch(self, tmp_path, monkeypatch):
         scenario = eight_increment_scenario()
-        _pipeline_span_task(scenario, 0, 4, None, None)
+        _pipeline_span_task(scenario, 0, 4, None)
         older = str(tmp_path / "inc2.snap")
         snapshot_at(scenario, 2).save(older)
         streamed = spy_streamed(monkeypatch)
-        _cycles, record, handoff = _pipeline_span_task(scenario, 2, 8, older,
-                                                       None)
+        _cycles, record, handoff = _pipeline_span_task(scenario, 2, 8, older)
         assert handoff == "restored"
         assert streamed == list(range(2, 8))
         assert record == run_scenario(scenario)
@@ -298,11 +303,10 @@ class TestWarmSlot:
             events = json.loads((tmp_path / name).read_text())["traceEvents"]
             return [e["name"] for e in events if e.get("cat") == "sim"]
 
-        checkpoint = str(tmp_path / "inc4.snap")
-        _pipeline_span_task(traced("first.json"), 0, 4, None, checkpoint)
+        _pipeline_span_task(traced("first.json"), 0, 4, None)
         assert runner._warm.run[1].simulator.tracer is None
         _cycles, _record, handoff = _pipeline_span_task(
-            traced("second.json"), 4, 8, checkpoint, None)
+            traced("second.json"), 4, 8, str(tmp_path / "inc4.snap"))
         assert handoff == "warm"
         assert increments("first.json") == [
             f"increment-{i}" for i in range(1, 5)]
@@ -312,13 +316,14 @@ class TestWarmSlot:
     def test_failed_span_leaves_no_slot(self, tmp_path):
         scenario = eight_increment_scenario()
         checkpoint = str(tmp_path / "inc4.snap")
-        _pipeline_span_task(scenario, 0, 4, None, checkpoint)
+        _pipeline_span_task(scenario, 0, 4, None)
         assert runner._warm is not None
+        snapshot_at(scenario, 4).save(checkpoint)
         # Continues warm, then fails: the live run is not put back.
         with pytest.raises(ValueError, match="invalid span"):
-            _pipeline_span_task(scenario, 4, 2, checkpoint, None)
+            _pipeline_span_task(scenario, 4, 2, checkpoint)
         assert runner._warm is None
-        # A restored span still works from the same checkpoint.
+        # A restored span still works from the checkpoint.
         _cycles, record, handoff = _pipeline_span_task(scenario, 4, 8,
-                                                       checkpoint, None)
+                                                       checkpoint)
         assert handoff == "restored" and record == run_scenario(scenario)

@@ -448,7 +448,7 @@ def test_snapshot_every_survives_increment_sharding(tmp_path, pooled):
     pool = DispatchPool(1) if pooled else None
     try:
         for span in plan_spans(checkpointed, 3, str(spill)):
-            args = (checkpointed, *span)
+            args = (checkpointed, *span[:3])
             if pool is None:
                 _cycles, record, _handoff = _pipeline_span_task(*args)
             else:

@@ -17,7 +17,9 @@ full contract from the outside, exactly as a client would:
    write exactly one checkpoint, which one ``restored`` span reads;
 5. flood the admission window from concurrent client threads and require
    **exactly** ``k`` 429s for ``N + k`` fresh submissions;
-6. scrape ``/metrics`` and check the serve counters are present.
+6. scrape ``/metrics``, check the serve counters are present, and require
+   ``serve_pool_respawns`` to read 0: no job here times out or crashes,
+   so no worker may have been killed.
 
 Usage: python tools/serve_smoke.py [--kernel KERNEL]
 (KERNEL is one of ``repro.arch.config.KERNELS``.)
@@ -227,6 +229,10 @@ def main():
         for needle in ("serve_requests_total", "serve_jobs_total",
                        'outcome="rejected"', "serve_queue_depth"):
             check(needle in text, f"/metrics exposes {needle}")
+        respawns = [line for line in text.splitlines()
+                    if line.startswith("serve_pool_respawns ")]
+        check(respawns == ["serve_pool_respawns 0"],
+              f"a clean run respawns no worker ({respawns})")
 
         print("serve smoke: all checks passed", flush=True)
     finally:
