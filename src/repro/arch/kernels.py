@@ -75,19 +75,20 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
     in-flight state lives in flat buffers the C code reads through the
     buffer protocol.  Every in-flight message occupies an integer *slot*.
     ``_vpos[slot]`` is the absolute index (into the flat route pool) of the
-    link the message currently queues on; routes are stored
-    sentinel-terminated (a ``-1`` after the last link id), so the sweep
-    discovers delivery and the next link with a single pool read.  Per-link
-    FIFOs are intrusive linked lists (``_vq_head``/``_vq_tail`` per link,
-    ``_vnext`` per slot), all ``array('q')``.  ``advance`` is one call into
+    link the message currently queues on; routes are expanded from their
+    legs (:meth:`RoutingPolicy.route_lids`) once per ``(src, dst)`` pair
+    into int64 runs stored sentinel-terminated (a ``-1`` after the last
+    link id), so the sweep discovers delivery and the next link with a
+    single pool read.  Per-link FIFOs are intrusive linked lists
+    (``_vq_head``/``_vq_tail`` per link, ``_vnext`` per slot), all
+    ``array('q')``.  ``advance`` is one call into
     :mod:`repro.arch._native._sweep`'s ``advance_links``, which pops each
     active link's head, moves it one hop and stamp-dedupes next-cycle
     activations exactly like the Python sweep.
 
-    ``Message.hops`` is not incremented per traversal; it is set at
-    delivery (the route length) and at export (hops so far).  Delivered
-    messages -- the only ones the schedule contract covers -- are
-    indistinguishable from the python kernel's.
+    As in the python sweep, ``Message.hops`` is not incremented per
+    traversal; it is set at delivery (the route length) and at export
+    (hops so far).
 
     Snapshot interop: ``export_state`` emits the exact python-representation
     dict (hop index recovered as ``vpos - pool offset``), so captured
@@ -131,7 +132,9 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         self._pool = array("q")
         #: route key -> (pool offset, route length, first link id).
         self._pool_memo: Dict[int, Tuple[int, int, int]] = {}
-        self._link_dst_q = array("q", self._link_dst)
+        self._link_dst_q = array("q", self.link_table.dst)
+        #: whole link-id routes, expanded from the legs once per pair.
+        self._route_fn = routing.route_lids
         self._advance_c = _sweep.advance_links
 
     # ------------------------------------------------------------------

@@ -57,10 +57,14 @@ class Message:
         "position",
         "last_moved",
         # NoC-private in-flight state (set by CycleAccurateNoC.inject): the
-        # shared read-only link-id route and the index of the link the
-        # message currently queues on.
-        "_noc_route",
-        "_noc_hop",
+        # route's two legs as the current leg's link-id step and last link,
+        # the second leg's first and last link (-1 first once turned), and
+        # the route length.
+        "_noc_step",
+        "_noc_end",
+        "_noc_turn",
+        "_noc_turn_end",
+        "_noc_len",
     )
 
     def __init__(
@@ -104,7 +108,7 @@ class Message:
         return max(1, -(-self.size_words // max_words_per_flit))
 
     # ------------------------------------------------------------------
-    # Snapshot support (see repro.snapshot).  NoC-private route state is
+    # Snapshot support (see repro.snapshot).  NoC-private leg state is
     # deliberately excluded: routes are a pure function of (src, dst) and
     # are recomputed at restore, so snapshots stay route-table-free.
     # ------------------------------------------------------------------

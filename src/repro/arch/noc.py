@@ -96,14 +96,19 @@ class CycleAccurateNoC(BaseNoC):
     :class:`~repro.arch.routing.LinkTable` (``cell * 4 + direction``):
 
     * ``_queues[lid]`` -- FIFO of messages waiting to traverse the link,
-    * ``_in_active[lid]`` -- occupancy flag deduplicating the active list,
+    * ``_stamp[lid]`` -- sweep stamp deduplicating the active list,
     * ``_active`` -- the link ids with queued messages, in activation order.
 
-    A message's whole route is computed once at injection as a list of link
-    ids (two ``range()`` progressions for the dimension-ordered policies) and
-    stored on the message, so the per-cycle sweep does no routing, hashing or
-    dictionary work at all: it pops a head, bumps counters, and appends the
-    message to the next link's preallocated queue.  The active list is swept
+    A dimension-ordered route is two straight legs, each an arithmetic
+    progression in link-id space (:meth:`RoutingPolicy.route_legs`).  At
+    injection the message takes its legs as five ints on private slots: the
+    current leg's step and last link id, the second leg's first and last
+    link id (``_noc_turn`` is -1 once the message has turned, or when its
+    route has one leg), and the route length.  The per-cycle sweep therefore
+    does no routing, hashing or dictionary work and reads no route list: it
+    pops a head, steps to ``lid + step`` (or takes the turn once), and
+    appends the message to the next link's preallocated queue.
+    ``Message.hops`` is written once, at delivery.  The active list is swept
     in place and ping-ponged with a scratch list instead of being snapshot
     via ``list()`` every cycle.
 
@@ -127,8 +132,6 @@ class CycleAccurateNoC(BaseNoC):
         num_links = table.num_links
         #: one preallocated FIFO per directed link id (border slots unused).
         self._queues: List[Deque[Message]] = [deque() for _ in range(num_links)]
-        #: destination cell per link id, for position updates.
-        self._link_dst: List[int] = table.dst
         #: link ids with queued messages, in the order they became active.
         self._active: List[int] = []
         self._next_active: List[int] = []
@@ -140,10 +143,42 @@ class CycleAccurateNoC(BaseNoC):
         # messages delivered without entering the mesh (src == dst)
         self._local_deliveries: List[Message] = []
         self._flit_words = max(1, config.max_message_words)
-        #: bound route lookup, hoisted out of the per-injection attr chase.
-        self._route_fn = routing.route_lids_cached
+        #: bound leg lookup, hoisted out of the per-injection attr chase.
+        self._legs_fn = routing.route_legs
 
     # ------------------------------------------------------------------
+    def _place(self, msg: Message, hop: int) -> int:
+        """Arm ``msg``'s leg state at route index ``hop``; return its link id.
+
+        Sets the private slots the sweep reads: the current leg's step and
+        last link id, the second leg's first and last link id while the
+        turn lies ahead (``_noc_turn`` is -1 otherwise), and the route
+        length that ``hops`` takes at delivery.
+        """
+        a, step_a, len_a, b, step_b, len_b = self._legs_fn(msg.src, msg.dst)
+        msg._noc_len = len_a + len_b
+        msg._noc_turn_end = b + step_b * (len_b - 1)
+        if hop < len_a:
+            msg._noc_step = step_a
+            msg._noc_end = a + step_a * (len_a - 1)
+            msg._noc_turn = b if len_b else -1
+            return a + step_a * hop
+        msg._noc_step = step_b
+        msg._noc_end = msg._noc_turn_end
+        msg._noc_turn = -1
+        return b + step_b * (hop - len_a)
+
+    def _traversed(self, msg: Message, lid: int) -> int:
+        """Links ``msg`` has crossed while it queues on link ``lid``.
+
+        The two legs run in different directions, so the direction of
+        ``lid`` names the leg it lies on.
+        """
+        a, step_a, len_a, b, step_b, _ = self._legs_fn(msg.src, msg.dst)
+        if len_a and (lid & 3) == (a & 3):
+            return (lid - a) // step_a
+        return len_a + (lid - b) // step_b
+
     def inject(self, msg: Message, cycle: int) -> None:
         if msg.created_cycle < 0:
             msg.created_cycle = cycle
@@ -154,13 +189,8 @@ class CycleAccurateNoC(BaseNoC):
             msg.delivered_cycle = cycle
             self._local_deliveries.append(msg)
             return
-        route = self._route_fn(msg.src, msg.dst)
-        # NoC-private in-flight state, attached to the message so the sweep
-        # needs no side table: the precomputed (shared, read-only) link-id
-        # route and the index of the link the message currently queues on.
-        # (msg.position already equals msg.src from construction.)
-        msg._noc_route = route
-        msg._noc_hop = 0
+        # msg.position already equals msg.src from construction.
+        lid = self._place(msg, 0)
         size = msg.size_words
         fw = self._flit_words
         # Flit-hops are prepaid for the whole route: the totals equal the
@@ -170,8 +200,8 @@ class CycleAccurateNoC(BaseNoC):
         # stats.hops includes their untraversed remainder, where the
         # reference model would not — hop/energy totals are exact only at
         # quiescence.
-        stats.hops += len(route) if size <= fw else (-(-size // fw)) * len(route)
-        lid = route[0]
+        n = msg._noc_len
+        stats.hops += n if size <= fw else (-(-size // fw)) * n
         self._queues[lid].append(msg)
         sweep = self._sweep
         stamp = self._stamp
@@ -190,7 +220,7 @@ class CycleAccurateNoC(BaseNoC):
 
         queues = self._queues
         stamp = self._stamp
-        link_dst = self._link_dst
+        steps = self.link_table.steps
         nxt = self._next_active
         nxt_append = nxt.append
         # Start a fresh sweep: every stamp from the previous sweep is stale,
@@ -203,23 +233,29 @@ class CycleAccurateNoC(BaseNoC):
                 continue
             # Traverse link lid: its cycle-start head moves exactly one hop.
             msg = q.popleft()
-            msg.hops += 1
-            route = msg._noc_route
-            i = msg._noc_hop + 1
-            if i == len(route):
-                # position is kept coarse in flight (source until delivery);
-                # the reference model tracks it hop by hop.
-                msg.position = link_dst[lid]
-                msg.delivered_cycle = cycle
-                delivered.append(msg)
-                deliveries += 1
+            if lid != msg._noc_end:
+                nlid = lid + msg._noc_step
             else:
-                msg._noc_hop = i
-                nlid = route[i]
+                nlid = msg._noc_turn
+                if nlid >= 0:
+                    # Last link of the first leg: turn onto the second.
+                    msg._noc_turn = -1
+                    msg._noc_step = steps[nlid & 3]
+                    msg._noc_end = msg._noc_turn_end
+            if nlid >= 0:
                 queues[nlid].append(msg)
                 if stamp[nlid] != sweep:
                     stamp[nlid] = sweep
                     nxt_append(nlid)
+            else:
+                # Last link of the route.  position is kept coarse in
+                # flight (source until delivery); the reference model
+                # tracks it hop by hop.
+                msg.hops = msg._noc_len
+                msg.position = msg.dst
+                msg.delivered_cycle = cycle
+                delivered.append(msg)
+                deliveries += 1
             if q and stamp[lid] != sweep:
                 stamp[lid] = sweep
                 nxt_append(lid)
@@ -244,39 +280,42 @@ class CycleAccurateNoC(BaseNoC):
     def untraversed_hops(self) -> int:
         """Prepaid flit-hops still ahead of the in-flight messages.
 
-        A message queued on ``route[_noc_hop]`` has traversed ``_noc_hop``
-        links, so ``len(route) - _noc_hop`` of its prepaid charge is still
-        untraversed.  Local deliveries never charge hops and are excluded.
+        A message queued on a link has crossed :meth:`_traversed` links of
+        its route, so the rest of its prepaid charge is still untraversed.
+        Local deliveries never charge hops and are excluded.
         """
         fw = self._flit_words
         total = 0
         for lid in self._active:
             for msg in self._queues[lid]:
-                total += msg.flits(fw) * (len(msg._noc_route) - msg._noc_hop)
+                total += msg.flits(fw) * (msg._noc_len - self._traversed(msg, lid))
         return total
 
     # ------------------------------------------------------------------
     # Snapshot support.  Queued messages are exported in (activation,
-    # queue) order together with their route *index*; the route itself is
-    # a pure function of (src, dst) and is recomputed at import, so the
-    # snapshot never embeds link-id tables.  Sweep stamps do not need
-    # their historical values -- only active-list membership and order
-    # matter to the schedule -- so import re-stamps against the fresh
-    # instance's sweep counter.
+    # queue) order together with their route index (the links they have
+    # crossed, also written to ``hops``); the legs are a pure function of
+    # (src, dst) and are recomputed at import, so the snapshot never embeds
+    # link-id tables.  Sweep stamps do not need their historical values --
+    # only active-list membership and order matter to the schedule -- so
+    # import re-stamps against the fresh instance's sweep counter.
     # ------------------------------------------------------------------
     def export_state(self) -> Dict:
         queued = sum(len(q) for q in self._queues)
         if queued != self.in_flight:
             raise RuntimeError(  # pragma: no cover - invariant guard
                 "NoC in-flight count out of sync with link queues")
+        active_out = []
+        for lid in self._active:
+            entries = []
+            for msg in self._queues[lid]:
+                msg.hops = hop = self._traversed(msg, lid)
+                entries.append((msg.to_state(), hop))
+            active_out.append((lid, entries))
         return {
             "kind": "cycle",
             "local": [msg.to_state() for msg in self._local_deliveries],
-            "active": [
-                (lid, [(msg.to_state(), msg._noc_hop)
-                       for msg in self._queues[lid]])
-                for lid in self._active
-            ],
+            "active": active_out,
         }
 
     def import_state(self, state: Dict) -> None:
@@ -288,8 +327,7 @@ class CycleAccurateNoC(BaseNoC):
             q = self._queues[lid]
             for msg_state, hop in entries:
                 msg = Message.from_state(msg_state)
-                msg._noc_route = self._route_fn(msg.src, msg.dst)
-                msg._noc_hop = hop
+                self._place(msg, hop)
                 q.append(msg)
                 in_flight += 1
             stamp[lid] = sweep

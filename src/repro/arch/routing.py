@@ -13,7 +13,7 @@ required for deadlock in a mesh.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.arch.config import ChipConfig
 
@@ -35,6 +35,10 @@ DIR_SOUTH = 3
 #: Human-readable names, indexed by direction id.
 DIR_NAMES = ("north", "west", "east", "south")
 
+#: A route as two straight legs: ``(first, step, length)`` of each, in
+#: link-id space (see :meth:`RoutingPolicy.route_legs`).
+Legs = Tuple[int, int, int, int, int, int]
+
 
 class LinkTable:
     """Integer ids for every directed link of the mesh.
@@ -47,11 +51,11 @@ class LinkTable:
     simply never used (their destination is ``-1``).
 
     The cycle-accurate NoC keys its queues, occupancy flags and busy
-    counters by link id, and routing policies emit whole routes as link-id
-    lists (:meth:`RoutingPolicy.route_lids`).
+    counters by link id, and routing policies describe whole routes as two
+    straight legs of link ids (:meth:`RoutingPolicy.route_legs`).
     """
 
-    __slots__ = ("width", "height", "num_cells", "num_links", "dst")
+    __slots__ = ("width", "height", "num_cells", "num_links", "dst", "steps")
 
     def __init__(self, config: ChipConfig) -> None:
         w, h = config.width, config.height
@@ -74,6 +78,10 @@ class LinkTable:
                 dst[base + DIR_SOUTH] = u + w
         #: Destination cell per link id (-1 for off-mesh border slots).
         self.dst = dst
+        #: Link-id step between consecutive links of a straight run, per
+        #: direction: heading north the next link leaves the cell one row
+        #: up, so its id is ``4 * width`` lower.
+        self.steps = (-4 * w, -4, 4, 4 * w)
 
     # ------------------------------------------------------------------
     def lid(self, u: int, v: int) -> int:
@@ -113,71 +121,46 @@ class RoutingPolicy:
     A routing policy answers a single question: given the current compute
     cell and the destination, which neighbouring cell does the message move
     to next?  Policies must be minimal and deterministic so the simulator can
-    precompute route lengths.
+    precompute route lengths.  Both policies here are dimension ordered, so
+    a whole route is two straight legs (:meth:`route_legs`).
     """
 
     name = "abstract"
 
     def __init__(self, config: ChipConfig) -> None:
         self.config = config
-        # next_hop runs once per flit-hop per cycle — the hottest call in the
-        # simulator — so cell coordinates are precomputed once instead of
-        # re-deriving (and re-validating) them through config.coords_of.
+        # route_legs runs once per injection and next_hop once per flit-hop
+        # per cycle in the reference NoC, so cell coordinates are
+        # precomputed once instead of re-deriving (and re-validating) them
+        # through config.coords_of.
         self._coords: List[Tuple[int, int]] = [
             config.coords_of(cc) for cc in range(config.num_cells)
         ]
         self._width = config.width
         #: Directed-link id table shared with the NoC and the statistics.
         self.link_table = LinkTable(config)
-        #: (src, dst) -> link-id route memo for route_lids_cached.  Routes
-        #: are deterministic per policy, so cached lists are shared between
-        #: messages; callers treat them as read-only.  Bounded: traffic on a
-        #: 32x32 mesh could otherwise retain O(num_cells^2) lists.
-        self._route_cache: Dict[int, List[int]] = {}
-        self._route_cache_limit = 1 << 17
-        self._num_cells = config.num_cells
 
     def next_hop(self, current: int, dst: int) -> int:
         """Return the next compute cell on the route from ``current`` to ``dst``."""
         raise NotImplementedError
 
+    def route_legs(self, src: int, dst: int) -> Legs:
+        """The ``src -> dst`` route as two straight legs of link ids.
+
+        Returns ``(first, step, length)`` of the first leg followed by the
+        same triple for the second: leg ``k`` crosses the links ``first +
+        i * step`` for ``i < length``.  Either length may be 0 (a same-row
+        or same-column route); both are 0 when ``src == dst``.  The
+        cycle-accurate NoC calls this once per injected message and walks
+        the legs by arithmetic, so it allocates nothing but the result.
+        """
+        raise NotImplementedError
+
     def route_lids(self, src: int, dst: int) -> List[int]:
-        """The full ``src -> dst`` route as a list of directed-link ids.
-
-        The cycle-accurate NoC calls this once per injected message and then
-        never consults the policy again while the message is in flight, so
-        subclasses should make it fast.  This generic fallback walks
-        :meth:`next_hop`; the dimension-ordered policies override it with
-        pure arithmetic-progression construction.
-        """
-        table = self.link_table
-        lids: List[int] = []
-        cur = src
-        guard = self.config.num_cells * 4 + 4
-        while cur != dst:
-            nxt = self.next_hop(cur, dst)
-            lids.append(table.lid(cur, nxt))
-            cur = nxt
-            if len(lids) > guard:  # pragma: no cover - defensive
-                raise RuntimeError(f"routing loop detected {src}->{dst}")
-        return lids
-
-    def route_lids_cached(self, src: int, dst: int) -> List[int]:
-        """Memoised :meth:`route_lids`; the returned list must not be mutated.
-
-        The NoC injects the same (src, dst) pairs over and over (hot vertices
-        keep exchanging messages), so caching the link-id route turns the
-        per-injection routing work into one dict probe.
-        """
-        key = src * self._num_cells + dst
-        cache = self._route_cache
-        route = cache.get(key)
-        if route is None:
-            if len(cache) >= self._route_cache_limit:
-                # Epoch reset: cheaper than LRU bookkeeping on every hit,
-                # and the hot pairs repopulate within a few cycles.
-                cache.clear()
-            route = cache[key] = self.route_lids(src, dst)
+        """The full ``src -> dst`` route as a list of directed-link ids."""
+        a, step_a, len_a, b, step_b, len_b = self.route_legs(src, dst)
+        route = list(range(a, a + step_a * len_a, step_a))
+        route += range(b, b + step_b * len_b, step_b)
         return route
 
     # ------------------------------------------------------------------
@@ -221,29 +204,21 @@ class YXRouting(RoutingPolicy):
             return current + 1 if dx > cx else current - 1
         return current
 
-    def route_lids(self, src: int, dst: int) -> List[int]:
-        # Both legs of a dimension-ordered route are arithmetic progressions
-        # in link-id space (stride 4*width vertically, 4 horizontally), so the
-        # whole route materialises from two range() calls with no per-hop
-        # Python work.  Direction offsets: N=0, W=1, E=2, S=3.
+    def route_legs(self, src: int, dst: int) -> Legs:
+        # Vertical leg from src (link-id stride 4*width), then horizontal
+        # leg (stride 4) from the turn cell in dst's row and src's column.
+        # Direction offsets: N=0, W=1, E=2, S=3.
         sx, sy = self._coords[src]
         dx, dy = self._coords[dst]
         w = self._width
-        w4 = w * 4
-        if dy > sy:
-            route = list(range(src * 4 + 3, (src + (dy - sy) * w) * 4 + 3, w4))
-            cur = src + (dy - sy) * w
-        elif dy < sy:
-            route = list(range(src * 4, (src - (sy - dy) * w) * 4, -w4))
-            cur = src - (sy - dy) * w
+        turn = (src + (dy - sy) * w) * 4
+        if dy >= sy:
+            a, step_a, len_a = src * 4 + 3, w * 4, dy - sy
         else:
-            route = []
-            cur = src
-        if dx > sx:
-            route += range(cur * 4 + 2, (cur + dx - sx) * 4 + 2, 4)
-        elif dx < sx:
-            route += range(cur * 4 + 1, (cur - (sx - dx)) * 4 + 1, -4)
-        return route
+            a, step_a, len_a = src * 4, -w * 4, sy - dy
+        if dx >= sx:
+            return a, step_a, len_a, turn + 2, 4, dx - sx
+        return a, step_a, len_a, turn + 1, -4, sx - dx
 
 
 class XYRouting(RoutingPolicy):
@@ -261,26 +236,19 @@ class XYRouting(RoutingPolicy):
             return current + self._width if dy > cy else current - self._width
         return current
 
-    def route_lids(self, src: int, dst: int) -> List[int]:
-        # Mirror of YXRouting.route_lids: horizontal leg first, then vertical.
+    def route_legs(self, src: int, dst: int) -> Legs:
+        # Mirror of YXRouting.route_legs: horizontal leg first, then vertical.
         sx, sy = self._coords[src]
         dx, dy = self._coords[dst]
         w = self._width
-        w4 = w * 4
-        if dx > sx:
-            route = list(range(src * 4 + 2, (src + dx - sx) * 4 + 2, 4))
-            cur = src + dx - sx
-        elif dx < sx:
-            route = list(range(src * 4 + 1, (src - (sx - dx)) * 4 + 1, -4))
-            cur = src - (sx - dx)
+        turn = (src + dx - sx) * 4
+        if dx >= sx:
+            a, step_a, len_a = src * 4 + 2, 4, dx - sx
         else:
-            route = []
-            cur = src
-        if dy > sy:
-            route += range(cur * 4 + 3, (cur + (dy - sy) * w) * 4 + 3, w4)
-        elif dy < sy:
-            route += range(cur * 4, (cur - (sy - dy) * w) * 4, -w4)
-        return route
+            a, step_a, len_a = src * 4 + 1, -4, sx - dx
+        if dy >= sy:
+            return a, step_a, len_a, turn + 3, w * 4, dy - sy
+        return a, step_a, len_a, turn, -w * 4, sy - dy
 
 
 _POLICIES = {"yx": YXRouting, "xy": XYRouting}

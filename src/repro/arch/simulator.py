@@ -50,6 +50,23 @@ _CELL_COUNTERS = (
 #: the ``(instruction_cost, outgoing_messages)`` pair a Task.run would.
 Executor = Callable[[ComputeCell, Message], "tuple"]
 
+#: The disjoint phases of :meth:`Simulator.step` that ``phase_ns`` times;
+#: its ``executor`` line is counted inside ``cells``.
+STEP_PHASES = ("io", "noc", "dispatch", "cells", "account")
+
+
+def _timed(executor: Executor, timers: Dict[str, int]) -> Executor:
+    """``executor`` wrapped to accrue its wall time in ``timers["executor"]``."""
+    clock = time.perf_counter_ns
+
+    def timed(cell: ComputeCell, msg: Message) -> "tuple":
+        start = clock()
+        result = executor(cell, msg)
+        timers["executor"] += clock() - start
+        return result
+
+    return timed
+
 
 class Simulator:
     """Cycle-accurate simulator of one AM-CCA chip.
@@ -189,9 +206,12 @@ class Simulator:
             self.enable_phase_timers()
 
     def enable_phase_timers(self) -> None:
-        """Accumulate wall nanoseconds per step() phase in ``phase_ns``."""
-        self.phase_ns = {"io": 0, "noc": 0, "dispatch": 0, "cells": 0,
-                         "account": 0}
+        """Accumulate wall nanoseconds per step() phase in ``phase_ns``.
+
+        The five :data:`STEP_PHASES` are disjoint; ``executor`` is the
+        message executor's share of ``cells``.
+        """
+        self.phase_ns = dict.fromkeys(STEP_PHASES + ("executor",), 0)
 
     # ------------------------------------------------------------------
     # Injection helpers (used by the runtime for host-driven setup)
@@ -267,10 +287,12 @@ class Simulator:
             did_work = True
 
         # Phase timers (observability): when enabled, wall time between
-        # checkpoints accrues per phase.  ``timers`` is None on the default
-        # path, costing one load and branch per phase per cycle.
+        # checkpoints accrues per phase, and a wrapper times the executor
+        # inside phase 4.  ``timers`` is None on the default path, costing
+        # one load and branch per phase per cycle and none per task.
         timers = self.phase_ns
         if timers is not None:
+            executor = _timed(executor, timers)
             _pc = time.perf_counter_ns
             _t = _pc()
 

@@ -637,8 +637,9 @@ def run_suite(
     ----------
     jobs:
         Worker processes.  ``1`` runs serially in-process (unless ``timeout``
-        is set, which needs process isolation); results are identical either
-        way because every scenario derives its seeds from its own spec.
+        is set, which needs process isolation, or ``pool`` is given);
+        results are identical either way because every scenario derives its
+        seeds from its own spec.
     store:
         Optional :class:`ResultStore`.  Scenarios whose spec hash is already
         stored are reported as cache hits and not re-run.
@@ -727,7 +728,8 @@ def run_suite(
             pending = []
 
         if pending:
-            if min(jobs, len(pending)) > 1 or timeout is not None:
+            if (pool is not None or min(jobs, len(pending)) > 1
+                    or timeout is not None):
                 observed_pool = pool or DispatchPool(
                     max(1, min(jobs, len(pending))))
                 observed_pool.tracer = tracer

@@ -36,6 +36,7 @@ from repro.harness import (
     run_suite,
 )
 from repro.harness.runner import _park_task, _pipeline_span_task, plan_spans
+from repro.obs import Tracer
 from repro.serve import ScenarioService, ServeConfig
 from repro.harness.bench import (
     BENCH_SCHEMA,
@@ -193,6 +194,19 @@ class TestDispatchPool:
         assert not pool2.alive and pool2.size == 0
         with pytest.raises(RuntimeError, match="shut down"):
             pool2.run(_double, (1,))
+
+    def test_callers_pool_runs_the_suite_at_default_jobs(self, pool2):
+        # A pool passed in sets the concurrency, whatever ``jobs`` says.
+        suite = [tiny_scenario(f"u{seed}", "bfs", vertices=30, edges=120,
+                               generator="uniform", seed=seed)
+                 for seed in (1, 2)]
+        tracer = Tracer(process_name="test-pool")
+        pooled = run_suite(suite, pool=pool2, tracer=tracer)
+        assert [e["name"] for e in tracer.events].count("pool_task") == 2
+        assert pool2.alive  # the caller's pool is not shut down
+        serial = run_suite(suite)
+        assert [o.record for o in pooled.outcomes] == \
+               [o.record for o in serial.outcomes]
 
 
 @requires_numpy

@@ -108,16 +108,19 @@ class TestCycleAccurateNoC:
         assert stats.hops == 2 * 2  # 2 link traversals x 2 flits
 
     def test_one_hop_per_cycle(self):
-        # Incremental in-flight hop counting is python-kernel behaviour (the
-        # numpy kernel writes hops once at delivery; delivered messages are
-        # identical either way).
+        # Hops are written once at delivery, so progress in flight shows as
+        # the untraversed remainder falling by one link per advance.
         cfg, _, noc = make_noc("cycle", kernel="python")
         msg = Message(src=cfg.cc_at(0, 0), dst=cfg.cc_at(0, 5), action="a")
         noc.inject(msg, cycle=0)
-        noc.advance(1)
-        assert msg.hops == 1
-        noc.advance(2)
-        assert msg.hops == 2
+        assert noc.untraversed_hops() == 5
+        for cycle in range(1, 5):
+            assert noc.advance(cycle) == []
+            assert noc.untraversed_hops() == 5 - cycle
+        assert noc.advance(5) == [msg]
+        assert msg.hops == 5
+        assert msg.delivered_cycle == 5
+        assert noc.untraversed_hops() == 0
 
 
 class TestLatencyNoC:

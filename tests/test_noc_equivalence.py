@@ -12,6 +12,7 @@ busy accounting and the batched latency model.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import ChipConfig
 from repro.arch.message import Message
@@ -26,6 +27,7 @@ from repro.arch.stats import SimStats
 from repro.datasets.streaming import make_streaming_dataset
 from repro.graph.graph import DynamicGraph
 from repro.runtime.device import AMCCADevice
+from repro.snapshot.format import pack_value
 
 from helpers import requires_numpy
 
@@ -117,39 +119,122 @@ class TestLinkTable:
         assert table.describe(table.lid(1, 5)) == "1->5 (south)"
 
 
+def walk_lids(policy, src, dst):
+    """The ``src -> dst`` route rebuilt link by link from ``next_hop``."""
+    table = policy.link_table
+    lids = []
+    cur = src
+    while cur != dst:
+        nxt = policy.next_hop(cur, dst)
+        lids.append(table.lid(cur, nxt))
+        cur = nxt
+    return lids
+
+
 class TestRouteLids:
     @pytest.mark.parametrize("routing", ["yx", "xy"])
     def test_route_lids_matches_next_hop_walk(self, routing):
         cfg = ChipConfig(width=7, height=5, routing=routing)
         policy = make_routing(cfg)
-        table = policy.link_table
         rng = random.Random(3)
         for _ in range(200):
             src = rng.randrange(cfg.num_cells)
             dst = rng.randrange(cfg.num_cells)
-            lids = policy.route_lids(src, dst)
-            # Walk next_hop and rebuild the expected link-id list.
-            expected = []
-            cur = src
-            while cur != dst:
-                nxt = policy.next_hop(cur, dst)
-                expected.append(table.lid(cur, nxt))
-                cur = nxt
-            assert lids == expected, (routing, src, dst)
+            assert policy.route_lids(src, dst) == walk_lids(policy, src, dst), (
+                routing, src, dst)
 
-    def test_cached_routes_are_shared_and_equal(self):
-        cfg = ChipConfig(width=6, height=6)
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_legs_expand_to_route_lids_and_next_hop_walk(self, data):
+        routing = data.draw(st.sampled_from(["yx", "xy"]), label="routing")
+        width, height = data.draw(
+            st.sampled_from([(7, 5), (1, 6), (6, 1)]), label="mesh")
+        cfg = ChipConfig(width=width, height=height, routing=routing)
         policy = make_routing(cfg)
-        a = policy.route_lids_cached(3, 27)
-        b = policy.route_lids_cached(3, 27)
-        assert a is b
-        assert a == policy.route_lids(3, 27)
+        src = data.draw(st.integers(0, cfg.num_cells - 1), label="src")
+        sx, sy = cfg.coords_of(src)
+        pair = data.draw(st.sampled_from(["random", "same row", "same column"]),
+                         label="pair")
+        if pair == "same row":
+            dst = cfg.cc_at(data.draw(st.integers(0, width - 1)), sy)
+        elif pair == "same column":
+            dst = cfg.cc_at(sx, data.draw(st.integers(0, height - 1)))
+        else:
+            dst = data.draw(st.integers(0, cfg.num_cells - 1), label="dst")
+        a, step_a, len_a, b, step_b, len_b = policy.route_legs(src, dst)
+        legs = ([a + i * step_a for i in range(len_a)]
+                + [b + i * step_b for i in range(len_b)])
+        assert legs == policy.route_lids(src, dst) == walk_lids(policy, src, dst)
+        assert len_a + len_b == cfg.manhattan(src, dst)
+        # Each leg runs straight, and the two run in different directions:
+        # the NoC reads a queued message's leg off its link's direction.
+        table = policy.link_table
+        for first, step, length in ((a, step_a, len_a), (b, step_b, len_b)):
+            if length:
+                assert step == table.steps[first & 3]
+        if len_a and len_b:
+            assert a & 3 != b & 3
 
     def test_route_length_is_manhattan(self):
         cfg = ChipConfig(width=9, height=9)
         policy = make_routing(cfg)
         for src, dst in ((0, 80), (5, 5), (8, 72), (40, 0)):
             assert len(policy.route_lids(src, dst)) == cfg.manhattan(src, dst)
+
+
+class TestLegStateRoundTrip:
+    """Export -> import into a fresh python NoC resumes the legs exactly."""
+
+    @staticmethod
+    def run(noc, sched, start, cycles):
+        """Inject and advance cycles ``start..cycles-1``; per cycle, return
+        (deliveries as (cycle, message state), untraversed hops, export bytes)."""
+        out = []
+        for cycle in range(start, cycles):
+            for when, src, dst, tag in sched:
+                if when == cycle:
+                    noc.inject(Message(src=src, dst=dst, action="a",
+                                       operands=(tag,)), cycle)
+            delivered = [(cycle, m.to_state()) for m in noc.advance(cycle)]
+            out.append((delivered, noc.untraversed_hops(),
+                        pack_value(noc.export_state())))
+        return out
+
+    @pytest.mark.parametrize("routing", ["yx", "xy"])
+    def test_resume_at_every_cycle_matches_uninterrupted_run(self, routing):
+        cfg = ChipConfig(width=6, height=6, routing=routing)
+        # Routes converging on one corner and one column, so messages queue
+        # on links before, on and after their turn.
+        sched = [(c, cfg.cc_at(x, y), cfg.cc_at(5, 5), (c, x, y))
+                 for c in range(4) for x, y in ((0, 0), (0, 3), (2, 0), (5, 0))]
+        sched += [(c, cfg.cc_at(0, 5), cfg.cc_at(3, 1), (c, "col"))
+                  for c in range(3)]
+        cycles = 30
+
+        def fresh():
+            stats = SimStats(num_cells=cfg.num_cells)
+            return CycleAccurateNoC(cfg, make_routing(cfg), stats)
+
+        whole = self.run(fresh(), sched, 0, cycles)
+        assert whole[-1][1] == 0 and sum(len(d) for d, _, _ in whole) == len(sched)
+        positions = set()
+        for cut in range(1, cycles):
+            live = fresh()
+            self.run(live, sched, 0, cut)
+            state = live.export_state()
+            for _lid, entries in state["active"]:
+                for msg_state, hop in entries:
+                    first_leg = live.routing.route_legs(*msg_state[:2])[2]
+                    positions.add("before" if hop < first_leg - 1 else
+                                  "last of first leg" if hop == first_leg - 1
+                                  else "first of second leg" if hop == first_leg
+                                  else "after")
+            resumed = fresh()
+            resumed.import_state(state)
+            assert resumed.untraversed_hops() == live.untraversed_hops()
+            assert self.run(resumed, sched, cut, cycles) == whole[cut:], cut
+        assert positions == {"before", "last of first leg",
+                             "first of second leg", "after"}
 
 
 class TestScheduleEquivalence:

@@ -292,6 +292,21 @@ class TestObserverOnly:
         assert validate_trace_file(trace_path) == []
 
     @requires_numpy
+    def test_run_spans_carry_executor_time(self, tmp_path):
+        trace_path = tmp_path / "trace.json"
+        run_scenario(tiny_scenario("obs", "bfs", trace_path=str(trace_path)))
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        spans = [e for e in events if e["ph"] == "X" and e["cat"] == "sim"]
+        assert spans
+        for span in spans:
+            assert 0 <= span["args"]["executor_us"] <= span["args"]["cells_us"]
+        # The stacked counter keeps the five disjoint phases only.
+        counters = [e for e in events if e["name"] == "sim_phase_us"]
+        assert counters and all(
+            set(e["args"]) == {"io", "noc", "dispatch", "cells", "account"}
+            for e in counters)
+
+    @requires_numpy
     def test_trace_path_is_identity_free(self, tmp_path):
         plain = tiny_scenario("obs", "bfs")
         traced = tiny_scenario("obs", "bfs",
@@ -356,5 +371,8 @@ class TestObserverOnly:
         _record, device = run_scenario_traced(scenario)
         timers = device.simulator.phase_ns
         assert timers is not None
-        assert set(timers) == {"io", "noc", "dispatch", "cells", "account"}
+        assert set(timers) == {"io", "noc", "dispatch", "cells", "account",
+                               "executor"}
         assert sum(timers.values()) > 0
+        # The executor runs inside phase 4, so its line is a share of cells.
+        assert 0 < timers["executor"] <= timers["cells"]
