@@ -42,11 +42,12 @@ hardcoding algorithm sets.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 import networkx as nx
 
 from repro.runtime.actions import ActionContext
+from repro.runtime.futures import Future
 from repro.graph.rpvo import EdgeSlot, VertexBlock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,12 +119,22 @@ class Algorithm:
         closure queued on the future so the update is not lost (the same
         mechanism Listing 6 uses for overflowing edge insertions).
         """
-        for i, future in enumerate(block.ghosts):
+        for future in block.ghosts:
             if future.is_fulfilled:
                 ctx.propagate(action, future.get(), *operands)
             elif future.is_pending:
-                def resume(resume_ctx: ActionContext, _future=future,
-                           _action=action, _ops=operands) -> None:
-                    resume_ctx.propagate(_action, _future.get(), *_ops)
+                future.enqueue(forward_on_fulfil(future, action, operands))
 
-                future.enqueue(resume)
+
+def forward_on_fulfil(future: Future, action: str,
+                      operands: Tuple) -> Callable[[ActionContext], None]:
+    """The closure a pending ghost future queues for a forwarded update.
+
+    Released when the ghost's allocation completes, it propagates
+    ``action`` with ``operands`` to the ghost's address.
+    """
+
+    def resume(resume_ctx: ActionContext) -> None:
+        resume_ctx.propagate(action, future.get(), *operands)
+
+    return resume

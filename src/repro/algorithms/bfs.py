@@ -18,26 +18,35 @@ computed levels are updated incrementally, never recomputed from scratch.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import networkx as nx
 
-from repro.algorithms.base import Algorithm
+from repro.algorithms.base import Algorithm, forward_on_fulfil
 from repro.algorithms.registry import register_algorithm
+from repro.arch.cell import ComputeCell
+from repro.arch.message import Message
 from repro.graph.rpvo import EdgeSlot, INFINITY, VertexBlock
 from repro.runtime.actions import ActionContext, action_cost
+from repro.runtime.futures import FutureState
 
 #: Costs resolved once at import; per-invocation handlers charge these
 #: constants instead of re-calling action_cost in the hot path.
 _COST_COMPARE = action_cost("compare")
 _COST_STATE_UPDATE = action_cost("state_update")
 _COST_EDGE_SCAN = action_cost("edge_scan")
+#: A stale level costs the base instruction and the compare; a relaxation
+#: adds the state write, plus one edge scan per stored edge.
+_STALE_COST = 1 + _COST_COMPARE
+_RELAX_COST = 1 + _COST_COMPARE + _COST_STATE_UPDATE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.graph import DynamicGraph
 
 #: Registered name of the BFS relaxation action (paper: ``bfs-action``).
 BFS_ACTION = "bfs-action"
+#: Payload words of a relaxation message.
+BFS_WORDS = 3
 
 
 @register_algorithm("bfs", streaming=True, needs_root=True)
@@ -56,7 +65,9 @@ class StreamingBFS(Algorithm):
     # ------------------------------------------------------------------
     def attach(self, graph: "DynamicGraph") -> None:
         super().attach(graph)
-        graph.device.register_action(BFS_ACTION, self.bfs_action, size_words=3)
+        self._settle = graph.device.settle
+        graph.device.register_executor(BFS_ACTION, self.execute,
+                                       size_words=BFS_WORDS)
 
     def init_state(self, block: VertexBlock) -> None:
         block.state.setdefault(self.state_key, INFINITY)
@@ -91,23 +102,40 @@ class StreamingBFS(Algorithm):
         if level != INFINITY:
             ctx.propagate(BFS_ACTION, slot.dst_addr, level + 1)
 
-    def bfs_action(self, ctx: ActionContext, block: VertexBlock, level: int) -> None:
-        """Listing 5: relax the level and diffuse along every stored edge."""
-        # get_state/set_state/charge inlined: this action dominates query
-        # diffusion; the wrapper calls are measurable at that rate.
-        current = block.state.get(self.state_key, INFINITY)
-        ctx._extra_cost += _COST_COMPARE
-        if level >= current:
+    def execute(self, cell: ComputeCell, msg: Message) -> Tuple[int, List[Message]]:
+        """Listing 5, as a direct executor: relax the level and diffuse.
+
+        A level that does not improve on the block's is stale.  An
+        improving one is stored and sent on, ``level + 1``, along every
+        stored edge, and unchanged down the ghost hierarchy so ghost blocks
+        stay in sync with the root: a resolved ghost gets a message, a
+        pending one the closure :meth:`Algorithm._forward_to_ghosts` queues.
+        """
+        block = cell.memory[msg.target.obj_id]
+        operands = msg.operands
+        level = operands[0]
+        state = block.state
+        key = self.state_key
+        if level >= state.get(key, INFINITY):
             self.stale_messages += 1
-            return
-        block.state[self.state_key] = level
-        ctx._extra_cost += _COST_STATE_UPDATE
+            self._settle(0)
+            return _STALE_COST, []
+        state[key] = level
         self.relaxations += 1
-        for slot in block.edges:
-            ctx._extra_cost += _COST_EDGE_SCAN
-            ctx.propagate(BFS_ACTION, slot.dst_addr, level + 1)
-        # Keep ghost blocks of this vertex in sync (same level, not +1).
-        self._forward_to_ghosts(ctx, block, BFS_ACTION, level)
+        cc_id = cell.cc_id
+        edges = block.edges
+        onward = (level + 1,)
+        out = [Message(cc_id, slot.dst_addr.cc_id, BFS_ACTION, slot.dst_addr,
+                       onward, BFS_WORDS) for slot in edges]
+        for future in block.ghosts:
+            if future.state is FutureState.FULFILLED:
+                ghost = future.value
+                out.append(Message(cc_id, ghost.cc_id, BFS_ACTION, ghost,
+                                   operands, BFS_WORDS))
+            elif future.state is FutureState.PENDING:
+                future.enqueue(forward_on_fulfil(future, BFS_ACTION, operands))
+        self._settle(len(out))
+        return _RELAX_COST + _COST_EDGE_SCAN * len(edges), out
 
     # ------------------------------------------------------------------
     # Results and verification

@@ -21,7 +21,8 @@
  *   burn_cells        -- Simulator.step phase 4: per active cell, one
  *                        operation in activation order (instruction burn
  *                        with held-message flush, staging drain into the
- *                        NoC, or task start via the installed executor),
+ *                        NoC, or task start through the executor table:
+ *                        a delivered message runs executors[msg.action]),
  *                        including the park decision and wake-bucket
  *                        bookkeeping.  Callbacks (executor, noc.inject)
  *                        re-enter Python; the active list length is
@@ -46,7 +47,7 @@ static PyObject *s_hops, *s_position, *s_delivered_cycle, *s_created_cycle,
     *s_dst, *s_task_queue, *s_staging, *s_held_messages,
     *s_remaining_instructions, *s_instructions_executed, *s_messages_staged,
     *s_tasks_executed, *s_popleft, *s_extend, *s_append, *s_run,
-    *s_src, *s_size_words, *s_stats, *s_messages_injected, *s_in_flight,
+    *s_src, *s_size_words, *s_action, *s_stats, *s_messages_injected, *s_in_flight,
     *s_pool_memo, *s_vfree, *s_vslot_msg, *s_local_deliveries, *s_active,
     *s_vq_head, *s_vq_tail, *s_vstamp, *s_vnext, *s_vpos, *s_vrlen,
     *s_num_cells, *s_flit_words, *s_sweep, *s_grow_slots;
@@ -545,7 +546,7 @@ ctx_inject(InjectCtx *c, PyObject *msg, PyObject *cycle_obj, long long cycle,
 
 /* ------------------------------------------------------------------ */
 /* burn_cells(active_cells, still_active, cells, cell_stamp, parked,   */
-/*            wake_buckets, noc_inject, executor, message_type,        */
+/*            wake_buckets, noc_inject, executors, message_type,       */
 /*            cycle, sweep[, noc])                                     */
 /*   -> (did_work, active_count, parked_delta)                         */
 /* ------------------------------------------------------------------ */
@@ -553,7 +554,7 @@ static PyObject *
 burn_cells(PyObject *self, PyObject *args)
 {
     PyObject *active_cells, *still_active, *cells, *o_stamp, *o_parked,
-        *wake_buckets, *noc_inject, *executor, *message_type;
+        *wake_buckets, *noc_inject, *executors, *message_type;
     PyObject *noc_obj = Py_None;
     PyObject *cycle_obj = NULL;
     Py_buffer parked_view;
@@ -570,7 +571,7 @@ burn_cells(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOOOOO!OOOLL|O", &active_cells,
                           &still_active, &cells, &o_stamp, &o_parked,
                           &PyDict_Type, &wake_buckets, &noc_inject,
-                          &executor, &message_type, &cycle, &sweep,
+                          &executors, &message_type, &cycle, &sweep,
                           &noc_obj))
         return NULL;
     if (!PyList_CheckExact(active_cells) || !PyList_CheckExact(still_active)
@@ -723,15 +724,30 @@ burn_cells(PyObject *self, PyObject *args)
             goto cellfail;
         if (ssz > 0) {
             /* Start the next queued task: a delivered message runs through
-             * the executor, an enqueued Task runs itself. */
+             * its action's entry in the executor table (one lookup, so an
+             * unregistered action raises KeyError as in the Python loop),
+             * an enqueued Task runs itself. */
             PyObject *item, *res, *seq, *messages;
             long long cost, counter;
             item = PyObject_CallMethodObjArgs(tq, s_popleft, NULL);
             if (item == NULL)
                 goto cellfail;
             if ((PyObject *)Py_TYPE(item) == message_type) {
+                PyObject *action, *executor;
+                action = PyObject_GetAttr(item, s_action);
+                if (action == NULL) {
+                    Py_DECREF(item);
+                    goto cellfail;
+                }
+                executor = PyObject_GetItem(executors, action);
+                Py_DECREF(action);
+                if (executor == NULL) {
+                    Py_DECREF(item);
+                    goto cellfail;
+                }
                 res = PyObject_CallFunctionObjArgs(executor, cell, item,
                                                    NULL);
+                Py_DECREF(executor);
             } else {
                 res = PyObject_CallMethodObjArgs(item, s_run, NULL);
             }
@@ -967,6 +983,7 @@ intern_all(void)
     INTERN(s_run, "run");
     INTERN(s_src, "src");
     INTERN(s_size_words, "size_words");
+    INTERN(s_action, "action");
     INTERN(s_stats, "stats");
     INTERN(s_messages_injected, "messages_injected");
     INTERN(s_in_flight, "in_flight");

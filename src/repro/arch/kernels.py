@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.arch._native import HAVE_NATIVE, _sweep
 from repro.arch.config import KERNELS, ChipConfig
 from repro.arch.message import Message
-from repro.arch.noc import CycleAccurateNoC
+from repro.arch.noc import BaseNoC, CycleAccurateNoC
 from repro.arch.routing import RoutingPolicy
 from repro.arch.stats import SimStats
 
@@ -103,13 +103,23 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
 
     def __init__(self, config: ChipConfig, routing: RoutingPolicy,
                  stats: SimStats) -> None:
-        super().__init__(config, routing, stats)
+        # BaseNoC, not CycleAccurateNoC: the python sweep's per-link deques
+        # and stamp list would sit unused beside the flat buffers below.
+        BaseNoC.__init__(self, config, routing, stats)
         if _sweep is None:  # pragma: no cover - build_noc resolves first
             raise RuntimeError(
                 "native kernel requested but repro.arch._native._sweep is "
                 "not built")
+        self.link_table = routing.link_table
         num_links = routing.link_table.num_links
         self._num_cells = config.num_cells
+        #: link ids with queued messages, in activation order (ping-ponged
+        #: with _next_active), as in the python sweep.
+        self._active: List[int] = []
+        self._next_active: List[int] = []
+        self._sweep = 1
+        self._local_deliveries: List[Message] = []
+        self._flit_words = max(1, config.max_message_words)
 
         # Per-link queue heads/tails (slot ids, -1 = empty) + sweep-stamp
         # activation dedupe, all C-readable through the buffer protocol.

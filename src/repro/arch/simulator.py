@@ -10,10 +10,10 @@ them in lock step.  One simulation cycle performs, in order:
    (one instruction, or the staging of one outgoing message into the NoC),
 5. per-cycle statistics are recorded and quiescence is checked.
 
-The *executor* runs an arrived :class:`~repro.arch.message.Message` on its
-destination cell; it is installed by the diffusive runtime
-(:mod:`repro.runtime`), keeping this package free of any knowledge about
-actions, vertices or graphs.
+An *executor* runs an arrived :class:`~repro.arch.message.Message` on its
+destination cell.  The simulator keeps one per action name, in a table the
+diffusive runtime (:mod:`repro.runtime`) fills as actions register, keeping
+this package free of any knowledge about actions, vertices or graphs.
 """
 
 from __future__ import annotations
@@ -55,17 +55,51 @@ Executor = Callable[[ComputeCell, Message], "tuple"]
 STEP_PHASES = ("io", "noc", "dispatch", "cells", "account")
 
 
-def _timed(executor: Executor, timers: Dict[str, int]) -> Executor:
-    """``executor`` wrapped to accrue its wall time in ``timers["executor"]``."""
-    clock = time.perf_counter_ns
+class _EveryAction(dict):
+    """An executor table that runs every action through one executor."""
 
-    def timed(cell: ComputeCell, msg: Message) -> "tuple":
-        start = clock()
-        result = executor(cell, msg)
-        timers["executor"] += clock() - start
-        return result
+    def __init__(self, executor: Executor) -> None:
+        super().__init__()
+        self.executor = executor
 
-    return timed
+    def __missing__(self, action: str) -> Executor:
+        return self.executor
+
+
+class _TimedTable(dict):
+    """An executor table whose entries accrue their wall time.
+
+    Each entry, made on an action's first lookup, looks the action up in
+    ``executors`` at every call (so a re-registered action is timed too)
+    and adds the call's nanoseconds to ``timers["executor"]`` and to
+    ``action_ns[action]``.  An unregistered action raises ``KeyError`` as
+    the untimed table does.
+    """
+
+    def __init__(self, executors: Dict[str, Executor], timers: Dict[str, int],
+                 action_ns: Dict[str, int]) -> None:
+        super().__init__()
+        self.executors = executors
+        self.timers = timers
+        self.action_ns = action_ns
+
+    def __missing__(self, action: str) -> Executor:
+        executors, timers, action_ns = (
+            self.executors, self.timers, self.action_ns)
+        executors[action]  # an unregistered action fails here, untimed
+        action_ns.setdefault(action, 0)
+        clock = time.perf_counter_ns
+
+        def timed(cell: ComputeCell, msg: Message) -> "tuple":
+            start = clock()
+            result = executors[action](cell, msg)
+            elapsed = clock() - start
+            timers["executor"] += elapsed
+            action_ns[action] += elapsed
+            return result
+
+        self[action] = timed
+        return timed
 
 
 class Simulator:
@@ -95,17 +129,21 @@ class Simulator:
             ComputeCell(cc_id, *config.coords_of(cc_id))
             for cc_id in range(config.num_cells)
         ]
-        self.executor: Optional[Executor] = None
+        #: action name -> executor (see set_executor / set_executors).
+        self.executors: Optional[Dict[str, Executor]] = None
+        self._timed_executors: Optional[_TimedTable] = None
         self.trace = TraceRecorder(config, sample_every=trace_every)
         self._trace_enabled = self.trace.enabled
         #: Observability (repro.obs).  ``tracer`` marks an attached Chrome
         #: tracer; ``phase_ns`` accumulates wall time per step() phase.
-        #: Both are observer-only (no scheduled event moves) and default to
+        #: ``action_ns`` splits the ``executor`` line by action name.  All
+        #: are observer-only (no scheduled event moves) and default to
         #: off: the disabled path costs one attribute read and branch per
         #: phase.  Unlike TraceRecorder, attaching them does NOT disable
         #: parking.
         self.tracer = None
         self.phase_ns: Optional[Dict[str, int]] = None
+        self.action_ns: Optional[Dict[str, int]] = None
         self.cycle = 0
         #: Cells that may have work, in the order they became active, with a
         #: sweep-stamp array as the membership test (_cell_stamp[cc] ==
@@ -157,16 +195,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def set_executor(self, executor: Executor) -> None:
-        """Install the message executor (done by the runtime).
+    def set_executors(self, executors: Dict[str, Executor]) -> None:
+        """Install the action name -> executor table (done by the runtime).
 
         Delivered messages are queued on their destination cell as-is and
-        executed in place when the cell's turn comes: the executor runs
-        the message's action and returns its ``(instruction_cost,
-        outgoing_messages)`` pair.  Tasks enqueued directly
-        (:meth:`enqueue_task`) share the same queue and run in order.
+        executed in place when the cell's turn comes: the cell loop looks
+        the message's action up in ``executors`` once and calls the entry,
+        which runs the action and returns its ``(instruction_cost,
+        outgoing_messages)`` pair.  The table is read live, so the runtime
+        fills it as actions register; an action it lacks raises
+        ``KeyError``.  Tasks enqueued directly (:meth:`enqueue_task`) share
+        the same queue and run in order.
         """
-        self.executor = executor
+        self.executors = executors
+        self._timed_executors = None
+
+    def set_executor(self, executor: Executor) -> None:
+        """Run every action through one ``executor`` (bare simulators, tests)."""
+        self.set_executors(_EveryAction(executor))
 
     def add_cycle_hook(self, hook: Callable[[int], None]) -> None:
         """Register a callback invoked with the cycle number after each cycle."""
@@ -209,9 +255,12 @@ class Simulator:
         """Accumulate wall nanoseconds per step() phase in ``phase_ns``.
 
         The five :data:`STEP_PHASES` are disjoint; ``executor`` is the
-        message executor's share of ``cells``.
+        message executors' share of ``cells``, and ``action_ns`` splits it
+        by action name (its values sum to the ``executor`` line).
         """
         self.phase_ns = dict.fromkeys(STEP_PHASES + ("executor",), 0)
+        self.action_ns = {}
+        self._timed_executors = None
 
     # ------------------------------------------------------------------
     # Injection helpers (used by the runtime for host-driven setup)
@@ -254,9 +303,10 @@ class Simulator:
 
     def step(self) -> bool:
         """Advance the chip by one cycle.  Returns True if any work happened."""
-        executor = self.executor
-        if executor is None:
-            raise RuntimeError("no executor installed; the runtime must call set_executor")
+        executors = self.executors
+        if executors is None:
+            raise RuntimeError(
+                "no executor installed; the runtime must call set_executors")
         cycle = self.cycle
         did_work = False
 
@@ -287,12 +337,15 @@ class Simulator:
             did_work = True
 
         # Phase timers (observability): when enabled, wall time between
-        # checkpoints accrues per phase, and a wrapper times the executor
-        # inside phase 4.  ``timers`` is None on the default path, costing
-        # one load and branch per phase per cycle and none per task.
+        # checkpoints accrues per phase, and a timed table wraps each
+        # executor inside phase 4.  ``timers`` is None on the default path,
+        # costing one load and branch per phase per cycle and none per task.
         timers = self.phase_ns
         if timers is not None:
-            executor = _timed(executor, timers)
+            if self._timed_executors is None:
+                self._timed_executors = _TimedTable(
+                    executors, timers, self.action_ns)
+            executors = self._timed_executors
             _pc = time.perf_counter_ns
             _t = _pc()
 
@@ -368,7 +421,7 @@ class Simulator:
             # newly parked, instead of materialising active_this_cycle.
             did2, active_count, parked_delta = _native_sweep.burn_cells(
                 active_cells, still_active, cells, cell_stamp, parked,
-                self._wake_buckets, noc_inject, executor, Message, cycle,
+                self._wake_buckets, noc_inject, executors, Message, cycle,
                 sweep, noc)
             did_work = did_work or bool(did2)
             self._parked_count += parked_delta
@@ -403,10 +456,11 @@ class Simulator:
                     did_work = True
                 elif cell.task_queue:
                     # Start the next queued task: a delivered message runs
-                    # through the executor, an enqueued Task runs itself.
+                    # through its action's executor, an enqueued Task runs
+                    # itself.
                     item = cell.task_queue.popleft()
                     if item.__class__ is Message:
-                        cost, messages = executor(cell, item)
+                        cost, messages = executors[item.action](cell, item)
                     else:
                         cost, messages = item.run()
                     cell.tasks_executed += 1

@@ -1,7 +1,7 @@
 """Streaming edge ingestion: the ``insert-edge-action``.
 
 This module implements the paper's Listing 6.  An insert action is sent to a
-vertex's root block; the handler:
+vertex's root block; the action:
 
 1. inserts the edge into the block's local edge list if there is room, then
    hands control to the attached streaming algorithm (Listing 4's BFS
@@ -16,14 +16,23 @@ vertex's root block; the handler:
      (Figure 4, state 2);
    * if the ghost future is fulfilled, the insertion is recursively
      propagated to the ghost block's address.
+
+Three of four streamed edges are a forward into a resolved ghost or a store
+that runs no algorithm hook, so the action registers a direct executor
+(:meth:`EdgeIngestor.execute`) that runs those two branches without an
+:class:`~repro.runtime.actions.ActionContext`; the branches that need one
+(store plus hook, starting a ghost allocation, queueing on a pending
+future) run :meth:`EdgeIngestor.handle` through a generic executor.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.arch.address import Address
+from repro.arch.cell import ComputeCell
+from repro.arch.message import Message
 from repro.runtime.actions import ActionContext, action_cost
 from repro.graph.rpvo import EdgeSlot, VertexBlock
 
@@ -35,9 +44,15 @@ if TYPE_CHECKING:  # pragma: no cover
 _COST_INSERT = action_cost("insert")
 _COST_COMPARE = action_cost("compare")
 _COST_STATE_UPDATE = action_cost("state_update")
+#: What the direct branches cost: the base instruction plus the insert, or
+#: plus the room check that sends the edge on to a ghost.
+_STORE_COST = 1 + _COST_INSERT
+_FORWARD_COST = 1 + _COST_COMPARE
 
 #: The registered name of the ingestion action (paper: ``insert-edge-action``).
 INSERT_EDGE_ACTION = "insert-edge-action"
+#: Payload words of an insert message.
+INSERT_EDGE_WORDS = 4
 
 
 class EdgeIngestor:
@@ -54,43 +69,72 @@ class EdgeIngestor:
     # ------------------------------------------------------------------
     def register(self) -> None:
         """Register the ingestion action on the graph's device."""
-        self.graph.device.register_action(INSERT_EDGE_ACTION, self.handle, size_words=4)
+        device = self.graph.device
+        self._handle_in_context = device.context_executor(self.handle)
+        self._settle = device.settle
+        device.register_executor(INSERT_EDGE_ACTION, self.execute,
+                                 size_words=INSERT_EDGE_WORDS)
 
     # ------------------------------------------------------------------
-    # The action handler (paper Listing 6)
+    # The action (paper Listing 6)
     # ------------------------------------------------------------------
-    def handle(self, ctx: ActionContext, block: VertexBlock, slot: EdgeSlot) -> None:
-        """Insert ``slot`` into ``block`` or recurse into its ghost hierarchy."""
-        graph = self.graph
+    def execute(self, cell: ComputeCell, msg: Message) -> Tuple[int, List[Message]]:
+        """Direct executor: insert ``msg``'s edge slot into the target block.
+
+        Forwards into a resolved ghost (read from ``block.ghost_addrs``) and,
+        when no algorithm hook runs, stores into a block with room, with
+        no context; every other branch runs :meth:`handle`.
+        """
+        block = cell.memory[msg.target.obj_id]
+        operands = msg.operands
+        slot = operands[0]
         block.inserts_seen += 1
         if block.is_root:
             # The root sees every insertion of its logical vertex first and
             # keeps a compact mirror of destination ids for analytics queries.
             block.mirror.append(slot.dst_vid)
+        edges = block.edges
+        if len(edges) < block.capacity:
+            graph = self.graph
+            if graph.ingest_only or graph.algorithm is None:
+                edges.append(slot)
+                self.edges_inserted += 1
+                self._settle(0)
+                return _STORE_COST, []
+        else:
+            # Edge list full: the ghost slot block.ghost_slot_for picks.
+            ghost_addrs = block.ghost_addrs
+            ghost = ghost_addrs[slot.dst_vid % len(ghost_addrs)]
+            if ghost is not None:
+                block.forwards += 1
+                self.ghost_forwards += 1
+                self._settle(1)
+                return _FORWARD_COST, [Message(
+                    cell.cc_id, ghost.cc_id, INSERT_EDGE_ACTION, ghost,
+                    operands, INSERT_EDGE_WORDS)]
+        return self._handle_in_context(cell, msg)
 
+    def handle(self, ctx: ActionContext, block: VertexBlock, slot: EdgeSlot) -> None:
+        """The insert branches that need a context, after :meth:`execute`.
+
+        Stores ``slot`` into a block with room and runs the algorithm's
+        hook, or overflows into a ghost whose future is null (starts the
+        allocation) or pending (queues the insert on it).
+        """
         # Inline of block.has_room / block.append_edge: this handler runs
-        # once per streamed edge, and the room check was just made.
+        # once per hooked store, and the room check was just made.
         if len(block.edges) < block.capacity:
             block.edges.append(slot)
             # inline of ctx.charge(_COST_INSERT); constant is positive
             ctx._extra_cost += _COST_INSERT
             self.edges_inserted += 1
-            algorithm = graph.algorithm
-            if algorithm is not None and not graph.ingest_only:
-                algorithm.on_edge_inserted(ctx, block, slot)
+            self.graph.algorithm.on_edge_inserted(ctx, block, slot)
             return
 
-        # Edge list full: forward into the ghost hierarchy.
+        # Edge list full and the ghost unresolved.
         ctx.charge(_COST_COMPARE)
         slot_index = block.ghost_slot_for(slot.dst_vid)
         future = block.ghosts[slot_index]
-
-        if future.is_fulfilled:
-            ghost_addr = future.get()
-            block.forwards += 1
-            self.ghost_forwards += 1
-            ctx.propagate(INSERT_EDGE_ACTION, ghost_addr, slot)
-            return
 
         if future.is_null:
             # First overflow for this slot: start the asynchronous allocation.

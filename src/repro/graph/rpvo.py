@@ -276,8 +276,11 @@ def check_block_table(table: Dict[str, Any], ghost_slots: int,
 
     Every per-block column has the block count, every offsets column
     starts at 0, never decreases and ends at its flat column's length, and
-    every per-slot column has ``blocks * ghost_slots`` entries.  A table
-    that fails raises a :class:`SnapshotError` naming ``name``.
+    every per-slot column has ``blocks * ghost_slots`` entries.  Per slot,
+    the ghost address agrees with the future: a fulfilled future names its
+    resolved ghost and a null future has none (the insert executor reads
+    ``ghost_addrs`` where a handler reads the future).  A table that fails
+    raises a :class:`SnapshotError` naming ``name``.
     """
     from repro.snapshot.format import SnapshotError
 
@@ -303,6 +306,11 @@ def check_block_table(table: Dict[str, Any], ghost_slots: int,
             expect(column, bounds[-1])
     for column in _SLOT_COLUMNS:
         expect(column, count * ghost_slots)
+    if (table["future_cc"] != table["ghost_cc"]
+            or table["future_obj"] != table["ghost_obj"]):
+        raise SnapshotError(
+            f"corrupt snapshot: {name} ghost futures disagree with their "
+            "ghost addresses")
     return count
 
 

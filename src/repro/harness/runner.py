@@ -541,7 +541,8 @@ def _pipeline_span_task(
     if final:
         return cycles, _assemble_record(scenario, cycles, end), handoff
     sim = run[1].simulator
-    sim.tracer = sim.phase_ns = None  # the next span attaches its own
+    # the next span attaches its own
+    sim.tracer = sim.phase_ns = sim.action_ns = None
     _warm = _WarmRun(spec_hash, stop, run)
     return cycles, None, handoff
 

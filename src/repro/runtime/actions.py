@@ -7,6 +7,13 @@ target object.  The handler may mutate the object, allocate local memory,
 ``propagate`` further actions (diffusion), or suspend work on a local
 control object.
 
+The registry maps each action name to its *executor*: the callable the
+simulator runs a delivered message through.  A handler written against
+:class:`ActionContext` gets a generic executor bound once at registration
+(:meth:`repro.runtime.device.AMCCADevice.register_action`); a hot action
+may register a direct executor instead
+(:meth:`~repro.runtime.device.AMCCADevice.register_executor`).
+
 Handlers execute atomically in Python but their *simulated* cost is explicit:
 every handler is charged a base cost of one instruction, plus whatever it
 adds through :meth:`ActionContext.charge`, plus one staging cycle per
@@ -22,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.arch.address import Address
 from repro.arch.cell import ComputeCell, Task
 from repro.arch.message import Message
+from repro.arch.simulator import Executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.runtime.device import AMCCADevice
@@ -56,22 +64,27 @@ def action_cost(kind: str, units: int = 1) -> int:
 
 
 class ActionRegistry:
-    """Name -> handler table shared by every compute cell of a device."""
+    """Name -> executor table shared by every compute cell of a device.
+
+    ``executors`` is the table the simulator runs delivered messages
+    through (:meth:`repro.arch.simulator.Simulator.set_executors`), so a
+    registration takes effect on the next delivered message.
+    """
 
     def __init__(self) -> None:
-        self._handlers: Dict[str, ActionHandler] = {}
+        self.executors: Dict[str, Executor] = {}
         self._sizes: Dict[str, int] = {}
 
-    def register(self, name: str, handler: ActionHandler, size_words: int = 2) -> None:
+    def register(self, name: str, executor: Executor, size_words: int = 2) -> None:
         """Register an action.  Re-registering a name overwrites it."""
         if not name:
             raise ValueError("action name must be non-empty")
-        self._handlers[name] = handler
+        self.executors[name] = executor
         self._sizes[name] = size_words
 
-    def get(self, name: str) -> ActionHandler:
+    def get(self, name: str) -> Executor:
         try:
-            return self._handlers[name]
+            return self.executors[name]
         except KeyError:
             raise KeyError(f"action {name!r} is not registered") from None
 
@@ -79,10 +92,10 @@ class ActionRegistry:
         return self._sizes.get(name, 2)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._handlers
+        return name in self.executors
 
     def names(self) -> List[str]:
-        return sorted(self._handlers)
+        return sorted(self.executors)
 
 
 class ActionContext:
@@ -167,7 +180,7 @@ class ActionContext:
             size_words = registry._sizes.get(action)
             if size_words is None:
                 raise KeyError(f"cannot propagate unregistered action {action!r}")
-        elif action not in registry._handlers:
+        elif action not in registry.executors:
             raise KeyError(f"cannot propagate unregistered action {action!r}")
         cc_id = self.cell.cc_id
         msg = Message(
@@ -226,10 +239,11 @@ class ActionContext:
     def finish(self) -> Tuple[int, List[Message]]:
         """Finalize the invocation: flush spawned tasks, return (cost, messages).
 
-        The terminator's sent-count is credited here in one batch (messages
-        plus spawned tasks) rather than per propagate call: the handler body
-        runs atomically inside one task, so no cycle boundary can observe
-        the difference.
+        The task this context ran retires here, and the work it created
+        (messages plus spawned tasks) is credited in the same
+        :meth:`~repro.runtime.device.AMCCADevice.settle` call rather than
+        per propagate call: the handler body runs atomically inside one
+        task, so no cycle boundary can observe the difference.
         """
         device = self.device
         spawned = self._spawned_tasks
@@ -243,13 +257,5 @@ class ActionContext:
         msgs = self._messages
         if msgs is not None:
             sent += len(msgs)
-        if sent:
-            # Inline of device.terminator_hook_sent / Terminator.on_sent:
-            # one finish per executed task makes the wrappers measurable.
-            terminator = device._terminator
-            if terminator is not None:
-                terminator.outstanding += sent
-                terminator.total_sent += sent
-            else:
-                device._pre_run_sends += sent
+        device.settle(sent)
         return 1 + self._extra_cost, msgs if msgs is not None else []

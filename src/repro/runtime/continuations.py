@@ -43,8 +43,8 @@ class ContinuationManager:
     # ------------------------------------------------------------------
     def install_system_actions(self) -> None:
         """Register the allocate / continuation system actions on the device."""
-        self.device.registry.register(SYS_ALLOCATE, self._sys_allocate, size_words=4)
-        self.device.registry.register(SYS_CONTINUATION, self._sys_continuation, size_words=3)
+        self.device.register_action(SYS_ALLOCATE, self._sys_allocate, size_words=4)
+        self.device.register_action(SYS_CONTINUATION, self._sys_continuation, size_words=3)
 
     # ------------------------------------------------------------------
     def call_cc_allocate(

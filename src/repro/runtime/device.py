@@ -14,7 +14,12 @@ This mirrors the accelerator-style host program of the paper's Listing 1:
 
 The device owns the simulator, the action registry, the continuation manager
 and the terminator hooks; the graph layer and the algorithms only ever talk
-to this facade.
+to this facade.  Every delivered message runs through its action's
+*executor*, looked up once in the registry's table: a handler written
+against :class:`~repro.runtime.actions.ActionContext` gets a generic
+executor bound at registration, and a hot action may register a direct
+executor that builds its messages without a context.  Both retire their
+task through :meth:`AMCCADevice.settle`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.arch.cell import ComputeCell, Task
 from repro.arch.config import ChipConfig
 from repro.arch.energy import EnergyModel, EnergyReport
 from repro.arch.message import Message
-from repro.arch.simulator import STEP_PHASES, Simulator
+from repro.arch.simulator import STEP_PHASES, Executor, Simulator
 from repro.arch.stats import SimStats
 from repro.runtime.actions import ActionContext, ActionHandler, ActionRegistry
 from repro.runtime.continuations import ContinuationManager
@@ -65,11 +70,9 @@ class AMCCADevice:
         self.config = config or ChipConfig.paper_chip()
         self.registry = ActionRegistry()
         self.simulator = Simulator(self.config, trace_every=trace_every)
-        self.simulator.set_executor(self._execute_message)
+        self.simulator.set_executors(self.registry.executors)
         self.energy_model = energy_model or EnergyModel()
-        self.continuations = ContinuationManager(self)
-        self.continuations.install_system_actions()
-        #: context reused by _execute_message (see its docstring).
+        #: context reused by every generic executor (see context_executor).
         self._pooled_ctx = ActionContext(self, self.simulator.cells[0])
         self._terminator: Optional[Terminator] = None
         # Work injected by the host before run() installs a terminator; the
@@ -77,13 +80,30 @@ class AMCCADevice:
         # balance (every completion has a matching send).
         self._pre_run_sends = 0
         self._run_count = 0
+        self.continuations = ContinuationManager(self)
+        self.continuations.install_system_actions()
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def register_action(self, name: str, handler: ActionHandler, size_words: int = 2) -> None:
-        """Register an action handler under ``name`` (paper: AMCCA_REGISTER_ACTION)."""
-        self.registry.register(name, handler, size_words=size_words)
+        """Register an action handler under ``name`` (paper: AMCCA_REGISTER_ACTION).
+
+        ``handler(ctx, target_object, *operands)`` runs through a generic
+        executor bound here (:meth:`context_executor`).
+        """
+        self.registry.register(name, self.context_executor(handler),
+                               size_words=size_words)
+
+    def register_executor(self, name: str, executor: Executor, size_words: int = 2) -> None:
+        """Register an action by a direct executor.
+
+        ``executor(cell, msg)`` runs the delivered message itself and
+        returns its ``(instruction_cost, outgoing_messages)`` pair; it must
+        retire its task through :meth:`settle`, crediting every message and
+        task it creates.
+        """
+        self.registry.register(name, executor, size_words=size_words)
 
     def register_data_transfer(
         self,
@@ -181,41 +201,19 @@ class AMCCADevice:
         else:
             self._pre_run_sends += count
 
-    def terminator_hook_completed(self) -> None:
-        if self._terminator is not None:
-            self._terminator.on_completed()
-        elif self._pre_run_sends > 0:
-            self._pre_run_sends -= 1
+    def settle(self, sent: int) -> None:
+        """Retire one executed task and credit the ``sent`` work it created.
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _execute_message(self, cell: ComputeCell, msg: Message) -> Tuple[int, List[Message]]:
-        """Run an arrived message's action in place (simulator executor hook).
-
-        This is the hot path: one call per delivered message, with the
-        terminator bookkeeping inlined and the ActionContext reused across
-        invocations (tasks run strictly sequentially and nothing retains a
-        context past finish(), so one pooled instance suffices).
+        The one place executors and :meth:`ActionContext.finish` settle the
+        terminator: the completion is counted first, with
+        :meth:`Terminator.on_completed`'s fail-fast guard, then the
+        messages and tasks the task created.  With no terminator installed
+        the host-side ``_pre_run_sends`` tally takes both.
         """
-        handler = self.registry._handlers[msg.action]
-        ctx = self._pooled_ctx
-        ctx.cell = cell
-        ctx._extra_cost = 0
-        ctx._messages = None
-        ctx._spawned_tasks = None
-        target = msg.target
-        target_obj = None
-        if target is not None and target.obj_id >= 0:
-            # Direct local-memory read; the simulator only ever hands a
-            # message to the cell that owns its target address.
-            target_obj = cell.memory[target.obj_id]
-        handler(ctx, target_obj, *msg.operands)
         terminator = self._terminator
         if terminator is not None:
-            # Inline of Terminator.on_completed (one call per executed
-            # message makes the wrapper measurable), including its
-            # fail-fast accounting guard.
+            # Inline of Terminator.on_completed / on_sent: one call per
+            # executed message makes the wrappers measurable.
             terminator.outstanding -= 1
             terminator.total_completed += 1
             if terminator.outstanding < 0:
@@ -224,28 +222,43 @@ class AMCCADevice:
                     f"(completed {terminator.total_completed} > "
                     f"sent {terminator.total_sent})"
                 )
-        elif self._pre_run_sends > 0:
-            self._pre_run_sends -= 1
-        # Inline of ctx.finish() (kept in sync with ActionContext.finish,
-        # which remains the reference form for local tasks).
-        spawned = ctx._spawned_tasks
-        sent = 0
-        if spawned is not None:
-            enqueue = self.simulator.enqueue_task
-            for cc_id, task in spawned:
-                enqueue(cc_id, task)
-            sent = len(spawned)
-            ctx._spawned_tasks = None
-        msgs = ctx._messages
-        if msgs is not None:
-            sent += len(msgs)
-        if sent:
-            if terminator is not None:
+            if sent:
                 terminator.outstanding += sent
                 terminator.total_sent += sent
-            else:
-                self._pre_run_sends += sent
-        return 1 + ctx._extra_cost, msgs if msgs is not None else []
+        else:
+            if self._pre_run_sends > 0:
+                self._pre_run_sends -= 1
+            self._pre_run_sends += sent
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
+    def context_executor(self, handler: ActionHandler) -> Executor:
+        """The generic executor of a context-style ``handler``.
+
+        Bound once at registration.  Each call resets the device's pooled
+        :class:`ActionContext` (tasks run strictly sequentially and nothing
+        retains a context past finish(), so one instance suffices), runs
+        ``handler(ctx, target_object, *operands)`` against the target in
+        the cell's local memory and finishes the context.
+        """
+        ctx = self._pooled_ctx
+
+        def execute(cell: ComputeCell, msg: Message) -> Tuple[int, List[Message]]:
+            ctx.cell = cell
+            ctx._extra_cost = 0
+            ctx._messages = None
+            ctx._spawned_tasks = None
+            target = msg.target
+            target_obj = None
+            if target is not None and target.obj_id >= 0:
+                # Direct local-memory read; the simulator only ever hands a
+                # message to the cell that owns its target address.
+                target_obj = cell.memory[target.obj_id]
+            handler(ctx, target_obj, *msg.operands)
+            return ctx.finish()
+
+        return execute
 
     def make_local_task(
         self, cell: ComputeCell, fn: Callable[[ActionContext], None], label: str = "local"
@@ -255,7 +268,6 @@ class AMCCADevice:
         def run() -> Tuple[int, List[Message]]:
             ctx = ActionContext(self, cell)
             fn(ctx)
-            self.terminator_hook_completed()
             return ctx.finish()
 
         return Task(run, label=label)
@@ -295,27 +307,36 @@ class AMCCADevice:
         tracer = sim.tracer
         if tracer is not None:
             phase_before = dict(sim.phase_ns) if sim.phase_ns else {}
+            action_before = dict(sim.action_ns) if sim.action_ns else {}
             span_start = tracer.now_ns()
         cycles = sim.run(max_cycles=max_cycles, until=finished)
         if tracer is not None:
             # One aggregated span per diffusion (per-cycle spans would be
-            # far too hot); per-phase wall time rides along as args and a
-            # counter sample for the viewer's stacked series.
+            # far too hot); per-phase and per-action wall time ride along
+            # as args and counter samples for the viewer's stacked series.
             phase_us = {
                 name: (ns - phase_before.get(name, 0)) / 1000.0
                 for name, ns in (sim.phase_ns or {}).items()
+            }
+            action_us = {
+                name: (ns - action_before.get(name, 0)) / 1000.0
+                for name, ns in sorted((sim.action_ns or {}).items())
             }
             tracer.complete(
                 phase or f"run-{self._run_count + 1}", "sim",
                 start_ns=span_start, dur_ns=tracer.now_ns() - span_start,
                 cycles=cycles, start_cycle=start, end_cycle=sim.cycle,
+                action_us={name: round(us, 1)
+                           for name, us in action_us.items()},
                 **{f"{name}_us": round(us, 1)
                    for name, us in phase_us.items()})
             if phase_us:
                 # The stacked series keeps the disjoint phases; executor
-                # time already sits inside cells.
+                # time already sits inside cells, and the per-action series
+                # splits it.
                 tracer.counter("sim_phase_us", {
                     name: phase_us[name] for name in STEP_PHASES})
+                tracer.counter("sim_action_us", action_us)
         if terminator is not None and finished():
             terminator.mark_finished(sim.cycle)
         self._terminator = None

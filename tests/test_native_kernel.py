@@ -17,6 +17,7 @@ Two halves, mirroring the extension's optional-by-design split:
 
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -104,6 +105,16 @@ class TestNativeBuildSelection:
         assert isinstance(noc, kernels.NativeCycleAccurateNoC)
         assert isinstance(noc, CycleAccurateNoC)
         assert noc.native_sweep
+
+    def test_native_noc_holds_no_per_link_deques(self):
+        """The python sweep's per-link FIFOs and stamps are not built: the
+        native sweep queues on its flat slot lists."""
+        cfg = ChipConfig(width=8, height=8, kernel="native")
+        noc = build_noc(cfg, SimStats(num_cells=cfg.num_cells))
+        assert not hasattr(noc, "_queues") and not hasattr(noc, "_stamp")
+        assert not any(isinstance(value, deque)
+                       for value in vars(noc).values())
+        assert len(noc._vq_head) == noc.link_table.num_links
 
     def test_auto_prefers_native(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)

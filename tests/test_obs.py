@@ -307,6 +307,33 @@ class TestObserverOnly:
             for e in counters)
 
     @requires_numpy
+    def test_per_action_times_split_the_executor_line(self, tmp_path):
+        """Per-action executor time sums to the executor line, rides on the
+        run spans and gets its own stacked counter; the record is
+        byte-identical to an untimed run's."""
+        scenario = tiny_scenario("obs", "bfs")
+        plain = run_scenario(scenario)
+        trace_path = tmp_path / "trace.json"
+        traced, device = run_scenario_traced(scenario,
+                                             trace_path=str(trace_path))
+        assert (json.dumps(traced, sort_keys=True)
+                == json.dumps(plain, sort_keys=True))
+        sim = device.simulator
+        assert {"insert-edge-action", "bfs-action"} <= set(sim.action_ns)
+        assert sum(sim.action_ns.values()) == sim.phase_ns["executor"]
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        spans = [e for e in events if e["ph"] == "X" and e["cat"] == "sim"]
+        assert spans
+        for span in spans:
+            # Each value is rounded to 0.1 us on its own.
+            per_action = span["args"]["action_us"]
+            assert sum(per_action.values()) == pytest.approx(
+                span["args"]["executor_us"], abs=0.1 * (len(per_action) + 1))
+        counters = [e for e in events if e["name"] == "sim_action_us"]
+        assert len(counters) == len(spans)
+        assert any("insert-edge-action" in e["args"] for e in counters)
+
+    @requires_numpy
     def test_trace_path_is_identity_free(self, tmp_path):
         plain = tiny_scenario("obs", "bfs")
         traced = tiny_scenario("obs", "bfs",

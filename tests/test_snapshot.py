@@ -582,6 +582,47 @@ def test_malformed_body_is_a_snapshot_error(ghost_checkpoint, mutate, match):
         restore_scenario(tiny_scenario(), corrupt)
 
 
+#: The per-slot columns restore builds ghost futures and ghost addresses
+#: from; each must agree with its twin.
+GHOST_COLUMNS = ("future_cc", "future_obj", "ghost_cc", "ghost_obj")
+
+
+@requires_numpy
+@pytest.mark.parametrize("table", ["roots", "ghosts"])
+@pytest.mark.parametrize("column", GHOST_COLUMNS)
+def test_ghost_columns_disagreeing_are_refused(ghost_checkpoint, table,
+                                               column):
+    """A fulfilled future must name its resolved ghost, and a null future
+    must have none: mutating any one of the four columns is refused."""
+    slots = ghost_checkpoint.body["graph"][table]
+    fulfilled = [j for j, cc in enumerate(slots["future_cc"]) if cc >= 0]
+    null = [j for j, cc in enumerate(slots["future_cc"]) if cc < 0]
+    assert fulfilled and null
+
+    def retarget(body):
+        # Point a resolved slot somewhere else in this one column.
+        body["graph"][table][column][fulfilled[0]] += 1
+
+    def resolve_null(body):
+        # Give a null slot a cell in this one column.
+        body["graph"][table][column][null[0]] = 0
+
+    for mutate in (retarget, resolve_null):
+        corrupt = _with_body(ghost_checkpoint, mutate)
+        with pytest.raises(SnapshotError,
+                           match=f"{table} ghost futures disagree"):
+            restore_scenario(tiny_scenario(), corrupt)
+
+
+@requires_numpy
+def test_ghost_bearing_checkpoint_restores(ghost_checkpoint):
+    _dataset, device, graph, _algorithm = restore_scenario(
+        tiny_scenario(), ghost_checkpoint)
+    ghosts = [block for cell in device.simulator.cells
+              for block in cell.memory.values() if not block.is_root]
+    assert ghosts and graph.ghost_blocks_allocated == len(ghosts)
+
+
 @requires_numpy
 def test_snapshot_restore_cli_exits_2_on_malformed_body(tmp_path, capsys):
     from repro.cli import main
