@@ -18,7 +18,7 @@ The workload is the registered ``chip-animation`` harness suite, and the
 record lands in the shared demo store (``results/demo.jsonl``), so the
 same measurement can be rebuilt later without re-simulating::
 
-    repro suite show --preset chip-animation --store results/demo.jsonl
+    repro report --preset chip-animation --store results/demo.jsonl
 
 Run with:  python examples/chip_animation.py
 """

@@ -12,7 +12,7 @@ results land in a shared store (default ``results/demo.jsonl``): re-running
 the demo serves cached records instead of re-simulating, and the same
 tables can be rebuilt later with::
 
-    repro suite show --preset graphchallenge-demo --store results/demo.jsonl
+    repro report --preset graphchallenge-demo --store results/demo.jsonl
 
 Run with:  python examples/streaming_graphchallenge.py [edge|snowball]
 """

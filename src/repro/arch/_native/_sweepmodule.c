@@ -43,8 +43,7 @@
 #include <stdint.h>
 
 /* Interned attribute/method names (module-lifetime references). */
-static PyObject *s_hops, *s_position, *s_delivered_cycle, *s_created_cycle,
-    *s_dst, *s_task_queue, *s_staging, *s_held_messages,
+static PyObject *s_hops, *s_dst, *s_task_queue, *s_staging, *s_held_messages,
     *s_remaining_instructions, *s_instructions_executed, *s_messages_staged,
     *s_tasks_executed, *s_popleft, *s_extend, *s_append, *s_run,
     *s_src, *s_size_words, *s_action, *s_stats, *s_messages_injected, *s_in_flight,
@@ -116,23 +115,23 @@ append_int(PyObject *list, long long value)
 
 /* ------------------------------------------------------------------ */
 /* advance_links(active, nxt, vq_head, vq_tail, vnext, vpos, vrlen,    */
-/*               pool, vstamp, link_dst, slot_msg, vfree, delivered,   */
-/*               sweep, cycle) -> deliveries                           */
+/*               pool, vstamp, slot_msg, vfree, delivered, sweep)      */
+/*   -> deliveries                                                     */
 /* ------------------------------------------------------------------ */
 static PyObject *
 advance_links(PyObject *self, PyObject *args)
 {
     PyObject *active, *nxt, *slot_msg, *vfree, *delivered;
-    PyObject *bufobjs[8];
-    QBuf bufs[8];
-    long long sweep, cycle, deliveries = 0;
+    PyObject *bufobjs[7];
+    QBuf bufs[7];
+    long long sweep, deliveries = 0;
     Py_ssize_t i, n;
     int nacq;
 
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOLL", &active, &nxt,
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOL", &active, &nxt,
                           &bufobjs[0], &bufobjs[1], &bufobjs[2], &bufobjs[3],
-                          &bufobjs[4], &bufobjs[5], &bufobjs[6], &bufobjs[7],
-                          &slot_msg, &vfree, &delivered, &sweep, &cycle))
+                          &bufobjs[4], &bufobjs[5], &bufobjs[6],
+                          &slot_msg, &vfree, &delivered, &sweep))
         return NULL;
     if (!PyList_CheckExact(active) || !PyList_CheckExact(nxt)
             || !PyList_CheckExact(slot_msg) || !PyList_CheckExact(vfree)
@@ -142,7 +141,7 @@ advance_links(PyObject *self, PyObject *args)
                         "must be lists");
         return NULL;
     }
-    for (nacq = 0; nacq < 8; nacq++) {
+    for (nacq = 0; nacq < 7; nacq++) {
         if (qbuf_acquire(bufobjs[nacq], &bufs[nacq], "advance_links") < 0) {
             while (nacq--)
                 PyBuffer_Release(&bufs[nacq].view);
@@ -157,7 +156,6 @@ advance_links(PyObject *self, PyObject *args)
         int64_t *vrlen = bufs[4].p;
         int64_t *pool = bufs[5].p;
         int64_t *vstamp = bufs[6].p;
-        int64_t *link_dst = bufs[7].p;
 
         /* No callback below re-enters user Python (list appends and slot
          * attribute sets only), so the active list is frozen for the call. */
@@ -185,8 +183,6 @@ advance_links(PyObject *self, PyObject *args)
                 }
                 if (append_int(vfree, s) < 0
                         || set_int_attr(msg, s_hops, vrlen[s]) < 0
-                        || set_int_attr(msg, s_position, link_dst[lid]) < 0
-                        || set_int_attr(msg, s_delivered_cycle, cycle) < 0
                         || PyList_Append(delivered, msg) < 0) {
                     Py_DECREF(msg);
                     goto fail;
@@ -218,12 +214,12 @@ advance_links(PyObject *self, PyObject *args)
             }
         }
     }
-    for (nacq = 0; nacq < 8; nacq++)
+    for (nacq = 0; nacq < 7; nacq++)
         PyBuffer_Release(&bufs[nacq].view);
     return PyLong_FromLongLong(deliveries);
 
 fail:
-    for (nacq = 0; nacq < 8; nacq++)
+    for (nacq = 0; nacq < 7; nacq++)
         PyBuffer_Release(&bufs[nacq].view);
     return NULL;
 }
@@ -451,7 +447,7 @@ fail:
 }
 
 static int
-ctx_inject(InjectCtx *c, PyObject *msg, PyObject *cycle_obj, long long cycle,
+ctx_inject(InjectCtx *c, PyObject *msg, PyObject *cycle_obj,
            PyObject *noc_inject)
 {
     int err = 0;
@@ -468,8 +464,6 @@ ctx_inject(InjectCtx *c, PyObject *msg, PyObject *cycle_obj, long long cycle,
     if (src == dst) {
         /* Local delivery: no network traversal, delivered next cycle. */
         c->injected++;
-        if (set_int_attr(msg, s_delivered_cycle, cycle) < 0)
-            return -1;
         return PyList_Append(c->local_deliv, msg);
     }
     keyobj = PyLong_FromLongLong(src * c->num_cells + dst);
@@ -696,13 +690,8 @@ burn_cells(PyObject *self, PyObject *args)
             staged = PyObject_CallMethodObjArgs(staging, s_popleft, NULL);
             if (staged == NULL)
                 goto cellfail;
-            if (PyObject_SetAttr(staged, s_created_cycle, cycle_obj) < 0) {
-                Py_DECREF(staged);
-                goto cellfail;
-            }
             if (ictx.valid) {
-                if (ctx_inject(&ictx, staged, cycle_obj, cycle,
-                               noc_inject) < 0) {
+                if (ctx_inject(&ictx, staged, cycle_obj, noc_inject) < 0) {
                     Py_DECREF(staged);
                     goto cellfail;
                 }
@@ -966,9 +955,6 @@ intern_all(void)
             return -1;                                    \
     } while (0)
     INTERN(s_hops, "hops");
-    INTERN(s_position, "position");
-    INTERN(s_delivered_cycle, "delivered_cycle");
-    INTERN(s_created_cycle, "created_cycle");
     INTERN(s_dst, "dst");
     INTERN(s_task_queue, "task_queue");
     INTERN(s_staging, "staging");

@@ -142,7 +142,6 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         self._pool = array("q")
         #: route key -> (pool offset, route length, first link id).
         self._pool_memo: Dict[int, Tuple[int, int, int]] = {}
-        self._link_dst_q = array("q", self.link_table.dst)
         #: whole link-id routes, expanded from the legs once per pair.
         self._route_fn = routing.route_lids
         self._advance_c = _sweep.advance_links
@@ -181,15 +180,12 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
     # Injection: route memoised into the pool, message into a fresh slot
     # ------------------------------------------------------------------
     def inject(self, msg: Message, cycle: int) -> None:
-        if msg.created_cycle < 0:
-            msg.created_cycle = cycle
         stats = self.stats
         stats.messages_injected += 1
         src = msg.src
         dst = msg.dst
         if src == dst:
             # Local delivery: no network traversal, delivered next cycle.
-            msg.delivered_cycle = cycle
             self._local_deliveries.append(msg)
             return
         key = src * self._num_cells + dst
@@ -238,15 +234,9 @@ class NativeCycleAccurateNoC(CycleAccurateNoC):
         deliveries = self._advance_c(
             active, nxt, self._vq_head, self._vq_tail, self._vnext,
             self._vpos, self._vrlen, self._pool, self._vstamp,
-            self._link_dst_q, self._vslot_msg, self._vfree, delivered,
-            sweep, cycle)
+            self._vslot_msg, self._vfree, delivered, sweep)
         self.in_flight -= deliveries
-        stats = self.stats
-        stats.link_busy += len(nxt)
-        per_link = stats.link_busy_per_link
-        if per_link is not None:
-            for lid in nxt:
-                per_link[lid] += 1
+        self.stats.link_busy += len(nxt)
         self._active = nxt
         active.clear()
         self._next_active = active

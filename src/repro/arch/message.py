@@ -10,12 +10,9 @@ payloads (see :mod:`repro.arch.noc`).
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Tuple
 
 from repro.arch.address import Address
-
-_msg_counter = itertools.count()
 
 
 class Message:
@@ -23,8 +20,9 @@ class Message:
 
     A ``__slots__`` class rather than a dataclass: hundreds of thousands of
     messages are created and moved per simulated run, so instance size and
-    attribute-access speed matter.  Equality is identity (each in-flight
-    message is a unique object with a unique ``msg_id``).
+    attribute-access speed matter.  A message carries only what the chip
+    reads: its action, its target's global address and its operands, plus
+    the route index ``hops``.  Equality is identity.
 
     Parameters
     ----------
@@ -41,6 +39,10 @@ class Message:
         Positional operand payload delivered to the action handler.
     size_words:
         Payload size in 32-bit words, used for flit accounting.
+
+    ``hops`` is the message's route index, the links it has crossed; each
+    NoC model writes it by its own rule (see :mod:`repro.arch.noc`), and a
+    snapshot carries it.
     """
 
     __slots__ = (
@@ -50,12 +52,7 @@ class Message:
         "target",
         "operands",
         "size_words",
-        "msg_id",
-        "created_cycle",
-        "delivered_cycle",
         "hops",
-        "position",
-        "last_moved",
         # NoC-private in-flight state (set by CycleAccurateNoC.inject): the
         # route's two legs as the current leg's link-id step and last link,
         # the second leg's first and last link (-1 first once turned), and
@@ -82,24 +79,7 @@ class Message:
         self.target = target
         self.operands = operands
         self.size_words = size_words
-        self.msg_id = next(_msg_counter)
-        self.created_cycle = -1
-        self.delivered_cycle = -1
         self.hops = 0
-        #: position of the message while in flight (cell currently holding it)
-        self.position = src
-        #: cycle of the last movement.  Only the reference cycle-accurate
-        #: NoC maintains it (per hop, as its one-hop-per-cycle guard); the
-        #: array fast path guarantees single-hop movement structurally and
-        #: leaves this at -1.
-        self.last_moved = -1
-
-    @property
-    def latency(self) -> int:
-        """Delivery latency in cycles (valid once delivered)."""
-        if self.delivered_cycle < 0 or self.created_cycle < 0:
-            return -1
-        return self.delivered_cycle - self.created_cycle
 
     def flits(self, max_words_per_flit: int) -> int:
         """Number of flits needed to carry this message on the chip links."""
@@ -116,26 +96,20 @@ class Message:
         """The message as a tuple of plain values (snapshot capture)."""
         return (
             self.src, self.dst, self.action, self.target, self.operands,
-            self.size_words, self.created_cycle, self.delivered_cycle,
-            self.hops, self.position, self.last_moved,
+            self.size_words, self.hops,
         )
 
     @classmethod
     def from_state(cls, state: Tuple) -> "Message":
-        """Rebuild a message captured by :meth:`to_state` (fresh ``msg_id``)."""
-        (src, dst, action, target, operands, size_words, created_cycle,
-         delivered_cycle, hops, position, last_moved) = state
+        """Rebuild a message captured by :meth:`to_state`."""
+        src, dst, action, target, operands, size_words, hops = state
         msg = cls(src, dst, action, target, tuple(operands), size_words)
-        msg.created_cycle = created_cycle
-        msg.delivered_cycle = delivered_cycle
         msg.hops = hops
-        msg.position = position
-        msg.last_moved = last_moved
         return msg
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Message(#{self.msg_id} {self.action} {self.src}->{self.dst} "
+            f"Message({self.action} {self.src}->{self.dst} "
             f"target={self.target} hops={self.hops})"
         )
 

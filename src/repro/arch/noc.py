@@ -180,16 +180,12 @@ class CycleAccurateNoC(BaseNoC):
         return len_a + (lid - b) // step_b
 
     def inject(self, msg: Message, cycle: int) -> None:
-        if msg.created_cycle < 0:
-            msg.created_cycle = cycle
         stats = self.stats
         stats.messages_injected += 1
         if msg.src == msg.dst:
             # Local delivery: no network traversal, delivered next cycle.
-            msg.delivered_cycle = cycle
             self._local_deliveries.append(msg)
             return
-        # msg.position already equals msg.src from construction.
         lid = self._place(msg, 0)
         size = msg.size_words
         fw = self._flit_words
@@ -248,24 +244,15 @@ class CycleAccurateNoC(BaseNoC):
                     stamp[nlid] = sweep
                     nxt_append(nlid)
             else:
-                # Last link of the route.  position is kept coarse in
-                # flight (source until delivery); the reference model
-                # tracks it hop by hop.
+                # Last link of the route.
                 msg.hops = msg._noc_len
-                msg.position = msg.dst
-                msg.delivered_cycle = cycle
                 delivered.append(msg)
                 deliveries += 1
             if q and stamp[lid] != sweep:
                 stamp[lid] = sweep
                 nxt_append(lid)
         self.in_flight -= deliveries
-        stats = self.stats
-        stats.link_busy += len(nxt)
-        per_link = stats.link_busy_per_link
-        if per_link is not None:
-            for lid in nxt:
-                per_link[lid] += 1
+        self.stats.link_busy += len(nxt)
         # Ping-pong the active list with the scratch list: no list() snapshot
         # copy, no per-cycle allocation.
         self._active = nxt
@@ -342,7 +329,10 @@ class ReferenceCycleAccurateNoC(BaseNoC):
     the active set is an insertion-ordered dict so the sweep follows the same
     FIFO activation order as :class:`CycleAccurateNoC` (see the module
     docstring's ordering contract).  Routing is re-derived hop by hop via
-    ``next_hop``.  This model exists to pin down the semantics: the
+    ``next_hop``, and ``Message.hops`` accrues one per traversal.  A queued
+    message sits at its link's source cell, so the model tracks no message
+    position; its one-hop-per-cycle guard is the set of messages it moved
+    in the current sweep.  This model exists to pin down the semantics: the
     equivalence tests assert the array implementation produces byte-identical
     delivery schedules and link statistics.  Select it with
     ``fidelity="cycle-ref"``.
@@ -367,17 +357,13 @@ class ReferenceCycleAccurateNoC(BaseNoC):
         return q
 
     def inject(self, msg: Message, cycle: int) -> None:
-        msg.created_cycle = cycle if msg.created_cycle < 0 else msg.created_cycle
         self.stats.messages_injected += 1
         if msg.src == msg.dst:
             # Local delivery: no network traversal, delivered next cycle.
-            msg.delivered_cycle = cycle
             self._local_deliveries.append(msg)
             return
         nxt = self.routing.next_hop(msg.src, msg.dst)
         q = self._link(msg.src, nxt)
-        msg.position = msg.src
-        msg.last_moved = cycle
         q.append(msg)
         self._active_links[(msg.src, nxt)] = None
         self.in_flight += 1
@@ -388,6 +374,8 @@ class ReferenceCycleAccurateNoC(BaseNoC):
 
         new_active: Dict[Tuple[int, int], None] = {}
         flit_words = max(1, self.config.max_message_words)
+        # Messages moved this sweep (a message hashes by identity).
+        moved = set()
         # Snapshot so messages pushed onto downstream links this cycle do not
         # move again in the same cycle (at most one hop per cycle).
         for key in list(self._active_links):
@@ -395,20 +383,18 @@ class ReferenceCycleAccurateNoC(BaseNoC):
             if not q:
                 continue
             msg = q[0]
-            if msg.last_moved == cycle and msg.position != key[0]:
+            if msg in moved:
                 # already moved this cycle (defensive; should not trigger)
                 new_active[key] = None
                 continue
             q.popleft()
-            u, v = key
-            # Traverse link u -> v.
+            moved.add(msg)
+            v = key[1]
+            # Traverse the link to v.
             hops = msg.flits(flit_words)
             msg.hops += 1
             self.stats.hops += hops
-            msg.position = v
-            msg.last_moved = cycle
             if v == msg.dst:
-                msg.delivered_cycle = cycle
                 delivered.append(msg)
                 self.in_flight -= 1
             else:
@@ -420,11 +406,6 @@ class ReferenceCycleAccurateNoC(BaseNoC):
                 new_active[key] = None
         self._active_links = new_active
         self.stats.link_busy += len(new_active)
-        per_link = self.stats.link_busy_per_link
-        if per_link is not None:
-            table = self.routing.link_table
-            for u, v in new_active:
-                per_link[table.lid(u, v)] += 1
         return delivered
 
     @property
@@ -477,7 +458,6 @@ class LatencyNoC(BaseNoC):
         self._deadlines: List[int] = []
 
     def inject(self, msg: Message, cycle: int) -> None:
-        msg.created_cycle = cycle if msg.created_cycle < 0 else msg.created_cycle
         self.stats.messages_injected += 1
         dist = self.config.manhattan(msg.src, msg.dst)
         flit_words = max(1, self.config.max_message_words)
@@ -503,16 +483,11 @@ class LatencyNoC(BaseNoC):
             buckets = self._buckets
             while deadlines and deadlines[0] <= cycle:
                 batch = buckets.pop(heapq.heappop(deadlines))
-                for msg in batch:
-                    msg.delivered_cycle = cycle
-                    msg.position = msg.dst
                 delivered += batch
                 self.in_flight -= len(batch)
             return delivered
         while self._heap and self._heap[0][0] <= cycle:
             _, _, msg = heapq.heappop(self._heap)
-            msg.delivered_cycle = cycle
-            msg.position = msg.dst
             delivered.append(msg)
             self.in_flight -= 1
         return delivered

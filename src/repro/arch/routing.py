@@ -50,9 +50,9 @@ class LinkTable:
     arrays instead of dictionaries; border slots that point off-mesh are
     simply never used (their destination is ``-1``).
 
-    The cycle-accurate NoC keys its queues, occupancy flags and busy
-    counters by link id, and routing policies describe whole routes as two
-    straight legs of link ids (:meth:`RoutingPolicy.route_legs`).
+    The cycle-accurate NoC keys its queues and sweep stamps by link id,
+    and routing policies describe whole routes as two straight legs of link
+    ids (:meth:`RoutingPolicy.route_legs`).
     """
 
     __slots__ = ("width", "height", "num_cells", "num_links", "dst", "steps")

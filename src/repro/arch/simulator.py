@@ -120,8 +120,6 @@ class Simulator:
     ) -> None:
         self.config = config
         self.routing: RoutingPolicy = make_routing(config)
-        #: directed-link id table shared by routing, NoC and statistics.
-        self.link_table = self.routing.link_table
         self.stats = SimStats(num_cells=config.num_cells)
         self.noc: BaseNoC = build_noc(config, self.stats, self.routing)
         self.io = IOSystem(config)
@@ -231,14 +229,6 @@ class Simulator:
         if not self._parked[cc_id] and self._cell_stamp[cc_id] != self._cell_sweep:
             self._cell_stamp[cc_id] = self._cell_sweep
             self._active_cells.append(cc_id)
-
-    def track_link_busy(self) -> None:
-        """Enable per-link busy accounting (see ``SimStats.link_utilization``).
-
-        Adds a small per-cycle cost, so it is off by default; call before
-        running when link-level congestion attribution is wanted.
-        """
-        self.stats.enable_link_accounting(self.link_table.num_links)
 
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer` for structured trace events.
@@ -449,9 +439,7 @@ class Simulator:
                 elif cell.staging:
                     # Drain the output staging queue (one message per cycle).
                     cell.messages_staged += 1
-                    staged = cell.staging.popleft()
-                    staged.created_cycle = cycle
-                    noc_inject(staged, cycle)
+                    noc_inject(cell.staging.popleft(), cycle)
                     active_append(cc_id)
                     did_work = True
                 elif cell.task_queue:

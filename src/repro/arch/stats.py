@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro._compat import np, require_numpy
 
@@ -52,11 +52,6 @@ class SimStats:
     messages_in_flight_per_cycle: List[int] = field(default_factory=list)
     deliveries_per_cycle: List[int] = field(default_factory=list)
 
-    # Optional per-link busy counters, indexed by directed-link id (see
-    # repro.arch.routing.LinkTable).  None until enabled: the cycle NoC only
-    # pays the per-cycle accounting cost when a caller asked for it.
-    link_busy_per_link: Optional[List[int]] = None
-
     # Named phase boundaries, e.g. one per streaming increment.
     phase_marks: Dict[str, int] = field(default_factory=dict)
 
@@ -64,38 +59,6 @@ class SimStats:
     def mark_phase(self, name: str) -> None:
         """Record the current cycle as the start of a named phase."""
         self.phase_marks[name] = self.cycles
-
-    # ------------------------------------------------------------------
-    # Per-link accounting
-    # ------------------------------------------------------------------
-    def enable_link_accounting(self, num_links: int) -> None:
-        """Allocate per-link busy counters (one slot per directed-link id).
-
-        Until this is called the cycle-accurate NoC only maintains the
-        aggregate :attr:`link_busy` counter; afterwards every busy link-cycle
-        is also attributed to its link id.
-        """
-        self.link_busy_per_link = [0] * num_links
-
-    def link_utilization(self, table) -> Dict[Tuple[int, int], int]:
-        """Busy-cycle counts keyed by directed link ``(src_cell, dst_cell)``.
-
-        ``table`` is the :class:`~repro.arch.routing.LinkTable` that named
-        the link ids.  Links that were never busy are omitted.  Empty when
-        per-link accounting was not enabled.
-        """
-        if self.link_busy_per_link is None:
-            return {}
-        return {
-            table.endpoints(lid): busy
-            for lid, busy in enumerate(self.link_busy_per_link)
-            if busy
-        }
-
-    def hottest_links(self, table, k: int = 10) -> List[Tuple[Tuple[int, int], int]]:
-        """The ``k`` busiest directed links as ``((u, v), busy_cycles)`` pairs."""
-        util = self.link_utilization(table)
-        return sorted(util.items(), key=lambda item: (-item[1], item[0]))[:k]
 
     # ------------------------------------------------------------------
     # Derived series
@@ -136,34 +99,6 @@ class SimStats:
             return 0.0
         return max(cells) / self.num_cells
 
-    def fingerprint_summary(self, storm_threshold: int) -> Dict[str, float]:
-        """Deterministic per-cycle distribution summary for workload
-        fingerprinting (see :mod:`repro.fuzz.fingerprint`).
-
-        Pure stdlib arithmetic over the per-cycle series the schedule
-        contract already pins, so the summary is identical across kernels
-        and across instrumented/uninstrumented runs.  ``storm_threshold``
-        is the in-flight message count from which a cycle counts as a
-        storm (:data:`repro.fuzz.fingerprint.STORM_THRESHOLD`).
-        """
-        cycles = len(self.active_cells_per_cycle)
-        in_flight = self.messages_in_flight_per_cycle
-        deliveries = self.deliveries_per_cycle
-        idle = sum(1 for a in self.active_cells_per_cycle if a == 0)
-        storm = sum(1 for f in in_flight if f >= storm_threshold)
-        return {
-            "cycles": cycles,
-            "mean_activation": self.mean_activation(),
-            "peak_activation": self.peak_activation(),
-            "idle_fraction": (idle / cycles) if cycles else 0.0,
-            "mean_in_flight": (sum(in_flight) / cycles) if cycles else 0.0,
-            "peak_in_flight": max(in_flight, default=0),
-            "mean_deliveries": (sum(deliveries) / cycles) if cycles else 0.0,
-            "peak_deliveries": max(deliveries, default=0),
-            "storm_cycles": storm,
-            "storm_fraction": (storm / cycles) if cycles else 0.0,
-        }
-
     def phase_cycles(self) -> Dict[str, int]:
         """Cycles spent in each named phase (difference of consecutive marks)."""
         names = list(self.phase_marks)
@@ -192,8 +127,6 @@ class SimStats:
         state["messages_in_flight_per_cycle"] = array(
             "q", self.messages_in_flight_per_cycle)
         state["deliveries_per_cycle"] = array("q", self.deliveries_per_cycle)
-        state["link_busy_per_link"] = (None if self.link_busy_per_link is None
-                                       else array("q", self.link_busy_per_link))
         state["phase_marks"] = dict(self.phase_marks)
         return state
 
@@ -205,8 +138,6 @@ class SimStats:
         self.active_cells_per_cycle = list(state["active_cells_per_cycle"])
         self.messages_in_flight_per_cycle = list(state["messages_in_flight_per_cycle"])
         self.deliveries_per_cycle = list(state["deliveries_per_cycle"])
-        per_link = state["link_busy_per_link"]
-        self.link_busy_per_link = None if per_link is None else list(per_link)
         self.phase_marks = dict(state["phase_marks"])
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ Run a whole scenario suite in parallel with cached results::
     repro suite run --preset paper-tiny -j 4
     repro suite run --preset paper-tiny -j 4 --timeout 120
     repro suite list
-    repro suite show --preset paper-tiny
+    repro report --preset paper-tiny
 
 Checkpoint, inspect and resume mid-stream chip state::
 
@@ -298,33 +298,6 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
     return 1 if report.failures else 0
 
 
-def cmd_suite_show(args: argparse.Namespace) -> int:
-    from repro.harness import ResultStore, get_suite, render_suite_report
-
-    try:
-        scenarios = get_suite(args.preset)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    store = ResultStore(args.store)
-    records = []
-    missing = []
-    for scenario in scenarios:
-        record = store.get(scenario.spec_hash())
-        if record is None:
-            missing.append(scenario.name)
-        else:
-            records.append(record)
-    if missing:
-        print(f"{len(missing)} of {len(scenarios)} scenarios not in {store.path}: "
-              + ", ".join(missing))
-        print("run them with: repro suite run --preset " + args.preset)
-    if not records:
-        return 1
-    print(render_suite_report(records, tables=args.tables))
-    return 0
-
-
 def _require_store_paths(*paths: str) -> bool:
     """Reject store paths that do not exist (ResultStore would silently
     treat them as empty, turning a typo into a vacuous pass)."""
@@ -336,10 +309,12 @@ def _require_store_paths(*paths: str) -> bool:
     return ok
 
 
-def _stored_records(args: argparse.Namespace) -> Optional[List[dict]]:
+def _stored_records(args: argparse.Namespace,
+                    missing: Optional[List[str]] = None) -> Optional[List[dict]]:
     """The records in ``--store`` of the ``--preset`` suite's scenarios,
     or every stored record without a preset.  ``None`` (the verb exits 2)
-    after reporting a missing store or an unknown preset."""
+    after reporting a missing store or an unknown preset.  ``missing``,
+    when given, collects the names of the preset's unstored scenarios."""
     from repro.harness import ResultStore, get_suite
 
     if not _require_store_paths(args.store):
@@ -352,8 +327,14 @@ def _stored_records(args: argparse.Namespace) -> Optional[List[dict]]:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return None
-    return [r for s in scenarios
-            if (r := store.get(s.spec_hash())) is not None]
+    records = []
+    for scenario in scenarios:
+        record = store.get(scenario.spec_hash())
+        if record is not None:
+            records.append(record)
+        elif missing is not None:
+            missing.append(scenario.name)
+    return records
 
 
 def cmd_suite_diff(args: argparse.Namespace) -> int:
@@ -496,9 +477,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.harness import export_png_figures, render_suite_report
     from repro.harness.report import reportable_records
 
-    records = _stored_records(args)
+    missing: List[str] = []
+    records = _stored_records(args, missing)
     if records is None:
         return 2
+    if missing:
+        total = len(records) + len(missing)
+        print(f"{len(missing)} of {total} scenarios not in {args.store}: "
+              + ", ".join(missing))
+        print("run them with: repro suite run --preset " + args.preset)
     records = reportable_records(records)
     if not records:
         print("no records to report", file=sys.stderr)
@@ -841,11 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_args(p_run)
     p_run.set_defaults(func=cmd_suite_run)
 
-    p_show = suite_sub.add_parser("show", help="report a suite from stored results only")
-    p_show.add_argument("--preset", required=True, help="suite name (see: repro suite list)")
-    _add_report_args(p_show)
-    p_show.set_defaults(func=cmd_suite_show)
-
     p_diff = suite_sub.add_parser(
         "diff", help="compare two result stores (metric deltas, stale versions)"
     )
@@ -927,15 +909,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="render stored records as text tables and optional PNG figures",
     )
-    p_report.add_argument("--store", default="results/suite.jsonl",
-                          help="JSONL result store path "
-                               "(default: results/suite.jsonl)")
+    _add_report_args(p_report)
     p_report.add_argument("--preset", default=None,
-                          help="restrict to one suite's scenarios "
-                               "(default: every stored record)")
-    p_report.add_argument("--tables", nargs="+",
-                          choices=tuple(REPORT_SECTIONS), default=None,
-                          help="report sections to print (default: all with data)")
+                          help="restrict to one suite's scenarios and list "
+                               "those missing from the store (default: "
+                               "every stored record)")
     p_report.add_argument("--png", default=None, metavar="DIR",
                           help="export PNG figures here (requires matplotlib; "
                                "skips cleanly when it is absent)")

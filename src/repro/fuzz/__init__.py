@@ -32,7 +32,6 @@ from repro.fuzz.fingerprint import (
     classify,
     classify_record,
     fingerprint_record,
-    fingerprint_stats,
 )
 from repro.fuzz.oracle import (
     INVARIANTS,
@@ -76,7 +75,6 @@ __all__ = [
     "classify",
     "classify_record",
     "fingerprint_record",
-    "fingerprint_stats",
     "INVARIANTS",
     "FuzzDivergence",
     "InvariantOutcome",

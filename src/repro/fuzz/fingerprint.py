@@ -4,19 +4,15 @@ A *fingerprint* is a small deterministic summary of a run's dynamic
 behaviour — activation density, in-flight message distribution, idle
 time — and a *classification* turns it into a regime label.
 
-Two extraction paths exist:
-
-* :func:`fingerprint_stats` reads a live :class:`repro.arch.stats.SimStats`
-  — exact, available when the caller still holds the device
-  (``repro fuzz classify`` runs the scenario instrumented for this);
-* :func:`fingerprint_record` reads a stored result record — the per-cycle
-  series is only present as fixed-bucket histograms there, so idle/storm
-  fractions are bucket-resolution estimates (flagged by ``"exact": False``).
-
-Both paths are pure stdlib arithmetic over schedule-contract data, so a
-fingerprint is identical across kernels, fidelity-for-fidelity, and across
-instrumented/uninstrumented runs — which is itself one of the properties
-the fuzz self-tests pin.
+:func:`fingerprint_record` reads a stored result record, the one source
+``repro fuzz classify``, ``repro report --tables fuzz`` and the fuzz
+oracle use.  The per-cycle series is only present there as fixed-bucket
+histograms, so idle/storm fractions are bucket-resolution estimates
+(flagged by ``"exact": False``).  The extraction is pure stdlib
+arithmetic over schedule-contract data, so a fingerprint is identical
+across kernels, fidelity-for-fidelity, and across instrumented and
+uninstrumented runs — which is itself one of the properties the fuzz
+self-tests pin.
 """
 
 from __future__ import annotations
@@ -33,14 +29,6 @@ STORM_THRESHOLD = 768
 
 #: The regimes :func:`classify` can emit, from coldest to hottest.
 REGIMES = ("parked", "sparse-diffusion", "dense-diffusion", "storm")
-
-
-def fingerprint_stats(stats, threshold: int = STORM_THRESHOLD) -> Dict[str, Any]:
-    """Exact fingerprint from live :class:`~repro.arch.stats.SimStats`."""
-    out = stats.fingerprint_summary(threshold)
-    out["storm_threshold"] = threshold
-    out["exact"] = True
-    return out
 
 
 # ----------------------------------------------------------------------

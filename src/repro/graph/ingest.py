@@ -17,12 +17,13 @@ vertex's root block; the action:
    * if the ghost future is fulfilled, the insertion is recursively
      propagated to the ghost block's address.
 
-Three of four streamed edges are a forward into a resolved ghost or a store
-that runs no algorithm hook, so the action registers a direct executor
-(:meth:`EdgeIngestor.execute`) that runs those two branches without an
-:class:`~repro.runtime.actions.ActionContext`; the branches that need one
-(store plus hook, starting a ghost allocation, queueing on a pending
-future) run :meth:`EdgeIngestor.handle` through a generic executor.
+The action registers a direct executor (:meth:`EdgeIngestor.execute`).
+It forwards into a resolved ghost and stores a hook-free edge without an
+:class:`~repro.runtime.actions.ActionContext`, and runs the algorithm hook
+of a hooked store on the device's pooled context itself; only the two
+branches that wait on an unresolved ghost (starting its allocation,
+queueing on its pending future) run :meth:`EdgeIngestor.handle` through a
+generic executor.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class EdgeIngestor:
         device = self.graph.device
         self._handle_in_context = device.context_executor(self.handle)
         self._settle = device.settle
+        self._ctx = device._pooled_ctx
         device.register_executor(INSERT_EDGE_ACTION, self.execute,
                                  size_words=INSERT_EDGE_WORDS)
 
@@ -81,9 +83,10 @@ class EdgeIngestor:
     def execute(self, cell: ComputeCell, msg: Message) -> Tuple[int, List[Message]]:
         """Direct executor: insert ``msg``'s edge slot into the target block.
 
-        Forwards into a resolved ghost (read from ``block.ghost_addrs``) and,
-        when no algorithm hook runs, stores into a block with room, with
-        no context; every other branch runs :meth:`handle`.
+        Stores into a block with room, running the algorithm hook (if any)
+        on the device's pooled context, and forwards into a resolved ghost
+        (read from ``block.ghost_addrs``) with no context; an unresolved
+        ghost runs :meth:`handle`.
         """
         block = cell.memory[msg.target.obj_id]
         operands = msg.operands
@@ -95,43 +98,41 @@ class EdgeIngestor:
             block.mirror.append(slot.dst_vid)
         edges = block.edges
         if len(edges) < block.capacity:
+            edges.append(slot)
+            self.edges_inserted += 1
             graph = self.graph
-            if graph.ingest_only or graph.algorithm is None:
-                edges.append(slot)
-                self.edges_inserted += 1
+            algorithm = graph.algorithm
+            if graph.ingest_only or algorithm is None:
                 self._settle(0)
                 return _STORE_COST, []
-        else:
-            # Edge list full: the ghost slot block.ghost_slot_for picks.
-            ghost_addrs = block.ghost_addrs
-            ghost = ghost_addrs[slot.dst_vid % len(ghost_addrs)]
-            if ghost is not None:
-                block.forwards += 1
-                self.ghost_forwards += 1
-                self._settle(1)
-                return _FORWARD_COST, [Message(
-                    cell.cc_id, ghost.cc_id, INSERT_EDGE_ACTION, ghost,
-                    operands, INSERT_EDGE_WORDS)]
+            # Inline of the generic executor's context reset, with the
+            # insert charged up front.
+            ctx = self._ctx
+            ctx.cell = cell
+            ctx._extra_cost = _COST_INSERT
+            ctx._messages = None
+            ctx._spawned_tasks = None
+            algorithm.on_edge_inserted(ctx, block, slot)
+            return ctx.finish()
+        # Edge list full: the ghost slot block.ghost_slot_for picks.
+        ghost_addrs = block.ghost_addrs
+        ghost = ghost_addrs[slot.dst_vid % len(ghost_addrs)]
+        if ghost is not None:
+            block.forwards += 1
+            self.ghost_forwards += 1
+            self._settle(1)
+            return _FORWARD_COST, [Message(
+                cell.cc_id, ghost.cc_id, INSERT_EDGE_ACTION, ghost,
+                operands, INSERT_EDGE_WORDS)]
         return self._handle_in_context(cell, msg)
 
     def handle(self, ctx: ActionContext, block: VertexBlock, slot: EdgeSlot) -> None:
-        """The insert branches that need a context, after :meth:`execute`.
+        """The overflow branches that need a context, after :meth:`execute`.
 
-        Stores ``slot`` into a block with room and runs the algorithm's
-        hook, or overflows into a ghost whose future is null (starts the
-        allocation) or pending (queues the insert on it).
+        ``block`` is full and the ghost for ``slot`` unresolved: a null
+        future starts the ghost allocation, a pending one queues the
+        insert on it.
         """
-        # Inline of block.has_room / block.append_edge: this handler runs
-        # once per hooked store, and the room check was just made.
-        if len(block.edges) < block.capacity:
-            block.edges.append(slot)
-            # inline of ctx.charge(_COST_INSERT); constant is positive
-            ctx._extra_cost += _COST_INSERT
-            self.edges_inserted += 1
-            self.graph.algorithm.on_edge_inserted(ctx, block, slot)
-            return
-
-        # Edge list full and the ghost unresolved.
         ctx.charge(_COST_COMPARE)
         slot_index = block.ghost_slot_for(slot.dst_vid)
         future = block.ghosts[slot_index]

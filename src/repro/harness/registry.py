@@ -255,8 +255,8 @@ def _graphchallenge_demo() -> List[Scenario]:
     sampling, ingestion-only and with BFS — the exact configuration
     ``examples/streaming_graphchallenge.py`` measures.  The example now
     drives this suite through the harness, so demo runs land in the shared
-    result store and ``repro suite show --preset graphchallenge-demo``
-    (or ``repro report``) rebuilds its tables without re-simulating.
+    result store and ``repro report --preset graphchallenge-demo``
+    rebuilds its tables without re-simulating.
     """
     scenarios = []
     for sampling in ("edge", "snowball"):
@@ -317,7 +317,7 @@ def _figures_500k() -> List[Scenario]:
     edge and snowball sampling, ingestion-only (Figure 6) and with BFS
     (Figure 7); the per-increment cycle series of each pair is Figure 9.
     Stored records carry the increment cycle series plus the mean/peak
-    activation summary, so ``repro suite show --preset figures-500k``
+    activation summary, so ``repro report --preset figures-500k``
     rebuilds the figures' content from the shared store without re-running.
     """
     by_name = {s.name: s

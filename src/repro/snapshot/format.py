@@ -41,8 +41,9 @@ from repro.arch.address import Address
 from repro.graph.rpvo import Edge, EdgeSlot
 
 #: Bumped whenever the container layout or the codec changes shape.
-#: Schema 2 captures RPVO blocks and cell bookkeeping column-wise.
-SCHEMA_VERSION = 2
+#: Schema 2 captures RPVO blocks and cell bookkeeping column-wise; schema
+#: 3 cuts a message to seven fields and drops per-link busy counters.
+SCHEMA_VERSION = 3
 
 _MAGIC = b"RPSNAP"
 

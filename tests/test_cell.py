@@ -36,6 +36,24 @@ def make_chip():
     return sim, delivered
 
 
+def spy_injections(sim):
+    """Record ``(cycle, message)`` for every message handed to the NoC.
+
+    The native cell loop injects along a route it has already seen
+    without calling ``noc.inject``, so a test reading staging cycles this
+    way sends each message along a route of its own.
+    """
+    injected = []
+    inject = sim.noc.inject
+
+    def spy(msg, cycle):
+        injected.append((cycle, msg))
+        inject(msg, cycle)
+
+    sim.noc.inject = spy
+    return injected
+
+
 def step(sim, cc_id=0):
     """Advance the chip one cycle and name cell ``cc_id``'s operation in it.
 
@@ -140,6 +158,7 @@ class TestExecution:
     def test_messages_released_after_instructions(self):
         msg = Message(src=0, dst=1, action="a")
         sim, delivered = make_chip()
+        injected = spy_injections(sim)
         cell = sim.cell(0)
         sim.enqueue_task(0, simple_task(cost=2, messages=[msg]))
         assert step(sim) == "compute"      # first instruction
@@ -147,18 +166,19 @@ class TestExecution:
         assert step(sim) == "compute"      # second instruction -> release
         assert list(cell.staging) == [msg]
         assert step(sim) == "stage"        # staging takes its own cycle
-        assert not cell.staging and msg.created_cycle == 2
+        assert not cell.staging and injected == [(2, msg)]
         assert sim.stats.messages_in_flight_per_cycle[-1] == 1
         sim.run()
         assert delivered == [(1, msg)]
 
     def test_one_staging_per_cycle(self):
-        msgs = [Message(src=0, dst=1, action="a") for _ in range(3)]
+        msgs = [Message(src=0, dst=dst, action="a") for dst in (1, 2, 3)]
         sim, delivered = make_chip()
+        injected = spy_injections(sim)
         sim.enqueue_task(0, simple_task(cost=1, messages=msgs))
         assert step(sim) == "compute"
         assert [step(sim) for _ in range(3)] == ["stage"] * 3
-        assert [m.created_cycle for m in msgs] == [1, 2, 3]
+        assert injected == [(1, msgs[0]), (2, msgs[1]), (3, msgs[2])]
         sim.run()
         assert [m for _, m in delivered] == msgs
         assert sim.cell(0).messages_staged == 3

@@ -29,10 +29,10 @@ class TestParser:
 
     @pytest.mark.parametrize("section", list(REPORT_SECTIONS))
     @pytest.mark.parametrize("command", [
-        ["suite", "show", "--preset", "ablations"],
+        ["report", "--preset", "ablations"],
         ["suite", "run", "--preset", "ablations"],
         ["report"],
-    ], ids=["suite-show", "suite-run", "report"])
+    ], ids=["report-preset", "suite-run", "report"])
     def test_every_report_section_parses(self, command, section):
         args = build_parser().parse_args(command + ["--tables", section])
         assert args.tables == [section]
@@ -69,6 +69,20 @@ class TestAlgosList:
 
 
 class TestCommands:
+    @requires_numpy
+    def test_report_lists_a_presets_missing_scenarios(self, tmp_path, capsys):
+        from repro.harness import ResultStore, get_suite, run_scenario
+
+        stored, missing = get_suite("tiny")
+        store = tmp_path / "suite.jsonl"
+        ResultStore(store).put(run_scenario(stored))
+        assert main(["report", "--preset", "tiny", "--store", str(store),
+                     "--tables", "suite"]) == 0
+        out = capsys.readouterr().out
+        assert f"1 of 2 scenarios not in {store}: {missing.name}\n" in out
+        assert "repro suite run --preset tiny" in out
+        assert stored.name in out
+
     @requires_numpy
     def test_table1(self, capsys):
         assert main(["table1", "--scale", "tiny"]) == 0

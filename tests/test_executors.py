@@ -20,8 +20,8 @@ from repro.arch.address import Address
 from repro.arch.config import ChipConfig
 from repro.arch.message import Message
 from repro.graph.graph import DynamicGraph
-from repro.graph.ingest import INSERT_EDGE_ACTION, INSERT_EDGE_WORDS
-from repro.graph.rpvo import EdgeSlot, VertexBlock
+from repro.graph.ingest import INSERT_EDGE_ACTION, INSERT_EDGE_WORDS, EdgeIngestor
+from repro.graph.rpvo import Edge, EdgeSlot, VertexBlock
 from repro.runtime.actions import ActionContext
 from repro.runtime.continuations import SYS_ALLOCATE
 from repro.runtime.device import AMCCADevice
@@ -133,6 +133,25 @@ class TestInsertExecutor:
         assert graph.root_block(0).edges == [slot]
         assert graph.ingestor.edges_inserted == 1
         assert books(term) == (1, 2, 1)
+
+    def test_hooked_store_never_enters_handle(self, monkeypatch):
+        # The direct executor runs a hooked store on the pooled context
+        # itself; handle() is left to overflows that wait on a ghost.
+        handle, room = EdgeIngestor.handle, []
+
+        def spy(self, ctx, block, slot):
+            room.append(len(block.edges) < block.capacity)
+            handle(self, ctx, block, slot)
+
+        monkeypatch.setattr(EdgeIngestor, "handle", spy)
+        bfs = StreamingBFS(root=0)
+        device, graph = make_graph(bfs)
+        bfs.seed(graph)
+        graph.stream_increment([Edge(0, v) for v in range(1, 8)]
+                               + [Edge(v, v + 1) for v in range(1, 7)])
+        assert graph.ingestor.edges_inserted == 13
+        assert room and not any(room)
+        assert bfs.results(graph)[7] == 1
 
     def test_forward_at_a_root(self):
         device, graph = make_graph()

@@ -24,14 +24,12 @@ from hypothesis import given, settings
 from helpers import HYPOTHESIS_SUPPRESS, requires_numpy
 from repro._compat import HAVE_NUMPY
 from repro.arch.config import KERNELS
-from repro.arch.stats import SimStats
 from repro.fuzz import (
     INVARIANTS,
     REGIMES,
     check_invariants,
     classify,
     fingerprint_record,
-    fingerprint_stats,
     first_divergence,
 )
 from repro.algorithms.registry import (
@@ -40,6 +38,7 @@ from repro.algorithms.registry import (
     symmetric_algorithm_names,
 )
 from repro.fuzz.campaign import FUZZ_PROFILES, run_campaign
+from repro.fuzz.fingerprint import STORM_THRESHOLD
 from repro.fuzz.oracle import _check_conservation
 from repro.fuzz.strategies import scenarios
 from repro.harness.runner import run_scenario
@@ -205,7 +204,7 @@ def test_fingerprint_identical_across_kernels():
 
 
 def _fp(**overrides):
-    base = {"peak_in_flight": 0, "storm_threshold": 768,
+    base = {"peak_in_flight": 0, "storm_threshold": STORM_THRESHOLD,
             "idle_fraction": 0.0, "mean_activation": 0.10}
     base.update(overrides)
     return base
@@ -220,7 +219,10 @@ def test_classify_reaches_every_regime():
     # A classification is the regime label alone (version 2).
     assert classify(_fp()) == {"version": 2, "regime": "sparse-diffusion",
                                "storm_headroom": 0.0}
-    assert fingerprint_stats(SimStats(num_cells=4))["storm_threshold"] == 768
+    assert STORM_THRESHOLD == 768
+    assert classify(_fp(peak_in_flight=STORM_THRESHOLD))["regime"] == "storm"
+    assert classify(_fp(peak_in_flight=STORM_THRESHOLD - 1))["regime"] \
+        == "sparse-diffusion"
 
 
 def test_first_divergence_reports_deepest_first_path():

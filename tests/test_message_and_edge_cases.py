@@ -14,21 +14,6 @@ from helpers import build_bfs_graph
 
 
 class TestMessage:
-    def test_position_starts_at_source(self):
-        msg = Message(src=3, dst=9, action="a")
-        assert msg.position == 3
-
-    def test_unique_monotonic_ids(self):
-        a, b = Message(0, 1, "x"), Message(0, 1, "x")
-        assert b.msg_id > a.msg_id
-
-    def test_latency_requires_both_timestamps(self):
-        msg = Message(src=0, dst=1, action="a")
-        assert msg.latency == -1
-        msg.created_cycle = 5
-        msg.delivered_cycle = 9
-        assert msg.latency == 4
-
     def test_flit_count_rounds_up(self):
         msg = Message(src=0, dst=1, action="a", size_words=9)
         assert msg.flits(4) == 3

@@ -32,20 +32,17 @@ from repro.arch.stats import SimStats
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
 
-from test_noc_equivalence import drain_schedule, normalize
+from test_noc_equivalence import drain_schedule
 
 requires_native = pytest.mark.skipif(
     not HAVE_NATIVE, reason="native sweep extension not built")
 
 
-def make_native_noc(width=8, height=8, routing="yx", per_link=False):
+def make_native_noc(width=8, height=8, routing="yx"):
     cfg = ChipConfig(width=width, height=height, routing=routing,
                      kernel="native")
     stats = SimStats(num_cells=cfg.num_cells)
-    pol = make_routing(cfg)
-    if per_link:
-        stats.enable_link_accounting(pol.link_table.num_links)
-    return kernels.NativeCycleAccurateNoC(cfg, pol, stats)
+    return kernels.NativeCycleAccurateNoC(cfg, make_routing(cfg), stats)
 
 
 def small_scenario(**overrides):
@@ -139,25 +136,9 @@ class TestNativeSchedules:
         )
         a = drain_schedule(py, sched)
         b = drain_schedule(nk, sched)
-        assert normalize(a) == normalize(b)
+        assert a == b
         for field in ("hops", "link_busy", "messages_injected"):
             assert getattr(py.stats, field) == getattr(nk.stats, field), field
-
-    def test_per_link_accounting_matches(self):
-        cfg = ChipConfig(width=8, height=8)
-        stats = SimStats(num_cells=cfg.num_cells)
-        pol = make_routing(cfg)
-        stats.enable_link_accounting(pol.link_table.num_links)
-        py = CycleAccurateNoC(cfg, pol, stats)
-        nk = make_native_noc(per_link=True)
-        rng = random.Random(5)
-        sched = sorted(
-            (rng.randrange(8), rng.randrange(64), rng.randrange(64), 2)
-            for _ in range(150)
-        )
-        drain_schedule(py, sched)
-        drain_schedule(nk, sched)
-        assert py.stats.link_busy_per_link == nk.stats.link_busy_per_link
 
     def test_export_state_matches_python_mid_flight(self):
         cfg = ChipConfig(width=8, height=8)

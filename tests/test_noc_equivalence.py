@@ -5,8 +5,8 @@ indistinguishable from the dictionary-based
 :class:`~repro.arch.noc.ReferenceCycleAccurateNoC` (the executable spec):
 same delivery order, same delivery cycles, same hop counts and same link
 statistics, from single-message cases through full fixed-seed simulations.
-Also covers the link-id tables, the link-id route construction, per-link
-busy accounting and the batched latency model.
+Also covers the link-id tables, the link-id route construction and the
+batched latency model.
 """
 
 import random
@@ -32,18 +32,14 @@ from repro.snapshot.format import pack_value
 from helpers import requires_numpy
 
 
-def make_pair(width=8, height=8, routing="yx", max_message_words=8,
-              per_link=False):
+def make_pair(width=8, height=8, routing="yx", max_message_words=8):
     """A (fast, reference) NoC pair over identical configs."""
     nocs = []
     for _ in range(2):
         cfg = ChipConfig(width=width, height=height, routing=routing,
                          max_message_words=max_message_words)
         stats = SimStats(num_cells=cfg.num_cells)
-        pol = make_routing(cfg)
-        if per_link:
-            stats.enable_link_accounting(pol.link_table.num_links)
-        nocs.append((cfg, stats, pol))
+        nocs.append((cfg, stats, make_routing(cfg)))
     cfg_a, stats_a, pol_a = nocs[0]
     cfg_b, stats_b, pol_b = nocs[1]
     fast = CycleAccurateNoC(cfg_a, pol_a, stats_a)
@@ -52,35 +48,29 @@ def make_pair(width=8, height=8, routing="yx", max_message_words=8,
 
 
 def drain_schedule(noc, injections, max_cycles=50_000):
-    """Inject per schedule and drain; return [(cycle, msg_id, hops), ...].
+    """Inject per schedule and drain; return [(cycle, index, hops), ...].
 
     ``injections`` is a list of (cycle, src, dst, size_words) tuples sorted
     by cycle; messages are injected before the advance of their cycle, the
-    same order the simulator uses for IO injections.
+    same order the simulator uses for IO injections.  ``index`` is a
+    delivered message's injection order, looked up by identity (a message
+    hashes by identity), so schedules of two NoCs compare directly.
     """
     out = []
+    order = {}
     pending = list(injections)
     cycle = 0
     while (pending or not noc.is_empty) and cycle < max_cycles:
         while pending and pending[0][0] == cycle:
             _, src, dst, size = pending.pop(0)
-            noc.inject(Message(src=src, dst=dst, action="a", size_words=size),
-                       cycle)
+            msg = Message(src=src, dst=dst, action="a", size_words=size)
+            order[msg] = len(order)
+            noc.inject(msg, cycle)
         for msg in noc.advance(cycle):
-            out.append((cycle, msg.msg_id, msg.hops))
+            out.append((cycle, order[msg], msg.hops))
         cycle += 1
     assert noc.is_empty, "drain did not converge"
     return out
-
-
-def normalize(schedule):
-    """Rebase global msg_ids to injection-order indices for comparison.
-
-    The two NoCs under test inject distinct Message objects, so their raw
-    msg_ids differ by a constant offset of the global counter.
-    """
-    base = min(m for _, m, _ in schedule) if schedule else 0
-    return [(c, m - base, h) for c, m, h in schedule]
 
 
 class TestLinkTable:
@@ -243,7 +233,7 @@ class TestScheduleEquivalence:
     def test_single_message(self):
         fast, ref = make_pair()
         sched = [(0, 0, 27, 2)]
-        assert normalize(drain_schedule(fast, sched)) == normalize(drain_schedule(ref, sched))
+        assert drain_schedule(fast, sched) == drain_schedule(ref, sched)
 
     def test_two_messages_contending_for_one_link(self):
         # Both messages need the same first link: FIFO order decides, and
@@ -254,7 +244,7 @@ class TestScheduleEquivalence:
         sched = [(0, src, dst, 2), (0, src, dst, 2)]
         a = drain_schedule(fast, sched)
         b = drain_schedule(ref, sched)
-        assert normalize(a) == normalize(b)
+        assert a == b
         assert len({c for c, _, _ in a}) == 2  # serialized on the shared links
 
     def test_corner_turn_routes_contend_identically(self):
@@ -267,18 +257,18 @@ class TestScheduleEquivalence:
             (0, cfg.cc_at(0, 4), cfg.cc_at(5, 4), 2),
             (1, cfg.cc_at(0, 2), cfg.cc_at(5, 4), 2),
         ]
-        assert normalize(drain_schedule(fast, sched)) == normalize(drain_schedule(ref, sched))
+        assert drain_schedule(fast, sched) == drain_schedule(ref, sched)
 
     def test_multi_flit_messages(self):
         fast, ref = make_pair(max_message_words=4)
         sched = [(0, 0, 18, 8), (0, 0, 18, 12), (2, 3, 18, 4)]
-        assert normalize(drain_schedule(fast, sched)) == normalize(drain_schedule(ref, sched))
+        assert drain_schedule(fast, sched) == drain_schedule(ref, sched)
         assert fast.stats.hops == ref.stats.hops
 
     def test_local_deliveries_first(self):
         fast, ref = make_pair()
         sched = [(0, 9, 9, 2), (0, 9, 17, 2)]
-        assert normalize(drain_schedule(fast, sched)) == normalize(drain_schedule(ref, sched))
+        assert drain_schedule(fast, sched) == drain_schedule(ref, sched)
 
     @pytest.mark.parametrize("routing", ["yx", "xy"])
     def test_random_storm(self, routing):
@@ -292,25 +282,9 @@ class TestScheduleEquivalence:
         )
         a = drain_schedule(fast, sched)
         b = drain_schedule(ref, sched)
-        assert normalize(a) == normalize(b)
+        assert a == b
         for field in ("hops", "link_busy", "messages_injected"):
             assert getattr(fast.stats, field) == getattr(ref.stats, field), field
-
-    def test_per_link_busy_identical(self):
-        fast, ref = make_pair(per_link=True)
-        rng = random.Random(7)
-        sched = sorted(
-            (rng.randrange(10), rng.randrange(64), rng.randrange(64), 2)
-            for _ in range(120)
-        )
-        drain_schedule(fast, sched)
-        drain_schedule(ref, sched)
-        table = fast.link_table
-        assert fast.stats.link_busy_per_link == ref.stats.link_busy_per_link
-        util = fast.stats.link_utilization(table)
-        assert sum(util.values()) == fast.stats.link_busy
-        hottest = fast.stats.hottest_links(table, k=3)
-        assert hottest == sorted(util.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
 
 
 @requires_numpy
@@ -370,11 +344,11 @@ class TestLatencyBatched:
             ]
             for m in msgs:
                 noc.inject(m, cycle=0)
+            order = {m: i for i, m in enumerate(msgs)}
             out = []
             cycle = 1
             while not noc.is_empty and cycle < 1000:
-                out.extend((cycle, m.msg_id - msgs[0].msg_id)
-                           for m in noc.advance(cycle))
+                out.extend((cycle, order[m]) for m in noc.advance(cycle))
                 cycle += 1
             results.append((out, stats.hops))
         assert results[0] == results[1]

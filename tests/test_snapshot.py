@@ -35,7 +35,7 @@ from repro.harness.runner import (
     run_scenario,
     snapshot_at,
 )
-from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
+from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.runtime.device import AMCCADevice
 from repro.snapshot import (
     Snapshot,
@@ -128,10 +128,13 @@ class TestFormat:
             Snapshot.from_bytes(b"XX" + data[2:])
 
     def test_unknown_schema_version_is_rejected(self):
-        data = bytearray(Snapshot({"repro_version": __version__}, {}).to_bytes())
-        data[6:8] = struct.pack(">H", 99)
-        with pytest.raises(SnapshotError, match="schema v99"):
-            Snapshot.from_bytes(bytes(data))
+        for version in (2, 99):
+            data = bytearray(
+                Snapshot({"repro_version": __version__}, {}).to_bytes())
+            data[6:8] = struct.pack(">H", version)
+            with pytest.raises(SnapshotError,
+                               match=f"unsupported snapshot schema v{version} "):
+                Snapshot.from_bytes(bytes(data))
 
     def test_v1_file_is_refused(self):
         data = bytearray(Snapshot({"repro_version": __version__}, {}).to_bytes())
@@ -370,6 +373,31 @@ class TestEveryBoundary:
         uninterrupted_end = snapshot_at(scenario,
                                         scenario.dataset.num_increments)
         assert resumed_end.state_hash == uninterrupted_end.state_hash
+
+
+@pytest.mark.parametrize("routing", ["yx", "xy"])
+def test_truncated_boundaries_round_trip_with_messages_in_flight(routing):
+    """A cycle budget cuts every increment off with messages in flight; each
+    boundary's checkpoint restores to its own state hash and resumes to the
+    uninterrupted record."""
+    scenario = Scenario(
+        name=f"snap-truncated-{routing}",
+        dataset=DatasetSpec(vertices=100, edges=800, num_increments=6,
+                            generator="uniform", seed=3),
+        # Room for every edge: no ghost allocation is pending at a cut.
+        chip=ChipSpec(side=8, edge_list_capacity=64, routing=routing),
+        algorithm="bfs",
+        options=RunOptions(max_cycles_per_increment=20),
+    )
+    serial = json.dumps(run_scenario(scenario), sort_keys=True)
+    for boundary in range(1, scenario.dataset.num_increments + 1):
+        data = snapshot_at(scenario, boundary).to_bytes()
+        snap = Snapshot.from_bytes(data)
+        assert snap.body["sim"]["noc"]["active"], boundary
+        _dataset, _device, graph, _algorithm = restore_scenario(scenario, snap)
+        assert capture(graph).state_hash == snap.state_hash, boundary
+        resumed = resume_scenario(scenario, Snapshot.from_bytes(data))
+        assert json.dumps(resumed, sort_keys=True) == serial, boundary
 
 
 @requires_numpy
