@@ -10,7 +10,12 @@ import pytest
 
 from conftest import BENCH_SCALE, FIGURE_GRAPH_SEED, paper_pair
 
-from repro.analysis.figures import FigureData, downsample_series, render_ascii_plot
+from repro.analysis.figures import (
+    FigureData,
+    activation_percent,
+    downsample_series,
+    render_ascii_plot,
+)
 from repro.harness import run_scenario_traced
 
 
@@ -23,7 +28,7 @@ def test_fig6_activation_ingestion_only(benchmark, sampling):
         iterations=1,
     )
     # Records keep only the mean/peak; the series comes off the device.
-    series = device.stats().activation_percent()
+    series = activation_percent(device)
     fig = FigureData(f"Figure 6{'a' if sampling == 'edge' else 'b'} "
                      f"({sampling} sampling, scale={BENCH_SCALE})",
                      "Cycles", "Percent of Cells Active")

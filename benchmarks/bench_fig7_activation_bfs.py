@@ -9,7 +9,7 @@ import pytest
 
 from conftest import BENCH_SCALE, FIGURE_GRAPH_SEED, paper_pair
 
-from repro.analysis.figures import FigureData, render_ascii_plot
+from repro.analysis.figures import FigureData, activation_percent, render_ascii_plot
 from repro.harness import run_scenario_traced
 
 
@@ -23,7 +23,7 @@ def test_fig7_activation_with_bfs(benchmark, sampling):
     )
     # Records keep only the mean/peak; the series come off the devices.
     record, device = runs["bfs"]
-    series = device.stats().activation_percent()
+    series = activation_percent(device)
     fig = FigureData(f"Figure 7{'a' if sampling == 'edge' else 'b'} "
                      f"({sampling} sampling, scale={BENCH_SCALE})",
                      "Cycles", "Percent of Cells Active")
@@ -34,7 +34,7 @@ def test_fig7_activation_with_bfs(benchmark, sampling):
 
     # Figure 7 vs Figure 6: BFS adds work, so the run is longer and the chip
     # is at least as busy as in the ingestion-only experiment.
-    ingestion_series = runs["ingest"][1].stats().activation_percent()
+    ingestion_series = activation_percent(runs["ingest"][1])
     assert len(series) > len(ingestion_series)
     assert series.max() >= ingestion_series.max() * 0.8
     assert record["algo_metrics"]["reached"] > 0

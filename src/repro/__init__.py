@@ -59,7 +59,12 @@ from repro.datasets import make_streaming_dataset, paper_dataset_configs
 # 1.6.0: records account prepaid-but-untraversed hops (``hops_untraversed``).
 # Later deletions -- the numpy kernel, cycle skipping, the message arena --
 # left every record, spec hash and snapshot byte-identical, so they keep it.
-__version__ = "1.6.0"
+# 1.7.0: statistics keep counts of cycles per value instead of per-cycle
+# lists, and ``mean_activation`` is one division of exact integers, the
+# same on every install.  It moves in the last bits on chips whose cell
+# count is not a power of two; on power-of-two chips (every registered
+# preset) records change only in ``spec_hash`` and ``repro_version``.
+__version__ = "1.7.0"
 
 __all__ = [
     "ChipConfig",

@@ -4,7 +4,8 @@
   Figure 8/9 series (cycles per increment, "Streaming Edges" vs "Streaming
   Edges with BFS") are built from harness records by
   :func:`repro.harness.report.increment_figures_from_records`; the Figure
-  6/7 series (percent of cells active per cycle) come off the device that
+  6/7 series (percent of cells active per cycle,
+  :func:`activation_percent`) come off the device that
   :func:`repro.harness.run_scenario_traced` returns.
 * :func:`render_ascii_plot` -- a terminal rendering used by the examples and
   the CLI so the figures can be eyeballed without matplotlib (which is not a
@@ -30,6 +31,20 @@ class FigureData:
 
     def add(self, label: str, values: Sequence[float]) -> None:
         self.series[label] = np.asarray(values, dtype=float)
+
+
+def activation_percent(device) -> np.ndarray:
+    """Percent of compute cells active per cycle (Figures 6 and 7).
+
+    Reads the per-cycle active-cell series that only a device returned by
+    :func:`repro.harness.run_scenario_traced` keeps.
+    """
+    require_numpy("the activation series")
+    sim = device.simulator
+    if sim.active_series is None:
+        raise ValueError("the device kept no activation series; "
+                         "run the scenario through run_scenario_traced")
+    return np.asarray(sim.active_series, dtype=float) / sim.config.num_cells * 100.0
 
 
 def downsample_series(values: Sequence[float], max_points: int = 200) -> np.ndarray:

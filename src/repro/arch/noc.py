@@ -15,8 +15,7 @@ docs/architecture.md):
 * :class:`LatencyNoC` -- contention-free model that delivers every message
   after its minimal (Manhattan) delay.  Useful for very large inputs where
   the qualitative behaviour is dominated by work counts rather than link
-  contention.  Its default *batched* mode drains all same-deadline messages
-  in one bucket pop instead of one heap pop per message.
+  contention.  It drains all same-deadline messages in one bucket pop.
 
 All models charge one hop per link traversal per flit to the statistics so
 the energy model sees identical accounting structure.
@@ -35,7 +34,6 @@ cells.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from typing import Deque, Dict, List, Tuple
 
@@ -439,21 +437,14 @@ class ReferenceCycleAccurateNoC(BaseNoC):
 class LatencyNoC(BaseNoC):
     """Contention-free NoC: delivery after exactly Manhattan-distance cycles.
 
-    In the default *batched* mode, messages are bucketed by delivery deadline
-    (a list per deadline plus a heap of distinct deadlines), so one cycle's
-    deliveries drain in a single bucket pop instead of one heap pop per
-    message.  ``batched=False`` keeps the original per-message heap; both
-    modes deliver in the identical order (ascending deadline, injection order
-    within a deadline).
+    Messages are bucketed by delivery deadline (a list per deadline plus a
+    heap of distinct deadlines), so one cycle's deliveries drain in a
+    single bucket pop, in injection order within a deadline.
     """
 
-    def __init__(self, config: ChipConfig, routing: RoutingPolicy, stats: SimStats,
-                 batched: bool = True) -> None:
+    def __init__(self, config: ChipConfig, routing: RoutingPolicy, stats: SimStats) -> None:
         super().__init__(config, routing, stats)
-        self.batched = batched
-        self._heap: List[Tuple[int, int, Message]] = []
-        self._seq = itertools.count()
-        #: batched mode: deadline -> messages, plus a heap of distinct deadlines.
+        #: deadline -> messages, plus a heap of distinct deadlines.
         self._buckets: Dict[int, List[Message]] = {}
         self._deadlines: List[int] = []
 
@@ -465,31 +456,22 @@ class LatencyNoC(BaseNoC):
         msg.hops = dist
         self.stats.hops += hops
         deliver_at = cycle + max(1, dist)
-        if self.batched:
-            bucket = self._buckets.get(deliver_at)
-            if bucket is None:
-                self._buckets[deliver_at] = [msg]
-                heapq.heappush(self._deadlines, deliver_at)
-            else:
-                bucket.append(msg)
+        bucket = self._buckets.get(deliver_at)
+        if bucket is None:
+            self._buckets[deliver_at] = [msg]
+            heapq.heappush(self._deadlines, deliver_at)
         else:
-            heapq.heappush(self._heap, (deliver_at, next(self._seq), msg))
+            bucket.append(msg)
         self.in_flight += 1
 
     def advance(self, cycle: int) -> List[Message]:
         delivered: List[Message] = []
-        if self.batched:
-            deadlines = self._deadlines
-            buckets = self._buckets
-            while deadlines and deadlines[0] <= cycle:
-                batch = buckets.pop(heapq.heappop(deadlines))
-                delivered += batch
-                self.in_flight -= len(batch)
-            return delivered
-        while self._heap and self._heap[0][0] <= cycle:
-            _, _, msg = heapq.heappop(self._heap)
-            delivered.append(msg)
-            self.in_flight -= 1
+        deadlines = self._deadlines
+        buckets = self._buckets
+        while deadlines and deadlines[0] <= cycle:
+            batch = buckets.pop(heapq.heappop(deadlines))
+            delivered += batch
+            self.in_flight -= len(batch)
         return delivered
 
     def untraversed_hops(self) -> int:
@@ -500,49 +482,25 @@ class LatencyNoC(BaseNoC):
         """
         fw = max(1, self.config.max_message_words)
         man = self.config.manhattan
-        if self.batched:
-            pending = (m for bucket in self._buckets.values() for m in bucket)
-        else:
-            pending = (m for _, _, m in self._heap)
-        return sum(man(msg.src, msg.dst) * msg.flits(fw) for msg in pending)
+        return sum(man(msg.src, msg.dst) * msg.flits(fw)
+                   for bucket in self._buckets.values() for msg in bucket)
 
     # -- snapshot support ----------------------------------------------
     def export_state(self) -> Dict:
-        if self.batched:
-            pending = {deadline: [msg.to_state() for msg in msgs]
-                       for deadline, msgs in self._buckets.items()}
-            heap: List = []
-            next_seq = 0
-        else:
-            pending = {}
-            heap = [(deadline, seq, msg.to_state())
-                    for deadline, seq, msg in self._heap]
-            next_seq = max((seq for _, seq, _ in self._heap), default=-1) + 1
         return {
             "kind": "latency",
-            "batched": self.batched,
-            "buckets": pending,
+            "buckets": {deadline: [msg.to_state() for msg in msgs]
+                        for deadline, msgs in self._buckets.items()},
             "deadlines": list(self._deadlines),
-            "heap": heap,
-            "next_seq": next_seq,
         }
 
     def import_state(self, state: Dict) -> None:
-        if state["batched"] != self.batched:  # pragma: no cover - config guard
-            raise RuntimeError("latency NoC batching mode mismatch")
         in_flight = 0
-        if self.batched:
-            for deadline, entries in state["buckets"].items():
-                self._buckets[deadline] = [Message.from_state(s) for s in entries]
-                in_flight += len(entries)
-            self._deadlines = list(state["deadlines"])
-            heapq.heapify(self._deadlines)
-        else:
-            self._heap = [(deadline, seq, Message.from_state(s))
-                          for deadline, seq, s in state["heap"]]
-            heapq.heapify(self._heap)
-            in_flight = len(self._heap)
-            self._seq = itertools.count(state["next_seq"])
+        for deadline, entries in state["buckets"].items():
+            self._buckets[deadline] = [Message.from_state(s) for s in entries]
+            in_flight += len(entries)
+        self._deadlines = list(state["deadlines"])
+        heapq.heapify(self._deadlines)
         self.in_flight = in_flight
 
 

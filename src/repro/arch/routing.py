@@ -32,9 +32,6 @@ DIR_WEST = 1
 DIR_EAST = 2
 DIR_SOUTH = 3
 
-#: Human-readable names, indexed by direction id.
-DIR_NAMES = ("north", "west", "east", "south")
-
 #: A route as two straight legs: ``(first, step, length)`` of each, in
 #: link-id space (see :meth:`RoutingPolicy.route_legs`).
 Legs = Tuple[int, int, int, int, int, int]
@@ -55,14 +52,11 @@ class LinkTable:
     ids (:meth:`RoutingPolicy.route_legs`).
     """
 
-    __slots__ = ("width", "height", "num_cells", "num_links", "dst", "steps")
+    __slots__ = ("num_links", "dst", "steps")
 
     def __init__(self, config: ChipConfig) -> None:
         w, h = config.width, config.height
         n = w * h
-        self.width = w
-        self.height = h
-        self.num_cells = n
         self.num_links = 4 * n
         dst = [-1] * self.num_links
         for u in range(n):
@@ -82,37 +76,6 @@ class LinkTable:
         #: direction: heading north the next link leaves the cell one row
         #: up, so its id is ``4 * width`` lower.
         self.steps = (-4 * w, -4, 4, 4 * w)
-
-    # ------------------------------------------------------------------
-    def lid(self, u: int, v: int) -> int:
-        """The id of the directed link ``u -> v`` (must be mesh neighbours).
-
-        Vertical moves are checked first so the scheme stays unambiguous on
-        degenerate width-1 meshes (where ``u - 1 == u - width``).
-        """
-        w = self.width
-        if v == u - w:
-            return u * 4 + DIR_NORTH
-        if v == u + w:
-            return u * 4 + DIR_SOUTH
-        if v == u - 1:
-            return u * 4 + DIR_WEST
-        if v == u + 1:
-            return u * 4 + DIR_EAST
-        raise ValueError(f"cells {u} and {v} are not mesh neighbours")
-
-    def endpoints(self, lid: int) -> Tuple[int, int]:
-        """The ``(src_cell, dst_cell)`` pair of a link id."""
-        return lid >> 2, self.dst[lid]
-
-    def is_valid(self, lid: int) -> bool:
-        """True when the link id names a real on-mesh link."""
-        return 0 <= lid < self.num_links and self.dst[lid] >= 0
-
-    def describe(self, lid: int) -> str:
-        """Human-readable form, e.g. ``"5->13 (south)"``."""
-        u, v = self.endpoints(lid)
-        return f"{u}->{v} ({DIR_NAMES[lid & 3]})"
 
 
 class RoutingPolicy:

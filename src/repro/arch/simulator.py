@@ -134,14 +134,17 @@ class Simulator:
         self._trace_enabled = self.trace.enabled
         #: Observability (repro.obs).  ``tracer`` marks an attached Chrome
         #: tracer; ``phase_ns`` accumulates wall time per step() phase.
-        #: ``action_ns`` splits the ``executor`` line by action name.  All
-        #: are observer-only (no scheduled event moves) and default to
-        #: off: the disabled path costs one attribute read and branch per
-        #: phase.  Unlike TraceRecorder, attaching them does NOT disable
-        #: parking.
+        #: ``action_ns`` splits the ``executor`` line by action name.
+        #: ``active_series``, when a list, receives every cycle's count of
+        #: active cells (the Figure 6/7 series; run_scenario_traced sets
+        #: it).  All are observer-only (no scheduled event moves) and
+        #: default to off: the disabled path costs one attribute read and
+        #: branch per phase.  Unlike TraceRecorder, attaching them does NOT
+        #: disable parking.
         self.tracer = None
         self.phase_ns: Optional[Dict[str, int]] = None
         self.action_ns: Optional[Dict[str, int]] = None
+        self.active_series: Optional[List[int]] = None
         self.cycle = 0
         #: Cells that may have work, in the order they became active, with a
         #: sweep-stamp array as the membership test (_cell_stamp[cc] ==
@@ -177,8 +180,6 @@ class Simulator:
         self._parked_count = 0
         self._wake_buckets: Dict[int, List[Tuple[int, int]]] = {}
         self._fast_park = trace_every <= 0
-        #: hooks run at the end of every cycle (used by terminators/monitors).
-        self._cycle_hooks: List[Callable[[int], None]] = []
         #: Native (C) dispatch/burn loops: enabled when the resolved kernel
         #: is the native tier (the NoC advertises ``native_sweep``) and the
         #: extension is importable.  The C loops mirror step() phases 3-4
@@ -211,10 +212,6 @@ class Simulator:
     def set_executor(self, executor: Executor) -> None:
         """Run every action through one ``executor`` (bare simulators, tests)."""
         self.set_executors(_EveryAction(executor))
-
-    def add_cycle_hook(self, hook: Callable[[int], None]) -> None:
-        """Register a callback invoked with the cycle number after each cycle."""
-        self._cycle_hooks.append(hook)
 
     def cell(self, cc_id: int) -> ComputeCell:
         """The compute cell with the given id."""
@@ -491,20 +488,24 @@ class Simulator:
             timers["cells"] += _now - _t
             _t = _now
 
-        # 5. Record statistics and traces; run hooks.  Parked cells execute
-        # one (virtual) instruction per parked cycle, so they count as
-        # active.
+        # 5. Record statistics and traces.  Parked cells execute one
+        # (virtual) instruction per parked cycle, so they count as active.
         stats = self.stats
         stats.cycles += 1
-        stats.active_cells_per_cycle.append(active_count + parked_this_cycle)
-        stats.messages_in_flight_per_cycle.append(noc.in_flight)
+        active = active_count + parked_this_cycle
+        counts = stats.cycles_by_active_cells
+        counts[active] = counts.get(active, 0) + 1
+        in_flight = noc.in_flight
+        counts = stats.cycles_by_in_flight
+        counts[in_flight] = counts.get(in_flight, 0) + 1
         ndelivered = len(delivered)
-        stats.deliveries_per_cycle.append(ndelivered)
+        counts = stats.cycles_by_deliveries
+        counts[ndelivered] = counts.get(ndelivered, 0) + 1
         stats.messages_delivered += ndelivered
+        if self.active_series is not None:
+            self.active_series.append(active)
         if self._trace_enabled:
             self.trace.maybe_record(cycle, active_this_cycle)
-        for hook in self._cycle_hooks:
-            hook(cycle)
         if timers is not None:
             timers["account"] += _pc() - _t
 

@@ -5,18 +5,20 @@ The paper reports two kinds of architecture-level measurements:
 * *cycles per streaming increment* (Figures 8 and 9), and
 * *percent of compute cells active per cycle* (Figures 6 and 7).
 
-:class:`SimStats` collects both, plus the raw event counts (instructions,
-staged messages, hops, allocations, IO injections) that drive the energy
-model of :mod:`repro.arch.energy`.
+:class:`SimStats` collects the aggregates of both, plus the raw event counts
+(instructions, staged messages, hops, allocations, IO injections) that drive
+the energy model of :mod:`repro.arch.energy`.  Each per-cycle quantity is
+kept as a count of cycles per value, so the statistics stay the same size
+however long the run.  The per-cycle activation series itself is kept only
+on a traced run (``Simulator.active_series``).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List
-
-from repro._compat import np, require_numpy
+from itertools import chain
+from typing import Dict
 
 
 @dataclass
@@ -47,67 +49,34 @@ class SimStats:
     io_injections: int = 0
     memory_words_allocated: int = 0
 
-    # Per-cycle series.
-    active_cells_per_cycle: List[int] = field(default_factory=list)
-    messages_in_flight_per_cycle: List[int] = field(default_factory=list)
-    deliveries_per_cycle: List[int] = field(default_factory=list)
-
-    # Named phase boundaries, e.g. one per streaming increment.
-    phase_marks: Dict[str, int] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def mark_phase(self, name: str) -> None:
-        """Record the current cycle as the start of a named phase."""
-        self.phase_marks[name] = self.cycles
+    #: Cycles per value of each per-cycle quantity:
+    #: ``cycles_by_active_cells[k]`` is the number of cycles in which
+    #: ``k`` compute cells were active (parked cells included).
+    cycles_by_active_cells: Dict[int, int] = field(default_factory=dict)
+    cycles_by_in_flight: Dict[int, int] = field(default_factory=dict)
+    cycles_by_deliveries: Dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # Derived series
+    # Derived values
     # ------------------------------------------------------------------
-    def activation_series(self) -> "np.ndarray":
-        """Fraction of compute cells active per cycle (values in [0, 1])."""
-        require_numpy("SimStats.activation_series")
-        if self.num_cells <= 0:
-            return np.zeros(0)
-        return np.asarray(self.active_cells_per_cycle, dtype=float) / self.num_cells
-
-    def activation_percent(self) -> "np.ndarray":
-        """Percent of compute cells active per cycle (Figures 6 and 7)."""
-        return self.activation_series() * 100.0
-
     def mean_activation(self) -> float:
-        """Mean activation fraction across the whole run.
+        """Mean fraction of compute cells active per cycle over the run.
 
-        With numpy present this is bit-for-bit the historical
-        ``activation_series().mean()`` (so stored records stay comparable);
-        the pure-Python fallback may differ in the last ulp.
+        One division of exact integers, so it is correctly rounded and
+        the same on every install.
         """
-        if np is not None:
-            series = self.activation_series()
-            return float(series.mean()) if series.size else 0.0
-        cells = self.active_cells_per_cycle
-        if self.num_cells <= 0 or not cells:
+        counts = self.cycles_by_active_cells
+        cycles = sum(counts.values())
+        if self.num_cells <= 0 or not cycles:
             return 0.0
-        return sum(c / self.num_cells for c in cells) / len(cells)
+        active = sum(value * times for value, times in counts.items())
+        return active / (self.num_cells * cycles)
 
     def peak_activation(self) -> float:
         """Peak activation fraction across the whole run."""
-        if np is not None:
-            series = self.activation_series()
-            return float(series.max()) if series.size else 0.0
-        cells = self.active_cells_per_cycle
-        if self.num_cells <= 0 or not cells:
+        if self.num_cells <= 0:
             return 0.0
-        return max(cells) / self.num_cells
-
-    def phase_cycles(self) -> Dict[str, int]:
-        """Cycles spent in each named phase (difference of consecutive marks)."""
-        names = list(self.phase_marks)
-        out: Dict[str, int] = {}
-        for i, name in enumerate(names):
-            start = self.phase_marks[name]
-            end = self.phase_marks[names[i + 1]] if i + 1 < len(names) else self.cycles
-            out[name] = end - start
-        return out
+        return max(self.cycles_by_active_cells, default=0) / self.num_cells
 
     # ------------------------------------------------------------------
     # Snapshot support (see repro.snapshot)
@@ -117,28 +86,33 @@ class SimStats:
         "messages_delivered", "hops", "link_busy", "tasks_executed",
         "allocations", "io_injections", "memory_words_allocated",
     )
+    _COUNTS = ("cycles_by_active_cells", "cycles_by_in_flight",
+               "cycles_by_deliveries")
 
     def state_dict(self) -> Dict[str, object]:
-        """Every counter and series as plain values (snapshot capture)."""
+        """Every counter as plain values (snapshot capture).
+
+        Each count is one int64 column of ``(value, cycles)`` pairs in
+        value order, so equal statistics encode to equal bytes.
+        """
         state: Dict[str, object] = {name: getattr(self, name)
                                     for name in self._SCALARS}
         state["num_cells"] = self.num_cells
-        state["active_cells_per_cycle"] = array("q", self.active_cells_per_cycle)
-        state["messages_in_flight_per_cycle"] = array(
-            "q", self.messages_in_flight_per_cycle)
-        state["deliveries_per_cycle"] = array("q", self.deliveries_per_cycle)
-        state["phase_marks"] = dict(self.phase_marks)
+        for name in self._COUNTS:
+            state[name] = array(
+                "q", chain.from_iterable(sorted(getattr(self, name).items())))
         return state
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Overwrite all counters and series from :meth:`state_dict` output."""
+        """Overwrite all counters from :meth:`state_dict` output."""
         for name in self._SCALARS:
             setattr(self, name, state[name])
         self.num_cells = state["num_cells"]
-        self.active_cells_per_cycle = list(state["active_cells_per_cycle"])
-        self.messages_in_flight_per_cycle = list(state["messages_in_flight_per_cycle"])
-        self.deliveries_per_cycle = list(state["deliveries_per_cycle"])
-        self.phase_marks = dict(state["phase_marks"])
+        for name in self._COUNTS:
+            pairs = state[name]
+            if len(pairs) % 2:
+                raise ValueError(f"{name} holds an odd number of entries")
+            setattr(self, name, dict(zip(pairs[::2], pairs[1::2])))
 
     # ------------------------------------------------------------------
     def merge_cell_counters(self, instructions: int, staged: int, tasks: int,

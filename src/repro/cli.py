@@ -72,7 +72,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.figures import FigureData, render_ascii_plot
+from repro.analysis.figures import FigureData, activation_percent, render_ascii_plot
 from repro.analysis.tables import render_table, table1_rows
 from repro.arch.config import KERNELS
 from repro.datasets.streaming import SCALE_PRESETS, paper_dataset_configs
@@ -165,7 +165,7 @@ def cmd_activation(args: argparse.Namespace) -> int:
         _verb_scenario(args, "bfs" if args.with_bfs else "ingest"))
     # Records keep only the mean/peak; the series comes off the device.
     fig = FigureData("Figure 6/7 analogue", "Cycles", "Percent of Cells Active")
-    fig.add("Cells Active Percent", device.stats().activation_percent())
+    fig.add("Cells Active Percent", activation_percent(device))
     print(render_ascii_plot(fig))
     print()
     print(f"total cycles: {record['total_cycles']}")

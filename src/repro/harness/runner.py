@@ -367,10 +367,12 @@ def run_scenario_traced(
     """Run one scenario instrumented, returning ``(record, device)``.
 
     The thin harness wrapper behind ``examples/chip_animation.py`` and any
-    caller that wants the live device after the run (activity frames,
-    phase timers, per-cell occupancy).  ``frames_every > 0`` captures an
-    activity frame every that many cycles; ``trace_path`` additionally
-    writes a Chrome trace of the run.  The record is byte-identical to
+    caller that wants the live device after the run (the per-cycle
+    active-cell series of Figures 6 and 7 in
+    ``device.simulator.active_series``, activity frames, phase timers,
+    per-cell occupancy).  ``frames_every > 0`` captures an activity frame
+    every that many cycles; ``trace_path`` additionally writes a Chrome
+    trace of the run.  The record is byte-identical to
     :func:`run_scenario`'s — instrumentation is observer-only.
     """
     scenario = _pinned(scenario, kernel)
@@ -381,6 +383,7 @@ def run_scenario_traced(
 
     def keep(device: AMCCADevice) -> None:
         device.simulator.enable_phase_timers()
+        device.simulator.active_series = []
         devices.append(device)
 
     cycles, final = _run_span(scenario, frames_every=frames_every,

@@ -5,8 +5,8 @@ serves two distinct producers, with one hard line between them:
 
 * **Record metrics** (:func:`record_metrics`) are derived purely from the
   deterministic :class:`~repro.arch.stats.SimStats` of a finished run —
-  integer counters and fixed-bucket histograms over the per-cycle series.
-  They are embedded in every result-store record under a ``metrics`` key,
+  integer counters and fixed-bucket histograms built from its counts of
+  cycles per value of each per-cycle quantity.  They are embedded in every result-store record under a ``metrics`` key,
   *unconditionally*: because the values are part of the pinned schedule
   (identical across kernels, tracing on or off), records stay
   byte-identical whether or not any instrumentation was attached.
@@ -24,7 +24,6 @@ scraper on ``/metrics``.
 
 from __future__ import annotations
 
-import collections
 import threading
 from bisect import bisect_left
 from itertools import accumulate
@@ -320,8 +319,9 @@ def record_metrics(stats) -> Dict[str, Any]:
     """The deterministic metrics snapshot embedded in a result record.
 
     Derived from :class:`~repro.arch.stats.SimStats` only — integer event
-    counters plus fixed-bucket histograms over the per-cycle series, all of
-    which are part of the bit-identical schedule contract.  No wall-clock,
+    counters plus fixed-bucket histograms built from its counts of cycles
+    per value of each per-cycle quantity, all of which are part of the
+    bit-identical schedule contract.  No wall-clock,
     host or kernel-dependent value may ever be added here: records must
     stay byte-identical across kernels and across instrumented /
     uninstrumented runs (see docs/observability.md).
@@ -348,29 +348,29 @@ def record_metrics(stats) -> Dict[str, Any]:
     gauges = (
         ("sim_cells", "Compute cells on the chip", stats.num_cells),
         ("sim_peak_active_cells", "Peak active cells in one cycle",
-         max(stats.active_cells_per_cycle, default=0)),
+         max(stats.cycles_by_active_cells, default=0)),
         ("sim_peak_messages_in_flight", "Peak in-flight messages",
-         max(stats.messages_in_flight_per_cycle, default=0)),
+         max(stats.cycles_by_in_flight, default=0)),
     )
     for name, help_, value in gauges:
         registry.gauge(name, help_).set(int(value))
     series = (
         ("sim_active_cells_per_cycle", "Active compute cells per cycle",
-         stats.active_cells_per_cycle),
+         stats.cycles_by_active_cells),
         ("sim_messages_in_flight_per_cycle", "In-flight messages per cycle",
-         stats.messages_in_flight_per_cycle),
+         stats.cycles_by_in_flight),
         ("sim_deliveries_per_cycle", "Deliveries per cycle (active links)",
-         stats.deliveries_per_cycle),
+         stats.cycles_by_deliveries),
     )
-    for name, help_, values in series:
+    for name, help_, counts in series:
         histogram = registry.histogram(name, help_, buckets=POW2_BUCKETS)
         cell = histogram._cell(())
-        # Count each distinct value into its own bucket (the slot past the
+        # Count each value's cycles into its own bucket (the slot past the
         # last bound is +Inf), then one running sum makes them cumulative.
         own = [0] * (len(histogram.bounds) + 1)
-        for value, times in collections.Counter(values).items():
+        for value, times in counts.items():
             own[bisect_left(histogram.bounds, value)] += times
         cell["buckets"] = list(accumulate(own[:-1]))
-        cell["sum"] = sum(values)
-        cell["count"] = len(values)
+        cell["sum"] = sum(value * times for value, times in counts.items())
+        cell["count"] = sum(counts.values())
     return registry.snapshot()

@@ -293,8 +293,6 @@ class AMCCADevice:
             self._pre_run_sends = 0
         sim = self.simulator
         start = sim.cycle
-        if phase:
-            sim.stats.mark_phase(phase)
 
         def finished() -> bool:
             # Cheapest check first: while the diffusion has outstanding

@@ -16,7 +16,7 @@ of -- ``None``/bools/ints/floats/strings/bytes, tuples/lists/dicts,
 :class:`~repro.arch.address.Address`, :class:`~repro.graph.rpvo.Edge` and
 :class:`~repro.graph.rpvo.EdgeSlot`, plus ``array('q')`` buffers.  Those
 carry the column-wise state (RPVO block tables, per-cell counters,
-per-cycle statistics series) and encode as they are: one raw int64 block,
+per-cycle statistics counts) and encode as they are: one raw int64 block,
 with no per-element type scan or tag.  Anything else (a closure, a Task,
 an arbitrary object smuggled into message operands) fails the capture
 with a :class:`SnapshotError` naming the offending type instead of
@@ -42,8 +42,10 @@ from repro.graph.rpvo import Edge, EdgeSlot
 
 #: Bumped whenever the container layout or the codec changes shape.
 #: Schema 2 captures RPVO blocks and cell bookkeeping column-wise; schema
-#: 3 cuts a message to seven fields and drops per-link busy counters.
-SCHEMA_VERSION = 3
+#: 3 cuts a message to seven fields and drops per-link busy counters;
+#: schema 4 carries the statistics' counts of cycles per value instead of
+#: three per-cycle series, and one latency-NoC state layout.
+SCHEMA_VERSION = 4
 
 _MAGIC = b"RPSNAP"
 

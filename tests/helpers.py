@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro._compat import HAVE_NUMPY
+from repro.analysis.figures import activation_percent
 from repro.arch.config import ChipConfig
 from repro.algorithms.bfs import StreamingBFS
 from repro.graph.graph import DynamicGraph
@@ -123,5 +124,5 @@ def run_paper_pair(name: str, dataset: DatasetSpec, chip: ChipSpec,
         record, device = run_scenario_traced(
             shape_scenario(f"{name}-{algorithm}", dataset, chip, algorithm))
         records[algorithm] = record
-        activation[algorithm] = device.stats().activation_percent()
+        activation[algorithm] = activation_percent(device)
     return records, activation

@@ -58,7 +58,7 @@ class TestExperimentDriver:
         assert pair["ingest"]["algo_metrics"].get("reached", 0) == 0
         assert pair["bfs"]["algo_metrics"]["reached"] > 1
 
-    def test_activation_series_length_matches_cycles(self, small_pair):
+    def test_active_series_length_matches_cycles(self, small_pair):
         _, pair, activation = small_pair
         series = activation["bfs"]
         assert len(series) == pair["bfs"]["stats"]["cycles"]

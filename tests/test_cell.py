@@ -128,7 +128,7 @@ class TestExecution:
         sim, _ = make_chip()
         assert step(sim) is None
         assert not sim.cell(0).has_work
-        assert sim.stats.active_cells_per_cycle == [0]
+        assert sim.stats.cycles_by_active_cells == {0: 1}
 
     def test_single_cycle_task(self):
         sim, _ = make_chip()
@@ -138,7 +138,7 @@ class TestExecution:
         cell = sim.cell(0)
         assert cell.tasks_executed == 1
         assert cell.instructions_executed == 1
-        assert sim.stats.active_cells_per_cycle == [1, 0]
+        assert sim.stats.cycles_by_active_cells == {1: 1, 0: 1}
 
     def test_multi_cycle_task_charges_each_cycle(self):
         sim, _ = make_chip()
@@ -146,7 +146,7 @@ class TestExecution:
         ops = [step(sim) for _ in range(4)]
         assert ops == ["compute", "compute", "compute", None]
         assert sim.cell(0).instructions_executed == 3
-        assert sim.stats.active_cells_per_cycle == [1, 1, 1, 0]
+        assert sim.stats.cycles_by_active_cells == {1: 3, 0: 1}
 
     def test_minimum_cost_is_one(self):
         sim, _ = make_chip()
@@ -167,7 +167,7 @@ class TestExecution:
         assert list(cell.staging) == [msg]
         assert step(sim) == "stage"        # staging takes its own cycle
         assert not cell.staging and injected == [(2, msg)]
-        assert sim.stats.messages_in_flight_per_cycle[-1] == 1
+        assert sim.stats.cycles_by_in_flight == {0: 2, 1: 1}
         sim.run()
         assert delivered == [(1, msg)]
 
@@ -210,7 +210,7 @@ class TestExecution:
         step(sim)
         step(sim)
         assert sim.cell(0).busy_cycles == 2
-        assert sim.stats.active_cells_per_cycle == [1, 1]
+        assert sim.stats.cycles_by_active_cells == {1: 2}
 
 
 class TestTaskRepr:

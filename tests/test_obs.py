@@ -9,6 +9,7 @@ every kernel — and the disabled path must be free of side effects.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -247,18 +248,18 @@ class TestRecordMetrics:
     @pytest.mark.parametrize("values", [
         [], [0, 0, 1, 2, 3, 4096, 4097, 10**6], [5, 1, 5, 0, 300, 5]])
     def test_histograms_count_every_value_once(self, values):
-        """The one-pass histograms equal observing value by value, for an
-        empty series and for values past the last bound (+Inf only)."""
+        """Histograms built from the counts equal observing value by value,
+        for an empty series and for values past the last bound (+Inf only)."""
+        halves = [v // 2 for v in values]
         stats = SimStats(num_cells=16, cycles=len(values),
-                         active_cells_per_cycle=list(values),
-                         messages_in_flight_per_cycle=values[::-1],
-                         deliveries_per_cycle=[v // 2 for v in values])
+                         cycles_by_active_cells=Counter(values),
+                         cycles_by_in_flight=Counter(values[::-1]),
+                         cycles_by_deliveries=Counter(halves))
         metrics = record_metrics(stats)
         for name, series in (
-                ("sim_active_cells_per_cycle", stats.active_cells_per_cycle),
-                ("sim_messages_in_flight_per_cycle",
-                 stats.messages_in_flight_per_cycle),
-                ("sim_deliveries_per_cycle", stats.deliveries_per_cycle)):
+                ("sim_active_cells_per_cycle", values),
+                ("sim_messages_in_flight_per_cycle", values[::-1]),
+                ("sim_deliveries_per_cycle", halves)):
             reference = MetricsRegistry()
             histogram = reference.histogram(name, "", buckets=POW2_BUCKETS)
             histogram._cell(())

@@ -49,11 +49,14 @@ def run_relay(fidelity="cycle", fast=True, max_cycles=None):
     """Run the relay workload; return (summary, cycles, peak_parked)."""
     device, sim = build_relay_device(fidelity, fast_park=fast)
     peak = [0]
+    step = sim.step
 
-    def watch_parked(_cycle):
+    def watch_parked():
+        did_work = step()
         peak[0] = max(peak[0], sim._parked_count)
+        return did_work
 
-    sim.add_cycle_hook(watch_parked)
+    sim.step = watch_parked
     result = device.run(Terminator(), max_cycles=max_cycles)
     summary = device.stats().summary()
     return summary, result.cycles, peak[0]

@@ -128,7 +128,9 @@ class TestFormat:
             Snapshot.from_bytes(b"XX" + data[2:])
 
     def test_unknown_schema_version_is_rejected(self):
-        for version in (2, 99):
+        # Schema 3 carried three per-cycle statistics series where schema 4
+        # carries counts, so a schema-3 checkpoint is refused, not misread.
+        for version in (2, 3, 99):
             data = bytearray(
                 Snapshot({"repro_version": __version__}, {}).to_bytes())
             data[6:8] = struct.pack(">H", version)

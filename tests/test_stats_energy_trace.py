@@ -1,5 +1,10 @@
 """Tests for statistics collection, the energy model and the trace recorder."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from hypothesis import given, strategies as st
@@ -12,50 +17,60 @@ from repro.arch.simulator import Simulator
 from repro.arch.stats import SimStats
 from repro.arch.trace import TraceRecorder
 
-np = pytest.importorskip("numpy")  # these tests exercise numpy-backed features
+#: Chip sides whose cell count is not a power of two: there ``c / n``
+#: rounds, so a mean over per-cycle fractions depends on summation order.
+NON_POW2_SIDES = (3, 5, 6, 7, 9, 10, 12)
+
+#: Prints the record of each scenario spec in argv, with numpy blocked.
+_NUMPY_BLOCKED_RECORDS = """
+import json, sys
+sys.modules["numpy"] = None
+from repro.harness import Scenario, run_scenario
+for spec in sys.argv[1:]:
+    print(json.dumps(run_scenario(Scenario.from_dict(json.loads(spec))),
+                     sort_keys=True))
+"""
 
 
 class TestSimStats:
     def test_record_cycle_appends_series(self):
-        """Simulator.step records every cycle: one entry per series."""
+        """Simulator.step counts every cycle once per quantity and, when a
+        caller asks for it, appends the cycle's active cells to the series."""
         sim = Simulator(ChipConfig(width=2, height=2))
         sim.set_executor(lambda cell, msg: (1, []))
         msg = Message(src=0, dst=1, action="a")
         sim.enqueue_task(0, Task(lambda: (1, [msg])))
+        sim.active_series = []
         sim.run()
         stats = sim.stats
         assert stats.cycles == sim.cycle > 2
-        for series in (stats.active_cells_per_cycle,
-                       stats.messages_in_flight_per_cycle,
-                       stats.deliveries_per_cycle):
-            assert len(series) == stats.cycles
+        for counts in (stats.cycles_by_active_cells,
+                       stats.cycles_by_in_flight,
+                       stats.cycles_by_deliveries):
+            assert sum(counts.values()) == stats.cycles
         # Cycle 0 runs the task, cycle 1 stages its message.
-        assert stats.active_cells_per_cycle[:2] == [1, 1]
-        assert stats.messages_in_flight_per_cycle[1] == 1
-        assert stats.messages_delivered == sum(stats.deliveries_per_cycle) == 1
-
-    def test_activation_series_fraction(self):
-        stats = SimStats(num_cells=10, cycles=2,
-                         active_cells_per_cycle=[5, 10])
-        assert np.allclose(stats.activation_series(), [0.5, 1.0])
-        assert np.allclose(stats.activation_percent(), [50.0, 100.0])
+        assert sim.active_series[:2] == [1, 1]
+        assert stats.cycles_by_active_cells == {
+            k: sim.active_series.count(k) for k in set(sim.active_series)}
+        assert stats.cycles_by_in_flight[1] >= 1
+        assert stats.messages_delivered == stats.cycles_by_deliveries[1] == 1
 
     def test_mean_and_peak_activation(self):
         stats = SimStats(num_cells=4, cycles=3,
-                         active_cells_per_cycle=[0, 2, 4])
+                         cycles_by_active_cells={0: 1, 2: 1, 4: 1})
         assert stats.mean_activation() == pytest.approx(0.5)
         assert stats.peak_activation() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("side", [4, 8])
     @pytest.mark.parametrize("algorithm", ["ingest", "bfs"])
     def test_mean_activation_paths_agree_on_power_of_two_chips(
-            self, side, algorithm, monkeypatch):
-        """numpy's pairwise mean and the numpy-free sum write the same bits
-        when the cell count is a power of two: every ``c / n`` is exact, so
-        every partial sum is exact in either order.  Other chip sizes fork
-        in the last bits, which is why every registered suite uses
-        power-of-two chips."""
-        import repro.arch.stats as stats_module
+            self, side, algorithm):
+        """On power-of-two chips every ``c / n`` is exact, so the integer
+        division writes the same bits as a mean over per-cycle fractions
+        summed in either order (numpy's pairwise mean or a plain sum).
+        Every registered suite uses such chips, so their records keep the
+        values they had when the mean was taken over fractions."""
+        from repro._compat import np
         from repro.harness import ChipSpec, DatasetSpec, Scenario, list_suites
         from repro.harness.runner import run_scenario_traced
 
@@ -63,28 +78,51 @@ class TestSimStats:
             name="pow2", algorithm=algorithm, chip=ChipSpec(side=side),
             dataset=DatasetSpec(vertices=200, edges=1200, sampling="edge",
                                 seed=5, generator="uniform"))
-        _record, device = run_scenario_traced(scenario)
-        stats = device.simulator.stats
-        with_numpy = stats.mean_activation()
-        monkeypatch.setattr(stats_module, "np", None)
-        assert stats.mean_activation() == with_numpy
+        record, device = run_scenario_traced(scenario)
+        series, cells = device.simulator.active_series, side * side
+        mean = device.simulator.stats.mean_activation()
+        assert record["stats"]["mean_activation"] == mean
+        assert mean == sum(c / cells for c in series) / len(series)
+        if np is not None:
+            assert mean == float((np.asarray(series) / cells).mean())
         suite_sides = {s.chip.side for suite in list_suites()
                        for s in suite.build()}
         assert all(n & (n - 1) == 0 for n in suite_sides), suite_sides
+
+    def test_mean_activation_is_one_integer_division(self):
+        """On chips whose cell count is not a power of two, the record's
+        mean is the traced series' integer sum divided once, and a run with
+        numpy blocked writes the same record bytes."""
+        from repro.harness import ChipSpec, DatasetSpec, Scenario
+        from repro.harness.runner import run_scenario_traced
+
+        scenarios = [
+            Scenario(name=f"side-{side}", algorithm="bfs",
+                     chip=ChipSpec(side=side),
+                     dataset=DatasetSpec(vertices=200, edges=1600,
+                                         sampling="edge", seed=5,
+                                         generator="uniform"))
+            for side in NON_POW2_SIDES]
+        blocked = subprocess.run(
+            [sys.executable, "-c", _NUMPY_BLOCKED_RECORDS,
+             *(json.dumps(s.spec_dict()) for s in scenarios)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout.splitlines()
+        for scenario, blocked_record in zip(scenarios, blocked, strict=True):
+            record, device = run_scenario_traced(scenario)
+            series = device.simulator.active_series
+            cells, cycles = scenario.chip.side ** 2, record["stats"]["cycles"]
+            assert len(series) == cycles
+            assert record["stats"]["mean_activation"] == (
+                sum(series) / (cells * cycles)), scenario.name
+            assert json.dumps(record, sort_keys=True) == blocked_record, \
+                scenario.name
 
     def test_empty_series(self):
         stats = SimStats(num_cells=4)
         assert stats.mean_activation() == 0.0
         assert stats.peak_activation() == 0.0
-        assert stats.activation_series().size == 0
-
-    def test_phase_marks_and_cycles(self):
-        stats = SimStats(num_cells=4)
-        stats.mark_phase("a")
-        stats.cycles += 3
-        stats.mark_phase("b")
-        stats.cycles += 2
-        assert stats.phase_cycles() == {"a": 3, "b": 2}
 
     def test_merge_cell_counters(self):
         stats = SimStats(num_cells=4)
@@ -217,6 +255,7 @@ class TestTraceRecorder:
         assert "no frames" in trace.ascii_animation()
 
     def test_npz_roundtrip(self, tmp_path):
+        pytest.importorskip("numpy")  # .npz export is numpy-backed
         cfg = ChipConfig(width=3, height=3)
         trace = TraceRecorder(cfg, sample_every=1)
         trace.maybe_record(0, [0, 4])
