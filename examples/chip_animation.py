@@ -23,7 +23,7 @@ same measurement can be rebuilt later without re-simulating::
 Run with:  python examples/chip_animation.py
 """
 
-from repro._compat import np
+from repro._compat import HAVE_NUMPY
 from repro.harness import ResultStore, get_suite
 from repro.harness.runner import run_scenario_traced
 
@@ -49,7 +49,7 @@ def main() -> None:
 
     print("\nChrome trace saved to chip_trace.json "
           "(open in https://ui.perfetto.dev)")
-    if np is not None:
+    if HAVE_NUMPY:
         trace.save_npz("chip_trace.npz")
         print("full frame stack saved to chip_trace.npz "
               "(load with repro.arch.trace.TraceRecorder.load_npz)")

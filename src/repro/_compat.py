@@ -3,10 +3,11 @@
 NumPy powers the dataset generators and the analysis series but is an
 optional ``[perf]`` extra, not a hard dependency: the simulator (whose NoC
 kernels never use it), the runtime and the harness all work without it.
-Modules that can degrade import ``np``/``HAVE_NUMPY`` from here; modules
-that fundamentally need NumPy (dataset generation, figure rendering) call
-:func:`require_numpy` at entry so the failure is a clear, actionable error
-instead of an import-time crash.
+No module imports it at module level, so ``repro serve``, its pool workers
+and a uniform-graph run never load it.  :data:`HAVE_NUMPY` says whether it
+is installed without importing it; every function that uses NumPy starts
+with ``np = require_numpy(feature)``, which imports it on first use, or
+fails with a clear, actionable error instead of an import-time crash.
 
 matplotlib is even more optional: only ``repro report --png`` wants it.
 :func:`get_matplotlib` returns a headless (Agg) pyplot module or ``None``,
@@ -15,12 +16,15 @@ so callers can skip figure export cleanly instead of crashing.
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
+import importlib.util
+from types import ModuleType
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+
+# Found, not imported.  ``sys.modules["numpy"] = None`` (how a test blocks
+# it) reads as not installed; a blocking import hook raises ImportError.
+try:
+    HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+except (ImportError, ValueError):  # pragma: no cover - blocked or odd installs
     HAVE_NUMPY = False
 
 
@@ -36,10 +40,16 @@ def get_matplotlib():
     return plt
 
 
-def require_numpy(feature: str) -> None:
-    """Raise a clear error when ``feature`` is used without NumPy installed."""
-    if np is None:
+def require_numpy(feature: str) -> ModuleType:
+    """The ``numpy`` module, imported on first use.
+
+    Raises a clear error naming ``feature`` when NumPy is not installed.
+    """
+    try:
+        import numpy
+    except ImportError as exc:
         raise RuntimeError(
             f"{feature} requires numpy; install it with the [perf] extra "
             "(pip install repro-amcca[perf]) or pip install numpy"
-        )
+        ) from exc
+    return numpy

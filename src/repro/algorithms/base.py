@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.runtime.actions import ActionContext
 from repro.runtime.futures import Future
 from repro.graph.rpvo import EdgeSlot, VertexBlock
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
     from repro.runtime.device import RunResult
 

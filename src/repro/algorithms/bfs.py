@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.algorithms.base import Algorithm, forward_on_fulfil
 from repro.algorithms.registry import register_algorithm
 from repro.arch.cell import ComputeCell
@@ -41,6 +39,8 @@ _STALE_COST = 1 + _COST_COMPARE
 _RELAX_COST = 1 + _COST_COMPARE + _COST_STATE_UPDATE
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
 
 #: Registered name of the BFS relaxation action (paper: ``bfs-action``).
@@ -152,6 +152,8 @@ class StreamingBFS(Algorithm):
     def reference(self, nx_graph: "nx.DiGraph | nx.Graph",
                   root: Optional[int] = None) -> Dict[int, int]:
         """Ground truth: shortest-path lengths from the root (NetworkX)."""
+        import networkx as nx
+
         root = self.root if root is None else root
         if root is None:
             raise ValueError("a BFS root vertex must be provided")

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import register_algorithm
 from repro.graph.rpvo import EdgeSlot, VertexBlock
 from repro.runtime.actions import ActionContext, action_cost
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
 
 CC_ACTION = "cc-action"
@@ -75,6 +75,8 @@ class StreamingConnectedComponents(Algorithm):
 
     def reference(self, nx_graph: "nx.DiGraph | nx.Graph", **_: object) -> Dict[int, int]:
         """Ground truth labels from NetworkX (undirected view of the edge set)."""
+        import networkx as nx
+
         undirected = nx_graph.to_undirected() if nx_graph.is_directed() else nx_graph
         labels: Dict[int, int] = {}
         for component in nx.connected_components(undirected):

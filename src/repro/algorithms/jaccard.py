@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import register_algorithm
 from repro.graph.rpvo import VertexBlock
@@ -24,6 +22,8 @@ from repro.runtime.actions import ActionContext, action_cost
 from repro.runtime.terminator import Terminator
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
     from repro.runtime.device import RunResult
 
@@ -105,6 +105,8 @@ class JaccardCoefficient(Algorithm):
     def reference(self, nx_graph: "nx.DiGraph | nx.Graph",
                   **_: object) -> Dict[Tuple[int, int], float]:
         """NetworkX ground truth over the undirected simple graph."""
+        import networkx as nx
+
         undirected = nx.Graph(nx_graph.to_undirected() if nx_graph.is_directed() else nx_graph)
         undirected.remove_edges_from(nx.selfloop_edges(undirected))
         pairs = [(min(u, v), max(u, v)) for u, v in undirected.edges() if u != v]

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, List, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import register_algorithm
 from repro.graph.rpvo import VertexBlock
@@ -39,6 +37,8 @@ from repro.runtime.device import RunResult
 from repro.runtime.terminator import Terminator
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
 
 LP_BCAST_ACTION = "lp-bcast-action"
@@ -170,6 +170,8 @@ class LabelPropagation(Algorithm):
         Chip and host compute the same pure function of the graph, so
         agreement is exact — including when the cap stops an oscillation.
         """
+        import networkx as nx
+
         undirected = nx.Graph(nx_graph.to_undirected()
                               if nx_graph.is_directed() else nx_graph)
         undirected.remove_edges_from(nx.selfloop_edges(undirected))

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import register_algorithm
 from repro.graph.rpvo import VertexBlock
@@ -29,6 +27,8 @@ from repro.runtime.actions import ActionContext, action_cost
 from repro.runtime.terminator import Terminator
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
     from repro.runtime.device import RunResult
 
@@ -134,6 +134,8 @@ class PageRankDelta(Algorithm):
 
     def reference(self, nx_graph: "nx.DiGraph | nx.Graph", **kwargs) -> Dict[int, float]:
         """NetworkX PageRank on the same edge set (same damping factor)."""
+        import networkx as nx
+
         return dict(nx.pagerank(nx_graph, alpha=self.damping, **kwargs))
 
     def verify(self, results: Dict[int, float],

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import register_algorithm
 from repro.graph.rpvo import EdgeSlot, INFINITY, VertexBlock
 from repro.runtime.actions import ActionContext, action_cost
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
 
 SSSP_ACTION = "sssp-action"
@@ -88,6 +88,8 @@ class StreamingSSSP(Algorithm):
 
     def reference(self, nx_graph: "nx.DiGraph | nx.Graph",
                   root: Optional[int] = None) -> Dict[int, int]:
+        import networkx as nx
+
         root = self.root if root is None else root
         if root is None:
             raise ValueError("an SSSP source vertex must be provided")

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import register_algorithm
 from repro.graph.rpvo import VertexBlock
@@ -31,6 +29,8 @@ from repro.runtime.actions import ActionContext, action_cost
 from repro.runtime.terminator import Terminator
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.graph.graph import DynamicGraph
     from repro.runtime.device import RunResult
 
@@ -114,6 +114,8 @@ class TriangleCounting(Algorithm):
 
     def reference(self, nx_graph: "nx.DiGraph | nx.Graph", **_: object) -> Dict[str, int]:
         """NetworkX ground truth (triangles of the undirected simple graph)."""
+        import networkx as nx
+
         undirected = nx.Graph(nx_graph.to_undirected() if nx_graph.is_directed() else nx_graph)
         undirected.remove_edges_from(nx.selfloop_edges(undirected))
         per_vertex = nx.triangles(undirected)

@@ -14,10 +14,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro._compat import np, require_numpy
+from repro._compat import require_numpy
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass
@@ -30,6 +34,7 @@ class FigureData:
     series: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def add(self, label: str, values: Sequence[float]) -> None:
+        np = require_numpy("figure series")
         self.series[label] = np.asarray(values, dtype=float)
 
 
@@ -39,7 +44,7 @@ def activation_percent(device) -> np.ndarray:
     Reads the per-cycle active-cell series that only a device returned by
     :func:`repro.harness.run_scenario_traced` keeps.
     """
-    require_numpy("the activation series")
+    np = require_numpy("the activation series")
     sim = device.simulator
     if sim.active_series is None:
         raise ValueError("the device kept no activation series; "
@@ -49,7 +54,7 @@ def activation_percent(device) -> np.ndarray:
 
 def downsample_series(values: Sequence[float], max_points: int = 200) -> np.ndarray:
     """Downsample a long per-cycle series by block averaging (for plotting)."""
-    require_numpy("figure series downsampling")
+    np = require_numpy("figure series downsampling")
     arr = np.asarray(values, dtype=float)
     if arr.size <= max_points or max_points <= 0:
         return arr
@@ -69,7 +74,7 @@ def render_ascii_plot(
     """Render a FigureData as a rough ASCII line plot."""
     lines: List[str] = [fig.title, ""]
     markers = "*o+x#%"
-    all_values = [v for series in fig.series.values() for v in series if np.isfinite(v)]
+    all_values = [v for series in fig.series.values() for v in series if math.isfinite(v)]
     if not all_values:
         return fig.title + "\n(no data)"
     y_max = max(all_values) or 1.0

@@ -8,16 +8,20 @@ dumped to ``.npz`` for external plotting.
 
 Frames are plain row-major :class:`bytearray` grids (one byte per cell), so
 capture and ASCII rendering work on the stdlib alone; only the ``.npz``
-export/import path requires numpy (gated via :mod:`repro._compat`).
+export/import path requires numpy, imported there through
+:func:`repro._compat.require_numpy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro._compat import np, require_numpy
+from repro._compat import require_numpy
 from repro.arch.config import ChipConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass
@@ -72,7 +76,7 @@ class TraceRecorder:
 
     def save_npz(self, path: str) -> None:
         """Save all frames to a compressed ``.npz`` file (requires numpy)."""
-        require_numpy("trace export")
+        np = require_numpy("trace export")
         if self.frames:
             shape = (len(self.frames), self.config.height, self.config.width)
             frames = np.frombuffer(b"".join(self.frames),
@@ -88,6 +92,6 @@ class TraceRecorder:
     @staticmethod
     def load_npz(path: str) -> "Tuple[np.ndarray, np.ndarray]":
         """Load frames saved by :meth:`save_npz` (requires numpy)."""
-        require_numpy("trace import")
+        np = require_numpy("trace import")
         data = np.load(path)
         return data["frames"], data["cycles"]

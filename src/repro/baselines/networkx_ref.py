@@ -9,12 +9,13 @@ algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.datasets.streaming import StreamingDataset
 from repro.graph.rpvo import Edge
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def build_networkx(edges: Iterable[Edge], num_vertices: Optional[int] = None,
@@ -26,6 +27,8 @@ def build_networkx(edges: Iterable[Edge], num_vertices: Optional[int] = None,
     over the full multigraph would use and keeps the oracle comparable to the
     chip, which stores every parallel edge.
     """
+    import networkx as nx
+
     g: nx.DiGraph | nx.Graph = nx.DiGraph() if directed else nx.Graph()
     if num_vertices is not None:
         g.add_nodes_from(range(num_vertices))
@@ -83,12 +86,16 @@ class IncrementalOracle:
     # ------------------------------------------------------------------
     def bfs_levels(self, root: int) -> Dict[int, int]:
         """Shortest-path (hop) levels from ``root`` on the current prefix."""
+        import networkx as nx
+
         if root not in self._graph:
             return {}
         return dict(nx.single_source_shortest_path_length(self._graph, root))
 
     def sssp_distances(self, root: int) -> Dict[int, int]:
         """Weighted distances from ``root`` on the current prefix."""
+        import networkx as nx
+
         if root not in self._graph:
             return {}
         lengths = nx.single_source_dijkstra_path_length(self._graph, root, weight="weight")
@@ -96,6 +103,8 @@ class IncrementalOracle:
 
     def component_labels(self) -> Dict[int, int]:
         """Min-vertex-id component labels on the undirected view."""
+        import networkx as nx
+
         undirected = self._graph.to_undirected() if self._graph.is_directed() else self._graph
         labels: Dict[int, int] = {}
         for component in nx.connected_components(undirected):
@@ -106,6 +115,8 @@ class IncrementalOracle:
 
     def triangle_count(self) -> int:
         """Total triangles of the undirected simple view."""
+        import networkx as nx
+
         undirected = nx.Graph(self._graph.to_undirected() if self._graph.is_directed() else self._graph)
         undirected.remove_edges_from(nx.selfloop_edges(undirected))
         return sum(nx.triangles(undirected).values()) // 3

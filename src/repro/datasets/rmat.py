@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro._compat import np, require_numpy
+from repro._compat import require_numpy
 from repro.graph.rpvo import Edge
 
 
@@ -29,7 +29,7 @@ def generate_rmat(
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    require_numpy("R-MAT dataset generation")
+    np = require_numpy("R-MAT dataset generation")
     d = 1.0 - (a + b + c)
     if d < 0:
         raise ValueError("a + b + c must be <= 1")

@@ -11,10 +11,13 @@ vertices, tens of millions of edges) are produced in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro._compat import np, require_numpy
+from repro._compat import require_numpy
 from repro.graph.rpvo import Edge
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,20 @@ class SBMParams:
 
 def block_of(params: SBMParams, vids: "np.ndarray") -> "np.ndarray":
     """Block index of each vertex id (contiguous assignment)."""
+    np = require_numpy("SBM dataset generation")
     return (vids.astype(np.int64) * params.num_blocks) // params.num_vertices
 
 
 def _block_bounds(params: SBMParams) -> "np.ndarray":
     """Start offsets of each block, plus a final sentinel at num_vertices."""
+    np = require_numpy("SBM dataset generation")
     blocks = np.arange(params.num_blocks + 1, dtype=np.int64)
     return np.ceil(blocks * params.num_vertices / params.num_blocks).astype(np.int64)
 
 
 def generate_sbm_arrays(params: SBMParams) -> "tuple[np.ndarray, np.ndarray]":
     """Sample the edge list as a pair of NumPy arrays ``(srcs, dsts)``."""
-    require_numpy("SBM dataset generation")
+    np = require_numpy("SBM dataset generation")
     rng = np.random.default_rng(params.seed)
     n, m = params.num_vertices, params.num_edges
 

@@ -21,9 +21,7 @@ cycle count and statistics.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.address import Address
 from repro.arch.config import ChipConfig
@@ -39,6 +37,9 @@ from repro.graph.rpvo import (
 )
 from repro.runtime.device import AMCCADevice, RunResult
 from repro.runtime.terminator import Terminator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 class DynamicGraph:
@@ -217,6 +218,8 @@ class DynamicGraph:
 
     def to_networkx(self, directed: bool = True) -> "nx.DiGraph | nx.Graph":
         """Reconstruct the currently stored graph as a NetworkX graph."""
+        import networkx as nx
+
         g: nx.DiGraph | nx.Graph = nx.DiGraph() if directed else nx.Graph()
         g.add_nodes_from(range(self.num_vertices))
         for vid in range(self.num_vertices):

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
+import signal
 import threading
 import time
 import traceback
@@ -47,6 +49,9 @@ Task = Tuple[Callable[..., Any], Tuple[Any, ...]]
 
 #: Grace period (seconds) for a killed or shut-down worker to be reaped.
 _JOIN_GRACE_S = 2.0
+
+#: How often (seconds) an idle worker checks that its parent is alive.
+_PARENT_CHECK_S = 1.0
 
 
 @dataclass
@@ -69,9 +74,23 @@ def _worker_main(conn) -> None:
     ``None`` is the shutdown sentinel.  Exceptions (including ``SystemExit``
     raised by task code) are caught and shipped back as tracebacks so a
     failing task never takes the worker down with it.
+
+    The loop also returns once its parent is gone (a SIGKILLed owner).  A
+    forked worker holds copies of its own pipe's parent end and of earlier
+    workers', so it never reads EOF when the owner dies; between tasks it
+    polls its pipe and compares its parent pid with the one it started
+    under.  (An owner that dies before the worker reaches this loop, within
+    a millisecond of the fork, goes unnoticed.)
     """
+    # A worker forked from ``repro serve`` inherits its SIGTERM handler;
+    # terminate() must kill it, not raise into a task.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
     while True:
         try:
+            while not conn.poll(_PARENT_CHECK_S):
+                if os.getppid() != parent:
+                    return
             item = conn.recv()
         except (EOFError, OSError):
             return

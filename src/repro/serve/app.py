@@ -33,6 +33,8 @@ address), which the 429 tests use to simulate distinct tenants.
 from __future__ import annotations
 
 import json
+import signal
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlsplit
@@ -330,7 +332,14 @@ def make_server(service: ScenarioService) -> ThreadingHTTPServer:
 
 
 def serve_forever(config: ServeConfig) -> None:
-    """``repro serve`` entry point: run until interrupted."""
+    """``repro serve`` entry point: run until SIGINT or SIGTERM.
+
+    Either signal parks running jobs, stops the pool workers and removes
+    the service's own work dir before returning.
+    """
+    if threading.current_thread() is threading.main_thread():
+        # SIGTERM takes SIGINT's KeyboardInterrupt path below.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     service = ScenarioService(config)
     server = make_server(service)
     host, port = server.server_address[:2]

@@ -40,7 +40,9 @@ touches spec hashing or the schedule — the record a job stores is the one
 from __future__ import annotations
 
 import os
+import resource
 import shutil
+import sys
 import tempfile
 import threading
 import time
@@ -68,6 +70,9 @@ from repro.serve.jobs import (
     JobRegistry,
 )
 from repro.serve.queue import FairQueue
+
+#: ``ru_maxrss`` is in bytes on macOS and in KiB elsewhere.
+_MAXRSS_BYTES = 1 if sys.platform == "darwin" else 1024
 
 
 @dataclass
@@ -135,6 +140,12 @@ class ScenarioService:
                 "serve_queue_depth", "Jobs admitted but not finished")
             self._respawns = self.metrics.gauge(
                 "serve_pool_respawns", "Pool workers killed and respawned")
+            self._peak_rss = self.metrics.gauge(
+                "serve_peak_rss_bytes", "Peak RSS of the server process")
+            self._worker_peak_rss = self.metrics.gauge(
+                "serve_worker_peak_rss_bytes",
+                "Peak RSS of the largest live pool worker (VmHWM; absent "
+                "where /proc is missing)")
         self.work_dir = config.work_dir or tempfile.mkdtemp(
             prefix="repro-serve-")
         self._own_work_dir = config.work_dir is None
@@ -426,4 +437,23 @@ class ScenarioService:
 
     def prometheus(self) -> str:
         self._refresh_gauges()
+        workers = [peak for pool in self.pools for pid in pool.worker_pids()
+                   if (peak := _peak_rss_bytes(pid)) is not None]
+        with self.metrics.locked():
+            self._peak_rss.set(resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_BYTES)
+            if workers:
+                self._worker_peak_rss.set(max(workers))
         return self.metrics.to_prometheus()
+
+
+def _peak_rss_bytes(pid: int) -> Optional[int]:
+    """A live process's peak RSS (``VmHWM``), or ``None`` without ``/proc``."""
+    try:
+        with open(f"/proc/{pid}/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024  # kB
+    except OSError:
+        pass
+    return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -31,6 +32,10 @@ from repro.runtime.device import AMCCADevice
 #: CI job executes everything that is not marked with this.
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="requires numpy (dataset generation / analysis)")
+
+#: Marker for tests that find processes through Linux ``/proc``.
+requires_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads processes from Linux /proc")
 
 #: Health checks every whole-stack property test suppresses: one example
 #: simulates a full chip, so hypothesis's per-example timing heuristics
@@ -58,6 +63,39 @@ def register_hypothesis_profiles() -> None:
         "deep", max_examples=200, deadline=None,
         suppress_health_check=HYPOTHESIS_SUPPRESS)
     settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
+
+
+def subprocess_env(**extra: str) -> Dict[str, str]:
+    """Environment for a child interpreter that imports what this one does."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **extra}
+
+
+def _proc_stat(pid: int) -> List[str]:
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as f:
+        return f.read().rsplit(")", 1)[1].split()
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` runs (an unreaped zombie does not)."""
+    try:
+        return _proc_stat(pid)[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
+def child_pids(pid: int) -> List[int]:
+    """Live processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                fields = _proc_stat(int(entry))
+            except OSError:  # exited while listed
+                continue
+            if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
+                children.append(int(entry))
+    return children
 
 
 def random_edges(num_vertices: int, num_edges: int, seed: int = 0,

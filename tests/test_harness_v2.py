@@ -16,6 +16,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -46,7 +48,7 @@ from repro.harness.bench import (
     write_bench,
 )
 
-from helpers import requires_numpy
+from helpers import pid_alive, requires_numpy, requires_proc, subprocess_env
 
 
 def tiny_scenario(name="t", algorithm="ingest", **dataset_kwargs) -> Scenario:
@@ -82,6 +84,18 @@ def _boom():
 
 def _die():
     os._exit(17)
+
+
+#: Owns a one-worker pool, prints the worker's pid once a task has run on
+#: it (the worker is in its loop) and waits to be killed.
+_POOL_OWNER = """
+import time
+from repro.harness.pool import DispatchPool
+pool = DispatchPool(1)
+assert pool.run(len, ("ready",)).value == 5
+print(pool.worker_pids()[0], flush=True)
+time.sleep(60)
+"""
 
 
 @pytest.fixture()
@@ -156,6 +170,23 @@ class TestDispatchPool:
         results = run_all(pool2, [(_double, (i,)) for i in range(4)])
         assert [r.value for r in results] == [0, 2, 4, 6]
         assert pool2.size == 2
+
+    @requires_proc
+    def test_worker_exits_when_its_owner_is_killed(self):
+        owner = subprocess.Popen([sys.executable, "-c", _POOL_OWNER],
+                                 stdout=subprocess.PIPE, text=True,
+                                 env=subprocess_env())
+        try:
+            worker = int(owner.stdout.readline())
+            assert pid_alive(worker)
+        finally:
+            owner.kill()  # SIGKILL: the owner runs no cleanup at all
+            owner.wait()
+            owner.stdout.close()
+        deadline = time.monotonic() + 5
+        while pid_alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not pid_alive(worker)
 
     def test_workers_persist_across_batches(self, pool2):
         run_all(pool2, [(_double, (1,))])

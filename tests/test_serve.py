@@ -17,8 +17,11 @@ port; scenarios are tiny (seconds end to end).
 
 import http.client
 import json
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -33,6 +36,8 @@ from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, app, make_server
 from repro.snapshot import Snapshot
+
+from helpers import child_pids, pid_alive, requires_proc, subprocess_env
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -435,6 +440,33 @@ class TestPauseResume:
             assert code == 404
 
 
+@requires_proc
+class TestShutdown:
+    def test_sigterm_stops_the_workers_and_removes_the_work_dir(
+            self, tmp_path):
+        tmp = tmp_path / "tmp"  # the server's TMPDIR, so its work dir
+        tmp.mkdir()
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--jobs", "2", "--store", str(tmp_path / "store.jsonl")],
+            stdout=subprocess.PIPE, text=True,
+            env=subprocess_env(TMPDIR=str(tmp)))
+        try:
+            assert server.stdout.readline().startswith("repro serve listening")
+            workers = child_pids(server.pid)
+            assert len(workers) == 2
+            assert len(list(tmp.glob("repro-serve-*"))) == 1
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+        assert [pid for pid in workers if pid_alive(pid)] == []
+        assert list(tmp.glob("repro-serve-*")) == []
+
+
 class TestAdmissionControl:
     def test_exactly_k_rejections_beyond_depth(self, server):
         """queue_depth=2, 5 fresh concurrent submissions → exactly 3 429s,
@@ -571,6 +603,13 @@ class TestEventsAndViews:
         assert 'serve_jobs_total{outcome="done"}' in text
         assert "serve_spans_total" in text
         assert "serve_queue_depth" in text
+        gauges = {name: float(value) for name, value in (
+            line.split() for line in text.splitlines()
+            if line.startswith(("serve_peak_rss_bytes ",
+                                "serve_worker_peak_rss_bytes ")))}
+        assert set(gauges) == {"serve_peak_rss_bytes",
+                               "serve_worker_peak_rss_bytes"}
+        assert all(value > 0 for value in gauges.values()), gauges
 
     def test_report_and_index_views(self, server):
         service, base = server

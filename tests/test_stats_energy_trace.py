@@ -1,7 +1,6 @@
 """Tests for statistics collection, the energy model and the trace recorder."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -16,6 +15,8 @@ from repro.arch.message import Message
 from repro.arch.simulator import Simulator
 from repro.arch.stats import SimStats
 from repro.arch.trace import TraceRecorder
+
+from helpers import subprocess_env
 
 #: Chip sides whose cell count is not a power of two: there ``c / n``
 #: rounds, so a mean over per-cycle fractions depends on summation order.
@@ -70,7 +71,7 @@ class TestSimStats:
         summed in either order (numpy's pairwise mean or a plain sum).
         Every registered suite uses such chips, so their records keep the
         values they had when the mean was taken over fractions."""
-        from repro._compat import np
+        from repro._compat import HAVE_NUMPY
         from repro.harness import ChipSpec, DatasetSpec, Scenario, list_suites
         from repro.harness.runner import run_scenario_traced
 
@@ -83,7 +84,9 @@ class TestSimStats:
         mean = device.simulator.stats.mean_activation()
         assert record["stats"]["mean_activation"] == mean
         assert mean == sum(c / cells for c in series) / len(series)
-        if np is not None:
+        if HAVE_NUMPY:
+            import numpy as np
+
             assert mean == float((np.asarray(series) / cells).mean())
         suite_sides = {s.chip.side for suite in list_suites()
                        for s in suite.build()}
@@ -107,7 +110,7 @@ class TestSimStats:
             [sys.executable, "-c", _NUMPY_BLOCKED_RECORDS,
              *(json.dumps(s.spec_dict()) for s in scenarios)],
             capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env=subprocess_env(),
         ).stdout.splitlines()
         for scenario, blocked_record in zip(scenarios, blocked, strict=True):
             record, device = run_scenario_traced(scenario)

@@ -17,15 +17,18 @@ full contract from the outside, exactly as a client would:
    write exactly one checkpoint, which one ``restored`` span reads;
 5. flood the admission window from concurrent client threads and require
    **exactly** ``k`` 429s for ``N + k`` fresh submissions;
-6. scrape ``/metrics``, check the serve counters are present, and require
-   ``serve_pool_respawns`` to read 0: no job here times out or crashes,
-   so no worker may have been killed.
+6. scrape ``/metrics``, check the serve counters and the two peak-RSS
+   gauges are present, and require ``serve_pool_respawns`` to read 0: no
+   job here times out or crashes, so no worker may have been killed;
+7. stop the server with SIGTERM and require it to exit 0, leaving no pool
+   worker running and no ``repro-serve-*`` work dir behind.
 
 Usage: python tools/serve_smoke.py [--kernel KERNEL]
 (KERNEL is one of ``repro.arch.config.KERNELS``.)
 """
 
 import argparse
+import glob
 import json
 import os
 import shutil
@@ -100,6 +103,34 @@ def metric(base, sample):
     return 0
 
 
+def stat_fields(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as f:
+        return f.read().rsplit(")", 1)[1].split()
+
+
+def child_pids(pid):
+    """Live processes whose parent is ``pid`` (Linux ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                fields = stat_fields(entry)
+            except OSError:  # exited while listed
+                continue
+            if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
+                children.append(int(entry))
+    return children
+
+
+def alive(pid):
+    """Whether ``pid`` runs (an unreaped zombie does not)."""
+    try:
+        return stat_fields(pid)[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
 def check(condition, label):
     if not condition:
         raise SystemExit(f"FAIL: {label}")
@@ -113,7 +144,9 @@ def main():
     args = parser.parse_args()
 
     tmp = tempfile.mkdtemp(prefix="serve-smoke-")
-    env = dict(os.environ)
+    server_tmp = os.path.join(tmp, "tmp")  # the server's work dir lands here
+    os.mkdir(server_tmp)
+    env = dict(os.environ, TMPDIR=server_tmp)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     cmd = [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
            "--jobs", "1", "--queue-depth", "2",
@@ -229,17 +262,28 @@ def main():
         for needle in ("serve_requests_total", "serve_jobs_total",
                        'outcome="rejected"', "serve_queue_depth"):
             check(needle in text, f"/metrics exposes {needle}")
+        for gauge in ("serve_peak_rss_bytes", "serve_worker_peak_rss_bytes"):
+            peak = metric(base, gauge)
+            check(peak > 0, f"/metrics exposes {gauge} ({peak >> 20} MiB)")
         respawns = [line for line in text.splitlines()
                     if line.startswith("serve_pool_respawns ")]
         check(respawns == ["serve_pool_respawns 0"],
               f"a clean run respawns no worker ({respawns})")
 
+        # 7: SIGTERM stops the server as SIGINT does.
+        workers = child_pids(server.pid)
+        check(len(workers) == 1, f"one pool worker runs ({workers})")
+        server.send_signal(signal.SIGTERM)
+        code = server.wait(timeout=30)
+        check(code == 0, f"SIGTERM: the server exited 0 ({code})")
+        left = [pid for pid in workers if alive(pid)]
+        check(not left, f"no pool worker outlived the server ({left})")
+        dirs = glob.glob(os.path.join(server_tmp, "repro-serve-*"))
+        check(not dirs, f"no work dir outlived the server ({dirs})")
+
         print("serve smoke: all checks passed", flush=True)
     finally:
-        server.send_signal(signal.SIGINT)
-        try:
-            server.wait(timeout=30)
-        except subprocess.TimeoutExpired:
+        if server.poll() is None:
             server.kill()
             server.wait()
         # The server has exited, so nothing writes the store any more.
