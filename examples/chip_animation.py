@@ -8,11 +8,12 @@ runs one declarative harness scenario through
 every ``frames_every`` cycles (one character per compute cell, ``#`` =
 active that cycle) and writes a Chrome trace-event JSON of the run — open
 ``chip_trace.json`` in Perfetto (https://ui.perfetto.dev) to see the phase
-spans and cycle-skip jumps.  Instrumentation is observer-only: the record
-returned here is byte-identical to an untraced ``run_scenario``.
+spans.  Instrumentation is observer-only: the record returned here is
+byte-identical to an untraced ``run_scenario``.
 
-The full frame stack is additionally saved to ``chip_trace.npz`` when
-numpy is available (frame capture itself is stdlib-only).
+The full frame stack is additionally saved to ``chip_trace.npz`` (frame
+capture itself is stdlib-only; the export, like the suite's SBM dataset,
+needs numpy).
 
 The workload is the registered ``chip-animation`` harness suite, and the
 record lands in the shared demo store (``results/demo.jsonl``), so the
@@ -23,7 +24,6 @@ same measurement can be rebuilt later without re-simulating::
 Run with:  python examples/chip_animation.py
 """
 
-from repro._compat import HAVE_NUMPY
 from repro.harness import ResultStore, get_suite
 from repro.harness.runner import run_scenario_traced
 
@@ -49,12 +49,9 @@ def main() -> None:
 
     print("\nChrome trace saved to chip_trace.json "
           "(open in https://ui.perfetto.dev)")
-    if HAVE_NUMPY:
-        trace.save_npz("chip_trace.npz")
-        print("full frame stack saved to chip_trace.npz "
-              "(load with repro.arch.trace.TraceRecorder.load_npz)")
-    else:
-        print("numpy not installed; skipped chip_trace.npz export")
+    trace.save_npz("chip_trace.npz")
+    print("full frame stack saved to chip_trace.npz "
+          "(load with repro.arch.trace.TraceRecorder.load_npz)")
     print(f"total cycles: {record['total_cycles']}, "
           f"BFS reached {record['algo_metrics']['reached']} "
           f"of {scenario.dataset.vertices} vertices")

@@ -1016,12 +1016,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: results/serve.jsonl)")
     p_serve.add_argument("--timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="per-span wall-clock budget; an overdue span "
-                              "fails its job and respawns the worker "
-                              "(default: unlimited)")
+                         help="wall-clock budget of a job between its "
+                              "progress reports; an overdue job fails and "
+                              "its worker is respawned (default: unlimited)")
     p_serve.add_argument("--cadence", type=int, default=1,
                          metavar="INCREMENTS",
-                         help="increments per execution span — the "
+                         help="increments per progress report — the "
                               "progress/pause granularity (default: 1)")
     p_serve.add_argument("--kernel", choices=KERNELS, default=None,
                          help="default NoC kernel pin for submitted jobs "

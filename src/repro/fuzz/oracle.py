@@ -12,12 +12,11 @@ on curated cases elsewhere, plus the conservation laws of its statistics:
    recapture reproduces the snapshot's ``state_hash``.
 3. **park_transparency** — disabling busy-cell parking changes nothing in
    the record.
-4. **pipeline_vs_serial** — the run cut into at most three spans
-   (``repro serve``'s span plan) stores bytes identical (``cmp``) to the
-   serial one, in two legs: the warm leg runs the spans as serve does,
-   each continuing the live run the previous span left in the warm slot
-   and saving no checkpoint, and the cold leg parks at every boundary
-   through serve's pause path, so each later span restores the park
+4. **pipeline_vs_serial** — the run as ``repro serve``'s job task, with
+   at most three spans (park points), stores bytes identical (``cmp``) to
+   the serial one, in two legs: the warm leg runs the job as one task, as
+   an uninterrupted serve job does, saving no checkpoint, and the cold
+   leg parks at every span's end, so each later task restores the park
    checkpoint.  A truncated scenario is planned as the single span
    ``[0, total)``.
 5. **trace_transparency** — attaching the Chrome tracer leaves the record
@@ -46,9 +45,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.arch._native import HAVE_NATIVE
 from repro.fuzz.fingerprint import classify, fingerprint_record
 from repro.harness.runner import (
-    _park_task,
+    _job_task,
     _pinned,
-    _pipeline_span_task,
     plan_spans,
     restore_scenario,
     resume_scenario,
@@ -246,21 +244,17 @@ def _check_park_transparency(scenario: Scenario,
 
 def _span_leg(scenario: Scenario, cadence: int, spill: str,
               cold: bool) -> Tuple[Dict[str, Any], List[str]]:
-    """Run a scenario's planned spans in order, in-process; returns the
-    record and how each span started.  A warm leg runs as a serve job
-    does, saving nothing; a cold leg parks at every boundary through
-    serve's pause path (``_park_task``), so every later span restores the
-    checkpoint the park wrote."""
-    os.makedirs(spill, exist_ok=True)
+    """Run a scenario as serve's job tasks, in-process; returns the record
+    and how each task started.  A warm leg is one task, as an
+    uninterrupted serve job is, saving nothing; a cold leg parks at every
+    span's end, so every later task restores the checkpoint the park
+    wrote."""
     scenario = _pinned(scenario, "python")
-    handoffs = []
-    for start, stop, snap_in, park_path in plan_spans(scenario, cadence,
-                                                      spill):
-        _cycles, record, handoff = _pipeline_span_task(
-            scenario, start, stop, snap_in)
+    handoffs, start, record = [], 0, None
+    while record is None:
+        start, record, handoff = _job_task(scenario, start, cadence, spill,
+                                           park=lambda: cold)
         handoffs.append(handoff)
-        if cold and park_path is not None:
-            _park_task(scenario, stop, park_path)
     return record, handoffs
 
 
@@ -274,13 +268,16 @@ def _check_pipeline_vs_serial(scenario: Scenario, baseline: Dict[str, Any],
     cadence = -(-total // 3)  # at most three spans
     serial_path = os.path.join(workdir, "serial.jsonl")
     ResultStore(serial_path).put(baseline)
-    for leg, kind in (("warm", "warm"), ("cold", "restored")):
+    parks = len(plan_spans(scenario, cadence, workdir)) - 1
+    for leg, expected in (("warm", ["fresh"]),
+                          ("cold", ["fresh"] + ["restored"] * parks)):
         record, handoffs = _span_leg(scenario, cadence,
                                      os.path.join(workdir, f"{leg}-spill"),
                                      cold=leg == "cold")
-        if any(handoff != kind for handoff in handoffs[1:]):
+        if handoffs != expected:
             return InvariantOutcome(
-                name, "fail", f"{leg} leg spans started {handoffs}, not {kind}")
+                name, "fail",
+                f"{leg} leg tasks started {handoffs}, not {expected}")
         outcome = _compare(name, baseline, record,
                            f"span record ({leg} spans) != serial record")
         if outcome.status == "fail":

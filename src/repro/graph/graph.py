@@ -116,6 +116,20 @@ class DynamicGraph:
         """Detach the current algorithm (pure ingestion afterwards)."""
         self.algorithm = None
 
+    def close(self) -> None:
+        """Break the run's reference cycles, so dropping the run frees it.
+
+        The graph, its ingestor, its algorithm and its device point at each
+        other; this cuts those links (and the device's own, see
+        :meth:`AMCCADevice.close`), so the chip goes by reference counting
+        as soon as the last outside reference does.  The graph cannot
+        stream afterwards: close only a run that no caller keeps.
+        """
+        if self.algorithm is not None:
+            self.algorithm.graph = None
+        self.ingestor.close()
+        self.device.close()
+
     # ------------------------------------------------------------------
     # Addresses and blocks
     # ------------------------------------------------------------------

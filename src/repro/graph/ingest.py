@@ -77,6 +77,11 @@ class EdgeIngestor:
         device.register_executor(INSERT_EDGE_ACTION, self.execute,
                                  size_words=INSERT_EDGE_WORDS)
 
+    def close(self) -> None:
+        """Drop the references back to the graph and the device (see
+        :meth:`~repro.graph.graph.DynamicGraph.close`)."""
+        self.graph = self._handle_in_context = None
+
     # ------------------------------------------------------------------
     # The action (paper Listing 6)
     # ------------------------------------------------------------------

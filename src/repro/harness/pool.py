@@ -7,9 +7,8 @@ task has resolved, with no dispatcher thread in between.  Every pool has
 one owner.  :func:`~repro.harness.runner.run_suite` builds one for its call
 (one :func:`~repro.harness.runner.run_scenario` task per scenario) unless
 the caller passes ``pool=``; ``repro serve`` gives each scheduler thread a
-one-worker pool, which runs every span of that thread's job, so a span
-reaches the worker that ran its predecessor.  Interpreter/import startup
-is paid once per worker, not once per task.
+one-worker pool, which runs each of that thread's jobs as one task.
+Interpreter/import startup is paid once per worker, not once per task.
 
 Tasks travel over one duplex :func:`multiprocessing.Pipe` per worker rather
 than a shared queue.  That buys two properties a ``Pool`` cannot offer:
@@ -25,15 +24,25 @@ than a shared queue.  That buys two properties a ``Pool`` cannot offer:
   corrupt a shared queue the way terminating a ``multiprocessing.Queue``
   feeder can.
 
+A task can talk to its owner while it runs.  :func:`report` sends a
+progress value up the task's pipe, which :meth:`DispatchPool.run_all`
+hands to its ``on_progress`` callback on the calling thread while the
+worker keeps running; each report also renews the task's timeout.  And
+:func:`park_requested` tells the task that its owner has asked it to stop
+early (:meth:`DispatchPool.request_park`): every worker has a shared flag
+that holds the id of the task asked to park, so a request that lands
+after its task has ended can never stop the next one.  Run in-process,
+outside any worker, :func:`report` does nothing and :func:`park_requested`
+returns ``False``.
+
 Task callables must be module-level functions (they are pickled by
-reference); arguments and results must be picklable.
+reference); arguments, progress values and results must be picklable.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -50,8 +59,12 @@ Task = Tuple[Callable[..., Any], Tuple[Any, ...]]
 #: Grace period (seconds) for a killed or shut-down worker to be reaped.
 _JOIN_GRACE_S = 2.0
 
-#: How often (seconds) an idle worker checks that its parent is alive.
-_PARENT_CHECK_S = 1.0
+#: Inside a worker: its pipe, its park flag and the id of the task it
+#: runs (``None`` in-process, where :func:`report` and
+#: :func:`park_requested` do nothing).
+_conn = None
+_park = None
+_task_id = -1
 
 
 @dataclass
@@ -68,39 +81,58 @@ class TaskResult:
         return self.status == "ok"
 
 
-def _worker_main(conn) -> None:
+def report(value: Any) -> None:
+    """Send ``value`` to the owner of the running task (in-process: no-op).
+
+    The owner's ``on_progress`` callback receives it while the task runs
+    on, and the task's timeout starts again.
+    """
+    if _conn is not None:
+        _conn.send((_task_id, "progress", value))
+
+
+def park_requested() -> bool:
+    """Whether the owner has asked the running task to park (in-process:
+    never)."""
+    return _park is not None and _park.value == _task_id
+
+
+def _worker_main(conn, park) -> None:
     """Worker loop: receive ``(task_id, fn, args)``, send back the result.
 
     ``None`` is the shutdown sentinel.  Exceptions (including ``SystemExit``
     raised by task code) are caught and shipped back as tracebacks so a
     failing task never takes the worker down with it.
 
-    The loop also returns once its parent is gone (a SIGKILLed owner).  A
-    forked worker holds copies of its own pipe's parent end and of earlier
-    workers', so it never reads EOF when the owner dies; between tasks it
-    polls its pipe and compares its parent pid with the one it started
-    under.  (An owner that dies before the worker reaches this loop, within
-    a millisecond of the fork, goes unnoticed.)
+    The loop also returns once its owner is gone (a SIGKILLed owner): it
+    waits on its pipe and on the sentinel of its parent process, a pipe
+    whose write end only the parent held at the fork, so an owner that
+    dies at any moment after :meth:`multiprocessing.Process.start` wakes
+    it.  Its own pipe gives no EOF, because a forked worker holds copies
+    of the parent ends of its own pipe and of earlier workers'.  (Earlier
+    workers' sentinel write ends too: forked workers exit in reverse fork
+    order, each as soon as the later ones have.)
     """
+    global _conn, _park, _task_id
     # A worker forked from ``repro serve`` inherits its SIGTERM handler;
     # terminate() must kill it, not raise into a task.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    parent = os.getppid()
+    _conn, _park = conn, park
+    parent = multiprocessing.parent_process().sentinel
     while True:
         try:
-            while not conn.poll(_PARENT_CHECK_S):
-                if os.getppid() != parent:
-                    return
+            if parent in _wait_connections([conn, parent]):
+                return
             item = conn.recv()
         except (EOFError, OSError):
             return
         if item is None:
             return
-        task_id, fn, args = item
+        _task_id, fn, args = item
         try:
-            conn.send((task_id, "ok", fn(*args)))
+            conn.send((_task_id, "ok", fn(*args)))
         except BaseException:
-            conn.send((task_id, "error", traceback.format_exc()))
+            conn.send((_task_id, "error", traceback.format_exc()))
 
 
 class _Worker:
@@ -108,8 +140,12 @@ class _Worker:
 
     def __init__(self, ctx) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
+        #: Shared with the worker: the id of the task asked to park.
+        self.park = ctx.Value("q", -1, lock=False)
+        #: The id of the task in flight here, ``None`` while idle.
+        self.task_id: Optional[int] = None
         self.process = ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, self.park), daemon=True
         )
         self.process.start()
         # The child holds its own copy; closing ours makes EOF detection
@@ -157,8 +193,10 @@ class DispatchPool:
 
     :meth:`run_all` hands its tasks to idle workers in order, the
     longest-idle worker first, and waits in the calling thread until each
-    has resolved.  A task that outlives its ``timeout`` has its worker
-    killed and respawned; a worker that crashes resolves only its own task.
+    has resolved, passing on the values each task reports meanwhile
+    (:func:`report`).  A task that runs ``timeout`` seconds past its
+    dispatch or its latest report has its worker killed and respawned; a
+    worker that crashes resolves only its own task.
     Either way the task resolves with a ``timeout``/``error``
     :class:`TaskResult` and sibling tasks keep running.  One lock is held
     across :meth:`run_all` and :meth:`shutdown`, so one caller drives the
@@ -206,15 +244,25 @@ class DispatchPool:
                 if w.process.pid is not None]
 
     def run(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
-            *, timeout: Optional[float] = None) -> TaskResult:
+            *, timeout: Optional[float] = None,
+            on_progress: Optional[Callable[[Any], None]] = None,
+            ) -> TaskResult:
         """Run one task and return its result (:meth:`run_all` of one)."""
-        return self.run_all([(fn, tuple(args))], timeout=timeout)[0]
+        return self.run_all(
+            [(fn, tuple(args))], timeout=timeout,
+            on_progress=(None if on_progress is None
+                         else lambda _index, value: on_progress(value)))[0]
 
     def run_all(self, tasks: Sequence[Task], *,
-                timeout: Optional[float] = None) -> List[TaskResult]:
+                timeout: Optional[float] = None,
+                on_progress: Optional[Callable[[int, Any], None]] = None,
+                ) -> List[TaskResult]:
         """Run every task on the workers; results in task order.
 
-        ``timeout`` is each task's wall-clock budget from its dispatch.
+        ``timeout`` is each task's wall-clock budget from its dispatch or
+        its latest :func:`report`.  ``on_progress(index, value)`` is called
+        on this thread with every value the task at ``index`` reports, in
+        order and before its result.
         """
         with self._lock:
             if self._closed:
@@ -225,7 +273,7 @@ class DispatchPool:
             try:
                 while pending or busy:
                     self._dispatch(pending, busy, timeout)
-                    self._collect(busy, results)
+                    self._collect(busy, results, timeout, on_progress)
             finally:
                 # Only a raise leaves tasks in flight (a task that fails to
                 # pickle, an interrupt): their workers go, so no stale
@@ -259,13 +307,17 @@ class DispatchPool:
                 self._replace(worker)
                 continue
             pending.popleft()
+            worker.task_id = task_id
             busy[worker] = self._dispatched(index, task_id, worker, timeout,
                                             len(pending))
 
     def _collect(self, busy: Dict[_Worker, _InFlight],
-                 results: List[Optional[TaskResult]]) -> None:
-        """Wait for results until the earliest deadline, and resolve the
-        tasks that returned, died or are overdue (lock held)."""
+                 results: List[Optional[TaskResult]],
+                 timeout: Optional[float],
+                 on_progress: Optional[Callable[[int, Any], None]]) -> None:
+        """Wait for messages until the earliest deadline: pass progress on,
+        and resolve the tasks that returned, died or are overdue (lock
+        held)."""
         deadlines = [f.deadline for f in busy.values()
                      if f.deadline is not None]
         wait_s = None
@@ -281,6 +333,13 @@ class DispatchPool:
                     status="error",
                     error="worker process died before returning a result",
                 ), replace=True)
+                continue
+            if status == "progress":
+                flight = busy[worker]
+                if timeout is not None:
+                    flight.deadline = time.monotonic() + timeout
+                if on_progress is not None:
+                    on_progress(flight.index, payload)
                 continue
             if status == "ok":
                 result = TaskResult(status="ok", value=payload)
@@ -325,6 +384,7 @@ class DispatchPool:
                 results: List[Optional[TaskResult]], result: TaskResult,
                 replace: bool = False) -> None:
         flight = busy.pop(worker)
+        worker.task_id = None
         result.elapsed_s = time.monotonic() - flight.started
         tracer, metrics = self.tracer, self.metrics
         if tracer is not None:
@@ -363,6 +423,18 @@ class DispatchPool:
                 self.metrics.counter(
                     "pool_respawns_total",
                     "Workers killed and replaced (timeout or crash)").inc()
+
+    def request_park(self) -> None:
+        """Ask the tasks in flight to park (:func:`park_requested`).
+
+        Safe from any thread.  Each busy worker's flag takes the id of its
+        current task, so a task dispatched later is not asked; a task that
+        should park must therefore be in flight when this is called.
+        """
+        for worker in list(self._workers):
+            task_id = worker.task_id
+            if task_id is not None:
+                worker.park.value = task_id
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

@@ -14,6 +14,10 @@ Every entry point — :func:`run_scenario`, :func:`run_scenario_traced`,
 restore a checkpoint, stream up to an increment boundary with the
 ``snapshot_every`` cadence and the tracer, and return the final payload
 (none at an earlier boundary, where the run itself carries the state on).
+A built run is a web of reference cycles (device, graph, ingestor and
+algorithm point at each other); every entry point that keeps no run for
+its caller closes it at the end (:meth:`DynamicGraph.close`), so
+reference counting frees the chip at once.
 
 :func:`run_suite` fans a suite out over a
 :class:`~repro.harness.pool.DispatchPool` it builds for the call (or the
@@ -24,43 +28,29 @@ cross the process boundary (records come back as plain dicts).  Scenarios
 already present in the :class:`~repro.harness.store.ResultStore` are
 skipped as cache hits unless ``force`` is set.
 
-Span hand-off
--------------
-``repro serve`` runs a job as the spans :func:`plan_spans` cuts at its
-cadence, one :func:`_pipeline_span_task` each.  The chip's state is
-sequential — increment ``i`` runs against the graph that increments
-``0..i-1`` built — so every span but the first picks the run up at its
-start boundary, and **no increment is ever simulated twice**.  The last
-span assembles the record from the run's cursor plus its own increments,
-which is **byte-identical to a serial run** because a live run and a
-restored checkpoint continue the same bit-identical schedule (see
-docs/snapshot.md).  A scenario with ``max_cycles_per_increment`` set
-always runs as one span: a truncated increment can end with continuations
-still awaiting their trigger, which no checkpoint can capture.
-
-The warm slot
--------------
-A running job's state lives in its worker; a parked job's state lives in
-its checkpoint.  Every process keeps a **warm slot**: the live run
-(dataset, device, graph, algorithm) of the last non-final span it ran,
-keyed by the scenario's spec hash and the boundary that span stopped at.
-The next span continues the live run when both keys match its own spec
-hash and start boundary; otherwise it restores its input checkpoint, so a
-span whose run is neither live nor saved fails at once with the
-:class:`SnapshotError` that names the missing file.  A span never saves
-the checkpoint at its end: one is written only when a job parks
-(:func:`_park_task`), which also empties the slot, so a resume restores
-(the ``snapshot_every`` cadence is a separate observer).  Each ``repro
-serve`` scheduler thread owns one worker, which runs every span of the
-thread's job.  A live run is the state a restore of its checkpoint
-rebuilds, so records and checkpoint bytes are the same either way.
+Job tasks
+---------
+``repro serve`` runs a job as one pool task, :func:`_job_task`, from its
+first (or resume) boundary to its park or its end.  The spans
+:func:`plan_spans` cuts at the job's cadence are its progress and park
+points: at each span's end the task reports ``(boundary, cycles)`` up its
+pipe and streams on, unless its owner has asked it to park, in which case
+it saves the run's checkpoint there and returns.  A running job's state
+lives in its task; a parked job's state lives in its checkpoint, and the
+task that resumes it restores that file, so **no increment is ever
+simulated twice**.  The record is assembled from the run's cursor, which
+is **byte-identical to a serial run** because a live run and a restored
+checkpoint continue the same bit-identical schedule (see
+docs/snapshot.md).  A scenario with ``max_cycles_per_increment`` set has
+no park point before its end: a truncated increment can end with
+continuations still awaiting their trigger, which no checkpoint can
+capture.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -71,7 +61,7 @@ from repro.algorithms.registry import get_algorithm
 from repro.datasets.streaming import StreamingDataset, make_streaming_dataset
 from repro.graph.graph import DynamicGraph
 from repro.graph.rpvo import Edge
-from repro.harness.pool import DispatchPool
+from repro.harness.pool import DispatchPool, park_requested, report
 from repro.harness.scenario import DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry, Tracer, derive_trace_path, record_metrics
@@ -273,6 +263,8 @@ def _run_span(
     timings: Optional[Dict[str, float]] = None,
     device_setup: Optional[Callable[[AMCCADevice], None]] = None,
     frames_every: int = 0,
+    on_boundary: Optional[Callable[[int], bool]] = None,
+    close: bool = False,
 ) -> Tuple[List[int], Any]:
     """Stream one span of a run and return ``(cycles, end)``.
 
@@ -301,43 +293,56 @@ def _run_span(
     parking off through it to pin park transparency); contract-pinned knobs
     flipped here must leave the record byte-identical, which is exactly
     what the oracle asserts.
+
+    ``on_boundary``, when given, is called with each boundary a streamed
+    increment ends at; a true return stops the span there, with no final
+    payload.  ``close`` closes the run when the span ends, however it ends
+    (:meth:`DynamicGraph.close`): only for a run no caller keeps.
     """
     t0 = time.perf_counter()
     opts: RunOptions = scenario.options
-    dataset, device, graph, algorithm = run or _materialize(
-        scenario, frames_every=frames_every)
-    start, total = graph.increments_streamed, len(dataset.increments)
-    stop = total if stop is None else stop
-    if not start <= stop <= total:
-        raise ValueError(f"invalid span [{start}, {stop}) of {total} increments")
-    if final and stop != total:
-        raise ValueError("final span must run through the last increment")
-    tracer = None
-    if opts.trace_path is not None:
-        tracer = Tracer(process_name=f"repro:{scenario.name}")
-        device.attach_tracer(tracer)
-    if device_setup is not None:
-        device_setup(device)
-    t1 = time.perf_counter()
+    run = run or _materialize(scenario, frames_every=frames_every)
+    dataset, device, graph, algorithm = run
+    try:
+        start, total = graph.increments_streamed, len(dataset.increments)
+        stop = total if stop is None else stop
+        if not start <= stop <= total:
+            raise ValueError(
+                f"invalid span [{start}, {stop}) of {total} increments")
+        if final and stop != total:
+            raise ValueError("final span must run through the last increment")
+        tracer = None
+        if opts.trace_path is not None:
+            tracer = Tracer(process_name=f"repro:{scenario.name}")
+            device.attach_tracer(tracer)
+        if device_setup is not None:
+            device_setup(device)
+        t1 = time.perf_counter()
 
-    every, directory = opts.snapshot_every, opts.snapshot_dir
-    for i in range(start, stop):
-        graph.stream_increment(
-            dataset.increments[i],
-            phase=f"increment-{i + 1}",
-            max_cycles=opts.max_cycles_per_increment,
-        )
-        if every > 0 and directory and (i + 1) % every == 0:
-            _capture(graph, scenario, i + 1, tracer,
-                     _snapshot_path(directory, scenario, i + 1))
-    end = (_final_payload(scenario, dataset, device, graph, algorithm)
-           if final else None)
-    if timings is not None:
-        timings["setup_s"] = t1 - t0
-        timings["sim_s"] = time.perf_counter() - t1
-    if tracer is not None:
-        tracer.save(opts.trace_path)
-    return graph.per_increment_cycles(), end
+        every, directory = opts.snapshot_every, opts.snapshot_dir
+        for i in range(start, stop):
+            graph.stream_increment(
+                dataset.increments[i],
+                phase=f"increment-{i + 1}",
+                max_cycles=opts.max_cycles_per_increment,
+            )
+            if every > 0 and directory and (i + 1) % every == 0:
+                _capture(graph, scenario, i + 1, tracer,
+                         _snapshot_path(directory, scenario, i + 1))
+            if on_boundary is not None and on_boundary(i + 1):
+                final = False
+                break
+        end = (_final_payload(scenario, dataset, device, graph, algorithm)
+               if final else None)
+        if timings is not None:
+            timings["setup_s"] = t1 - t0
+            timings["sim_s"] = time.perf_counter() - t1
+        if tracer is not None:
+            tracer.save(opts.trace_path)
+        return graph.per_increment_cycles(), end
+    finally:
+        if close:
+            graph.close()
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +361,7 @@ def run_scenario(
     """
     scenario = _pinned(scenario, kernel)
     cycles, final = _run_span(scenario, timings=timings,
-                              device_setup=device_setup)
+                              device_setup=device_setup, close=True)
     return _assemble_record(scenario, cycles, final)
 
 
@@ -420,8 +425,11 @@ def snapshot_at(
             f"for {scenario.name!r}")
     scenario = _pinned(scenario, kernel)
     run = _materialize(scenario)
-    _run_span(scenario, increment, run=run, final=False)
-    return _capture(run[2], scenario, increment, None)
+    try:
+        _run_span(scenario, increment, run=run, final=False)
+        return _capture(run[2], scenario, increment, None)
+    finally:
+        run[2].close()
 
 
 def resume_scenario(
@@ -436,12 +444,13 @@ def resume_scenario(
     restored state.
     """
     scenario = _pinned(scenario, kernel)
-    cycles, final = _run_span(scenario, run=_materialize(scenario, snapshot))
+    cycles, final = _run_span(scenario, run=_materialize(scenario, snapshot),
+                              close=True)
     return _assemble_record(scenario, cycles, final)
 
 
 # ----------------------------------------------------------------------
-# Span plans and the pool task
+# Span plans and the job task
 # ----------------------------------------------------------------------
 #: One planned span: ``(start, stop, snap_in, park_path)``.
 Span = Tuple[int, int, Optional[str], Optional[str]]
@@ -454,11 +463,11 @@ def plan_spans(scenario: Scenario, cadence: int, spill_dir: str) -> List[Span]:
     ``[start, stop)``.  ``snap_in`` and ``park_path`` name the checkpoints
     at its two boundaries, ``incNNNNN.snap`` inside ``spill_dir``: the one
     a restore at ``start`` reads, and the one a park at ``stop`` writes;
-    ``None`` at boundary 0, where the first span materialises fresh, and at
-    the last boundary, where the last span assembles the record.  This is
-    the progress/pause granularity of ``repro serve``: a job runs one
-    :func:`_pipeline_span_task` per span, and parks at a span's end into
-    its ``park_path`` (:func:`_park_task`).
+    ``None`` at boundary 0, where a job materialises fresh, and at the
+    last boundary, where it assembles the record.  This is the
+    progress/pause granularity of ``repro serve``: a job's task
+    (:func:`_job_task`) reports at every span's end and parks there, into
+    its ``park_path``, when asked.
 
     A truncated scenario (``max_cycles_per_increment`` set) is the single
     span ``[0, total)``: an increment cut off by its cycle budget can end
@@ -469,102 +478,76 @@ def plan_spans(scenario: Scenario, cadence: int, spill_dir: str) -> List[Span]:
     if scenario.options.max_cycles_per_increment is not None:
         cadence = total
     bounds = list(range(0, total, max(1, cadence))) + [total]
-
-    def checkpoint(boundary: int) -> str:
-        return os.path.join(spill_dir, f"inc{boundary:05d}.snap")
-
-    return [(a, b, checkpoint(a) if a > 0 else None,
-             checkpoint(b) if b < total else None)
+    return [(a, b, park_checkpoint(spill_dir, a) if a > 0 else None,
+             park_checkpoint(spill_dir, b) if b < total else None)
             for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass
-class _WarmRun:
-    """The warm slot's entry: a live run stopped at an increment boundary."""
-
-    spec_hash: str
-    boundary: int
-    run: Run
+def park_checkpoint(spill_dir: str, boundary: int) -> str:
+    """The checkpoint a job parked at ``boundary`` keeps in ``spill_dir``."""
+    return os.path.join(spill_dir, f"inc{boundary:05d}.snap")
 
 
-#: This process's warm slot (see the module docstring); at most one entry.
-#: Tasks take it under the lock, so two threads never continue one run.
-_warm: Optional[_WarmRun] = None
-_warm_lock = threading.Lock()
-
-
-def _take_warm(spec_hash: str, boundary: int) -> Optional[Run]:
-    """Empty the warm slot; its run if it is this spec's at ``boundary``.
-
-    A live run that does not match is dropped here, before the caller
-    builds anything, so a process never holds two chips.
-    """
-    global _warm
-    with _warm_lock:
-        warm, _warm = _warm, None
-    if (warm is not None and warm.spec_hash == spec_hash
-            and warm.boundary == boundary):
-        return warm.run
-    return None
-
-
-def _pipeline_span_task(
+def _job_task(
     scenario: Scenario,
     start: int,
-    stop: int,
-    snap_in: Optional[str],
-) -> Tuple[List[int], Optional[Dict[str, Any]], str]:
-    """Pool task: one span ``[start, stop)`` of a scenario (picklable).
+    cadence: int,
+    spill_dir: str,
+    park: Callable[[], bool] = park_requested,
+) -> Tuple[int, Optional[Dict[str, Any]], str]:
+    """Pool task: a job from boundary ``start`` to its park or its end.
 
-    The first span (``start`` 0) materialises fresh.  A later span
-    continues the warm slot's live run when that run is this spec's at
-    exactly ``start``, and otherwise restores the checkpoint at
-    ``snap_in``; a missing file fails at once with the
-    :class:`SnapshotError` that names it, and no fresh run is built.  A
-    span that ends before the last boundary saves no checkpoint at
-    ``stop`` and leaves its live run in the slot, for the next span or a
-    park (:func:`_park_task`); the last span assembles the record.
+    ``start`` must begin one of the job's spans (:func:`plan_spans` at
+    ``cadence`` into ``spill_dir``).  At boundary 0 the run is built
+    fresh; at a later one it is restored from the span's ``snap_in``
+    checkpoint, and a missing file fails at once with the
+    :class:`SnapshotError` that names it.  The increments then stream back
+    to back.  At every span's end the task reports ``(boundary, cycles)``,
+    the cycles streamed since its previous report, to its owner
+    (:func:`repro.harness.pool.report`); before the last boundary it then
+    asks ``park`` whether to stop (by default, whether its owner asked it
+    to: :func:`repro.harness.pool.park_requested`) and, if so, saves the
+    run's checkpoint to the span's ``park_path`` and returns.  That is the
+    only checkpoint the task writes (besides a ``snapshot_every`` cadence
+    the scenario asks for).  The run is closed when the task ends, however
+    it ends.
 
-    Returns ``(cycles, record, handoff)``: the cycles of every increment
-    streamed since the start of the run, the record or ``None``, and how
-    the span started: ``"fresh"``, ``"warm"`` or ``"restored"``.  A span
-    that raises leaves the slot empty.
+    Returns ``(boundary, record, handoff)``: where the task stopped, the
+    record (``None`` when it parked) and how the run started, ``"fresh"``
+    or ``"restored"``.
     """
-    global _warm
-    spec_hash = scenario.spec_hash()
-    run = _take_warm(spec_hash, start)
-    if run is not None:
-        handoff = "warm"
-    else:
-        handoff = "restored" if start > 0 else "fresh"
-        checkpoint = Snapshot.load(snap_in) if start > 0 else None
-        run = _materialize(scenario, checkpoint)
-    final = stop == scenario.dataset.num_increments
-    cycles, end = _run_span(scenario, stop, run=run, final=final)
-    if final:
-        return cycles, _assemble_record(scenario, cycles, end), handoff
-    sim = run[1].simulator
-    # the next span attaches its own
-    sim.tracer = sim.phase_ns = sim.action_ns = None
-    _warm = _WarmRun(spec_hash, stop, run)
-    return cycles, None, handoff
+    spans = {span[0]: span for span in plan_spans(scenario, cadence,
+                                                  spill_dir)}
+    if start not in spans:
+        raise ValueError(f"no span of {scenario.name!r} starts at "
+                         f"increment {start} at cadence {cadence}")
+    snap_in = spans[start][2]
+    park_paths = {stop: path for _start, stop, _snap_in, path
+                  in spans.values()}
+    checkpoint = None if snap_in is None else Snapshot.load(snap_in)
+    run = _materialize(scenario, checkpoint)
+    graph = run[2]
+    reported = start
 
+    def at_boundary(boundary: int) -> bool:
+        nonlocal reported
+        if boundary not in park_paths:
+            return False
+        report((boundary, sum(r.cycles for r in
+                              graph.increment_results[reported:boundary])))
+        reported = boundary
+        path = park_paths[boundary]
+        if path is None or not park():
+            return False
+        _capture(graph, scenario, boundary, None, path)
+        return True
 
-def _park_task(scenario: Scenario, boundary: int, path: str) -> None:
-    """Pool task: save the warm slot's live run to ``path`` and drop it.
-
-    ``repro serve`` runs it on the worker of a job that parks at
-    ``boundary`` (the fuzz oracle's cold leg parks at every boundary): the
-    live run, which must be this spec's at exactly that boundary, becomes
-    the checkpoint the resumed job restores, and the slot is left empty,
-    so a resume never continues a run in place of its checkpoint.  It is
-    the only writer of span checkpoints.
-    """
-    run = _take_warm(scenario.spec_hash(), boundary)
-    if run is None:
-        raise SnapshotError(f"no live run of {scenario.name!r} at increment "
-                            f"{boundary} to park")
-    _capture(run[2], scenario, boundary, None, path)
+    cycles, end = _run_span(scenario, run=run, on_boundary=at_boundary,
+                            close=True)
+    handoff = "fresh" if snap_in is None else "restored"
+    if end is None:
+        return reported, None, handoff
+    return reported, _assemble_record(scenario, cycles, end), handoff
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,20 @@ class AMCCADevice:
         self.continuations = ContinuationManager(self)
         self.continuations.install_system_actions()
 
+    def close(self) -> None:
+        """Break the reference cycles through this device.
+
+        The pooled context and the continuation manager point back at the
+        device, and the executor table and the IO transfer factory hold
+        handlers bound to objects that do; without them, dropping the last
+        outside reference frees the chip by reference counting instead of
+        leaving it to the cyclic collector.  The device cannot run
+        afterwards: every action is unregistered.
+        """
+        self.registry.executors.clear()
+        self.simulator.io._factory = None
+        self._pooled_ctx = self.continuations = None
+
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------

@@ -7,15 +7,15 @@ dependencies):
 * jobs are keyed by the result store's **spec-hash × version** identity, so
   a POST whose record is already cached returns immediately,
 * execution runs on warm workers through
-  :class:`~repro.harness.pool.DispatchPool` (per-span timeouts, crash
-  containment, respawn): each scheduler thread owns and drives a
-  one-worker pool, whose worker runs every span of its job on the live
-  run it keeps between spans,
+  :class:`~repro.harness.pool.DispatchPool` (timeouts, crash containment,
+  respawn): each scheduler thread owns and drives a one-worker pool,
+  whose worker runs each of its jobs as one task,
 * progress, pause and resume ride the span plan
   (:func:`~repro.harness.runner.plan_spans`) and the snapshot subsystem:
-  a job parks at a span boundary into a checkpoint, so a
-  paused-then-resumed job ends with a record byte-identical to an
-  uninterrupted run (a truncated scenario runs as one span),
+  the task reports each span boundary up its pipe and parks at one into a
+  checkpoint when asked, so a paused-then-resumed job ends with a record
+  byte-identical to an uninterrupted run (a truncated scenario reports
+  only at its end and never parks),
 * ``GET /v1/records/<spec_hash>`` returns the store's canonical JSONL
   bytes, so records fetched over HTTP are byte-identical to a direct
   ``repro suite run`` of the same spec,

@@ -10,12 +10,14 @@ State machine::
     queued -> running -> done
                 |  ^        \\-> (terminal)
                 v  |
-              paused          running -> failed (span error/timeout)
+              paused          running -> failed (task error/timeout)
 
 ``paused`` jobs hold an increment-boundary checkpoint on disk and re-enter
-``queued`` on resume.  All mutation happens under the job's condition
-variable, which also drives the long-poll/streaming ``/events`` endpoint:
-every appended event line notifies waiters.
+``queued`` on resume; a job whose pause a resume withdrew before its task
+parked goes from ``running`` straight back to ``queued``.  All mutation
+happens under the job's condition variable, which also drives the
+long-poll/streaming ``/events`` endpoint: every appended event line
+notifies waiters.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.harness.pool import DispatchPool
 from repro.harness.scenario import Scenario
 
 QUEUED = "queued"
@@ -45,7 +48,7 @@ class Job:
         self.id = scenario.spec_hash()
         self.scenario = scenario
         self.client = client
-        #: Identity-free kernel pin applied to the scenario each span task
+        #: Identity-free kernel pin applied to the scenario each job task
         #: carries (exactly as ``repro suite run --kernel`` does) — never
         #: part of the job id.
         self.kernel = kernel
@@ -53,8 +56,11 @@ class Job:
         self.cached = False
         self.total_increments = scenario.dataset.num_increments
         self.completed_increments = 0
-        #: First increment the next span should simulate.
+        #: First increment the job's next task should simulate.
         self.next_start = 0
+        #: The pool running the job's task, while one runs; a pause asks
+        #: it to park the task.
+        self.pool: Optional[DispatchPool] = None
         self.error: Optional[str] = None
         self.events: List[str] = []
         self.pause_requested = False

@@ -1,36 +1,38 @@
-"""The scenario service: admission, scheduling, span execution, metrics.
+"""The scenario service: admission, scheduling, job execution, metrics.
 
 :class:`ScenarioService` owns the long-lived pieces — result store, job
 registry, fair queue, metrics registry — and runs ``jobs`` scheduler
 threads.  Each thread owns a one-worker
 :class:`~repro.harness.pool.DispatchPool` and drives it itself: it pops
-one job at a time (round-robin across clients) and runs it span by span
-on that worker, waiting on the worker's pipe in its own thread:
+one job at a time (round-robin across clients) and runs it on that
+worker as one task, waiting on the worker's pipe in its own thread:
 
-* a job's spans come from :func:`~repro.harness.runner.plan_spans` at the
-  configured cadence; every span is a
-  :func:`~repro.harness.runner._pipeline_span_task` that picks the run up
-  at the previous boundary, so nothing is ever simulated twice.  A
-  scenario with ``max_cycles_per_increment`` runs as one span, since its
-  boundaries can hold state no checkpoint captures;
-* a running job lives in its worker, a parked job in its checkpoint.
-  Every span after a job's first runs on the worker that ran the previous
-  one, which continues the live run it kept in its warm slot and writes
-  no checkpoint.  ``/metrics`` counts how each span started in
-  ``serve_span_handoffs_total{kind}`` (``fresh``, ``warm`` or
-  ``restored``);
-* a pause (or the service stopping) parks the job at the next boundary:
-  the worker saves its live run as ``incNNNNN.snap`` in
-  ``work_dir/<id[:16]>`` and drops it (``serve_checkpoints_total`` counts
-  these writes).  Resuming re-enqueues the job, whose next span restores
-  that checkpoint on whichever scheduler picks it up, and deletes it.
-  The last span assembles the record from the run's cursor, so it is
-  byte-identical to an uninterrupted run.  A resumed job whose
-  checkpoint has gone fails at once, with the
-  :class:`~repro.snapshot.format.SnapshotError` that names the file;
-* per-span timeouts and crash containment come from the pool: an overdue
-  or crashed span fails only its own job, and the worker is respawned.
-  Nothing retries a failed span, so it needs no checkpoint.
+* the task, :func:`~repro.harness.runner._job_task`, streams the job's
+  increments back to back from its first (or resume) boundary.  At every
+  ``cadence`` increments (the spans of
+  :func:`~repro.harness.runner.plan_spans`) it reports the boundary up
+  the pipe, and the scheduler thread turns the report into the job's
+  ``increment k/N complete`` event while the worker simulates on.  A
+  scenario with ``max_cycles_per_increment`` reports only at its end,
+  since its boundaries can hold state no checkpoint captures;
+* a running job lives in its task, a parked job in its checkpoint.  A
+  pause (or the service stopping) sets the park flag of the job's pool,
+  and the task parks at its next report: it saves its run as
+  ``incNNNNN.snap`` in ``work_dir/<id[:16]>`` and returns
+  (``serve_checkpoints_total`` counts these writes).  Resuming
+  re-enqueues the job, whose next task restores that checkpoint on
+  whichever scheduler picks it up; the checkpoint is deleted once that
+  task returns.  If a resume withdrew the pause before the park landed,
+  the parked job is re-enqueued at once.  The record is assembled from
+  the run's cursor, so it is byte-identical to an uninterrupted run.  A
+  resumed job whose checkpoint has gone fails at once, with the
+  :class:`~repro.snapshot.format.SnapshotError` that names the file.
+  ``/metrics`` counts how each task started in
+  ``serve_span_handoffs_total{kind}`` (``fresh`` or ``restored``);
+* timeouts and crash containment come from the pool: a task silent for
+  longer than ``timeout`` (no report) or crashed fails only its own job,
+  and the worker is respawned.  Nothing retries a failed task, so it
+  needs no checkpoint.
 
 Determinism: the service composes existing runner primitives and never
 touches spec hashing or the schedule — the record a job stores is the one
@@ -51,12 +53,7 @@ from typing import Any, Optional, Tuple
 
 from repro.arch.config import KERNELS
 from repro.harness.pool import DispatchPool, TaskResult
-from repro.harness.runner import (
-    _park_task,
-    _pinned,
-    _pipeline_span_task,
-    plan_spans,
-)
+from repro.harness.runner import _job_task, _pinned, park_checkpoint
 from repro.harness.scenario import Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry
@@ -87,9 +84,10 @@ class ServeConfig:
     #: submission beyond this is rejected with 429.
     queue_depth: int = 8
     store: str = "serve-store.jsonl"
-    #: Per-span wall-clock budget (seconds); ``None`` disables the guard.
+    #: Wall-clock budget (seconds) of a job task between its progress
+    #: reports; ``None`` disables the guard.
     timeout: Optional[float] = None
-    #: Increments per span — the progress/pause granularity.
+    #: Increments per progress report — the progress/pause granularity.
     cadence: int = 1
     #: Default kernel pin for submitted jobs (identity-free speed knob).
     kernel: Optional[str] = None
@@ -110,8 +108,8 @@ class ScenarioService:
         self._store_lock = threading.Lock()
         self.registry = JobRegistry()
         self.queue = FairQueue()
-        #: One single-worker pool per scheduler thread: a job's spans all
-        #: run on its scheduler's worker, which holds the live run.
+        #: One single-worker pool per scheduler thread, which runs each of
+        #: the thread's jobs as one task.
         self.pools = [DispatchPool(1) for _ in range(config.jobs)]
         self.metrics = MetricsRegistry()
         self.started_monotonic = time.monotonic()
@@ -123,13 +121,13 @@ class ScenarioService:
                 "serve_jobs_total", "Job submissions by outcome",
                 ("outcome",))
             self._spans_total = self.metrics.counter(
-                "serve_spans_total", "Executed job spans by status",
+                "serve_spans_total", "Executed job tasks by status",
                 ("status",))
             self._handoffs_total = self.metrics.counter(
                 "serve_span_handoffs_total",
-                "Finished job spans by how they started (fresh: first "
-                "span, warm: continued the worker's live run, restored: "
-                "rebuilt from the checkpoint)", ("kind",))
+                "Finished job tasks by how they started (fresh: at "
+                "boundary 0, restored: from the park checkpoint)",
+                ("kind",))
             self._checkpoints_total = self.metrics.counter(
                 "serve_checkpoints_total",
                 "Checkpoints written by parking jobs")
@@ -164,9 +162,11 @@ class ScenarioService:
             thread.start()
 
     def stop(self) -> None:
-        """Stop schedulers and their pools; in-flight spans finish first."""
+        """Stop schedulers and their pools; running jobs park first."""
         self._stopping.set()
         self.queue.close()
+        for pool in self.pools:
+            pool.request_park()
         for thread in self._runners:
             thread.join(timeout=60)
         for pool in self.pools:
@@ -251,6 +251,8 @@ class ScenarioService:
             if not job.pause_requested:
                 job.pause_requested = True
                 job.events.append("pause requested")
+                if job.pool is not None:
+                    job.pool.request_park()
                 job.cond.notify_all()
         return True, "pausing at the next increment boundary"
 
@@ -290,15 +292,17 @@ class ScenarioService:
 
     def _execute(self, job: Job, pool: DispatchPool) -> None:
         with job.cond:
-            if job.pause_requested:
-                # Pause won the race before the first span: park as-is.
+            if job.pause_requested or self._stopping.is_set():
+                # Parked before the task started: nothing to save.
                 job.state = PAUSED
                 job.events.append(
-                    f"paused at increment {job.completed_increments}")
+                    "service stopping" if self._stopping.is_set()
+                    else f"paused at increment {job.completed_increments}")
                 job.cond.notify_all()
                 self._refresh_gauges()
                 return
             job.state = RUNNING
+            job.pool = pool
             job.cond.notify_all()
         self._refresh_gauges()
         started = time.monotonic()
@@ -307,49 +311,32 @@ class ScenarioService:
         # snapshot_every), which a server must never act on.
         scenario = _pinned(Scenario.from_dict(job.scenario.spec_dict()),
                            job.kernel)
-        total = job.total_increments
+        start = job.next_start
         spill_dir = os.path.join(self.work_dir, job.id[:16])
-        spans = [span for span in plan_spans(scenario, self.config.cadence,
-                                             spill_dir)
-                 if span[0] >= job.next_start]
-        live = False  # the worker holds the job's run at the next start
-        for start, stop, snap_in, park_path in spans:
-            if self._stopping.is_set():
-                self._park(job, pool, "service stopping",
-                           (scenario, start, snap_in) if live else None)
-                return
-            # The live run stays on this worker for the next span, or for
-            # a park to save.
-            result = pool.run(_pipeline_span_task,
-                              (scenario, start, stop, snap_in),
-                              timeout=self.config.timeout)
-            self._count_span(result.status)
-            if result.status != "ok":
-                self._fail(job, self._failure(f"span [{start}, {stop})",
-                                              result),
-                           outcome=result.status)
-                return
-            cycles, record, handoff = result.value
-            live = True
-            with self.metrics.locked():
-                self._handoffs_total.inc(kind=handoff)
-            with job.cond:
-                job.next_start = stop
-                job.completed_increments = stop
-                job.events.append(
-                    f"increment {stop}/{total} complete "
-                    f"({sum(cycles[start:])} cycles in span)")
-                job.cond.notify_all()
-            if handoff == "restored":
-                # The park checkpoint is consumed: the run lives on here.
-                try:
-                    os.remove(snap_in)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            if stop < total and job.pause_requested:
-                self._park(job, pool, f"paused at increment {stop}",
-                           (scenario, stop, park_path))
-                return
+        result = pool.run(
+            _job_task, (scenario, start, self.config.cadence, spill_dir),
+            timeout=self.config.timeout,
+            on_progress=lambda progress: self._progress(job, pool, progress))
+        with job.cond:
+            job.pool = None
+        self._count_span(result.status)
+        if result.status != "ok":
+            self._fail(job, self._failure(f"task from increment {start}",
+                                          result),
+                       outcome=result.status)
+            return
+        boundary, record, handoff = result.value
+        with self.metrics.locked():
+            self._handoffs_total.inc(kind=handoff)
+        if handoff == "restored":
+            # The park checkpoint is consumed.
+            try:
+                os.remove(park_checkpoint(spill_dir, start))
+            except OSError:  # pragma: no cover - already gone
+                pass
+        if record is None:
+            self._park(job, boundary)
+            return
         with self._store_lock:
             self.store.put(record)
         shutil.rmtree(spill_dir, ignore_errors=True)
@@ -364,30 +351,52 @@ class ScenarioService:
             self._job_seconds.observe(time.monotonic() - started)
         self._refresh_gauges()
 
-    def _park(self, job: Job, pool: DispatchPool, line: str,
-              checkpoint: Optional[Tuple[Scenario, int, str]]) -> None:
-        """Park a job; ``checkpoint`` ``(scenario, boundary, path)`` first
-        saves the live run its worker holds (``None``: nothing is live)."""
-        if checkpoint is not None:
-            result = pool.run(_park_task, checkpoint,
-                              timeout=self.config.timeout)
-            if result.status != "ok":
-                what = f"checkpoint at increment {checkpoint[1]}"
-                self._fail(job, self._failure(what, result),
-                           outcome=result.status)
-                return
-            with self.metrics.locked():
-                self._checkpoints_total.inc()
+    def _progress(self, job: Job, pool: DispatchPool,
+                  progress: Tuple[int, int]) -> None:
+        """A job task's report: ``(boundary, cycles since the last one)``.
+
+        Runs on the scheduler thread while the task simulates on.  A pause
+        or a stop that came before the task was in flight is asked again
+        here, so the task parks at its next report.
+        """
+        boundary, cycles = progress
         with job.cond:
-            job.state = PAUSED
-            job.events.append(line)
+            job.next_start = job.completed_increments = boundary
+            job.events.append(
+                f"increment {boundary}/{job.total_increments} complete "
+                f"({cycles} cycles)")
+            if job.pause_requested or self._stopping.is_set():
+                pool.request_park()
             job.cond.notify_all()
+
+    def _park(self, job: Job, boundary: int) -> None:
+        """A job's task parked at ``boundary`` into its checkpoint."""
+        with self.metrics.locked():
+            self._checkpoints_total.inc()
+        requeue = False
+        with job.cond:
+            if self._stopping.is_set():
+                job.state = PAUSED
+                job.events.append("service stopping")
+            elif job.pause_requested:
+                job.state = PAUSED
+                job.events.append(f"paused at increment {boundary}")
+            else:
+                # A resume withdrew the pause before the park landed.
+                job.state = QUEUED
+                job.events.append(f"parked at increment {boundary}; "
+                                  "resuming")
+                requeue = True
+            job.cond.notify_all()
+        if requeue:
+            self.queue.push(job)
         self._refresh_gauges()
 
     def _failure(self, what: str, result: TaskResult) -> str:
         """The error line of a pool task that did not finish ``ok``."""
         if result.status == "timeout":
-            return f"{what} timed out after {self.config.timeout:.0f}s"
+            return (f"{what} timed out: no progress report for "
+                    f"{self.config.timeout:g}s")
         return f"{what} failed: {result.error}"
 
     def _fail(self, job: Job, detail: str, outcome: str = "failed") -> None:

@@ -1,9 +1,10 @@
 """Harness v2 tests: worker pool, span hand-off, timeouts, store lifecycle,
 bench.
 
-Covers the pool (driven by its caller's thread, with crash containment
-and workers kept warm across calls by the pool's owner), runs cut into
-spans whose records and stores are byte-identical to serial ones,
+Covers the pool (driven by its caller's thread, with crash containment,
+progress reports, park requests and workers kept warm across calls by the
+pool's owner), jobs parked at span ends whose records and stores are
+byte-identical to serial ones,
 per-scenario timeouts that record an outcome without killing sibling
 scenarios, `suite diff` on before/after stores, compaction/GC that
 preserves latest-version records, crash-safe store rewrites, the CLI's
@@ -37,7 +38,8 @@ from repro.harness import (
     run_scenario,
     run_suite,
 )
-from repro.harness.runner import _park_task, _pipeline_span_task, plan_spans
+from repro.harness import pool as pool_module
+from repro.harness.runner import _job_task, plan_spans
 from repro.obs import Tracer
 from repro.serve import ScenarioService, ServeConfig
 from repro.harness.bench import (
@@ -86,6 +88,23 @@ def _die():
     os._exit(17)
 
 
+def _report_each(values, pause_s):
+    for value in values:
+        time.sleep(pause_s)
+        pool_module.report(value)
+    return "reported"
+
+
+def _wait_for_park(limit_s):
+    """Poll the park flag for up to ``limit_s``; whether it was set."""
+    deadline = time.monotonic() + limit_s
+    while time.monotonic() < deadline:
+        if pool_module.park_requested():
+            return True
+        time.sleep(0.01)
+    return False
+
+
 #: Owns a one-worker pool, prints the worker's pid once a task has run on
 #: it (the worker is in its loop) and waits to be killed.
 _POOL_OWNER = """
@@ -96,6 +115,34 @@ assert pool.run(len, ("ready",)).value == 5
 print(pool.worker_pids()[0], flush=True)
 time.sleep(60)
 """
+
+#: Prints its pool's worker pid as soon as ``DispatchPool(1)`` returns,
+#: before the worker may have reached its loop, and waits to be killed.
+_FRESH_POOL_OWNER = """
+import time
+from repro.harness.pool import DispatchPool
+pool = DispatchPool(1)
+print(pool.worker_pids()[0], flush=True)
+time.sleep(60)
+"""
+
+
+def assert_worker_exits_with_its_owner(script):
+    """Run ``script`` (it prints its pool's worker pid), SIGKILL it once
+    the pid is printed, and require the worker gone within 5 s."""
+    owner = subprocess.Popen([sys.executable, "-c", script],
+                             stdout=subprocess.PIPE, text=True,
+                             env=subprocess_env())
+    try:
+        worker = int(owner.stdout.readline())
+    finally:
+        owner.kill()  # SIGKILL: the owner runs no cleanup at all
+        owner.wait()
+        owner.stdout.close()
+    deadline = time.monotonic() + 5
+    while pid_alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not pid_alive(worker)
 
 
 @pytest.fixture()
@@ -173,20 +220,59 @@ class TestDispatchPool:
 
     @requires_proc
     def test_worker_exits_when_its_owner_is_killed(self):
-        owner = subprocess.Popen([sys.executable, "-c", _POOL_OWNER],
-                                 stdout=subprocess.PIPE, text=True,
-                                 env=subprocess_env())
+        assert_worker_exits_with_its_owner(_POOL_OWNER)
+
+    @requires_proc
+    def test_worker_exits_when_its_owner_is_killed_right_after_the_fork(
+            self):
+        """No window at the fork: the owner is SIGKILLed as soon as
+        ``DispatchPool(1)`` returns, whether or not its worker has reached
+        its loop yet."""
+        assert_worker_exits_with_its_owner(_FRESH_POOL_OWNER)
+
+    def test_progress_arrives_in_order_before_the_result(self, pool2):
+        seen = []
+        results = pool2.run_all(
+            [(_report_each, (["a", "b", "c"], 0.01)),
+             (_report_each, ([1, 2], 0.01))],
+            on_progress=lambda index, value: seen.append((index, value)))
+        assert [r.value for r in results] == ["reported", "reported"]
+        assert [v for i, v in seen if i == 0] == ["a", "b", "c"]
+        assert [v for i, v in seen if i == 1] == [1, 2]
+        # Reports sent back to back, the last just before the result, all
+        # reach the callback before run() returns.
+        got = []
+        result = pool2.run(_report_each, (list(range(5)), 0),
+                           on_progress=got.append)
+        assert result.ok and got == list(range(5))
+
+    def test_reports_renew_the_timeout(self, pool2):
+        """The timeout bounds the silence between reports, not the task."""
+        reporting = pool2.run(_report_each, (list(range(10)), 0.1),
+                              timeout=0.3)
+        assert reporting.ok and reporting.elapsed_s > 0.9
+        silent = pool2.run(_sleep_then, (1.0, "late"), timeout=0.3)
+        assert silent.status == "timeout"
+
+    def test_report_and_park_are_inert_in_process(self):
+        pool_module.report("nobody listens")
+        assert pool_module.park_requested() is False
+
+    def test_park_request_reaches_only_its_own_task(self):
+        pool = DispatchPool(1)
         try:
-            worker = int(owner.stdout.readline())
-            assert pid_alive(worker)
+            assert pool.run(_wait_for_park, (0.1,)).value is False
+            asked = threading.Timer(0.2, pool.request_park)
+            asked.start()
+            assert pool.run(_wait_for_park, (30,)).value is True
+            asked.join()
+            # The flag still names the task that parked: the next task, and
+            # a request made while the worker is idle, do not park.
+            assert pool.run(_wait_for_park, (0.2,)).value is False
+            pool.request_park()
+            assert pool.run(_wait_for_park, (0.2,)).value is False
         finally:
-            owner.kill()  # SIGKILL: the owner runs no cleanup at all
-            owner.wait()
-            owner.stdout.close()
-        deadline = time.monotonic() + 5
-        while pid_alive(worker) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not pid_alive(worker)
+            pool.shutdown()
 
     def test_workers_persist_across_batches(self, pool2):
         run_all(pool2, [(_double, (1,))])
@@ -242,19 +328,20 @@ class TestDispatchPool:
 
 @requires_numpy
 class TestSharding:
-    """A run cut into spans (``plan_spans``) hands off at checkpoints."""
+    """A job parked at every span's end (``plan_spans``) hands off at
+    checkpoints."""
 
     def test_sharded_record_byte_identical_to_serial(self, tmp_path):
         scenario = tiny_scenario("shard", "bfs")
         serial = run_scenario(scenario)
-        spans = plan_spans(scenario, 3, str(tmp_path))
-        assert len(spans) == 4
-        for start, stop, snap_in, park_path in spans:
-            _cycles, sharded, handoff = _pipeline_span_task(
-                scenario, start, stop, snap_in)
-            assert handoff == ("fresh" if snap_in is None else "restored")
-            if park_path is not None:  # every later span restores the park
-                _park_task(scenario, stop, park_path)
+        assert len(plan_spans(scenario, 3, str(tmp_path))) == 4
+        start, sharded, handoffs = 0, None, []
+        while sharded is None:  # every later task restores the park
+            start, sharded, handoff = _job_task(scenario, start, 3,
+                                                str(tmp_path),
+                                                park=lambda: True)
+            handoffs.append(handoff)
+        assert handoffs == ["fresh"] + ["restored"] * 3
         assert json.dumps(serial, sort_keys=True) == \
                json.dumps(sharded, sort_keys=True)
 

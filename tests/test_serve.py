@@ -6,7 +6,8 @@ The load-bearing properties:
   ``run_scenario`` encoded by the store (the determinism contract's HTTP
   half),
 * pause → resume mid-stream merges to the **same record** as an
-  uninterrupted run (the snapshot/pipeline-span transport),
+  uninterrupted run (a job task parks into a checkpoint, which the next
+  task restores),
 * admission control is exact: with ``queue_depth=N``, ``N + k`` fresh
   concurrent submissions see exactly ``k`` 429s and the pool survives,
 * ``/metrics`` exposes the service counters in Prometheus text format.
@@ -31,6 +32,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness import pool as pool_module
+from repro.harness import runner
 from repro.harness.runner import resume_scenario, run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
@@ -78,6 +81,47 @@ def serve(tmp_path, jobs):
 @pytest.fixture
 def server(tmp_path):
     yield from serve(tmp_path, jobs=1)
+
+
+@pytest.fixture
+def hold_first_report(monkeypatch):
+    """Job tasks wait after their worker's first progress report until
+    their owner asks them to park (30 s at most), so a pause or a stop
+    sent from the first progress callback parks at boundary 1, not at a
+    later one.  Pool workers fork from this process, so the ones started
+    from now on inherit the patch."""
+    real = runner.report
+    held = []
+
+    def report_then_hold(progress):
+        real(progress)
+        if not held:
+            held.append(progress)
+            deadline = time.monotonic() + 30
+            while (not pool_module.park_requested()
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+
+    monkeypatch.setattr(runner, "report", report_then_hold)
+
+
+@pytest.fixture
+def held_server(tmp_path, hold_first_report):
+    yield from serve(tmp_path, jobs=1)
+
+
+def on_first_progress(monkeypatch, service, action):
+    """Call ``action(job)`` from the service's first progress callback."""
+    real = service._progress
+    calls = []
+
+    def progress(job, pool, report):
+        real(job, pool, report)
+        calls.append(report)
+        if len(calls) == 1:
+            action(job)
+
+    monkeypatch.setattr(service, "_progress", progress)
 
 
 @pytest.fixture
@@ -272,9 +316,9 @@ class TestHTTPByteIdentity:
 
 
 def run_warm(base, scenarios):
-    """Run ten-span jobs side by side: every span after a job's first
-    continues the live run on its scheduler's worker, no checkpoint is
-    written, and every record is unchanged."""
+    """Run ten-increment jobs side by side: each job is one task on its
+    scheduler's worker, which reports every boundary and writes no
+    checkpoint, and every record is unchanged."""
     ids = []
     for scenario in scenarios:
         code, body = request(base, "POST", "/v1/jobs", scenario.spec_dict())
@@ -286,11 +330,17 @@ def run_warm(base, scenarios):
         _, via_http = request(base, "GET", f"/v1/records/{job_id}")
         direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         assert via_http == direct
+        _, body = request(base, "GET",
+                          f"/v1/jobs/{job_id}/events?since=0&timeout=5")
+        progress = [line.split(" complete")[0]
+                    for line in json.loads(body)["events"]
+                    if line.startswith("increment ")]
+        assert progress == [f"increment {k}/10" for k in range(1, 11)]
     _, body = request(base, "GET", "/metrics")
     text = body.decode()
     jobs = len(scenarios)
+    assert f'serve_spans_total{{status="ok"}} {jobs}\n' in text
     assert f'serve_span_handoffs_total{{kind="fresh"}} {jobs}\n' in text
-    assert f'serve_span_handoffs_total{{kind="warm"}} {9 * jobs}\n' in text
     assert 'kind="restored"' not in text
     assert "serve_checkpoints_total 0\n" in text
 
@@ -343,28 +393,22 @@ class TestPauseResume:
         assert ('kind="restored"} 1\n' in text) == (parked_at > 0)
 
     def test_stopping_parks_a_running_job_into_its_checkpoint(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, hold_first_report):
         """A service that stops parks a running job at the next boundary:
-        the worker saves its live run, which resumes to the serial
-        record."""
+        the task saves its run, which resumes to the serial record."""
         scenario = tiny_scenario("stopped", increments=6)
         service = ScenarioService(ServeConfig(
             jobs=1, store=str(tmp_path / "store.jsonl"),
             work_dir=str(tmp_path / "spill")))
-        (pool,) = service.pools
-        real_run = pool.run
-
-        def run_then_stop(*args, **kwargs):
-            result = real_run(*args, **kwargs)
-            service._stopping.set()
-            return result
-
-        monkeypatch.setattr(pool, "run", run_then_stop)
+        stopper = threading.Thread(target=service.stop)
+        on_first_progress(monkeypatch, service,
+                          lambda job: stopper.start())
         service.start()
         try:
             job, code = service.submit(scenario.spec_dict(), "stop")
             assert code == 201
             assert job.wait_until(lambda: job.state == "paused", timeout=60)
+            stopper.join(60)
         finally:
             service.stop()
         assert job.completed_increments == 1
@@ -374,22 +418,15 @@ class TestPauseResume:
         resumed = resume_scenario(scenario, Snapshot.load(checkpoint))
         assert resumed == run_scenario(scenario)
 
-    def test_resume_without_checkpoint_fails_fast(self, server, monkeypatch):
+    def test_resume_without_checkpoint_fails_fast(self, held_server,
+                                                  monkeypatch):
         """A resumed job whose boundary checkpoint was deleted fails at
         once, naming the file, and leaves no spill dir."""
-        service, base = server
+        service, base = held_server
         scenario = tiny_scenario("lost-checkpoint", increments=6)
         job_id = scenario.spec_hash()
-        (pool,) = service.pools
-        real_run = pool.run
-
-        def run_then_pause(*args, **kwargs):
-            result = real_run(*args, **kwargs)
-            service.pause(service.registry.get(job_id))
-            return result
-
-        # Park the job deterministically after its first span.
-        monkeypatch.setattr(pool, "run", run_then_pause)
+        # Park the job deterministically at its first boundary.
+        on_first_progress(monkeypatch, service, service.pause)
         code, _ = request(base, "POST", "/v1/jobs", scenario.spec_dict())
         assert code == 201
         status = wait_state(base, job_id, ("paused", "done", "failed"))
@@ -400,7 +437,6 @@ class TestPauseResume:
         assert "serve_checkpoints_total 1\n" in service.prometheus()
         assert sorted(p.name for p in spill.iterdir()) == [checkpoint.name]
         checkpoint.unlink()
-        monkeypatch.setattr(pool, "run", real_run)
         started = time.monotonic()
         code, _ = request(base, "POST", f"/v1/jobs/{job_id}/resume")
         assert code == 202
@@ -410,6 +446,61 @@ class TestPauseResume:
         assert "SnapshotError" in final["error"]
         assert str(checkpoint) in final["error"]
         assert not spill.exists()
+
+    def test_pause_from_the_first_progress_parks_at_boundary_one(
+            self, held_server, monkeypatch):
+        """The pause reaches the running task through its pool's park
+        flag: the task parks at boundary 1, saves one checkpoint, and the
+        resumed task restores it to the serial record."""
+        service, base = held_server
+        scenario = tiny_scenario("paused-at-one", increments=6)
+        on_first_progress(monkeypatch, service, service.pause)
+        code, body = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        job_id = json.loads(body)["id"]
+        status = wait_state(base, job_id, ("paused", "done", "failed"))
+        assert status["state"] == "paused", status
+        assert status["completed_increments"] == 1
+        job = service.registry.get(job_id)
+        assert job.events[-1] == "paused at increment 1"
+        code, _ = request(base, "POST", f"/v1/jobs/{job_id}/resume")
+        assert code == 202
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "done", final
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
+        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
+        assert via_http == direct
+        text = service.prometheus()
+        assert "serve_checkpoints_total 1\n" in text
+        assert 'serve_span_handoffs_total{kind="restored"} 1\n' in text
+        assert 'serve_spans_total{status="ok"} 2\n' in text
+
+    def test_resume_before_the_park_lands_requeues_the_job(
+            self, held_server, monkeypatch):
+        """A resume that withdraws the pause after the task was asked to
+        park: the parked job is re-enqueued at once and finishes with the
+        serial record."""
+        service, base = held_server
+        scenario = tiny_scenario("pause-withdrawn", increments=6)
+
+        def pause_then_resume(job):
+            assert service.pause(job)[0]
+            assert service.resume(job) == (True, "resumed")
+
+        on_first_progress(monkeypatch, service, pause_then_resume)
+        code, body = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        job_id = json.loads(body)["id"]
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "done", final
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
+        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
+        assert via_http == direct
+        job = service.registry.get(job_id)
+        assert "parked at increment 1; resuming" in job.events
+        text = service.prometheus()
+        assert "serve_checkpoints_total 1\n" in text
+        assert 'serve_span_handoffs_total{kind="restored"} 1\n' in text
 
     def test_pause_terminal_job_conflicts(self, server):
         service, base = server
@@ -465,6 +556,52 @@ class TestShutdown:
             server.stdout.close()
         assert [pid for pid in workers if pid_alive(pid)] == []
         assert list(tmp.glob("repro-serve-*")) == []
+
+
+class TestTaskTimeout:
+    """``--timeout`` bounds the silence between a job task's reports, not
+    the whole job."""
+
+    def run_with_pause_after_reports(self, tmp_path, monkeypatch, pause_s,
+                                     first_only):
+        real = runner.report
+        reports = []
+
+        def report_then_sleep(progress):
+            real(progress)
+            reports.append(progress)
+            if len(reports) == 1 or not first_only:
+                time.sleep(pause_s)
+
+        monkeypatch.setattr(runner, "report", report_then_sleep)
+        service = ScenarioService(ServeConfig(
+            jobs=1, timeout=0.6, store=str(tmp_path / "store.jsonl"),
+            work_dir=str(tmp_path / "spill")))
+        service.start()
+        try:
+            job, code = service.submit(
+                tiny_scenario("timed", increments=6).spec_dict(), "t")
+            assert code == 201
+            assert job.wait_until(lambda: job.terminal, timeout=60)
+        finally:
+            service.stop()
+        return job, service.prometheus()
+
+    def test_a_reporting_job_outlives_the_timeout(self, tmp_path,
+                                                  monkeypatch):
+        job, text = self.run_with_pause_after_reports(
+            tmp_path, monkeypatch, 0.2, first_only=False)
+        assert job.state == "done", job.events  # 6 reports, 1.2 s asleep
+        assert "serve_pool_respawns 0\n" in text
+
+    def test_a_silent_job_times_out(self, tmp_path, monkeypatch):
+        job, text = self.run_with_pause_after_reports(
+            tmp_path, monkeypatch, 5.0, first_only=True)
+        assert job.state == "failed"
+        assert job.error == ("task from increment 0 timed out: no "
+                             "progress report for 0.6s")
+        assert 'serve_jobs_total{outcome="timeout"} 1\n' in text
+        assert "serve_pool_respawns 1\n" in text
 
 
 class TestAdmissionControl:

@@ -461,33 +461,34 @@ def test_snapshot_every_checkpoints_are_resumable(tmp_path):
 @requires_numpy
 @pytest.mark.parametrize("pooled", [False, True])
 def test_snapshot_every_survives_increment_sharding(tmp_path, pooled):
-    """The checkpoint cadence must not be lost when a run is cut into
-    spans, in-process or on a pool worker (the pickled scenario carries
-    it): a boundary past a span's start is saved by the span it ends."""
+    """The checkpoint cadence must not be lost when a job runs as serve's
+    tasks, parked at every span's end in-process or as one task on a pool
+    worker (the pickled scenario carries it): a boundary past a task's
+    start is saved by the task that streams it."""
     from dataclasses import replace
 
     from repro.harness.pool import DispatchPool
-    from repro.harness.runner import _pipeline_span_task, plan_spans
+    from repro.harness.runner import _job_task
 
     scenario = tiny_scenario()
     serial = run_scenario(scenario)
-    spill = tmp_path / "spill"
-    spill.mkdir()
+    spill = str(tmp_path / "spill")
     checkpointed = scenario.with_(options=replace(
         scenario.options, snapshot_every=2, snapshot_dir=str(tmp_path)))
-    pool = DispatchPool(1) if pooled else None
-    try:
-        for span in plan_spans(checkpointed, 3, str(spill)):
-            args = (checkpointed, *span[:3])
-            if pool is None:
-                _cycles, record, _handoff = _pipeline_span_task(*args)
-            else:
-                result = pool.run(_pipeline_span_task, args, timeout=120)
-                assert result.ok, result.error
-                _cycles, record, _handoff = result.value
-    finally:
-        if pool is not None:
+    if pooled:
+        pool = DispatchPool(1)
+        try:
+            result = pool.run(_job_task, (checkpointed, 0, 3, spill),
+                              timeout=120)
+        finally:
             pool.shutdown()
+        assert result.ok, result.error
+        _boundary, record, _handoff = result.value
+    else:
+        start, record = 0, None
+        while record is None:  # park at every span's end, 3 and 6
+            start, record, _handoff = _job_task(checkpointed, start, 3,
+                                                spill, park=lambda: True)
     assert json.dumps(record, sort_keys=True) == \
         json.dumps(serial, sort_keys=True)
     names = {p.name for p in tmp_path.iterdir()}

@@ -8,13 +8,13 @@ full contract from the outside, exactly as a client would:
 2. fetch ``GET /v1/records/<spec_hash>`` and compare the bytes against a
    direct in-process ``run_scenario`` encoded by the result store — the
    HTTP half of the determinism contract (``--kernel native`` re-runs this
-   under the C sweep kernel) — and require ``/metrics`` to count a
-   ``warm`` span hand-off for every span after the first (a span that
-   continued its worker's live run) and no checkpoint written;
+   under the C sweep kernel) — and require ``/metrics`` to count one pool
+   task for the uninterrupted job, started ``fresh``, and no checkpoint
+   written;
 3. re-POST the same spec and require an immediate ``cached`` response;
 4. pause a fresh job, wait for the park, resume it, and require the final
    record bytes to match the uninterrupted run; a mid-stream park must
-   write exactly one checkpoint, which one ``restored`` span reads;
+   write exactly one checkpoint, which one ``restored`` task reads;
 5. flood the admission window from concurrent client threads and require
    **exactly** ``k`` 429s for ``N + k`` fresh submissions;
 6. scrape ``/metrics``, check the serve counters and the two peak-RSS
@@ -180,11 +180,11 @@ def main():
         check(via_http == direct,
               f"record over HTTP byte-identical to direct run "
               f"(kernel={args.kernel or 'default'})")
-        warm = metric(base, 'serve_span_handoffs_total{kind="warm"}')
-        spans = final["total_increments"]
-        check(warm == spans - 1,
-              f"spans after the first continued warm "
-              f"({warm} of {spans - 1} warm hand-offs)")
+        tasks = metric(base, 'serve_spans_total{status="ok"}')
+        fresh = metric(base, 'serve_span_handoffs_total{kind="fresh"}')
+        check(tasks == 1 and fresh == 1,
+              f"the uninterrupted job ran as one pool task ({tasks} tasks, "
+              f"{fresh} fresh) over {final['total_increments']} increments")
         written = metric(base, "serve_checkpoints_total")
         check(written == 0,
               f"an uninterrupted job writes no checkpoint ({written})")
@@ -221,7 +221,7 @@ def main():
                               'serve_span_handoffs_total{kind="restored"}')
             check(written == 1 and restored == 1,
                   f"the park wrote one checkpoint ({written}), which one "
-                  f"span restored ({restored})")
+                  f"task restored ({restored})")
         _, via_http = request(base, "GET", f"/v1/records/{pid}")
         direct = (ResultStore.encode(run_scenario(pausable)) + "\n").encode()
         check(via_http == direct,
