@@ -268,7 +268,7 @@ def _check_pipeline_vs_serial(scenario: Scenario, baseline: Dict[str, Any],
     cadence = -(-total // 3)  # at most three spans
     serial_path = os.path.join(workdir, "serial.jsonl")
     ResultStore(serial_path).put(baseline)
-    parks = len(plan_spans(scenario, cadence, workdir)) - 1
+    parks = len(plan_spans(scenario, cadence)) - 2
     for leg, expected in (("warm", ["fresh"]),
                           ("cold", ["fresh"] + ["restored"] * parks)):
         record, handoffs = _span_leg(scenario, cadence,

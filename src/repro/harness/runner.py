@@ -452,35 +452,24 @@ def resume_scenario(
 # ----------------------------------------------------------------------
 # Span plans and the job task
 # ----------------------------------------------------------------------
-#: One planned span: ``(start, stop, snap_in, park_path)``.
-Span = Tuple[int, int, Optional[str], Optional[str]]
+def plan_spans(scenario: Scenario, cadence: int) -> List[int]:
+    """The boundaries of a scenario's spans of at most ``cadence``
+    increments: ``[0, cadence, 2 * cadence, ..., total]``.
 
-
-def plan_spans(scenario: Scenario, cadence: int, spill_dir: str) -> List[Span]:
-    """A scenario's run as contiguous spans of at most ``cadence`` increments.
-
-    Span ``(start, stop, snap_in, park_path)`` streams increments
-    ``[start, stop)``.  ``snap_in`` and ``park_path`` name the checkpoints
-    at its two boundaries, ``incNNNNN.snap`` inside ``spill_dir``: the one
-    a restore at ``start`` reads, and the one a park at ``stop`` writes;
-    ``None`` at boundary 0, where a job materialises fresh, and at the
-    last boundary, where it assembles the record.  This is the
-    progress/pause granularity of ``repro serve``: a job's task
-    (:func:`_job_task`) reports at every span's end and parks there, into
-    its ``park_path``, when asked.
+    This is the progress/pause granularity of ``repro serve``: a job's task
+    (:func:`_job_task`) starts at one of these boundaries, reports at every
+    later one and, when asked, parks at any but the last, into
+    :func:`park_checkpoint`.
 
     A truncated scenario (``max_cycles_per_increment`` set) is the single
-    span ``[0, total)``: an increment cut off by its cycle budget can end
+    span ``[0, total]``: an increment cut off by its cycle budget can end
     with registered continuations still awaiting their trigger, state a
     checkpoint refuses to capture.
     """
     total = scenario.dataset.num_increments
     if scenario.options.max_cycles_per_increment is not None:
         cadence = total
-    bounds = list(range(0, total, max(1, cadence))) + [total]
-    return [(a, b, park_checkpoint(spill_dir, a) if a > 0 else None,
-             park_checkpoint(spill_dir, b) if b < total else None)
-            for a, b in zip(bounds, bounds[1:])]
+    return list(range(0, total, max(1, cadence))) + [total]
 
 
 def park_checkpoint(spill_dir: str, boundary: int) -> str:
@@ -497,54 +486,52 @@ def _job_task(
 ) -> Tuple[int, Optional[Dict[str, Any]], str]:
     """Pool task: a job from boundary ``start`` to its park or its end.
 
-    ``start`` must begin one of the job's spans (:func:`plan_spans` at
-    ``cadence`` into ``spill_dir``).  At boundary 0 the run is built
-    fresh; at a later one it is restored from the span's ``snap_in``
-    checkpoint, and a missing file fails at once with the
-    :class:`SnapshotError` that names it.  The increments then stream back
-    to back.  At every span's end the task reports ``(boundary, cycles)``,
-    the cycles streamed since its previous report, to its owner
-    (:func:`repro.harness.pool.report`); before the last boundary it then
-    asks ``park`` whether to stop (by default, whether its owner asked it
-    to: :func:`repro.harness.pool.park_requested`) and, if so, saves the
-    run's checkpoint to the span's ``park_path`` and returns.  That is the
-    only checkpoint the task writes (besides a ``snapshot_every`` cadence
-    the scenario asks for).  The run is closed when the task ends, however
-    it ends.
+    ``start`` must be one of the job's span boundaries other than the last
+    (:func:`plan_spans` at ``cadence``).  At boundary 0 the run is built
+    fresh; at a later one it is restored from the
+    :func:`park_checkpoint` in ``spill_dir``, and a missing file fails at
+    once with the :class:`SnapshotError` that names it.  The increments
+    then stream back to back.  At every later boundary the task reports
+    ``(boundary, cycles)``, the cycles streamed since its previous report,
+    to its owner (:func:`repro.harness.pool.report`); before the last
+    boundary it then asks ``park`` whether to stop (by default, whether
+    its owner asked it to: :func:`repro.harness.pool.park_requested`) and,
+    if so, saves the run's checkpoint to the boundary's
+    :func:`park_checkpoint` and returns.  That is the only checkpoint the
+    task writes (besides a ``snapshot_every`` cadence the scenario asks
+    for).  The run is closed when the task ends, however it ends.
 
     Returns ``(boundary, record, handoff)``: where the task stopped, the
     record (``None`` when it parked) and how the run started, ``"fresh"``
     or ``"restored"``.
     """
-    spans = {span[0]: span for span in plan_spans(scenario, cadence,
-                                                  spill_dir)}
-    if start not in spans:
+    bounds = plan_spans(scenario, cadence)
+    total = bounds[-1]
+    if start not in bounds[:-1]:
         raise ValueError(f"no span of {scenario.name!r} starts at "
                          f"increment {start} at cadence {cadence}")
-    snap_in = spans[start][2]
-    park_paths = {stop: path for _start, stop, _snap_in, path
-                  in spans.values()}
-    checkpoint = None if snap_in is None else Snapshot.load(snap_in)
+    checkpoint = (None if start == 0
+                  else Snapshot.load(park_checkpoint(spill_dir, start)))
     run = _materialize(scenario, checkpoint)
     graph = run[2]
     reported = start
 
     def at_boundary(boundary: int) -> bool:
         nonlocal reported
-        if boundary not in park_paths:
+        if boundary not in bounds:
             return False
         report((boundary, sum(r.cycles for r in
                               graph.increment_results[reported:boundary])))
         reported = boundary
-        path = park_paths[boundary]
-        if path is None or not park():
+        if boundary == total or not park():
             return False
-        _capture(graph, scenario, boundary, None, path)
+        _capture(graph, scenario, boundary, None,
+                 park_checkpoint(spill_dir, boundary))
         return True
 
     cycles, end = _run_span(scenario, run=run, on_boundary=at_boundary,
                             close=True)
-    handoff = "fresh" if snap_in is None else "restored"
+    handoff = "fresh" if start == 0 else "restored"
     if end is None:
         return reported, None, handoff
     return reported, _assemble_record(scenario, cycles, end), handoff

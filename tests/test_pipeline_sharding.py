@@ -27,6 +27,7 @@ from repro.graph.graph import DynamicGraph
 from repro.harness import runner
 from repro.harness.runner import (
     _job_task,
+    park_checkpoint,
     plan_spans,
     run_scenario,
     snapshot_at,
@@ -128,23 +129,13 @@ class TestInProcess:
 class TestSpanPlan:
     def test_cadence_boundaries_and_checkpoint_paths(self, tmp_path):
         scenario = eight_increment_scenario()
-        spill = str(tmp_path)
-
-        def snap(boundary):
-            return os.path.join(spill, f"inc{boundary:05d}.snap")
-
-        assert plan_spans(scenario, 3, spill) == [
-            (0, 3, None, snap(3)),
-            (3, 6, snap(3), snap(6)),
-            (6, 8, snap(6), None),
-        ]
-        assert [span[:2] for span in plan_spans(scenario, 1, spill)] == \
-            [(i, i + 1) for i in range(8)]
-        assert plan_spans(scenario, 0, spill) == plan_spans(scenario, 1,
-                                                             spill)
+        assert plan_spans(scenario, 3) == [0, 3, 6, 8]
+        assert park_checkpoint(str(tmp_path), 3) == \
+            os.path.join(str(tmp_path), "inc00003.snap")
+        assert plan_spans(scenario, 1) == list(range(9))
+        assert plan_spans(scenario, 0) == plan_spans(scenario, 1)
         for cadence in (8, 20):
-            assert plan_spans(scenario, cadence, spill) == [
-                (0, 8, None, None)]
+            assert plan_spans(scenario, cadence) == [0, 8]
 
     def test_truncated_scenario_runs_as_one_span(self, tmp_path):
         """A truncated run's boundaries can hold continuations no checkpoint
@@ -154,8 +145,7 @@ class TestSpanPlan:
         scenario = Scenario.from_dict(spec["scenario"])
         total = scenario.dataset.num_increments
         assert total > 1
-        assert plan_spans(scenario, 1, str(tmp_path)) == [
-            (0, total, None, None)]
+        assert plan_spans(scenario, 1) == [0, total]
         record, handoffs = run_job(scenario, 1, tmp_path / "spill",
                                    cold=True)
         assert handoffs == ["fresh"]

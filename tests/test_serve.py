@@ -16,8 +16,10 @@ Everything runs against a real ``ThreadingHTTPServer`` on an ephemeral
 port; scenarios are tiny (seconds end to end).
 """
 
+import functools
 import http.client
 import json
+import multiprocessing
 import signal
 import socket
 import statistics
@@ -34,10 +36,12 @@ import pytest
 
 from repro.harness import pool as pool_module
 from repro.harness import runner
+from repro.harness.pool import DispatchPool
 from repro.harness.runner import resume_scenario, run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, app, make_server
+from repro.serve import service as service_module
 from repro.snapshot import Snapshot
 
 from helpers import child_pids, pid_alive, requires_proc, subprocess_env
@@ -83,18 +87,33 @@ def server(tmp_path):
     yield from serve(tmp_path, jobs=1)
 
 
+def after_each_report(monkeypatch, hook):
+    """Job tasks call ``hook(progress)`` after each progress report, in
+    the workers of every service built from now on.  Those pools fork
+    from this process, whatever the default start method, so their
+    workers inherit the patch."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("patching workers needs the fork start method")
+    real = runner.report
+
+    def report(progress):
+        real(progress)
+        hook(progress)
+
+    monkeypatch.setattr(runner, "report", report)
+    monkeypatch.setattr(service_module, "DispatchPool", functools.partial(
+        DispatchPool, context=multiprocessing.get_context("fork")))
+
+
 @pytest.fixture
 def hold_first_report(monkeypatch):
     """Job tasks wait after their worker's first progress report until
     their owner asks them to park (30 s at most), so a pause or a stop
     sent from the first progress callback parks at boundary 1, not at a
-    later one.  Pool workers fork from this process, so the ones started
-    from now on inherit the patch."""
-    real = runner.report
+    later one."""
     held = []
 
-    def report_then_hold(progress):
-        real(progress)
+    def hold(progress):
         if not held:
             held.append(progress)
             deadline = time.monotonic() + 30
@@ -102,7 +121,7 @@ def hold_first_report(monkeypatch):
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
 
-    monkeypatch.setattr(runner, "report", report_then_hold)
+    after_each_report(monkeypatch, hold)
 
 
 @pytest.fixture
@@ -564,16 +583,14 @@ class TestTaskTimeout:
 
     def run_with_pause_after_reports(self, tmp_path, monkeypatch, pause_s,
                                      first_only):
-        real = runner.report
         reports = []
 
-        def report_then_sleep(progress):
-            real(progress)
+        def sleep(progress):
             reports.append(progress)
             if len(reports) == 1 or not first_only:
                 time.sleep(pause_s)
 
-        monkeypatch.setattr(runner, "report", report_then_sleep)
+        after_each_report(monkeypatch, sleep)
         service = ScenarioService(ServeConfig(
             jobs=1, timeout=0.6, store=str(tmp_path / "store.jsonl"),
             work_dir=str(tmp_path / "spill")))
