@@ -11,15 +11,16 @@ local object ``obj_id``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Address:
+class Address(NamedTuple):
     """A global address: object ``obj_id`` in compute cell ``cc_id``'s memory.
 
-    Addresses are immutable, hashable and totally ordered so they can be used
-    as dictionary keys, stored inside edges and compared in tests.
+    Addresses are immutable, hashable and ordered by ``(cc_id, obj_id)`` so
+    they can be used as dictionary keys, stored inside edges and compared
+    in tests.  A named tuple, which builds faster and takes less memory
+    than a frozen dataclass: every edge slot holds one.
     """
 
     cc_id: int

@@ -50,4 +50,4 @@ def generate_rmat(
 
     keep = srcs != dsts
     srcs, dsts = srcs[keep], dsts[keep]
-    return [Edge(int(s), int(t)) for s, t in zip(srcs, dsts)]
+    return list(map(Edge, srcs.tolist(), dsts.tolist()))

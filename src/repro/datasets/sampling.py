@@ -17,8 +17,9 @@ ten increments under two orders (paper Table 1):
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.graph.rpvo import Edge
 
@@ -57,10 +58,11 @@ def _discovery_order(edges: Sequence[Edge], num_vertices: int,
     id order (they are "discovered" last, as a snowball crawl restarted on
     leftovers would find them).
     """
-    adjacency: Dict[int, List[int]] = {}
+    adjacency: List[List[int]] = [[] for _ in range(num_vertices)]
     for edge in edges:
-        adjacency.setdefault(edge.src, []).append(edge.dst)
-        adjacency.setdefault(edge.dst, []).append(edge.src)
+        src, dst = edge.src, edge.dst
+        adjacency[src].append(dst)
+        adjacency[dst].append(src)
 
     order: List[int] = []
     discovered = [False] * num_vertices
@@ -69,7 +71,7 @@ def _discovery_order(edges: Sequence[Edge], num_vertices: int,
     while queue:
         vid = queue.popleft()
         order.append(vid)
-        for nxt in adjacency.get(vid, ()):
+        for nxt in adjacency[vid]:
             if not discovered[nxt]:
                 discovered[nxt] = True
                 queue.append(nxt)
@@ -94,19 +96,18 @@ def snowball_sampling_increments(
     stream is not artificially sorted.
     """
     rng = random.Random(seed)
-    order = _discovery_order(edges, num_vertices, seed_vertex)
-    discovery_index = {vid: i for i, vid in enumerate(order)}
+    discovery_index = [0] * num_vertices
+    for i, vid in enumerate(_discovery_order(edges, num_vertices, seed_vertex)):
+        discovery_index[vid] = i
 
-    # Boundaries of the vertex-discovery slices, one per increment.
+    # Boundaries of the vertex-discovery slices, one per increment: an edge
+    # goes to the first slice whose boundary lies above its release index.
     boundaries = [round((i + 1) * num_vertices / num_increments) for i in range(num_increments)]
 
     increments: List[List[Edge]] = [[] for _ in range(num_increments)]
     for edge in edges:
         release = max(discovery_index[edge.src], discovery_index[edge.dst])
-        for inc, bound in enumerate(boundaries):
-            if release < bound:
-                increments[inc].append(edge)
-                break
+        increments[bisect_right(boundaries, release)].append(edge)
     for chunk in increments:
         rng.shuffle(chunk)
     return increments

@@ -123,7 +123,7 @@ def generate_sbm_arrays(params: SBMParams) -> "tuple[np.ndarray, np.ndarray]":
 def generate_sbm(params: SBMParams) -> List[Edge]:
     """Sample the SBM edge list as :class:`~repro.graph.rpvo.Edge` objects."""
     srcs, dsts = generate_sbm_arrays(params)
-    return [Edge(int(s), int(d)) for s, d in zip(srcs, dsts)]
+    return list(map(Edge, srcs.tolist(), dsts.tolist()))
 
 
 def symmetrize(edges: List[Edge]) -> List[Edge]:

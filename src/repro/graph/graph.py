@@ -124,10 +124,20 @@ class DynamicGraph:
         :meth:`AMCCADevice.close`), so the chip goes by reference counting
         as soon as the last outside reference does.  The graph cannot
         stream afterwards: close only a run that no caller keeps.
+
+        A run whose last increment was cut off with work in flight can
+        hold a pending ghost future, whose queued inserts are closures
+        that capture the future; their queues are dropped too.
         """
         if self.algorithm is not None:
             self.algorithm.graph = None
         self.ingestor.close()
+        if self.carried_outstanding:
+            for cell in self.device.simulator.cells:
+                for block in cell.memory.values():
+                    for future in block.ghosts:
+                        if future.is_pending:
+                            future.discard()
         self.device.close()
 
     # ------------------------------------------------------------------
@@ -165,10 +175,9 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def _edge_to_transfer(self, edge: Edge) -> Tuple[Address, Tuple]:
         """Map a streamed edge to its target address and operands."""
-        src_addr = self.vertex_addrs[edge.src]
-        dst_addr = self.vertex_addrs[edge.dst]
-        slot = EdgeSlot(dst_addr=dst_addr, dst_vid=edge.dst, weight=edge.weight)
-        return src_addr, (slot,)
+        addrs = self.vertex_addrs
+        dst = edge.dst
+        return addrs[edge.src], (EdgeSlot(addrs[dst], dst, edge.weight),)
 
     def stream_increment(
         self,

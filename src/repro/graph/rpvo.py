@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import copy
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.arch.address import Address
 from repro.runtime.futures import Future, FutureState
@@ -32,13 +31,14 @@ from repro.runtime.futures import Future, FutureState
 INFINITY = 1 << 30
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A streamed graph edge ``src -> dst`` with an integer weight.
 
     This is the host-side representation read by the IO channels.  Inside the
     chip, edges are stored as :class:`EdgeSlot` entries that reference the
-    destination vertex's root block by global address.
+    destination vertex's root block by global address.  Like
+    :class:`EdgeSlot` it is an immutable named tuple, built once per
+    streamed edge.
     """
 
     src: int
@@ -50,8 +50,7 @@ class Edge:
         return Edge(self.dst, self.src, self.weight)
 
 
-@dataclass(frozen=True)
-class EdgeSlot:
+class EdgeSlot(NamedTuple):
     """One entry of a block's local edge list (paper Listing 3).
 
     ``dst_addr`` is the global address of the destination vertex's root

@@ -92,6 +92,10 @@ class Future:
         released, self._queue = self._queue, []
         return released
 
+    def discard(self) -> None:
+        """Drop the waiting closures unrun (their run is being closed)."""
+        self._queue = []
+
     def get(self) -> Any:
         """Return the value of a fulfilled future."""
         if self.state is not FutureState.FULFILLED:

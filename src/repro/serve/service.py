@@ -448,9 +448,14 @@ class ScenarioService:
         self._refresh_gauges()
         workers = [peak for pool in self.pools for pid in pool.worker_pids()
                    if (peak := _peak_rss_bytes(pid)) is not None]
+        # ``ru_maxrss`` keeps the peak the launcher had before ``exec``;
+        # ``VmHWM`` starts afresh, so it is read wherever ``/proc`` exists.
+        peak = _peak_rss_bytes(os.getpid())
+        if peak is None:
+            peak = resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_BYTES
         with self.metrics.locked():
-            self._peak_rss.set(resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_BYTES)
+            self._peak_rss.set(peak)
             if workers:
                 self._worker_peak_rss.set(max(workers))
         return self.metrics.to_prometheus()

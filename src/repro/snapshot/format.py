@@ -202,8 +202,7 @@ def _decode_value(buf: bytes, pos: int) -> Tuple[Any, int]:
             cc, obj_id = _unpack_addr(buf, pos)
             pos += 16
             vid, weight, _pad = _unpack_edge(buf, pos)
-            return EdgeSlot(dst_addr=Address(cc, obj_id), dst_vid=vid,
-                            weight=weight), pos + 24
+            return EdgeSlot(Address(cc, obj_id), vid, weight), pos + 24
     except (struct.error, IndexError, UnicodeDecodeError, ValueError,
             TypeError) as exc:  # TypeError: an unhashable dict key
         raise SnapshotError(f"corrupt snapshot payload at byte {pos}: {exc}") from exc

@@ -361,3 +361,19 @@ class TestCloseRun:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_truncated_run_closes_too(self):
+        """The last increment is cut off with a ghost allocation in flight,
+        and the closures queued on its pending future capture the future."""
+        spec = json.loads((CORPUS / "fuzz-truncation-carry.json").read_text())
+        scenario = Scenario.from_dict(spec["scenario"])
+        gc.collect()
+        gc.disable()
+        try:
+            run = runner._materialize(scenario)
+            runner._run_span(scenario, run=run, close=True)
+            assert run[2].carried_outstanding > 0
+            del run
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,10 +1,13 @@
 """Tests for the RPVO vertex block data structure."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch.address import Address, NULL_ADDRESS
 from repro.graph.rpvo import Edge, EdgeSlot, INFINITY, VertexBlock
+from repro.snapshot.format import pack_value, unpack_value
 
 
 def slot(dst=1, vid=1, w=1):
@@ -31,6 +34,59 @@ class TestAddress:
     def test_ordering_and_hash(self):
         assert Address(0, 1) < Address(1, 0)
         assert len({Address(0, 1), Address(0, 1)}) == 1
+
+
+VALUES = [
+    pytest.param(Edge(3, 7, 2), Edge(3, 7, 5), ("src", "dst", "weight"),
+                 id="Edge"),
+    pytest.param(Address(2, 9), Address(9, 2), ("cc_id", "obj_id"),
+                 id="Address"),
+    pytest.param(EdgeSlot(Address(1, 4), 6, 3), EdgeSlot(Address(1, 5), 6, 3),
+                 ("dst_addr", "dst_vid", "weight"), id="EdgeSlot"),
+]
+
+
+class TestValueTypes:
+    """Edges, edge slots and addresses are immutable values: equal and
+    hashed by their fields, whatever object carries them."""
+
+    @pytest.mark.parametrize("value, other, fields", VALUES)
+    def test_fields_cannot_be_assigned(self, value, other, fields):
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+
+    @pytest.mark.parametrize("value, other, fields", VALUES)
+    def test_equality_and_hash_go_by_value(self, value, other, fields):
+        items = tuple(getattr(value, field) for field in fields)
+        twin = type(value)(*items)
+        assert twin == value and twin is not value
+        # The hash of the field tuple: hash-ordered sets iterate the same
+        # whatever class carries the fields.
+        assert hash(twin) == hash(value) == hash(items)
+        assert value != other
+        assert len({value, twin, other}) == 2
+
+    @pytest.mark.parametrize("value, other, fields", VALUES)
+    def test_pickle_and_snapshot_codec_round_trip(self, value, other,
+                                                  fields):
+        for copy in (pickle.loads(pickle.dumps(value)),
+                     unpack_value(pack_value(value))):
+            assert type(copy) is type(value) and copy == value
+
+    def test_address_sorts_by_cell_then_object_and_reprs_as_cc_obj(self):
+        addrs = [Address(1, 0), Address(0, 5), Address(1, -1), Address(0, 2)]
+        assert sorted(addrs) == [Address(0, 2), Address(0, 5),
+                                 Address(1, -1), Address(1, 0)]
+        assert repr(Address(3, 14)) == "@3:14"
+        assert repr(EdgeSlot(Address(3, 14), 2)) == \
+            "EdgeSlot(dst_addr=@3:14, dst_vid=2, weight=1)"
+
+    def test_defaults_and_reversed_edge(self):
+        assert Edge(4, 5) == Edge(4, 5, 1)
+        assert EdgeSlot(Address(0, 1), 2).weight == 1
+        assert Edge(4, 5, 8).reversed() == Edge(5, 4, 8)
+        assert Edge(4, 5, 8).reversed().reversed() == Edge(4, 5, 8)
 
 
 class TestVertexBlock:

@@ -765,6 +765,42 @@ class TestEventsAndViews:
                                "serve_worker_peak_rss_bytes"}
         assert all(value > 0 for value in gauges.values()), gauges
 
+    @requires_proc
+    def test_peak_rss_gauge_reads_the_server_alone(self, tmp_path):
+        # Linux carries ``ru_maxrss`` over ``exec``, so a server launched
+        # from a large process would report its launcher's footprint.  A
+        # launcher holding a 96 MiB ballast execs the server, whose own
+        # peak lies well below the ballast it never held.
+        ballast = 96 << 20
+        server = (
+            "import sys\n"
+            "from repro.serve import ScenarioService, ServeConfig\n"
+            "service = ScenarioService(ServeConfig(\n"
+            "    port=0, jobs=1, store=sys.argv[1], work_dir=sys.argv[2]))\n"
+            "service.start()\n"
+            "try:\n"
+            "    text = service.prometheus()\n"
+            "finally:\n"
+            "    service.stop()\n"
+            "print(next(line.split()[1] for line in text.splitlines()\n"
+            "           if line.startswith('serve_peak_rss_bytes ')))\n")
+        launcher = (
+            "import os, sys\n"
+            "ballast = b'x' * int(sys.argv[1])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    rss = next(line.split()[1] for line in status\n"
+            "               if line.startswith('VmRSS:'))\n"
+            "print(int(rss) * 1024, flush=True)\n"
+            "os.execv(sys.executable, [sys.executable, '-c'] + sys.argv[2:])\n")
+        out = subprocess.run(
+            [sys.executable, "-c", launcher, str(ballast), server,
+             str(tmp_path / "store.jsonl"), str(tmp_path / "spill")],
+            capture_output=True, text=True, env=subprocess_env(),
+            timeout=120, check=True)
+        launcher_rss, gauge = (int(float(v)) for v in out.stdout.split())
+        assert launcher_rss > ballast
+        assert 0 < gauge < ballast
+
     def test_report_and_index_views(self, server):
         service, base = server
         scenario = tiny_scenario("reportable")

@@ -18,8 +18,12 @@ full contract from the outside, exactly as a client would:
 5. flood the admission window from concurrent client threads and require
    **exactly** ``k`` 429s for ``N + k`` fresh submissions;
 6. scrape ``/metrics``, check the serve counters and the two peak-RSS
-   gauges are present, and require ``serve_pool_respawns`` to read 0: no
-   job here times out or crashes, so no worker may have been killed;
+   gauges are present, require ``serve_peak_rss_bytes`` to lie between
+   the server's own ``VmHWM`` read just before and just after a scrape,
+   up to the lag of the kernel's RSS counters (skipped without
+   ``/proc``), and require ``serve_pool_respawns`` to
+   read 0: no job here times out or crashes, so no worker may have been
+   killed;
 7. stop the server with SIGTERM and require it to exit 0, leaving no pool
    worker running and no ``repro-serve-*`` work dir behind.
 
@@ -103,6 +107,18 @@ def metric(base, sample):
     return 0
 
 
+def peak_rss(pid):
+    """``VmHWM`` of a live process in bytes (``None`` without ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024  # kB
+    except OSError:
+        pass
+    return None
+
+
 def stat_fields(pid):
     """The fields of ``/proc/<pid>/stat`` after the command name."""
     with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as f:
@@ -143,6 +159,12 @@ def main():
                         help="pin the NoC kernel for submitted jobs")
     args = parser.parse_args()
 
+    # Step 2's reference record comes first: with numpy it leaves this
+    # launcher larger than the server, so a server gauge that carried the
+    # launcher's RSS over exec (``ru_maxrss`` does) fails step 6.
+    scenario = tiny("smoke-main", seed=5)
+    direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
+
     tmp = tempfile.mkdtemp(prefix="serve-smoke-")
     server_tmp = os.path.join(tmp, "tmp")  # the server's work dir lands here
     os.mkdir(server_tmp)
@@ -166,7 +188,6 @@ def main():
             return request(base, "POST", "/v1/jobs", payload, **extra)
 
         # 1+2: submit, poll, byte-compare against a direct run.
-        scenario = tiny("smoke-main", seed=5)
         code, body = submit(scenario)
         check(code == 201, f"POST /v1/jobs admitted (HTTP {code})")
         job_id = json.loads(body)["id"]
@@ -176,7 +197,6 @@ def main():
               f"job ran to completion ({final['completed_increments']}/"
               f"{final['total_increments']} increments)")
         _, via_http = request(base, "GET", f"/v1/records/{job_id}")
-        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         check(via_http == direct,
               f"record over HTTP byte-identical to direct run "
               f"(kernel={args.kernel or 'default'})")
@@ -265,6 +285,22 @@ def main():
         for gauge in ("serve_peak_rss_bytes", "serve_worker_peak_rss_bytes"):
             peak = metric(base, gauge)
             check(peak > 0, f"/metrics exposes {gauge} ({peak >> 20} MiB)")
+        # The server's gauge is its own VmHWM, which only grows, so it lies
+        # between two reads taken around the scrape, give or take the lag
+        # of the kernel's per-CPU RSS counters (max(32, 2 x CPUs) pages
+        # each).
+        before = peak_rss(server.pid)
+        own = metric(base, "serve_peak_rss_bytes")
+        after = peak_rss(server.pid)
+        if before is None:
+            print("skip: no /proc to read the server's VmHWM", flush=True)
+        else:
+            cpus = os.cpu_count()
+            slack = max(32, 2 * cpus) * cpus * os.sysconf("SC_PAGE_SIZE")
+            check(before - slack <= own <= after + slack,
+                  f"serve_peak_rss_bytes is the server's own VmHWM "
+                  f"({own >> 10} KiB; {before >> 10}-{after >> 10} KiB "
+                  f"around the scrape, +-{slack >> 10} KiB)")
         respawns = [line for line in text.splitlines()
                     if line.startswith("serve_pool_respawns ")]
         check(respawns == ["serve_pool_respawns 0"],
