@@ -1,29 +1,11 @@
-"""Legacy setuptools shim + the optional native sweep extension.
+"""Legacy setuptools shim.
 
 Allows ``pip install -e . --no-build-isolation --no-use-pep517`` to work on
 offline machines that have setuptools but not the ``wheel`` package (PEP 660
 editable installs need wheel; the legacy ``setup.py develop`` path does not).
 All project metadata lives in ``pyproject.toml``.
-
-The one thing that must live here is the C extension behind
-``ChipConfig.kernel == "native"``: ``optional=True`` makes a failed compile
-(no compiler, missing headers) a warning instead of an install failure, so
-the package degrades gracefully to the pure-Python kernel — the same
-pattern as the numpy ``[perf]`` extra, enforced end to end by
-``repro.arch.kernels.resolve_kernel`` and pinned by the compiler-less CI
-lane.  Build in place for development with::
-
-    python setup.py build_ext --inplace
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "repro.arch._native._sweep",
-            sources=["src/repro/arch/_native/_sweepmodule.c"],
-            optional=True,
-        )
-    ]
-)
+setup()

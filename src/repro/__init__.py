@@ -64,6 +64,8 @@ from repro.datasets import make_streaming_dataset, paper_dataset_configs
 # same on every install.  It moves in the last bits on chips whose cell
 # count is not a power of two; on power-of-two chips (every registered
 # preset) records change only in ``spec_hash`` and ``repro_version``.
+# Deleting the native (C) kernel later left records, spec hashes and
+# snapshots byte-identical, so it keeps 1.7.0.
 __version__ = "1.7.0"
 
 __all__ = [

@@ -2,7 +2,7 @@
 
 NumPy powers the dataset generators and the analysis series but is an
 optional ``[perf]`` extra, not a hard dependency: the simulator (whose NoC
-kernels never use it), the runtime and the harness all work without it.
+never uses it), the runtime and the harness all work without it.
 No module imports it at module level, so ``repro serve``, its pool workers
 and a uniform-graph run never load it.  :data:`HAVE_NUMPY` says whether it
 is installed without importing it; every function that uses NumPy starts

@@ -12,9 +12,9 @@ the network.  Per simulation cycle a CC performs exactly one operation:
 This mirrors the paper's execution rule ("a single CC can perform either of
 the two operations: a computing instruction contained in the action, or the
 creation and staging of a new message when propagate is called").  The
-rule itself runs in :meth:`repro.arch.simulator.Simulator.step` (and its C
-twin in the native kernel), which sweeps every active cell per cycle; a
-:class:`ComputeCell` holds the state it reads and writes.
+rule itself runs in :meth:`repro.arch.simulator.Simulator.step`, which
+sweeps every active cell per cycle; a :class:`ComputeCell` holds the state
+it reads and writes.
 """
 
 from __future__ import annotations

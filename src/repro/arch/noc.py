@@ -505,23 +505,10 @@ class LatencyNoC(BaseNoC):
 
 
 def build_noc(config: ChipConfig, stats: SimStats, routing: RoutingPolicy | None = None) -> BaseNoC:
-    """Construct the NoC model selected by ``config.fidelity`` and kernel.
-
-    ``config.kernel`` (plus the ``REPRO_KERNEL`` environment variable, see
-    :func:`repro.arch.kernels.resolve_kernel`) picks the sweep
-    implementation for the cycle fidelity; the latency and reference
-    models have one implementation each (the latency model still resolves
-    the kernel, so a bad ``REPRO_KERNEL`` or an unbuilt native pin is
-    reported there too).
-    """
+    """Construct the NoC model selected by ``config.fidelity``."""
     routing = routing or make_routing(config)
     if config.fidelity == "cycle-ref":
         return ReferenceCycleAccurateNoC(config, routing, stats)
-    from repro.arch.kernels import NativeCycleAccurateNoC, resolve_kernel
-
-    kernel = resolve_kernel(config)
     if config.fidelity == "latency":
         return LatencyNoC(config, routing, stats)
-    if kernel == "native":
-        return NativeCycleAccurateNoC(config, routing, stats)
     return CycleAccurateNoC(config, routing, stats)

@@ -119,13 +119,6 @@ class RoutingPolicy:
         """
         raise NotImplementedError
 
-    def route_lids(self, src: int, dst: int) -> List[int]:
-        """The full ``src -> dst`` route as a list of directed-link ids."""
-        a, step_a, len_a, b, step_b, len_b = self.route_legs(src, dst)
-        route = list(range(a, a + step_a * len_a, step_a))
-        route += range(b, b + step_b * len_b, step_b)
-        return route
-
     # ------------------------------------------------------------------
     def route(self, src: int, dst: int) -> List[int]:
         """Full route as a list of compute cells, excluding ``src``.

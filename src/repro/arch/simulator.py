@@ -23,7 +23,6 @@ from array import array
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.arch._native import _sweep as _native_sweep
 from repro.arch.cell import ComputeCell, Task
 from repro.arch.config import ChipConfig
 from repro.arch.energy import EnergyModel, EnergyReport, estimate_energy
@@ -147,17 +146,14 @@ class Simulator:
         self.active_series: Optional[List[int]] = None
         self.cycle = 0
         #: Cells that may have work, in the order they became active, with a
-        #: sweep-stamp array as the membership test (_cell_stamp[cc] ==
+        #: sweep-stamp list as the membership test (_cell_stamp[cc] ==
         #: _cell_sweep iff cc is on the list).  An insertion-ordered list
         #: plus stamps replaces the former hash set: it is faster to scan
         #: and append, and it makes the cell service order an explicit,
         #: documented part of the deterministic schedule instead of an
         #: artefact of hash-set iteration order.
         self._active_cells: List[int] = []
-        #: array('q') rather than a list so the native kernel's C cell loop
-        #: can stamp through the buffer protocol; Python indexing semantics
-        #: are unchanged.
-        self._cell_stamp = array("q", bytes(8 * config.num_cells))
+        self._cell_stamp = [0] * config.num_cells
         self._cell_sweep = 1
         #: scratch buffers reused across step() calls so the hot loop does
         #: not allocate fresh containers every simulated cycle; the
@@ -180,16 +176,6 @@ class Simulator:
         self._parked_count = 0
         self._wake_buckets: Dict[int, List[Tuple[int, int]]] = {}
         self._fast_park = trace_every <= 0
-        #: Native (C) dispatch/burn loops: enabled when the resolved kernel
-        #: is the native tier (the NoC advertises ``native_sweep``) and the
-        #: extension is importable.  The C loops mirror step() phases 3-4
-        #: verbatim, parking included, so the deterministic schedule is
-        #: bit-identical; step() takes them only while parking is on
-        #: (checked per cycle, since tests and the fuzz oracle turn parking
-        #: off to compare against the unparked loop).
-        self._native_cells = (
-            _native_sweep is not None
-            and getattr(self.noc, "native_sweep", False))
 
     # ------------------------------------------------------------------
     # Wiring
@@ -365,22 +351,12 @@ class Simulator:
         cell_stamp = self._cell_stamp
         sweep = self._cell_sweep
         fast_park = self._fast_park
-        # The C burn loop always parks, so parking off (frame tracing, which
-        # needs the per-cycle active id list, or a transparency check) takes
-        # the Python loops.
-        native = self._native_cells and fast_park
-        if native:
-            if delivered:
-                _native_sweep.dispatch_arrivals(
-                    delivered, cells, parked, cell_stamp, active_cells,
-                    sweep)
-        else:
-            for msg in delivered:
-                dst = msg.dst
-                cells[dst].task_queue.append(msg)
-                if not parked[dst] and cell_stamp[dst] != sweep:
-                    cell_stamp[dst] = sweep
-                    active_cells.append(dst)
+        for msg in delivered:
+            dst = msg.dst
+            cells[dst].task_queue.append(msg)
+            if not parked[dst] and cell_stamp[dst] != sweep:
+                cell_stamp[dst] = sweep
+                active_cells.append(dst)
         if timers is not None:
             _now = _pc()
             timers["dispatch"] += _now - _t
@@ -401,85 +377,72 @@ class Simulator:
         still_active.clear()
         still_active_append = still_active.append
         sweep = self._cell_sweep = self._cell_sweep + 1
-        if native:
-            # C inline of the loop below (same semantics, checked by the
-            # kernel-equivalence tests): returns the work flag, the count
-            # of cells that executed this cycle and the number of cells
-            # newly parked, instead of materialising active_this_cycle.
-            did2, active_count, parked_delta = _native_sweep.burn_cells(
-                active_cells, still_active, cells, cell_stamp, parked,
-                self._wake_buckets, noc_inject, executors, Message, cycle,
-                sweep, noc)
-            did_work = did_work or bool(did2)
-            self._parked_count += parked_delta
-        else:
-            for cc_id in active_cells:
-                cell_stamp[cc_id] = sweep
-                if parked[cc_id]:
-                    # Parked placeholder: the wake bucket does the burn
-                    # accounting; the slot is kept only so the cell re-enters
-                    # processing at its original position.
-                    still_active_append(cc_id)
-                    continue
-                cell = cells[cc_id]
-                remaining = cell._remaining_instructions
-                if remaining > 0:
-                    # Finish the instructions of the action in progress.
-                    remaining -= 1
-                    cell._remaining_instructions = remaining
-                    cell.instructions_executed += 1
-                    if remaining == 0 and cell._held_messages:
-                        cell.staging.extend(cell._held_messages)
-                        cell._held_messages = []
-                    active_append(cc_id)
-                    did_work = True
-                elif cell.staging:
-                    # Drain the output staging queue (one message per cycle).
-                    cell.messages_staged += 1
-                    noc_inject(cell.staging.popleft(), cycle)
-                    active_append(cc_id)
-                    did_work = True
-                elif cell.task_queue:
-                    # Start the next queued task: a delivered message runs
-                    # through its action's executor, an enqueued Task runs
-                    # itself.
-                    item = cell.task_queue.popleft()
-                    if item.__class__ is Message:
-                        cost, messages = executors[item.action](cell, item)
-                    else:
-                        cost, messages = item.run()
-                    cell.tasks_executed += 1
-                    cell.instructions_executed += 1
-                    remaining = cost - 1
-                    active_append(cc_id)
-                    did_work = True
-                    if remaining <= 0:
-                        if messages:
-                            cell.staging.extend(messages)
-                    else:
-                        cell._held_messages = list(messages)
-                        # Parking pays off from 2 skipped decrements up; a
-                        # 1-skip park costs more in bucket traffic than it saves.
-                        if fast_park and remaining >= 3:
-                            # Park: the next remaining-1 cycles are pure
-                            # decrements; skip them and wake on the flush cycle.
-                            # The cell stays in the active list as a placeholder
-                            # so its processing-order slot survives the park.
-                            cell._remaining_instructions = 1
-                            parked[cc_id] = 1
-                            self._parked_count += 1
-                            bucket = self._wake_buckets.get(cycle + remaining)
-                            if bucket is None:
-                                self._wake_buckets[cycle + remaining] = bucket = []
-                            bucket.append((cc_id, remaining - 1))
-                            still_active_append(cc_id)
-                            continue
-                        cell._remaining_instructions = remaining
-                if cell._remaining_instructions > 0 or cell.staging or cell.task_queue:
-                    still_active_append(cc_id)
+        for cc_id in active_cells:
+            cell_stamp[cc_id] = sweep
+            if parked[cc_id]:
+                # Parked placeholder: the wake bucket does the burn
+                # accounting; the slot is kept only so the cell re-enters
+                # processing at its original position.
+                still_active_append(cc_id)
+                continue
+            cell = cells[cc_id]
+            remaining = cell._remaining_instructions
+            if remaining > 0:
+                # Finish the instructions of the action in progress.
+                remaining -= 1
+                cell._remaining_instructions = remaining
+                cell.instructions_executed += 1
+                if remaining == 0 and cell._held_messages:
+                    cell.staging.extend(cell._held_messages)
+                    cell._held_messages = []
+                active_append(cc_id)
+                did_work = True
+            elif cell.staging:
+                # Drain the output staging queue (one message per cycle).
+                cell.messages_staged += 1
+                noc_inject(cell.staging.popleft(), cycle)
+                active_append(cc_id)
+                did_work = True
+            elif cell.task_queue:
+                # Start the next queued task: a delivered message runs
+                # through its action's executor, an enqueued Task runs
+                # itself.
+                item = cell.task_queue.popleft()
+                if item.__class__ is Message:
+                    cost, messages = executors[item.action](cell, item)
                 else:
-                    cell_stamp[cc_id] = 0
-            active_count = len(active_this_cycle)
+                    cost, messages = item.run()
+                cell.tasks_executed += 1
+                cell.instructions_executed += 1
+                remaining = cost - 1
+                active_append(cc_id)
+                did_work = True
+                if remaining <= 0:
+                    if messages:
+                        cell.staging.extend(messages)
+                else:
+                    cell._held_messages = list(messages)
+                    # Parking pays off from 2 skipped decrements up; a
+                    # 1-skip park costs more in bucket traffic than it saves.
+                    if fast_park and remaining >= 3:
+                        # Park: the next remaining-1 cycles are pure
+                        # decrements; skip them and wake on the flush cycle.
+                        # The cell stays in the active list as a placeholder
+                        # so its processing-order slot survives the park.
+                        cell._remaining_instructions = 1
+                        parked[cc_id] = 1
+                        self._parked_count += 1
+                        bucket = self._wake_buckets.get(cycle + remaining)
+                        if bucket is None:
+                            self._wake_buckets[cycle + remaining] = bucket = []
+                        bucket.append((cc_id, remaining - 1))
+                        still_active_append(cc_id)
+                        continue
+                    cell._remaining_instructions = remaining
+            if cell._remaining_instructions > 0 or cell.staging or cell.task_queue:
+                still_active_append(cc_id)
+            else:
+                cell_stamp[cc_id] = 0
         self._active_cells, self._still_active_scratch = (
             still_active, self._active_cells,
         )
@@ -492,7 +455,7 @@ class Simulator:
         # (virtual) instruction per parked cycle, so they count as active.
         stats = self.stats
         stats.cycles += 1
-        active = active_count + parked_this_cycle
+        active = len(active_this_cycle) + parked_this_cycle
         counts = stats.cycles_by_active_cells
         counts[active] = counts.get(active, 0) + 1
         in_flight = noc.in_flight

@@ -47,7 +47,6 @@ Track simulator throughput with a machine-readable report::
 
     repro bench --json BENCH_local.json
     repro bench --baseline benchmarks/BENCH_baseline.json --tolerance 0.25
-    repro bench --reps 5 --kernel python,native     # interleaved kernel A/B
 
 Observe runs without perturbing them (see docs/observability.md)::
 
@@ -74,7 +73,6 @@ from typing import List, Optional
 
 from repro.analysis.figures import FigureData, activation_percent, render_ascii_plot
 from repro.analysis.tables import render_table, table1_rows
-from repro.arch.config import KERNELS
 from repro.datasets.streaming import SCALE_PRESETS, paper_dataset_configs
 from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 
@@ -266,7 +264,6 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
             progress=lambda line: print(line, flush=True),
             timeout=args.timeout,
             expect_cached=args.expect_cached,
-            kernel=args.kernel,
             tracer=tracer,
             metrics=metrics,
             trace_base=args.trace,
@@ -395,7 +392,7 @@ def cmd_snapshot_save(args: argparse.Namespace) -> int:
     if scenario is None:
         return 2
     try:
-        snap = snapshot_at(scenario, args.increment, kernel=args.kernel)
+        snap = snapshot_at(scenario, args.increment)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -435,7 +432,7 @@ def cmd_snapshot_restore(args: argparse.Namespace) -> int:
         return 2
     try:
         snap = Snapshot.load(args.path)
-        record = resume_scenario(scenario, snap, kernel=args.kernel)
+        record = resume_scenario(scenario, snap)
     except SnapshotError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -444,7 +441,7 @@ def cmd_snapshot_restore(args: argparse.Namespace) -> int:
           f"{record['total_cycles']} total cycles, "
           f"{record['edges_stored']} edges stored")
     if args.verify:
-        fresh = run_scenario(scenario, kernel=args.kernel)
+        fresh = run_scenario(scenario)
         if json.dumps(fresh, sort_keys=True) != json.dumps(record, sort_keys=True):
             print("VERIFY FAILED: resumed record differs from an "
                   "uninterrupted run", file=sys.stderr)
@@ -527,9 +524,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(exc, file=sys.stderr)
             return 2
 
-    kernels = [k.strip() for k in args.kernel.split(",")]
     try:
-        results = run_bench(scenarios, kernels=kernels, reps=args.reps,
+        results = run_bench(scenarios, reps=args.reps,
                             progress=lambda line: print(line, flush=True))
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -537,16 +533,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
-    rows = []
-    for r in results:
-        row = {"Workload": r.name, "Cycles": r.total_cycles}
-        for kernel in kernels:
-            row[f"{kernel} (cyc/s)"] = f"{r.median_cycles_per_sec(kernel):,.0f}"
-        for kernel in kernels[1:]:
-            speedup = (r.median_cycles_per_sec(kernel)
-                       / r.median_cycles_per_sec(kernels[0]))
-            row[f"{kernel} speedup"] = f"{speedup:.2f}x"
-        rows.append(row)
+    rows = [{"Workload": r.name, "Cycles": r.total_cycles,
+             "Cycles/sec": f"{r.median_cycles_per_sec():,.0f}"}
+            for r in results]
     print()
     print(render_table(rows))
     payload = bench_payload(results, tag=args.tag, suite=args.suite,
@@ -563,7 +552,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for row in comparison.rows:
         ratio = "" if row.ratio is None else f" ({row.ratio:.2f}x baseline)"
         detail = f" - {row.detail}" if row.detail else ""
-        print(f"  [{row.status:<14}] {row.name} ({row.kernel}){ratio}{detail}")
+        print(f"  [{row.status:<14}] {row.name}{ratio}{detail}")
     if not comparison.passed:
         print(f"\nFAILED: {len(comparison.failures)} workload(s) regressed",
               file=sys.stderr)
@@ -712,7 +701,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         store=args.store,
         timeout=args.timeout,
         cadence=args.cadence,
-        kernel=args.kernel,
     )
     serve_forever(config)
     return 0
@@ -810,10 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--expect-cached", action="store_true",
                        help="fail (exit 1) if any scenario would be computed "
                             "instead of served from the store")
-    p_run.add_argument("--kernel", choices=KERNELS, default=None,
-                       help="pin the NoC kernel for every scenario (speed "
-                            "knob only: schedules and cache keys are "
-                            "identical across kernels)")
     p_run.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Chrome trace-event JSON of the harness "
                             "here, plus PATH-<scenario>.json per computed "
@@ -879,8 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="capture after the K-th streamed increment")
     p_snap_save.add_argument("--out", required=True, metavar="PATH",
                              help="snapshot file to write")
-    p_snap_save.add_argument("--kernel", choices=KERNELS,
-                             default=None, help="NoC kernel pin (speed only)")
     p_snap_save.set_defaults(func=cmd_snapshot_save)
     p_snap_info = snap_sub.add_parser(
         "info", help="describe a snapshot file (schema, provenance, state hash)"
@@ -901,8 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap_restore.add_argument("--store", default=None, metavar="PATH",
                                 help="write the resumed record into this "
                                      "JSONL result store")
-    p_snap_restore.add_argument("--kernel", choices=KERNELS, default=None,
-                                help="NoC kernel pin (speed only)")
     p_snap_restore.set_defaults(func=cmd_snapshot_restore)
 
     p_report = sub.add_parser(
@@ -935,13 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compare against this bench JSON; exit 1 on regression")
     p_bench.add_argument("--tolerance", type=float, default=0.25,
                          help="tolerated relative cycles/sec drop (default 0.25)")
-    p_bench.add_argument("--kernel", default="auto", metavar="K1[,K2...]",
-                         help="NoC kernel(s) out of " + ", ".join(KERNELS)
-                              + " (default: auto); two or more concrete "
-                              "kernels run interleaved inside each "
-                              "(rep, workload) pair "
-                              "as an A/B with speedups vs the first, and "
-                              "must report identical cycle counts")
     p_bench.set_defaults(func=cmd_bench)
 
     p_fuzz = sub.add_parser(
@@ -953,8 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz_run = fuzz_sub.add_parser(
         "run",
         help="fuzz random scenarios through the differential oracle "
-             "(kernels, snapshots, parking, span hand-off, tracing, "
-             "conservation)",
+             "(snapshots, parking, span hand-off, tracing, conservation)",
     )
     p_fuzz_run.add_argument("--profile", choices=("ci", "deep"), default="ci",
                             help="example budget profile (default: ci)")
@@ -1023,9 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="INCREMENTS",
                          help="increments per progress report — the "
                               "progress/pause granularity (default: 1)")
-    p_serve.add_argument("--kernel", choices=KERNELS, default=None,
-                         help="default NoC kernel pin for submitted jobs "
-                              "(identity-free; per-job POST field overrides)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_metrics = sub.add_parser(

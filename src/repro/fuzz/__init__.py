@@ -1,7 +1,7 @@
 """Property-based scenario fuzzing for the determinism contract.
 
-The repo's central claim — bit-identical schedules across kernels,
-snapshot round-trips, busy-cell parking transparency, span hand-off stores
+The repo's central claim — bit-identical schedules across snapshot
+round-trips, busy-cell parking transparency, span hand-off stores
 equal to serial ones and observer-only tracing, over statistics that
 conserve messages and prepaid hops — is pinned on curated scenarios by
 tier-1.  This package pins it on the *space*:
@@ -10,7 +10,7 @@ tier-1.  This package pins it on the *space*:
   random scenarios over every contract axis, shrinking toward minimal
   reproductions;
 * :mod:`repro.fuzz.oracle` — :func:`check_invariants`, the stdlib-only
-  differential oracle running one scenario through all six invariants;
+  differential oracle running one scenario through all five invariants;
 * :mod:`repro.fuzz.fingerprint` — workload fingerprinting and regime
   classification (park/diffusion/storm);
 * :mod:`repro.fuzz.campaign` — the ``repro fuzz run`` driver: budget

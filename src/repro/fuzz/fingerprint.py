@@ -10,9 +10,8 @@ oracle use.  The per-cycle series is only present there as fixed-bucket
 histograms, so idle/storm fractions are bucket-resolution estimates
 (flagged by ``"exact": False``).  The extraction is pure stdlib
 arithmetic over schedule-contract data, so a fingerprint is identical
-across kernels, fidelity-for-fidelity, and across instrumented and
-uninstrumented runs — which is itself one of the properties the fuzz
-self-tests pin.
+fidelity-for-fidelity, and across instrumented and uninstrumented runs —
+which is itself one of the properties the fuzz self-tests pin.
 """
 
 from __future__ import annotations

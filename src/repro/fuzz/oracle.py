@@ -1,27 +1,24 @@
 """The differential oracle: every deep invariant, checked on one scenario.
 
 :func:`check_invariants` takes any valid :class:`~repro.harness.scenario.
-Scenario` and runs it through the five determinism contracts the repo pins
+Scenario` and runs it through the four determinism contracts the repo pins
 on curated cases elsewhere, plus the conservation laws of its statistics:
 
-1. **kernel_equivalence** — the native (C) NoC kernel produces the
-   byte-identical record of the pure-Python one (skipped when the extension
-   is not built).
-2. **snapshot_roundtrip** — checkpointing is observer-only; every captured
+1. **snapshot_roundtrip** — checkpointing is observer-only; every captured
    boundary resumes to the byte-identical record, and restore → immediate
    recapture reproduces the snapshot's ``state_hash``.
-3. **park_transparency** — disabling busy-cell parking changes nothing in
+2. **park_transparency** — disabling busy-cell parking changes nothing in
    the record.
-4. **pipeline_vs_serial** — the run as ``repro serve``'s job task, with
+3. **pipeline_vs_serial** — the run as ``repro serve``'s job task, with
    at most three spans (park points), stores bytes identical (``cmp``) to
    the serial one, in two legs: the warm leg runs the job as one task, as
    an uninterrupted serve job does, saving no checkpoint, and the cold
    leg parks at every span's end, so each later task restores the park
    checkpoint.  A truncated scenario is planned as the single span
    ``[0, total)``.
-5. **trace_transparency** — attaching the Chrome tracer leaves the record
+4. **trace_transparency** — attaching the Chrome tracer leaves the record
    byte-identical, and the emitted trace validates.
-6. **conservation** — the baseline's statistics conserve messages and
+5. **conservation** — the baseline's statistics conserve messages and
    prepaid hops: a drained run delivered every injected message and
    traversed every prepaid hop; a truncated one
    (``max_cycles_per_increment``) delivered no more than it injected and
@@ -42,11 +39,9 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.arch._native import HAVE_NATIVE
 from repro.fuzz.fingerprint import classify, fingerprint_record
 from repro.harness.runner import (
     _job_task,
-    _pinned,
     plan_spans,
     restore_scenario,
     resume_scenario,
@@ -60,7 +55,6 @@ from repro.snapshot.format import SnapshotError
 #: The invariants, in check order.  Every oracle report carries exactly one
 #: outcome per name, so campaign counters can assert full coverage.
 INVARIANTS = (
-    "kernel_equivalence",
     "snapshot_roundtrip",
     "park_transparency",
     "pipeline_vs_serial",
@@ -177,19 +171,6 @@ def _clean(scenario: Scenario) -> Scenario:
 # ----------------------------------------------------------------------
 # Individual invariants
 # ----------------------------------------------------------------------
-def _check_kernel_equivalence(scenario: Scenario,
-                              baseline: Dict[str, Any]) -> InvariantOutcome:
-    # The native kernel must reproduce the python record byte for byte; an
-    # unbuilt extension skips the check rather than failing it, so
-    # compiler-less installs stay green.
-    if not HAVE_NATIVE:
-        return InvariantOutcome("kernel_equivalence", "skip",
-                                "native kernel extension not built")
-    record = run_scenario(scenario, kernel="native")
-    return _compare("kernel_equivalence", baseline, record,
-                    "native kernel record != python kernel record")
-
-
 def _check_snapshot_roundtrip(scenario: Scenario, baseline: Dict[str, Any],
                               cadence: int, workdir: str) -> InvariantOutcome:
     name = "snapshot_roundtrip"
@@ -198,7 +179,7 @@ def _check_snapshot_roundtrip(scenario: Scenario, baseline: Dict[str, Any],
     snapshotted = scenario.with_(options=replace(
         scenario.options, snapshot_every=cadence, snapshot_dir=snapdir))
     try:
-        record = run_scenario(snapshotted, kernel="python")
+        record = run_scenario(snapshotted)
     except SnapshotError as exc:
         # Truncation (max_cycles_per_increment) can leave in-flight state a
         # capture legitimately refuses; that is the snapshot subsystem
@@ -213,13 +194,13 @@ def _check_snapshot_roundtrip(scenario: Scenario, baseline: Dict[str, Any],
         return InvariantOutcome(name, "skip", "no boundary reached cadence")
     for filename in boundaries:
         snap = Snapshot.load(os.path.join(snapdir, filename))
-        resumed = resume_scenario(scenario, snap, kernel="python")
+        resumed = resume_scenario(scenario, snap)
         outcome = _compare(name, baseline, resumed,
                            f"resume from {filename} diverged")
         if outcome.status == "fail":
             return outcome
         _dataset, _device, graph, _algorithm = restore_scenario(
-            scenario, snap, kernel="python")
+            scenario, snap)
         recaptured = capture(graph)
         if recaptured.state_hash != snap.state_hash:
             return InvariantOutcome(
@@ -236,8 +217,7 @@ def _disable_parking(device) -> None:
 
 def _check_park_transparency(scenario: Scenario,
                              baseline: Dict[str, Any]) -> InvariantOutcome:
-    record = run_scenario(scenario, kernel="python",
-                          device_setup=_disable_parking)
+    record = run_scenario(scenario, device_setup=_disable_parking)
     return _compare("park_transparency", baseline, record,
                     "disabling busy-cell parking changed the record")
 
@@ -249,7 +229,6 @@ def _span_leg(scenario: Scenario, cadence: int, spill: str,
     uninterrupted serve job is, saving nothing; a cold leg parks at every
     span's end, so every later task restores the checkpoint the park
     wrote."""
-    scenario = _pinned(scenario, "python")
     handoffs, start, record = [], 0, None
     while record is None:
         start, record, handoff = _job_task(scenario, start, cadence, spill,
@@ -298,7 +277,7 @@ def _check_trace_transparency(scenario: Scenario, baseline: Dict[str, Any],
     trace_path = os.path.join(workdir, "trace.json")
     traced = scenario.with_(options=replace(
         scenario.options, trace_path=trace_path))
-    record = run_scenario(traced, kernel="python")
+    record = run_scenario(traced)
     outcome = _compare(name, baseline, record,
                        "tracing changed the record")
     if outcome.status == "fail":
@@ -374,7 +353,7 @@ def _guard(name: str, fn, *args) -> InvariantOutcome:
 
 def _check_all(clean: Scenario, cadence: int, workdir: str) -> OracleReport:
     try:
-        baseline = run_scenario(clean, kernel="python")
+        baseline = run_scenario(clean)
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
         detail = (f"baseline run crashed: {type(exc).__name__}: {exc}")
         return OracleReport(
@@ -383,8 +362,6 @@ def _check_all(clean: Scenario, cadence: int, workdir: str) -> OracleReport:
                       for name in INVARIANTS],
         )
     outcomes = [
-        _guard("kernel_equivalence",
-               _check_kernel_equivalence, clean, baseline),
         _guard("snapshot_roundtrip",
                _check_snapshot_roundtrip, clean, baseline, cadence, workdir),
         _guard("park_transparency",

@@ -3,10 +3,10 @@
 :func:`scenarios` generates *valid* random :class:`~repro.harness.scenario.
 Scenario` specs spanning every axis the determinism contract quantifies
 over: mesh sizes, dataset families and sampling orders, increment counts,
-fidelities, routings, kernels, cell capacities, truncation budgets and
-snapshot cadences.  Sizes are kept deliberately tiny — the oracle runs each
-example ~8 times (kernels x snapshots x spans x traces), so one example
-must stay in the tens-of-milliseconds range.
+fidelities, routings, cell capacities, truncation budgets and snapshot
+cadences.  Sizes are kept deliberately tiny — the oracle runs each example
+~7 times (snapshots x spans x traces), so one example must stay in the
+tens-of-milliseconds range.
 
 Shrinking
 ---------
@@ -18,8 +18,7 @@ simplest scenario that still fails:
   increments;
 * ``sampled_from`` axes shrink toward the first element, so the orderings
   below put the simplest choice first (``ingest`` before algorithms,
-  ``cycle`` before the exotic fidelities, ``uniform`` before ``sbm``,
-  ``auto`` before pinned kernels);
+  ``cycle`` before the exotic fidelities, ``uniform`` before ``sbm``);
 * optional axes (truncation) shrink toward ``None`` via ``one_of``.
 
 A shrunk failing example is therefore directly readable as a minimal
@@ -34,8 +33,6 @@ from dataclasses import replace
 from hypothesis import strategies as st
 
 from repro._compat import HAVE_NUMPY
-from repro.arch._native import HAVE_NATIVE
-from repro.arch.config import KERNELS
 from repro.algorithms.registry import algorithm_infos
 from repro.harness.scenario import (
     ChipSpec,
@@ -76,19 +73,13 @@ def dataset_specs(draw, numpy_ok: bool = None) -> DatasetSpec:
 
 @st.composite
 def chip_specs(draw) -> ChipSpec:
-    """A valid :class:`ChipSpec`; shrinks toward a plain 2x2 cycle chip.
-
-    The compiled C sweep joins the kernel axis only when the extension is
-    built; on compiler-less installs the axis shrinks rather than failing.
-    """
-    kernels = tuple(k for k in KERNELS if k != "native" or HAVE_NATIVE)
+    """A valid :class:`ChipSpec`; shrinks toward a plain 2x2 cycle chip."""
     return ChipSpec(
         side=draw(st.integers(2, MAX_SIDE)),
         fidelity=draw(st.sampled_from(("cycle", "cycle-ref", "latency"))),
         routing=draw(st.sampled_from(("yx", "xy"))),
         edge_list_capacity=draw(st.integers(1, 8)),
         ghost_slots=draw(st.integers(1, 2)),
-        kernel=draw(st.sampled_from(kernels)),
     )
 
 

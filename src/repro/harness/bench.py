@@ -15,17 +15,14 @@ Methodology
 * Repetitions are **interleaved** (rep-major order: every workload once,
   then every workload again, ...), so slow machine drift — thermal
   throttling, a noisy CI neighbour — spreads across all workloads instead
-  of biasing whichever ran last.  A list of NoC kernels runs back to back
-  inside each (rep, workload) pair: one kernel is the plain bench, two or
-  more are an in-process A/B.
+  of biasing whichever ran last.
 * The timed region is the simulation only (streaming + query); dataset
   generation and device construction are excluded, so ``cycles/sec``
   tracks the simulator hot loop the ROADMAP numbers refer to.
-* Cycle counts are deterministic: if two runs of one workload disagree,
-  across reps or across kernels, the run itself is broken and
-  :func:`run_bench` raises rather than reporting garbage.  The same
-  property powers the baseline check —
-  when the repro version matches, differing cycles mean an unversioned
+* Cycle counts are deterministic: if two reps of one workload disagree,
+  the run itself is broken and :func:`run_bench` raises rather than
+  reporting garbage.  The same property powers the baseline check — when
+  the repro version matches, differing cycles mean an unversioned
   behaviour change, which :func:`compare_bench` flags as a hard failure
   regardless of tolerance.
 """
@@ -40,13 +37,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro.arch import _native
-from repro.arch.config import KERNELS
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import Scenario
 
 #: Schema identifier stamped into (and required from) every bench JSON.
-BENCH_SCHEMA = "repro-bench/v2"
+BENCH_SCHEMA = "repro-bench/v3"
 
 #: Interleaved repetitions per workload.
 DEFAULT_REPS = 3
@@ -57,82 +52,55 @@ DEFAULT_TOLERANCE = 0.25
 
 @dataclass
 class WorkloadResult:
-    """Measured performance of one benchmark workload under each kernel."""
+    """Measured performance of one benchmark workload."""
 
     name: str
     spec_hash: str
     total_cycles: int
-    #: Simulation wall times per kernel, in the order the kernels ran.
-    sim_wall_s: Dict[str, List[float]] = field(default_factory=dict)
+    #: Simulation wall time of each rep, in the order the reps ran.
+    sim_wall_s: List[float] = field(default_factory=list)
 
-    def median_cycles_per_sec(self, kernel: str) -> float:
+    def median_cycles_per_sec(self) -> float:
         return statistics.median(
-            self.total_cycles / s for s in self.sim_wall_s[kernel] if s > 0)
+            self.total_cycles / s for s in self.sim_wall_s if s > 0)
 
 
 def run_bench(
     scenarios: Sequence[Scenario],
     *,
-    kernels: Sequence[str] = ("auto",),
     reps: int = DEFAULT_REPS,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[WorkloadResult]:
-    """Time each scenario ``reps`` times under every kernel, interleaved.
+    """Time each scenario ``reps`` times, interleaved.
 
-    Rep-major order (every workload once, then every workload again) with
-    the kernels back to back inside each (rep, workload) pair, in one warm
-    process: machine drift lands on every workload and on both sides of a
-    kernel comparison instead of biasing whichever ran last.  (Separate-
-    process runs on the perf suite show ±15% rep-to-rep spread from
-    scheduler noise alone; interleaving is what makes a ~1.2x kernel delta
-    measurable at all.)  One kernel is the plain bench; two or more are an
-    A/B.
+    Rep-major order (every workload once, then every workload again), in
+    one warm process: machine drift lands on every workload instead of
+    biasing whichever ran last.  (Separate-process runs on the perf suite
+    show ±15% rep-to-rep spread from scheduler noise alone.)
 
-    Every run of a workload must report the same deterministic cycle count,
-    across reps and across kernels (their schedules are bit-identical), so
-    a divergence raises :class:`RuntimeError` rather than poisoning a
-    median.  An empty, duplicated or unknown kernel list, ``auto`` in a
-    list of two or more (it aliases one of the concrete kernels, so the
-    A/B would time a kernel against itself), or ``native`` without the
-    built extension (timing the silent python fallback would be
-    dishonest), raises :class:`ValueError` before anything runs.
+    Every rep of a workload must report the same deterministic cycle
+    count, so a divergence raises :class:`RuntimeError` rather than
+    poisoning a median.
     """
-    kernels = list(kernels)
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    bad = [k for k in kernels if k not in KERNELS]
-    if not kernels or bad or len(set(kernels)) != len(kernels):
-        raise ValueError(f"kernels must be distinct names out of {KERNELS}, "
-                         f"got {kernels}")
-    if len(kernels) > 1 and "auto" in kernels:
-        raise ValueError(f"an A/B names concrete kernels; 'auto' aliases one "
-                         f"of them, got {kernels}")
-    if "native" in kernels and not _native.HAVE_NATIVE:
-        raise ValueError("kernel 'native' is not built, and timing its python "
-                         "fallback would be dishonest (pip install -e "
-                         "'.[native]' builds it)")
     say = progress or (lambda _msg: None)
     results: Dict[str, WorkloadResult] = {}
     for rep in range(reps):
         for scenario in scenarios:
-            for kernel in kernels:
-                timings: Dict[str, float] = {}
-                record = run_scenario(scenario, timings=timings, kernel=kernel)
-                cycles = record["total_cycles"]
-                result = results.setdefault(scenario.name, WorkloadResult(
-                    scenario.name, record["spec_hash"], cycles))
-                if cycles != result.total_cycles:
-                    why = ("the run is nondeterministic"
-                           if kernel in result.sim_wall_s else
-                           "the bit-identical-schedule contract is broken")
-                    raise RuntimeError(
-                        f"{scenario.name!r} ran {cycles} cycles under kernel "
-                        f"{kernel!r} in rep {rep + 1}, not "
-                        f"{result.total_cycles}: {why}")
-                result.sim_wall_s.setdefault(kernel, []).append(
-                    timings["sim_s"])
-                say(f"[rep {rep + 1}/{reps}] {scenario.name} ({kernel}): "
-                    f"{cycles / timings['sim_s']:,.0f} cycles/sec")
+            timings: Dict[str, float] = {}
+            record = run_scenario(scenario, timings=timings)
+            cycles = record["total_cycles"]
+            result = results.setdefault(scenario.name, WorkloadResult(
+                scenario.name, record["spec_hash"], cycles))
+            if cycles != result.total_cycles:
+                raise RuntimeError(
+                    f"{scenario.name!r} ran {cycles} cycles in rep "
+                    f"{rep + 1}, not {result.total_cycles}: the run is "
+                    "nondeterministic")
+            result.sim_wall_s.append(timings["sim_s"])
+            say(f"[rep {rep + 1}/{reps}] {scenario.name}: "
+                f"{cycles / timings['sim_s']:,.0f} cycles/sec")
     return [results[s.name] for s in scenarios]
 
 
@@ -145,16 +113,13 @@ def bench_payload(
 ) -> Dict[str, Any]:
     """The schema-versioned JSON document a bench run emits.
 
-    Every workload carries its wall times and median cycles/sec under each
-    kernel, in the order the kernels ran; a kernel list of one is the
-    plain bench.
+    Every workload carries its per-rep wall times and median cycles/sec.
     """
     return {
         "schema": BENCH_SCHEMA,
         "tag": tag,
         "suite": suite,
         "reps": reps,
-        "kernels": list(results[0].sim_wall_s) if results else [],
         "repro_version": __version__,
         "platform": {
             "python": platform.python_version(),
@@ -165,14 +130,8 @@ def bench_payload(
                 "name": r.name,
                 "spec_hash": r.spec_hash,
                 "total_cycles": r.total_cycles,
-                "kernels": {
-                    kernel: {
-                        "sim_wall_s": [round(s, 6) for s in walls],
-                        "median_cycles_per_sec":
-                            round(r.median_cycles_per_sec(kernel), 1),
-                    }
-                    for kernel, walls in r.sim_wall_s.items()
-                },
+                "sim_wall_s": [round(s, 6) for s in r.sim_wall_s],
+                "median_cycles_per_sec": round(r.median_cycles_per_sec(), 1),
             }
             for r in results
         ],
@@ -192,8 +151,7 @@ def write_bench(path: str | Path, payload: Dict[str, Any]) -> Path:
 def load_bench(path: str | Path) -> Dict[str, Any]:
     """Load a bench JSON document, refusing another schema or no medians.
 
-    A report without a single (workload, kernel) median -- no workloads,
-    or workloads without a ``kernels`` map -- would make every baseline
+    A report without a single workload median would make every baseline
     comparison pass vacuously, so it is refused like a wrong schema.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -203,18 +161,17 @@ def load_bench(path: str | Path) -> Dict[str, Any]:
             f"{path}: unsupported bench schema {schema!r} "
             f"(expected {BENCH_SCHEMA!r})"
         )
-    if not _pairs(payload):
+    if not _medians(payload):
         raise ValueError(
-            f"{path}: bench report has no (workload, kernel) medians")
+            f"{path}: bench report has no workload medians")
     return payload
 
 
 @dataclass
 class ComparisonRow:
-    """One (workload, kernel) current-vs-baseline verdict."""
+    """One workload's current-vs-baseline verdict."""
 
     name: str
-    kernel: str
     status: str  # "ok" | "regression" | "cycles-changed" | "new" | "missing"
     baseline_cps: Optional[float] = None
     current_cps: Optional[float] = None
@@ -229,7 +186,7 @@ class ComparisonRow:
 
 @dataclass
 class BenchComparison:
-    """Verdicts for every (workload, kernel) in current ∪ baseline."""
+    """Verdicts for every workload in current ∪ baseline."""
 
     rows: List[ComparisonRow] = field(default_factory=list)
     tolerance: float = DEFAULT_TOLERANCE
@@ -244,12 +201,11 @@ class BenchComparison:
         return not self.failures
 
 
-def _pairs(payload: Dict[str, Any]) -> Dict[Tuple[str, str], Tuple[Any, Any]]:
-    """``{(workload, kernel): (total cycles, median cycles/sec)}``."""
-    return {(w["name"], kernel): (w.get("total_cycles"),
-                                  k.get("median_cycles_per_sec"))
+def _medians(payload: Dict[str, Any]) -> Dict[str, Tuple[Any, Any]]:
+    """``{workload: (total cycles, median cycles/sec)}``."""
+    return {w["name"]: (w.get("total_cycles"), w["median_cycles_per_sec"])
             for w in payload.get("workloads", [])
-            for kernel, k in w.get("kernels", {}).items()}
+            if "median_cycles_per_sec" in w}
 
 
 def compare_bench(
@@ -260,31 +216,31 @@ def compare_bench(
 ) -> BenchComparison:
     """Compare a bench payload against a baseline payload.
 
-    Each (workload, kernel) median of the baseline is compared with the
-    same pair in the current run.  It **regresses** when the current median
+    Each workload median of the baseline is compared with the same
+    workload in the current run.  It **regresses** when the current median
     cycles/sec falls below ``(1 - tolerance)`` of the baseline's; running
     faster never fails.  When both payloads were produced by the same repro
     version, deterministic cycle counts must match exactly — a mismatch
     means simulator behaviour changed without a version bump and fails the
-    comparison outright.  Pairs missing from the current run fail too (a
-    silently shrunk benchmark must not look like a pass); new pairs are
-    reported as informational.
+    comparison outright.  Workloads missing from the current run fail
+    too (a silently shrunk benchmark must not look like a pass); new
+    workloads are reported as informational.
     """
     comparison = BenchComparison(tolerance=tolerance)
-    current_pairs = _pairs(current)
-    baseline_pairs = _pairs(baseline)
+    current_medians = _medians(current)
+    baseline_medians = _medians(baseline)
     same_version = (current.get("repro_version") == baseline.get("repro_version"))
 
-    for (name, kernel), (base_cycles, base_cps) in baseline_pairs.items():
-        if (name, kernel) not in current_pairs:
+    for name, (base_cycles, base_cps) in baseline_medians.items():
+        if name not in current_medians:
             comparison.rows.append(ComparisonRow(
-                name=name, kernel=kernel, status="missing",
+                name=name, status="missing",
                 baseline_cps=base_cps,
                 detail="present in baseline but not in this run",
             ))
             continue
-        cur_cycles, cur_cps = current_pairs[name, kernel]
-        row = ComparisonRow(name=name, kernel=kernel, status="ok",
+        cur_cycles, cur_cps = current_medians[name]
+        row = ComparisonRow(name=name, status="ok",
                             baseline_cps=base_cps, current_cps=cur_cps)
         if same_version and cur_cycles != base_cycles:
             row.status = "cycles-changed"
@@ -302,10 +258,10 @@ def compare_bench(
             )
         comparison.rows.append(row)
 
-    for (name, kernel), (_cycles, cur_cps) in current_pairs.items():
-        if (name, kernel) not in baseline_pairs:
+    for name, (_cycles, cur_cps) in current_medians.items():
+        if name not in baseline_medians:
             comparison.rows.append(ComparisonRow(
-                name=name, kernel=kernel, status="new", current_cps=cur_cps,
+                name=name, status="new", current_cps=cur_cps,
                 detail="not present in baseline",
             ))
     return comparison

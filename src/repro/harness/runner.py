@@ -103,17 +103,6 @@ def make_algorithm(scenario: Scenario):
     return get_algorithm(scenario.algorithm).instantiate(root=scenario.options.root)
 
 
-def _pinned(scenario: Scenario, kernel: Optional[str]) -> Scenario:
-    """The scenario with its NoC kernel pin overridden (``None``: as is).
-
-    The pin is identity-free (stripped from the spec hash), so the override
-    rides inside the pickled scenario and changes no record byte.
-    """
-    if kernel is None:
-        return scenario
-    return scenario.with_(chip=replace(scenario.chip, kernel=kernel))
-
-
 def _materialize(
     scenario: Scenario,
     snapshot: Optional[Snapshot] = None,
@@ -350,16 +339,12 @@ def _run_span(
 # ----------------------------------------------------------------------
 def run_scenario(
     scenario: Scenario, *, timings: Optional[Dict[str, float]] = None,
-    kernel: Optional[str] = None,
     device_setup: Optional[Callable[[AMCCADevice], None]] = None,
 ) -> Dict[str, Any]:
     """Execute one scenario end to end and return its result record.
 
-    ``timings`` and ``device_setup`` are described at :func:`_run_span`;
-    ``kernel`` overrides the scenario's NoC kernel pin (a speed knob only:
-    records are bit-identical across kernels).
+    ``timings`` and ``device_setup`` are described at :func:`_run_span`.
     """
-    scenario = _pinned(scenario, kernel)
     cycles, final = _run_span(scenario, timings=timings,
                               device_setup=device_setup, close=True)
     return _assemble_record(scenario, cycles, final)
@@ -367,7 +352,7 @@ def run_scenario(
 
 def run_scenario_traced(
     scenario: Scenario, *, frames_every: int = 0,
-    kernel: Optional[str] = None, trace_path: Optional[str] = None,
+    trace_path: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], AMCCADevice]:
     """Run one scenario instrumented, returning ``(record, device)``.
 
@@ -380,7 +365,6 @@ def run_scenario_traced(
     trace of the run.  The record is byte-identical to
     :func:`run_scenario`'s — instrumentation is observer-only.
     """
-    scenario = _pinned(scenario, kernel)
     if trace_path is not None:
         scenario = scenario.with_(options=replace(scenario.options,
                                                   trace_path=trace_path))
@@ -396,9 +380,7 @@ def run_scenario_traced(
     return _assemble_record(scenario, cycles, final), devices[0]
 
 
-def restore_scenario(
-    scenario: Scenario, snapshot, *, kernel: Optional[str] = None,
-) -> Run:
+def restore_scenario(scenario: Scenario, snapshot) -> Run:
     """Rebuild a scenario's run mid-stream from a snapshot.
 
     Reconstructs the code side (device, registry, graph skeleton,
@@ -407,12 +389,10 @@ def restore_scenario(
     from the same spec: the embedded ``spec_hash`` (which folds in
     :data:`repro.__version__`) is checked before anything is touched.
     """
-    return _materialize(_pinned(scenario, kernel), snapshot)
+    return _materialize(scenario, snapshot)
 
 
-def snapshot_at(
-    scenario: Scenario, increment: int, *, kernel: Optional[str] = None,
-):
+def snapshot_at(scenario: Scenario, increment: int):
     """Run a scenario up to an increment boundary and capture a snapshot.
 
     ``increment`` counts streamed increments (1-based boundaries): ``K``
@@ -423,7 +403,6 @@ def snapshot_at(
         raise ValueError(
             f"increment boundary {increment} out of range 1..{total} "
             f"for {scenario.name!r}")
-    scenario = _pinned(scenario, kernel)
     run = _materialize(scenario)
     try:
         _run_span(scenario, increment, run=run, final=False)
@@ -432,9 +411,7 @@ def snapshot_at(
         run[2].close()
 
 
-def resume_scenario(
-    scenario: Scenario, snapshot, *, kernel: Optional[str] = None,
-) -> Dict[str, Any]:
+def resume_scenario(scenario: Scenario, snapshot) -> Dict[str, Any]:
     """Restore from a snapshot, run to completion, return the full record.
 
     The record is **byte-identical** to an uninterrupted
@@ -443,7 +420,6 @@ def resume_scenario(
     increments are simulated, and the final statistics follow from the
     restored state.
     """
-    scenario = _pinned(scenario, kernel)
     cycles, final = _run_span(scenario, run=_materialize(scenario, snapshot),
                               close=True)
     return _assemble_record(scenario, cycles, final)
@@ -600,7 +576,6 @@ def run_suite(
     timeout: Optional[float] = None,
     expect_cached: bool = False,
     pool: Optional[DispatchPool] = None,
-    kernel: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     trace_base: Optional[str] = None,
@@ -634,11 +609,6 @@ def run_suite(
         by its owner; its size, not ``jobs``, sets the concurrency.
         Without one, a pool of ``jobs`` workers (at most one per scenario
         to run) is built for the call and shut down before it returns.
-    kernel:
-        Override every scenario's NoC kernel pin (one of
-        :data:`repro.arch.config.KERNELS`).  A speed knob only: records, spec hashes and cache
-        behaviour are identical across kernels, so this composes freely
-        with the store.
     tracer:
         Optional :class:`repro.obs.Tracer` observing the harness side of
         the run: cache hits/outcomes, pool task spans, store writes.  The
@@ -708,11 +678,10 @@ def run_suite(
                     max(1, min(jobs, len(pending))))
                 observed_pool.tracer = tracer
                 observed_pool.metrics = metrics
-                # The kernel pin rides inside the pickled scenario.
                 # Task statuses are outcome statuses; only "ok" has a value.
                 results = observed_pool.run_all(
-                    [(run_scenario, (_pinned(scenarios[i], kernel),))
-                     for i in pending], timeout=timeout)
+                    [(run_scenario, (scenarios[i],)) for i in pending],
+                    timeout=timeout)
                 outcomes = [ScenarioOutcome(scenarios[i], result.value,
                                             cached=False, status=result.status,
                                             error=result.error)
@@ -720,7 +689,7 @@ def run_suite(
             else:
                 outcomes = [
                     ScenarioOutcome(scenarios[i],
-                                    run_scenario(scenarios[i], kernel=kernel),
+                                    run_scenario(scenarios[i]),
                                     cached=False)
                     for i in pending
                 ]

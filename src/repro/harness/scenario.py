@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
 from repro import __version__
@@ -34,9 +34,9 @@ class DatasetSpec:
     degrees — the allocator-comparison suite's ghost-chain stressor).
     R-MAT requires a power-of-two vertex count and treats ``edges`` as
     the attempted count ``vertices * edge_factor`` (self loops are
-    dropped, so slightly fewer edges stream).  Unlike the chip's
-    ``kernel`` pin this **is** experiment identity — different generators
-    stream different edges — but the default is omitted from
+    dropped, so slightly fewer edges stream).  The generator **is**
+    experiment identity — different generators stream different edges —
+    but the default is omitted from
     :meth:`Scenario.spec_dict` so every pre-existing spec hash, graph seed
     and stored record stays byte-identical.
     """
@@ -72,17 +72,7 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ChipSpec:
-    """Declarative description of the simulated chip for one scenario.
-
-    ``kernel`` pins the NoC sweep implementation (one of
-    :data:`repro.arch.config.KERNELS`, see :mod:`repro.arch.kernels`).  It
-    is an **execution detail, not part of the experiment's identity**:
-    every kernel produces the bit-identical schedule, so the field is
-    excluded from :meth:`Scenario.spec_dict` (and therefore from the spec
-    hash, the graph seed and stored records).  Pinning a kernel never invalidates caches --
-    and a record computed under one kernel is, by construction, the record
-    of every kernel.
-    """
+    """Declarative description of the simulated chip for one scenario."""
 
     side: int = 32
     fidelity: str = "cycle"
@@ -90,7 +80,6 @@ class ChipSpec:
     edge_list_capacity: int = 16
     ghost_slots: int = 1
     clock_ghz: float = 1.0
-    kernel: str = "auto"
 
     def to_chip_config(self) -> ChipConfig:
         """Materialise into the simulator's :class:`ChipConfig`."""
@@ -102,7 +91,6 @@ class ChipSpec:
             edge_list_capacity=self.edge_list_capacity,
             ghost_slots=self.ghost_slots,
             clock_ghz=self.clock_ghz,
-            kernel=self.kernel,
         )
 
 
@@ -114,12 +102,11 @@ class RunOptions:
     streamed increments the runner saves a :mod:`repro.snapshot` checkpoint
     into ``snapshot_dir`` (``<scenario>-incNNNN.snap``).  ``trace_path``
     writes a Chrome trace-event JSON of the run (see :mod:`repro.obs`).
-    Like the chip's ``kernel`` pin they are **operational knobs, not
-    experiment identity**: a checkpointed or traced run produces the
-    bit-identical record of a plain one (tracing is observer-only by
-    contract), so all three fields are stripped from
-    :meth:`Scenario.spec_dict` (and therefore from spec hashes, graph seeds
-    and stored records).
+    They are **operational knobs, not experiment identity**: a
+    checkpointed or traced run produces the bit-identical record of a plain
+    one (tracing is observer-only by contract), so all three fields are
+    stripped from :meth:`Scenario.spec_dict` (and therefore from spec
+    hashes, graph seeds and stored records).
 
     ``graph_seed`` pins the seed of placement and ghost allocation, which
     :meth:`Scenario.graph_seed` otherwise derives from the spec.  It **is**
@@ -183,16 +170,13 @@ class Scenario:
     def spec_dict(self) -> Dict[str, Any]:
         """Nested plain-dict form of the scenario (JSON-serialisable).
 
-        The chip's ``kernel`` field and the run's ``snapshot_every``/
-        ``snapshot_dir`` knobs are stripped: kernels produce
-        bit-identical schedules, so the serialised spec (and everything
-        derived from it: the canonical JSON, the spec hash, the graph seed,
-        the record's embedded scenario) is kernel-independent.  Runners
-        thread the pin alongside the spec where it matters (see
-        :func:`repro.harness.runner.run_suite`).
+        The run's ``snapshot_every``/``snapshot_dir``/``trace_path`` knobs
+        are stripped: a checkpointed or traced run's record is a plain
+        run's, so the serialised spec (and everything derived from it: the
+        canonical JSON, the spec hash, the graph seed, the record's
+        embedded scenario) leaves them out.
         """
         data = asdict(self)
-        data["chip"].pop("kernel", None)
         data["options"].pop("snapshot_every", None)
         data["options"].pop("snapshot_dir", None)
         data["options"].pop("trace_path", None)
@@ -207,7 +191,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
-        """Rebuild a scenario from :meth:`spec_dict` output."""
+        """Rebuild a scenario from :meth:`spec_dict` output.
+
+        A field the scenario does not have raises :class:`TypeError`, at
+        the top level as in every nested spec.
+        """
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise TypeError(f"unexpected scenario field(s) {sorted(unknown)}")
         return cls(
             name=data["name"],
             dataset=DatasetSpec(**data["dataset"]),

@@ -8,10 +8,10 @@ serves two distinct producers, with one hard line between them:
   integer counters and fixed-bucket histograms built from its counts of
   cycles per value of each per-cycle quantity.  They are embedded in every result-store record under a ``metrics`` key,
   *unconditionally*: because the values are part of the pinned schedule
-  (identical across kernels, tracing on or off), records stay
+  (identical with tracing on or off), records stay
   byte-identical whether or not any instrumentation was attached.
 * **Runtime metrics** (pool queue depth and task latency, store rewrites,
-  cache hits, wall times) are nondeterministic or kernel-dependent.  They
+  cache hits, wall times) are nondeterministic or host-dependent.  They
   live only in an exported registry (``repro suite run --metrics-out`` /
   ``repro metrics``) and are **never** written into records.
 
@@ -321,10 +321,9 @@ def record_metrics(stats) -> Dict[str, Any]:
     Derived from :class:`~repro.arch.stats.SimStats` only — integer event
     counters plus fixed-bucket histograms built from its counts of cycles
     per value of each per-cycle quantity, all of which are part of the
-    bit-identical schedule contract.  No wall-clock,
-    host or kernel-dependent value may ever be added here: records must
-    stay byte-identical across kernels and across instrumented /
-    uninstrumented runs (see docs/observability.md).
+    bit-identical schedule contract.  No wall-clock or host-dependent
+    value may ever be added here: records must stay byte-identical across
+    instrumented / uninstrumented runs (see docs/observability.md).
     """
     registry = MetricsRegistry()
     counters = (

@@ -341,17 +341,21 @@ def serve_forever(config: ServeConfig) -> None:
         # SIGTERM takes SIGINT's KeyboardInterrupt path below.
         signal.signal(signal.SIGTERM, signal.default_int_handler)
     service = ScenarioService(config)
-    server = make_server(service)
-    host, port = server.server_address[:2]
-    service.start()
-    print(f"repro serve listening on http://{host}:{port} "
-          f"(jobs={config.jobs}, queue-depth={config.queue_depth}, "
-          f"store={config.store})", flush=True)
+    server = None
+    # Everything after the workers exist runs inside the try, so a signal
+    # or a bind error at any point still stops them.  The loop runs on this
+    # thread and has returned by ``finally``: there is nothing to shut down.
     try:
+        server = make_server(service)
+        host, port = server.server_address[:2]
+        service.start()
+        print(f"repro serve listening on http://{host}:{port} "
+              f"(jobs={config.jobs}, queue-depth={config.queue_depth}, "
+              f"store={config.store})", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     finally:
-        server.shutdown()
-        server.server_close()
+        if server is not None:
+            server.server_close()
         service.stop()

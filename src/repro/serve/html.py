@@ -63,7 +63,7 @@ def index_page(jobs: Sequence[Dict[str, Any]], *,
                      "(<code>POST /v1/jobs</code> a scenario spec).</p>")
     else:
         rows = ["<table><tr><th>Job</th><th>Name</th><th>Client</th>"
-                "<th>State</th><th>Progress</th><th>Kernel</th></tr>"]
+                "<th>State</th><th>Progress</th></tr>"]
         for job in jobs:
             state = job["state"] + (" (cached)" if job["cached"] else "")
             rows.append(
@@ -74,7 +74,6 @@ def index_page(jobs: Sequence[Dict[str, Any]], *,
                 f"<td>{escape(state)}</td>"
                 f"<td>{job['completed_increments']}/"
                 f"{job['total_increments']}</td>"
-                f"<td>{escape(str(job['kernel'] or 'default'))}</td>"
                 "</tr>")
         rows.append("</table>")
         parts.append("\n".join(rows))

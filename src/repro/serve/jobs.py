@@ -43,15 +43,10 @@ TERMINAL_STATES = (DONE, FAILED)
 class Job:
     """One admitted scenario run and its observable progress."""
 
-    def __init__(self, scenario: Scenario, client: str,
-                 kernel: Optional[str] = None) -> None:
+    def __init__(self, scenario: Scenario, client: str) -> None:
         self.id = scenario.spec_hash()
         self.scenario = scenario
         self.client = client
-        #: Identity-free kernel pin applied to the scenario each job task
-        #: carries (exactly as ``repro suite run --kernel`` does) — never
-        #: part of the job id.
-        self.kernel = kernel
         self.state = QUEUED
         self.cached = False
         self.total_increments = scenario.dataset.num_increments
@@ -101,7 +96,6 @@ class Job:
                 "client": self.client,
                 "state": self.state,
                 "cached": self.cached,
-                "kernel": self.kernel,
                 "completed_increments": self.completed_increments,
                 "total_increments": self.total_increments,
                 "pause_requested": self.pause_requested,

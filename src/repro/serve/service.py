@@ -51,9 +51,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.arch.config import KERNELS
 from repro.harness.pool import DispatchPool, TaskResult
-from repro.harness.runner import _job_task, _pinned, park_checkpoint
+from repro.harness.runner import _job_task, park_checkpoint
 from repro.harness.scenario import Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry
@@ -89,8 +88,6 @@ class ServeConfig:
     timeout: Optional[float] = None
     #: Increments per progress report — the progress/pause granularity.
     cadence: int = 1
-    #: Default kernel pin for submitted jobs (identity-free speed knob).
-    kernel: Optional[str] = None
     #: Checkpoint spill directory; a temp dir (removed on stop) by default.
     work_dir: Optional[str] = None
 
@@ -168,7 +165,8 @@ class ScenarioService:
         for pool in self.pools:
             pool.request_park()
         for thread in self._runners:
-            thread.join(timeout=60)
+            if thread.ident is not None:  # started
+                thread.join(timeout=60)
         for pool in self.pools:
             pool.shutdown()
         if self._own_work_dir:
@@ -180,25 +178,17 @@ class ScenarioService:
     def submit(self, payload: Any, client: str) -> Tuple[Optional[Job], int]:
         """Admit one Scenario spec; returns ``(job, http_status)``.
 
-        ``payload`` is either a raw ``Scenario.spec_dict`` or an envelope
-        ``{"scenario": spec, "kernel": name}``.  Invalid specs and kernel
-        names (envelope or ``chip.kernel``) raise ``ValueError`` before any
-        job exists (the app maps it to 400).  Statuses: 200 for an
-        existing job or a cache hit, 201 for a newly admitted job, 429
-        when the admission window is full (no job is created).
+        ``payload`` is a ``Scenario.spec_dict``.  An invalid spec, such as
+        one with a field no spec has (a ``chip.kernel``, say), raises
+        ``ValueError`` before any job exists (the app maps it to 400).
+        Statuses: 200 for an existing job or a cache hit, 201 for a newly
+        admitted job, 429 when the admission window is full (no job is
+        created).
         """
         if not isinstance(payload, dict):
             raise ValueError("job payload must be a JSON object")
-        kernel = self.config.kernel
-        spec = payload
-        if "scenario" in payload:
-            spec = payload["scenario"]
-            kernel = payload.get("kernel", kernel)
-        if kernel is not None and kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         try:
-            scenario = Scenario.from_dict(spec)
+            scenario = Scenario.from_dict(payload)
             scenario.chip.to_chip_config()  # rejects bad chip fields now
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid scenario spec: {exc}") from exc
@@ -210,7 +200,7 @@ class ScenarioService:
             return existing, 200
 
         if job_id in self.store:
-            job = Job(scenario, client, kernel)
+            job = Job(scenario, client)
             job.cached = True
             job.state = DONE
             job.completed_increments = job.total_increments
@@ -230,7 +220,7 @@ class ScenarioService:
             if active >= self.config.queue_depth:
                 self._count_job("rejected")
                 return None, 429
-            job = Job(scenario, client, kernel)
+            job = Job(scenario, client)
             self.registry._jobs[job_id] = job
         job.emit(f"admitted: {job.total_increments} increments, "
                  f"client {client}")
@@ -309,8 +299,7 @@ class ScenarioService:
         # Only the spec's identity reaches the worker: spec_dict() strips
         # the client's file-path options (trace_path, snapshot_dir,
         # snapshot_every), which a server must never act on.
-        scenario = _pinned(Scenario.from_dict(job.scenario.spec_dict()),
-                           job.kernel)
+        scenario = Scenario.from_dict(job.scenario.spec_dict())
         start = job.next_start
         spill_dir = os.path.join(self.work_dir, job.id[:16])
         result = pool.run(

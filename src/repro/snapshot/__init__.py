@@ -9,11 +9,10 @@ queues, runtime counters, RPVO blocks, ghost allocator RNG, ingest
 cursors — in a compact, schema-versioned, stdlib-only binary format
 (:mod:`repro.snapshot.format`).  Restoring it onto a freshly constructed
 device/graph yields a simulator whose subsequent schedule is
-**bit-identical** to the uninterrupted run, on every NoC kernel; that
-invariant is what lets ``repro serve`` hand chip
-state between the spans of a job (and pause and resume it at any
-boundary) and makes long runs resumable (``snapshot_every``).  See
-docs/snapshot.md.
+**bit-identical** to the uninterrupted run; that invariant is what lets
+``repro serve`` hand chip state between the spans of a job (and pause and
+resume it at any boundary) and makes long runs resumable
+(``snapshot_every``).  See docs/snapshot.md.
 
 Code is never serialised: executors, action handlers and message
 factories are rebuilt from the declarative spec by the restore path, and

@@ -32,8 +32,7 @@ from repro.snapshot.format import SnapshotError
 
 
 def _chip_meta(config: ChipConfig) -> Dict[str, Any]:
-    """The chip fields a restore must agree on (kernel excluded: it is a
-    speed knob with a bit-identical schedule, see docs/architecture.md)."""
+    """The chip fields a restore must agree on."""
     return {
         "width": config.width,
         "height": config.height,

@@ -8,7 +8,7 @@ piece of captured data state.  Nothing executable is ever deserialised.
 The hard invariant (pinned by ``tests/test_snapshot.py``): a simulator
 restored from a snapshot produces a **bit-identical schedule** — and
 therefore identical statistics, records and stores — to the uninterrupted
-run from the capture point, on every kernel.
+run from the capture point.
 """
 
 from __future__ import annotations

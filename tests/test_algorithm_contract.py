@@ -3,9 +3,8 @@
 Every algorithm registered in :mod:`repro.algorithms.registry` — including
 drop-in additions — is run through the same battery: registry metadata is
 well-formed, the attach/seed/stream/run/results lifecycle round-trips
-against the NetworkX reference, ``summarize`` is deterministic across NoC
-kernels, and per-block algorithm state survives a snapshot
-capture/restore.  A new workload file passes this suite or it does not
+against the NetworkX reference, and per-block algorithm state survives a
+snapshot capture/restore.  A new workload file passes this suite or it does not
 ship; nothing here is specialised per algorithm beyond what its declared
 capabilities say.
 """
@@ -28,12 +27,10 @@ from repro.arch.config import ChipConfig
 from repro.baselines.networkx_ref import build_networkx
 from repro.datasets.sbm import symmetrize
 from repro.graph.graph import DynamicGraph
-from repro.harness import ChipSpec, DatasetSpec, RunOptions, Scenario
-from repro.harness.runner import run_scenario
 from repro.runtime.device import AMCCADevice
 from repro.snapshot import Snapshot, capture, restore_into
 
-from helpers import random_edges, requires_numpy
+from helpers import random_edges
 
 #: Concrete registry entries (``ingest`` has no class to conform).
 CONCRETE = [info for info in algorithm_infos() if info.cls is not None]
@@ -155,33 +152,6 @@ def test_lifecycle_results_agree_with_reference(info):
     summary = algorithm.summarize(results)
     assert isinstance(summary, dict) and summary
     assert summary == algorithm.summarize(results)  # pure function
-
-
-# ----------------------------------------------------------------------
-# Kernel-independence of the whole record (summarize included)
-# ----------------------------------------------------------------------
-def contract_scenario(name):
-    info = get_algorithm(name)
-    return Scenario(
-        name=f"contract-{name}",
-        dataset=DatasetSpec(vertices=NUM_VERTICES, edges=48, sampling="edge",
-                            num_increments=2, symmetric=True,
-                            weighted=name == "sssp", seed=SEED,
-                            generator="uniform"),
-        chip=ChipSpec(side=4, edge_list_capacity=4),
-        algorithm=name,
-        options=RunOptions(root=0),
-    )
-
-
-@requires_numpy
-@pytest.mark.parametrize("name", CONCRETE_IDS)
-def test_record_identical_across_kernels(name):
-    # "auto" runs the native kernel wherever the extension is built.
-    python_record = run_scenario(contract_scenario(name), kernel="python")
-    auto_record = run_scenario(contract_scenario(name), kernel="auto")
-    assert python_record == auto_record
-    assert python_record["algo_metrics"]
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,6 @@ action runs its context-style handler through a generic executor.  Each
 branch is driven here by handing one message to the action's executor, as
 the simulator's cell loop does, and checking the cost, the emitted
 messages, the block and ingestor counters and the terminator's books.
-These tests build chips with the default kernel, so the native lane runs
-them against the C cell loop too.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.bfs import BFS_ACTION, BFS_WORDS, StreamingBFS
-from repro.arch._native import HAVE_NATIVE
 from repro.arch.address import Address
 from repro.arch.config import ChipConfig
 from repro.arch.message import Message
@@ -29,9 +26,8 @@ from repro.runtime.futures import FutureState
 from repro.runtime.terminator import TerminationError, Terminator
 
 
-def make_graph(algorithm=None, *, ingest_only=False, capacity=2,
-               kernel="auto"):
-    device = AMCCADevice(ChipConfig(width=4, height=4, kernel=kernel))
+def make_graph(algorithm=None, *, ingest_only=False, capacity=2):
+    device = AMCCADevice(ChipConfig(width=4, height=4))
     graph = DynamicGraph(device, 8, capacity=capacity, ghost_slots=1,
                          seed=1, ingest_only=ingest_only)
     if algorithm is not None:
@@ -335,13 +331,8 @@ class TestExecutorTable:
         device.register_action("late", lambda ctx, obj: None)
         assert "late" in table
 
-    @pytest.mark.parametrize("kernel", [
-        "python",
-        pytest.param("native", marks=pytest.mark.skipif(
-            not HAVE_NATIVE, reason="native sweep extension not built")),
-    ])
-    def test_unregistered_action_raises(self, kernel):
-        device, _graph = make_graph(kernel=kernel)
+    def test_unregistered_action_raises(self):
+        device, _graph = make_graph()
         device.simulator.inject_message(
             Message(0, 5, "no-such-action", Address(5, -1)))
         with pytest.raises(KeyError, match="no-such-action"):

@@ -260,11 +260,9 @@ class TestUpdateBaseline:
             "tag": "ci",
             "suite": "perf",
             "reps": 5,
-            "kernels": ["auto"],
             "repro_version": __version__,
             "workloads": [{"name": "w", "total_cycles": 10,
-                           "kernels": {"auto": {
-                               "median_cycles_per_sec": 1000.0}}}],
+                           "median_cycles_per_sec": 1000.0}],
         }
 
     def test_committed_baseline_loads(self):
@@ -272,9 +270,9 @@ class TestUpdateBaseline:
         assert baseline["suite"] == "perf"
         assert {w["name"] for w in baseline["workloads"]} == \
                {s.name for s in get_suite("perf")}
-        # Every perf workload keeps an `auto` median for the CI gate.
+        # Every perf workload keeps a median for the CI gate.
         for workload in baseline["workloads"]:
-            assert workload["kernels"]["auto"]["median_cycles_per_sec"] > 0
+            assert workload["median_cycles_per_sec"] > 0
 
     def test_rejects_wrong_schema(self, tmp_path):
         src = tmp_path / "bad.json"
@@ -291,21 +289,23 @@ class TestUpdateBaseline:
         payload = self._ci_payload()
         payload["workloads"] = []
         src.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"no \(workload, kernel\) medians"):
+        with pytest.raises(ValueError, match="no workload medians"):
             load_bench(src)
         # The gate refuses it before benchmarking anything.
         assert main(["bench", "--baseline", str(src)]) == 2
-        assert "no (workload, kernel) medians" in capsys.readouterr().err
+        assert "no workload medians" in capsys.readouterr().err
 
-    def test_rejects_workloads_without_kernel_medians(self, tmp_path):
-        """A v2 stamp over v1-shaped workloads yields no (workload, kernel)
-        pair, so it would gate nothing: refused like an empty report."""
-        src = tmp_path / "v1_shaped.json"
+    def test_rejects_workloads_without_medians(self, tmp_path):
+        """A v3 stamp over v2-shaped workloads (medians only inside a
+        per-kernel map) yields no workload median, so it would gate
+        nothing: refused like an empty report."""
+        src = tmp_path / "v2_shaped.json"
         payload = self._ci_payload()
         payload["workloads"] = [{"name": "w", "total_cycles": 10,
-                                 "median_cycles_per_sec": 1000.0}]
+                                 "kernels": {"auto": {
+                                     "median_cycles_per_sec": 1000.0}}}]
         src.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"no \(workload, kernel\) medians"):
+        with pytest.raises(ValueError, match="no workload medians"):
             load_bench(src)
 
 

@@ -8,8 +8,8 @@ from repro.arch.routing import make_routing
 from repro.arch.stats import SimStats
 
 
-def make_noc(fidelity="cycle", width=8, height=8, kernel="auto"):
-    cfg = ChipConfig(width=width, height=height, fidelity=fidelity, kernel=kernel)
+def make_noc(fidelity="cycle", width=8, height=8):
+    cfg = ChipConfig(width=width, height=height, fidelity=fidelity)
     stats = SimStats(num_cells=cfg.num_cells)
     return cfg, stats, build_noc(cfg, stats)
 
@@ -112,7 +112,7 @@ class TestCycleAccurateNoC:
         # Hops are written once at delivery, so progress in flight shows as
         # the untraversed remainder falling by one link per advance; the
         # advance call that returns the message is its delivery cycle.
-        cfg, _, noc = make_noc("cycle", kernel="python")
+        cfg, _, noc = make_noc("cycle")
         msg = Message(src=cfg.cc_at(0, 0), dst=cfg.cc_at(0, 5), action="a")
         noc.inject(msg, cycle=0)
         assert noc.untraversed_hops() == 5

@@ -5,7 +5,7 @@ indistinguishable from the dictionary-based
 :class:`~repro.arch.noc.ReferenceCycleAccurateNoC` (the executable spec):
 same delivery order, same delivery cycles, same hop counts and same link
 statistics, from single-message cases through full fixed-seed simulations.
-Also covers the link-id tables, the link-id route construction and the
+Also covers the link-id tables, the two-leg route construction and the
 deadline-bucketed latency model.
 """
 
@@ -115,21 +115,28 @@ def walk_lids(policy, src, dst):
     return lids
 
 
+def leg_lids(policy, src, dst):
+    """The link ids of the ``src -> dst`` route's two legs, in order."""
+    a, step_a, len_a, b, step_b, len_b = policy.route_legs(src, dst)
+    return ([a + i * step_a for i in range(len_a)]
+            + [b + i * step_b for i in range(len_b)])
+
+
 class TestRouteLids:
     @pytest.mark.parametrize("routing", ["yx", "xy"])
-    def test_route_lids_matches_next_hop_walk(self, routing):
+    def test_legs_match_next_hop_walk(self, routing):
         cfg = ChipConfig(width=7, height=5, routing=routing)
         policy = make_routing(cfg)
         rng = random.Random(3)
         for _ in range(200):
             src = rng.randrange(cfg.num_cells)
             dst = rng.randrange(cfg.num_cells)
-            assert policy.route_lids(src, dst) == walk_lids(policy, src, dst), (
+            assert leg_lids(policy, src, dst) == walk_lids(policy, src, dst), (
                 routing, src, dst)
 
     @settings(max_examples=300)
     @given(data=st.data())
-    def test_legs_expand_to_route_lids_and_next_hop_walk(self, data):
+    def test_legs_expand_to_next_hop_walk(self, data):
         routing = data.draw(st.sampled_from(["yx", "xy"]), label="routing")
         width, height = data.draw(
             st.sampled_from([(7, 5), (1, 6), (6, 1)]), label="mesh")
@@ -146,9 +153,7 @@ class TestRouteLids:
         else:
             dst = data.draw(st.integers(0, cfg.num_cells - 1), label="dst")
         a, step_a, len_a, b, step_b, len_b = policy.route_legs(src, dst)
-        legs = ([a + i * step_a for i in range(len_a)]
-                + [b + i * step_b for i in range(len_b)])
-        assert legs == policy.route_lids(src, dst) == walk_lids(policy, src, dst)
+        assert leg_lids(policy, src, dst) == walk_lids(policy, src, dst)
         assert len_a + len_b == cfg.manhattan(src, dst)
         # Each leg runs straight, and the two run in different directions:
         # the NoC reads a queued message's leg off its link's direction.
@@ -163,7 +168,7 @@ class TestRouteLids:
         cfg = ChipConfig(width=9, height=9)
         policy = make_routing(cfg)
         for src, dst in ((0, 80), (5, 5), (8, 72), (40, 0)):
-            assert len(policy.route_lids(src, dst)) == cfg.manhattan(src, dst)
+            assert len(leg_lids(policy, src, dst)) == cfg.manhattan(src, dst)
 
 
 class TestLegStateRoundTrip:

@@ -1,6 +1,6 @@
 """Pinning tests for the prepaid-hops truncation accounting.
 
-The fast cycle NoCs (python, native) and the latency model prepay a
+The fast cycle NoC and the latency model prepay a
 message's whole flit-hop charge at injection; the per-hop-accruing
 ``cycle-ref`` model is the executable spec of what was actually traversed.
 ``untraversed_hops()`` / ``SimStats.hops_untraversed`` turn the documented
@@ -14,8 +14,6 @@ at every cycle, with the remainder identically 0 at quiescence.
 
 import random
 
-import pytest
-
 from repro.arch.config import ChipConfig
 from repro.arch.message import Message
 from repro.arch.noc import (
@@ -27,14 +25,6 @@ from repro.arch.routing import make_routing
 from repro.arch.stats import SimStats
 from repro.harness import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.runner import run_scenario
-
-try:
-    from repro.arch._native import _sweep as _native_sweep
-except ImportError:  # pragma: no cover - optional extension absent
-    _native_sweep = None
-
-requires_native = pytest.mark.skipif(
-    _native_sweep is None, reason="native sweep extension not built")
 
 
 def _build(model_cls, width=6, height=6, max_message_words=4):
@@ -100,13 +90,6 @@ def test_cycle_noc_reconciles_with_reference():
     _fast_vs_ref(lambda: _build(CycleAccurateNoC))
 
 
-@requires_native
-def test_native_kernel_reconciles_with_reference():
-    from repro.arch.kernels import NativeCycleAccurateNoC
-
-    _fast_vs_ref(lambda: _build(NativeCycleAccurateNoC))
-
-
 def test_latency_noc_charges_everything_up_front():
     noc = _build(LatencyNoC)
     noc.inject(Message(src=0, dst=35, action="a", size_words=9), 0)
@@ -139,8 +122,3 @@ def test_record_exposes_untraversed_remainder():
     quiesced = run_scenario(
         _trunc_scenario(options=RunOptions()))
     assert quiesced["stats"]["hops_untraversed"] == 0
-
-
-def test_record_remainder_is_kernel_invariant():
-    scenario = _trunc_scenario()
-    assert run_scenario(scenario, kernel="python") == run_scenario(scenario)

@@ -213,24 +213,6 @@ class TestHTTPByteIdentity:
         direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         assert via_http == direct
 
-    def test_record_over_http_matches_direct_run_python_kernel(self, server):
-        """Kernel pinning is identity-free: a python-pinned job produces
-        the same id and byte-identical record as the default kernel."""
-        service, base = server
-        scenario = tiny_scenario("via-http-py")
-        code, body = request(
-            base, "POST", "/v1/jobs",
-            {"scenario": scenario.spec_dict(), "kernel": "python"})
-        assert code == 201
-        job = json.loads(body)
-        assert job["kernel"] == "python"
-        assert job["id"] == scenario.spec_hash()
-        final = wait_state(base, job["id"], ("done", "failed"))
-        assert final["state"] == "done", final
-        _, via_http = request(base, "GET", f"/v1/records/{job['id']}")
-        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
-        assert via_http == direct
-
     def test_truncated_job_finishes_with_direct_run_bytes(self, server):
         """A truncated scenario's boundaries can hold continuations no
         checkpoint captures, so its job runs as one span and finishes."""
@@ -300,11 +282,13 @@ class TestHTTPByteIdentity:
         assert "invalid scenario spec" in json.loads(body)["error"]
 
     @pytest.mark.parametrize("where,kernel", [
-        ("envelope", "numpy"), ("envelope", "bogus"), ("envelope", 5),
-        ("chip", "numpy"),
-    ], ids=["numpy", "bogus", "int", "chip-numpy"])
+        ("envelope", "python"), ("envelope", "numpy"), ("envelope", "bogus"),
+        ("envelope", 5), ("chip", "numpy"),
+    ], ids=["python", "numpy", "bogus", "int", "chip-numpy"])
     def test_bad_kernel_pin_is_400(self, server, where, kernel):
-        """A bad kernel pin is refused at submit: no job, no queue slot."""
+        """The kernel knob is gone: a ``chip.kernel`` field or a
+        ``{"scenario", "kernel"}`` envelope, whatever kernel it names, is
+        refused at submit with no job and no queue slot."""
         service, base = server
         spec = tiny_scenario("bad-kernel").spec_dict()
         if where == "chip":
@@ -314,7 +298,8 @@ class TestHTTPByteIdentity:
             payload = {"scenario": spec, "kernel": kernel}
         code, body = request(base, "POST", "/v1/jobs", payload)
         assert code == 400
-        assert "unknown kernel" in json.loads(body)["error"]
+        error = json.loads(body)["error"]
+        assert "invalid scenario spec" in error and "kernel" in error
         _, listing = request(base, "GET", "/v1/jobs")
         assert json.loads(listing)["jobs"] == []
 
@@ -575,6 +560,34 @@ class TestShutdown:
             server.stdout.close()
         assert [pid for pid in workers if pid_alive(pid)] == []
         assert list(tmp.glob("repro-serve-*")) == []
+
+    def test_signal_while_starting_still_stops_the_service(
+            self, tmp_path, monkeypatch):
+        """SIGTERM maps to KeyboardInterrupt; one that lands while the
+        service starts must still stop its workers and remove its work
+        dir, and must not escape ``serve_forever``."""
+        started = []
+        real_start = ScenarioService.start
+
+        def start(service):
+            real_start(service)
+            started.append((service, service.pools[0].worker_pids()))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ScenarioService, "start", start)
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            app.serve_forever(ServeConfig(
+                port=0, jobs=1, store=str(tmp_path / "store.jsonl")))
+        except KeyboardInterrupt:
+            for service, _ in started:
+                service.stop()
+            pytest.fail("KeyboardInterrupt escaped serve_forever")
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        ((service, workers),) = started
+        assert workers and [pid for pid in workers if pid_alive(pid)] == []
+        assert not Path(service.work_dir).exists()
 
 
 class TestTaskTimeout:

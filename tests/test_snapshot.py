@@ -3,7 +3,7 @@
 Pins the subsystem's hard invariant — a simulator restored from a snapshot
 produces a bit-identical schedule (and identical records, stats and
 stores) to the uninterrupted run from that point — at every increment
-boundary of a test scenario, on both NoC kernels, plus the wire format's
+boundary of a test scenario, plus the wire format's
 round-trip/corruption/versioning behaviour and the capture guard rails.
 """
 
@@ -228,8 +228,7 @@ def test_snapshot_info_reports_hostile_file(tmp_path, capsys):
 def test_snapshot_info_prints_section_bytes(tmp_path, capsys):
     from repro.cli import main
 
-    snap = capture_simulator(Simulator(ChipConfig(width=4, height=4,
-                                                  kernel="python")))
+    snap = capture_simulator(Simulator(ChipConfig(width=4, height=4)))
     path = snap.save(tmp_path / "bare.snap")
     assert main(["snapshot", "info", str(path)]) == 0
     sizes = {name: len(pack_value(value)) for name, value in snap.body.items()}
@@ -265,7 +264,7 @@ def _inject_wave(sim: Simulator, count: int) -> None:
 @pytest.mark.parametrize("fidelity", ["cycle", "latency", "cycle-ref"])
 def test_mid_flight_simulator_round_trip(fidelity):
     """Capture with messages in flight; the restored schedule is identical."""
-    config = ChipConfig(width=8, height=8, fidelity=fidelity, kernel="python")
+    config = ChipConfig(width=8, height=8, fidelity=fidelity)
     sim, executed = _sim_with_recorder(config)
     _inject_wave(sim, 40)
     sim.run(max_cycles=6)  # mid-flight: deliveries, parked cells, queues
@@ -289,7 +288,7 @@ def test_mid_flight_simulator_round_trip(fidelity):
 
 
 def test_bare_capture_refuses_resident_memory():
-    config = ChipConfig(width=4, height=4, kernel="python")
+    config = ChipConfig(width=4, height=4)
     sim = Simulator(config)
     sim.set_executor(lambda cell, msg: (1, []))
     sim.cell(0).allocate(object())
@@ -300,7 +299,7 @@ def test_bare_capture_refuses_resident_memory():
 def test_capture_refuses_task_closures_in_queues():
     from repro.arch.cell import Task
 
-    config = ChipConfig(width=4, height=4, kernel="python")
+    config = ChipConfig(width=4, height=4)
     sim = Simulator(config)
     sim.set_executor(lambda cell, msg: (1, []))
     sim.enqueue_task(0, Task(lambda: (1, []), label="closure"))
@@ -309,7 +308,7 @@ def test_capture_refuses_task_closures_in_queues():
 
 
 def test_capture_refuses_tracing():
-    config = ChipConfig(width=4, height=4, kernel="python")
+    config = ChipConfig(width=4, height=4)
     sim = Simulator(config, trace_every=1)
     sim.set_executor(lambda cell, msg: (1, []))
     with pytest.raises(SnapshotError, match="tracing"):
@@ -317,7 +316,7 @@ def test_capture_refuses_tracing():
 
 
 def test_pending_ghost_future_refuses_capture():
-    device = AMCCADevice(ChipConfig(width=4, height=4, kernel="python"))
+    device = AMCCADevice(ChipConfig(width=4, height=4))
     graph = DynamicGraph(device, 4, seed=1)
     graph.root_block(2).ghosts[0].set_pending()
     with pytest.raises(SnapshotError, match="pending ghost allocation"):
@@ -325,7 +324,7 @@ def test_pending_ghost_future_refuses_capture():
 
 
 def test_malformed_bare_simulator_body_names_the_section():
-    config = ChipConfig(width=4, height=4, kernel="python")
+    config = ChipConfig(width=4, height=4)
     sim, _executed = _sim_with_recorder(config)
     _inject_wave(sim, 8)
     sim.run()
@@ -338,21 +337,17 @@ def test_malformed_bare_simulator_body_names_the_section():
 # ----------------------------------------------------------------------
 # Graph-level round trips (the subsystem's acceptance invariant)
 # ----------------------------------------------------------------------
-kernels = ["python"]
-
-
 @requires_numpy
 class TestEveryBoundary:
-    @pytest.mark.parametrize("kernel", kernels)
-    def test_restore_at_every_boundary_matches_uninterrupted(self, kernel):
+    def test_restore_at_every_boundary_matches_uninterrupted(self):
         scenario = tiny_scenario()
-        serial = run_scenario(scenario, kernel=kernel)
+        serial = run_scenario(scenario)
         total = scenario.dataset.num_increments
         for boundary in range(1, total + 1):
-            snap = snapshot_at(scenario, boundary, kernel=kernel)
+            snap = snapshot_at(scenario, boundary)
             # Round-trip through bytes: what the spill dir / CLI would see.
             resumed = resume_scenario(
-                scenario, Snapshot.from_bytes(snap.to_bytes()), kernel=kernel)
+                scenario, Snapshot.from_bytes(snap.to_bytes()))
             assert json.dumps(resumed, sort_keys=True) == \
                 json.dumps(serial, sort_keys=True), f"boundary {boundary}"
 
