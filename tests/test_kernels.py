@@ -31,6 +31,25 @@ def perfbench_chips():
 
 
 class TestResolveKernel:
+    def test_auto_resolves_to_fastest_available(self):
+        # The pure-Python sweep is the one kernel, so it is the fastest
+        # available one for every chip.
+        assert resolve_kernel(ChipConfig(width=4, height=4)) == "python"
+
+    def test_build_noc_python_pin(self):
+        cfg = ChipConfig(width=4, height=4)
+        stats = SimStats(num_cells=cfg.num_cells)
+        noc = build_noc(cfg, stats)
+        assert type(noc) is CycleAccurateNoC
+
+    def test_numpy_kernel_name_rejected(self):
+        # A stale pin of the deleted numpy kernel is an error, not a silent
+        # fallback, in either chip description.
+        with pytest.raises(TypeError, match="kernel"):
+            ChipConfig(width=4, height=4, kernel="numpy")
+        with pytest.raises(TypeError, match="kernel"):
+            ChipSpec(side=8, kernel="numpy")
+
     def test_perfbench_chips_resolve_to_python(self):
         for workload, chip in perfbench_chips().items():
             config = chip.to_chip_config()
